@@ -28,8 +28,6 @@ Array = np.ndarray
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_K = 0.044715
-# exp() saturates here; float64 overflows just past exp(709).
-_EXP_MAX = 700.0
 
 
 class Node:
@@ -186,15 +184,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _attach(out, "mul", (a, b), apply)
 
 
-def neg(a: Tensor) -> Tensor:
-    out = Tensor(-a.data)
-
-    def apply(g: Array) -> None:
-        _accum(a, -g)
-
-    return _attach(out, "neg", (a,), apply)
-
-
 def scale(a: Tensor, factor: float) -> Tensor:
     """Multiply by a python scalar (loss weighting, 1/sqrt(d_k), ...)."""
     c = float(factor)
@@ -226,43 +215,6 @@ def gelu(a: Tensor) -> Tensor:
         _accum(a, g * (0.5 * (1.0 + t) + 0.5 * x * dt))
 
     return _attach(out, "gelu", (a,), apply)
-
-
-def exp(a: Tensor) -> Tensor:
-    """exp, saturated at x=700 so float64 stays finite; gradient is zero in
-    the saturated region."""
-    x = a.data
-    y = np.exp(np.minimum(x, _EXP_MAX))
-    out = Tensor(y)
-
-    def apply(g: Array) -> None:
-        _accum(a, g * np.where(x <= _EXP_MAX, y, 0.0))
-
-    return _attach(out, "exp", (a,), apply)
-
-
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0.0):
-        raise DomainError("log: inputs must be strictly positive")
-    out = Tensor(np.log(a.data))
-
-    def apply(g: Array) -> None:
-        _accum(a, g / a.data)
-
-    return _attach(out, "log", (a,), apply)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    if np.any(a.data < 0.0):
-        raise DomainError("sqrt: inputs must be non-negative")
-    y = np.sqrt(a.data)
-    out = Tensor(y)
-
-    def apply(g: Array) -> None:
-        # undefined at exactly zero; callers keep inputs positive
-        _accum(a, g * 0.5 / y)
-
-    return _attach(out, "sqrt", (a,), apply)
 
 
 # ---------------------------------------------------------------------------
@@ -407,16 +359,6 @@ def sum_all(a: Tensor) -> Tensor:
         _accum(a, np.full(a.shape, float(g)))
 
     return _attach(out, "sum_all", (a,), apply)
-
-
-def mean_all(a: Tensor) -> Tensor:
-    out = Tensor(a.data.mean())
-    n = a.size
-
-    def apply(g: Array) -> None:
-        _accum(a, np.full(a.shape, float(g) / n))
-
-    return _attach(out, "mean_all", (a,), apply)
 
 
 def embedding_lookup(table: Tensor, ids: Array) -> Tensor:

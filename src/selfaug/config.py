@@ -1,19 +1,22 @@
 """Experiment configuration: one JSON file describing data source, model
 size, dual-stream settings, training, and an optional hyperparameter grid.
 
-Parsing is strict: unknown keys anywhere in the file are configuration
-errors, so typos fail loudly instead of silently running defaults.
+Parsing is strict (see `schema`): unknown keys and wrongly typed values
+anywhere in the file are configuration errors that name their key path, so
+typos fail loudly instead of silently running defaults.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .data import SynthSpec
 from .errors import ConfigError
+from .model import ModelConfig
 from .objective import DualStreamConfig
+from .schema import Schema
 from .training import TrainConfig
 
 DEFAULT_RATIOS = (0.8, 0.1, 0.1)
@@ -21,14 +24,8 @@ DEFAULT_RATIOS = (0.8, 0.1, 0.1)
 GRID_AXES = ("batch_size", "alpha", "tap_layer", "inject_layer")
 
 
-def _require_keys(raw: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(raw) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {unknown}")
-
-
 @dataclass(frozen=True)
-class DataConfig:
+class DataConfig(Schema):
     """Exactly one source: an inline synthetic spec, a path to one, a
     single dataset file to be split, or pre-split train/val/test files."""
 
@@ -84,71 +81,9 @@ class DataConfig:
     def splittable(self) -> bool:
         return not self.presplit
 
-    def to_dict(self) -> dict:
-        out: dict = {"ratios": list(self.ratios),
-                     "min_freq": self.min_freq,
-                     "max_vocab": self.max_vocab}
-        if self.synth_spec is not None:
-            out["synth_spec"] = self.synth_spec.to_dict()
-        for key in ("synth_spec_path", "dataset_path", "train_path",
-                    "val_path", "test_path", "label_space_path"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        return out
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "DataConfig":
-        _require_keys(raw, {"synth_spec", "synth_spec_path",
-                            "dataset_path", "train_path", "val_path",
-                            "test_path", "label_space_path", "ratios",
-                            "min_freq", "max_vocab"}, "data")
-        raw = dict(raw)
-        if "synth_spec" in raw:
-            raw["synth_spec"] = SynthSpec.from_dict(raw["synth_spec"])
-        if "ratios" in raw:
-            raw["ratios"] = tuple(raw["ratios"])
-        return cls(**raw)
-
 
 @dataclass(frozen=True)
-class ModelSettings:
-    """Architecture knobs; vocabulary size and head shape are filled in
-    from the prepared data at run time."""
-
-    d_model: int = 32
-    n_heads: int = 4
-    n_layers: int = 2
-    d_ff: int = 64
-    max_seq_len: int = 128
-    dropout_rate: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.d_model % self.n_heads != 0:
-            raise ConfigError(f"d_model {self.d_model} not divisible by "
-                              f"n_heads {self.n_heads}")
-        if self.n_layers < 1:
-            raise ConfigError("n_layers must be at least 1")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError("dropout_rate must lie in [0, 1)")
-        if self.max_seq_len < 1:
-            raise ConfigError("max_seq_len must be at least 1")
-
-    def to_dict(self) -> dict:
-        return {"d_model": self.d_model, "n_heads": self.n_heads,
-                "n_layers": self.n_layers, "d_ff": self.d_ff,
-                "max_seq_len": self.max_seq_len,
-                "dropout_rate": self.dropout_rate}
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ModelSettings":
-        _require_keys(raw, {"d_model", "n_heads", "n_layers", "d_ff",
-                            "max_seq_len", "dropout_rate"}, "model")
-        return cls(**raw)
-
-
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Schema):
     """Value lists per axis; missing axes fall back to the configured
     single value.  Cells enumerate in nested order batch_size, alpha,
     tap_layer, inject_layer, each axis in its listed order."""
@@ -165,14 +100,14 @@ class GridSpec:
                               f"{GRID_AXES}")
         for b in self.batch_size:
             if b < 2:
-                raise ConfigError("grid batch_size values must be >= 2")
+                raise ConfigError("batch_size values must be >= 2")
         for a in self.alpha:
             if not 0.0 <= a <= 1.0:
-                raise ConfigError(f"grid alpha {a} outside [0, 1]")
+                raise ConfigError(f"alpha {a} outside [0, 1]")
         for axis in ("tap_layer", "inject_layer"):
             for v in getattr(self, axis):
                 if v < 0:
-                    raise ConfigError(f"grid {axis} values must be >= 0")
+                    raise ConfigError(f"{axis} values must be >= 0")
 
     def validate_for(self, n_layers: int) -> None:
         for axis in ("tap_layer", "inject_layer"):
@@ -196,24 +131,11 @@ class GridSpec:
                                     "tap_layer": t, "inject_layer": j})
         return out
 
-    def to_dict(self) -> dict:
-        out = {}
-        for axis in GRID_AXES:
-            values = getattr(self, axis)
-            if values:
-                out[axis] = list(values)
-        return out
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "GridSpec":
-        _require_keys(raw, set(GRID_AXES), "grid")
-        return cls(**{k: tuple(v) for k, v in raw.items()})
-
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Schema):
     data: DataConfig
-    model: ModelSettings = field(default_factory=ModelSettings)
+    model: ModelConfig = field(default_factory=ModelConfig)
     dual: DualStreamConfig | None = None
     train: TrainConfig = field(default_factory=TrainConfig)
     grid: GridSpec | None = None
@@ -224,6 +146,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError("threshold must lie in (0, 1)")
+        for name in ("vocab_size", "head_kind", "n_outputs"):
+            if getattr(self.model, name) is not None:
+                raise ConfigError(f"model.{name}: set from the prepared "
+                                  "data, not in a config")
         if self.train.mode != "baseline" and self.dual is None:
             raise ConfigError(f"mode {self.train.mode!r} needs a dual "
                               "section")
@@ -239,69 +165,19 @@ class ExperimentConfig:
     def with_overrides(self, seed: int | None = None,
                        out_dir: str | None = None,
                        mode: str | None = None) -> "ExperimentConfig":
-        train = self.train
-        if seed is not None or mode is not None:
-            fields = train.to_dict()
-            if seed is not None:
-                fields["seed"] = seed
-            if mode is not None:
-                fields["mode"] = mode
-            train = TrainConfig.from_dict(fields)
-        return ExperimentConfig(data=self.data, model=self.model,
-                                dual=self.dual, train=train,
-                                grid=self.grid, threshold=self.threshold,
-                                out_dir=out_dir or self.out_dir,
-                                notes=self.notes)
+        train = {k: v for k, v in (("seed", seed), ("mode", mode))
+                 if v is not None}
+        return replace(self, train=replace(self.train, **train),
+                       out_dir=out_dir or self.out_dir)
 
     def with_cell(self, cell: dict) -> "ExperimentConfig":
         """Apply one grid cell's hyperparameters."""
-        train_fields = self.train.to_dict()
-        train_fields["batch_size"] = cell["batch_size"]
-        dual_fields = self.dual.to_dict()
-        dual_fields["alpha"] = cell["alpha"]
-        dual_fields["tap_layer"] = cell["tap_layer"]
-        dual_fields["inject_layer"] = cell["inject_layer"]
-        return ExperimentConfig(
-            data=self.data, model=self.model,
-            dual=DualStreamConfig.from_dict(dual_fields),
-            train=TrainConfig.from_dict(train_fields), grid=None,
-            threshold=self.threshold, out_dir=self.out_dir,
-            notes=self.notes)
-
-    def to_dict(self) -> dict:
-        out = {"data": self.data.to_dict(),
-               "model": self.model.to_dict(),
-               "train": self.train.to_dict(),
-               "threshold": self.threshold,
-               "out_dir": self.out_dir}
-        if self.dual is not None:
-            out["dual"] = self.dual.to_dict()
-        if self.grid is not None:
-            out["grid"] = self.grid.to_dict()
-        if self.notes:
-            out["notes"] = self.notes
-        return out
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        _require_keys(raw, {"data", "model", "dual", "train", "grid",
-                            "threshold", "out_dir", "notes"},
-                      "experiment config")
-        if "data" not in raw:
-            raise ConfigError("experiment config needs a data section")
-        kwargs: dict = {"data": DataConfig.from_dict(raw["data"])}
-        if "model" in raw:
-            kwargs["model"] = ModelSettings.from_dict(raw["model"])
-        if "dual" in raw:
-            kwargs["dual"] = DualStreamConfig.from_dict(raw["dual"])
-        if "train" in raw:
-            kwargs["train"] = TrainConfig.from_dict(raw["train"])
-        if "grid" in raw:
-            kwargs["grid"] = GridSpec.from_dict(raw["grid"])
-        for key in ("threshold", "out_dir", "notes"):
-            if key in raw:
-                kwargs[key] = raw[key]
-        return cls(**kwargs)
+        return replace(
+            self, grid=None,
+            train=replace(self.train, batch_size=cell["batch_size"]),
+            dual=replace(self.dual, alpha=cell["alpha"],
+                         tap_layer=cell["tap_layer"],
+                         inject_layer=cell["inject_layer"]))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
@@ -313,7 +189,4 @@ class ExperimentConfig:
         except json.JSONDecodeError as err:
             raise ConfigError(f"config file {path} is not valid JSON: "
                               f"{err}") from err
-        if not isinstance(raw, dict):
-            raise ConfigError(f"config file {path} must hold a JSON "
-                              "object")
         return cls.from_dict(raw)

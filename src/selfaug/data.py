@@ -19,6 +19,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .schema import Schema
 from .seeding import rng_for
 
 TASK_KINDS = ("binary", "multiclass", "multilabel")
@@ -379,7 +380,7 @@ def batches(examples: Sequence[Example], vocab: Vocabulary,
 
 
 @dataclass
-class SynthSpec:
+class SynthSpec(Schema):
     """Recipe for a seeded synthetic corpus.
 
     Each class owns a keyword list; texts embed a keyword in a literal
@@ -419,35 +420,6 @@ class SynthSpec:
 
     def label_space(self) -> LabelSpace:
         return LabelSpace(task_kind=self.task_kind, labels=self.classes)
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "SynthSpec":
-        required = {"task_kind", "classes", "keywords", "literal_templates",
-                    "figurative_templates", "ambiguity", "count"}
-        missing = required - raw.keys()
-        if missing:
-            raise ConfigError(f"synthetic spec missing fields: "
-                              f"{sorted(missing)}")
-        unknown = raw.keys() - required
-        if unknown:
-            raise ConfigError(f"synthetic spec has unknown fields: "
-                              f"{sorted(unknown)}")
-        return cls(task_kind=raw["task_kind"],
-                   classes=tuple(raw["classes"]),
-                   keywords={k: tuple(v) for k, v in raw["keywords"].items()},
-                   literal_templates=tuple(raw["literal_templates"]),
-                   figurative_templates=tuple(raw["figurative_templates"]),
-                   ambiguity=float(raw["ambiguity"]),
-                   count=int(raw["count"]))
-
-    def to_dict(self) -> dict:
-        return {"task_kind": self.task_kind,
-                "classes": list(self.classes),
-                "keywords": {k: list(v) for k, v in self.keywords.items()},
-                "literal_templates": list(self.literal_templates),
-                "figurative_templates": list(self.figurative_templates),
-                "ambiguity": self.ambiguity,
-                "count": self.count}
 
 
 def load_synth_spec(path: str | Path) -> SynthSpec:

@@ -11,8 +11,8 @@ class ShapeError(ValueError):
 
 
 class DomainError(ValueError):
-    """A value lies outside an operation's numeric domain (log of a
-    non-positive number, NaN gradient, out-of-range class target)."""
+    """A value lies outside an operation's numeric domain (out-of-range
+    token id or class target, NaN gradient)."""
 
 
 class ConfigError(ValueError):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +43,8 @@ KFOLD_CSV_COLUMNS = ("fold", "best_epoch", "best_val_f1",
                      "test_precision", "test_recall", "test_f1")
 ABLATION_CSV_COLUMNS = ("row", "mode", "best_epoch", "best_val_f1",
                         "test_precision", "test_recall", "test_f1")
+CSV_FLOAT_COLUMNS = frozenset({"alpha", "best_val_f1", "test_precision",
+                               "test_recall", "test_f1"})
 
 
 @dataclass
@@ -87,17 +89,6 @@ def prepare_data(config: ExperimentConfig) -> PreparedData:
     return PreparedData(train=train_ex, val=val_ex, test=test_ex,
                         vocab=vocab, label_space=label_space,
                         stratified=stratified)
-
-
-def build_model_config(config: ExperimentConfig,
-                       prepared: PreparedData) -> ModelConfig:
-    m = config.model
-    return ModelConfig(vocab_size=len(prepared.vocab), d_model=m.d_model,
-                       n_heads=m.n_heads, n_layers=m.n_layers,
-                       d_ff=m.d_ff, max_seq_len=m.max_seq_len,
-                       dropout_rate=m.dropout_rate,
-                       head_kind=prepared.label_space.task_kind,
-                       n_outputs=len(prepared.label_space.labels))
 
 
 def _build_components(config: ExperimentConfig, model_cfg: ModelConfig):
@@ -165,7 +156,9 @@ def _write_run_artifacts(run_dir: Path, config: ExperimentConfig,
 def _execute(config: ExperimentConfig, prepared: PreparedData,
              run_dir: Path) -> dict:
     """Train on already-prepared data and write the four artifacts."""
-    model_cfg = build_model_config(config, prepared)
+    model_cfg = replace(config.model, vocab_size=len(prepared.vocab),
+                        head_kind=prepared.label_space.task_kind,
+                        n_outputs=len(prepared.label_space.labels))
     model_f, model_c, projection = _build_components(config, model_cfg)
     result = train(model_f, model_c, projection, prepared.train,
                    prepared.val, prepared.vocab, prepared.label_space,
@@ -192,29 +185,29 @@ def run_training(config: ExperimentConfig) -> dict:
     return _execute(config, prepared, Path(config.out_dir))
 
 
-def _row_float(value) -> str:
-    return "" if value is None else f"{value:.6f}"
+def _csv_cell(column: str, value):
+    if value is None:
+        return ""
+    return f"{value:.6f}" if column in CSV_FLOAT_COLUMNS else value
 
 
 def _write_csv(path: Path, columns: tuple[str, ...],
                rows: list[dict]) -> None:
+    """One line per row dict; a missing or None value is an empty cell."""
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([row.get(col, "") for col in columns])
+            writer.writerow([_csv_cell(col, row.get(col))
+                             for col in columns])
 
 
 def _grid_cell(config: ExperimentConfig, index: int, cell: dict) -> dict:
     row = {"cell": index, **cell}
     run_dir = Path(config.out_dir) / f"cell{index:03d}"
     try:
-        sub = config.with_cell(cell)
-        sub = ExperimentConfig(data=sub.data, model=sub.model,
-                               dual=sub.dual, train=sub.train, grid=None,
-                               threshold=sub.threshold,
-                               out_dir=str(run_dir))
-        metrics = run_training(sub)
+        metrics = run_training(replace(config.with_cell(cell),
+                                       out_dir=str(run_dir)))
     except Exception as err:  # per-cell isolation: the grid keeps going
         row.update({"status": "failed", "error": str(err),
                     "best_epoch": None, "best_val_f1": None,
@@ -268,16 +261,7 @@ def run_grid(config: ExperimentConfig, workers: int = 1) -> dict:
                "winner": winner}
     (out_dir / "grid.json").write_text(_json_text(summary),
                                        encoding="utf-8")
-    csv_rows = []
-    for row in rows:
-        csv_row = dict(row)
-        for col in ("alpha", "best_val_f1", "test_precision",
-                    "test_recall", "test_f1"):
-            csv_row[col] = _row_float(row[col])
-        csv_row["best_epoch"] = "" if row["best_epoch"] is None \
-            else row["best_epoch"]
-        csv_rows.append(csv_row)
-    _write_csv(out_dir / "grid.csv", GRID_CSV_COLUMNS, csv_rows)
+    _write_csv(out_dir / "grid.csv", GRID_CSV_COLUMNS, rows)
     return summary
 
 
@@ -343,20 +327,10 @@ def run_kfold(config: ExperimentConfig, k: int, val_fraction: float = 0.2,
                "stratified": stratified, "rows": rows, "summary": stats}
     (out_dir / "kfold.json").write_text(_json_text(summary),
                                         encoding="utf-8")
-    csv_rows = []
-    for row in rows:
-        csv_row = dict(row)
-        for col in ("best_val_f1", "test_precision", "test_recall",
-                    "test_f1"):
-            csv_row[col] = _row_float(row[col])
-        csv_rows.append(csv_row)
-    for name in ("mean", "std"):
-        csv_rows.append({
-            "fold": name, "best_epoch": "", "best_val_f1": "",
-            "test_precision": _row_float(stats["test_precision"][name]),
-            "test_recall": _row_float(stats["test_recall"][name]),
-            "test_f1": _row_float(stats["test_f1"][name])})
-    _write_csv(out_dir / "kfold.csv", KFOLD_CSV_COLUMNS, csv_rows)
+    aggregates = [{"fold": name, **{metric: values[name]
+                                    for metric, values in stats.items()}}
+                  for name in ("mean", "std")]
+    _write_csv(out_dir / "kfold.csv", KFOLD_CSV_COLUMNS, rows + aggregates)
     return summary
 
 
@@ -382,45 +356,22 @@ def run_ablation(config: ExperimentConfig) -> dict:
     summary = {"rows": rows}
     (out_dir / "ablation.json").write_text(_json_text(summary),
                                            encoding="utf-8")
-    csv_rows = []
-    for row in rows:
-        csv_row = dict(row)
-        for col in ("best_val_f1", "test_precision", "test_recall",
-                    "test_f1"):
-            csv_row[col] = _row_float(row[col])
-        csv_rows.append(csv_row)
-    _write_csv(out_dir / "ablation.csv", ABLATION_CSV_COLUMNS, csv_rows)
+    _write_csv(out_dir / "ablation.csv", ABLATION_CSV_COLUMNS, rows)
     return summary
 
 
-def _power_iteration_pcs(embeddings: np.ndarray) -> np.ndarray | None:
-    """Top two principal components of the rows, via power iteration on
-    the covariance; deterministic start and sign convention."""
+def _principal_components(embeddings: np.ndarray) -> np.ndarray | None:
+    """Projections of the centered rows on the top two eigenvectors of
+    their covariance.  Each eigenvector's largest-magnitude component is
+    made positive; an eigenvalue <= 1e-12 gives a zero column."""
     n, d = embeddings.shape
     if n < 2 or d < 2:
         return None
     centered = embeddings - embeddings.mean(axis=0)
-    cov = centered.T @ centered / n
-    components = []
-    work = cov.copy()
-    for _ in range(2):
-        v = np.ones(d) / np.sqrt(d)
-        for _ in range(200):
-            w = work @ v
-            norm = np.linalg.norm(w)
-            if norm < 1e-12:
-                break
-            v = w / norm
-        value = float(v @ work @ v)
-        if value <= 1e-12:
-            components.append(np.zeros(d))
-            continue
-        pivot = int(np.argmax(np.abs(v)))
-        if v[pivot] < 0:
-            v = -v
-        components.append(v)
-        work = work - value * np.outer(v, v)
-    return centered @ np.stack(components, axis=1)
+    values, vectors = np.linalg.eigh(centered.T @ centered / n)
+    values, top = values[:-3:-1], vectors[:, :-3:-1]
+    signs = np.sign(top[np.abs(top).argmax(axis=0), [0, 1]])
+    return centered @ (top * signs * (values > 1e-12))
 
 
 def _label_names(decision, labels: list[str]) -> str:
@@ -483,7 +434,7 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
             predicted.append(_label_names(decision, labels))
             vectors.append(np.asarray(vec))
     embeddings = np.stack(vectors)
-    pcs = _power_iteration_pcs(embeddings)
+    pcs = _principal_components(embeddings)
 
     out_csv = Path(out_csv)
     out_csv.parent.mkdir(parents=True, exist_ok=True)

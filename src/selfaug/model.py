@@ -27,6 +27,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import Batch
 from .errors import ConfigError, ShapeError
+from .schema import Schema
 
 LN_EPS = 1e-5
 # additive mask: pushes pad-key scores far enough down that exp() underflows
@@ -41,49 +42,44 @@ Injection = tuple[int, Tensor]
 
 
 @dataclass(frozen=True)
-class ModelConfig:
-    vocab_size: int
+class ModelConfig(Schema):
+    """Encoder shape.  `vocab_size`, `head_kind` and `n_outputs` come from
+    the prepared data: a config file leaves them unset and a run fills
+    them in before building the encoder."""
+
+    vocab_size: int | None = None
     d_model: int = 32
     n_heads: int = 4
     n_layers: int = 2
     d_ff: int = 64
     max_seq_len: int = 128
     dropout_rate: float = 0.0
-    head_kind: str = "multiclass"
-    n_outputs: int = 2
+    head_kind: str | None = None
+    n_outputs: int | None = None
 
     def __post_init__(self) -> None:
+        for name in ("vocab_size", "d_model", "n_heads", "n_layers", "d_ff",
+                     "n_outputs"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"{name} must be positive, got {value}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by "
                               f"n_heads {self.n_heads}")
-        if min(self.vocab_size, self.d_model, self.n_heads, self.n_layers,
-               self.d_ff, self.n_outputs) < 1:
-            raise ConfigError("model dimensions must be positive")
         if self.max_seq_len < 2:
             raise ConfigError(f"max_seq_len must be >= 2, "
                               f"got {self.max_seq_len}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must lie in [0, 1), "
                               f"got {self.dropout_rate}")
-        if self.head_kind not in HEAD_KINDS:
+        if self.head_kind is not None and self.head_kind not in HEAD_KINDS:
             raise ConfigError(f"unknown head kind {self.head_kind!r}")
-        if self.head_kind == "binary" and self.n_outputs != 2:
+        if self.head_kind == "binary" and self.n_outputs not in (None, 2):
             raise ConfigError("binary head uses exactly 2 outputs")
 
     @property
     def d_head(self) -> int:
         return self.d_model // self.n_heads
-
-    def to_dict(self) -> dict:
-        return {"vocab_size": self.vocab_size, "d_model": self.d_model,
-                "n_heads": self.n_heads, "n_layers": self.n_layers,
-                "d_ff": self.d_ff, "max_seq_len": self.max_seq_len,
-                "dropout_rate": self.dropout_rate,
-                "head_kind": self.head_kind, "n_outputs": self.n_outputs}
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ModelConfig":
-        return cls(**raw)
 
 
 class EncoderLayer:

@@ -30,6 +30,7 @@ from .autodiff import Tensor
 from .data import Batch
 from .errors import ConfigError, ShapeError
 from .model import EncoderModel, pool
+from .schema import Schema
 
 # eps inside sqrt(var + eps) for the contrastive feature normalization.
 # Deliberately tiny: already-normalized inputs must reproduce the identity
@@ -43,7 +44,7 @@ POOLING_KINDS = ("cls", "mean")
 
 
 @dataclass(frozen=True)
-class DualStreamConfig:
+class DualStreamConfig(Schema):
     tap_layer: int
     inject_layer: int
     alpha: float
@@ -75,22 +76,6 @@ class DualStreamConfig:
             if idx > n_layers:
                 raise ConfigError(f"{name} {idx} exceeds encoder depth "
                                   f"{n_layers}")
-
-    def to_dict(self) -> dict:
-        return {"tap_layer": self.tap_layer,
-                "inject_layer": self.inject_layer,
-                "alpha": self.alpha,
-                "augment_gradient": self.augment_gradient,
-                "pooling": self.pooling,
-                "lambda_offdiag": self.lambda_offdiag,
-                "projection_dims": list(self.projection_dims)}
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "DualStreamConfig":
-        raw = dict(raw)
-        if "projection_dims" in raw:
-            raw["projection_dims"] = tuple(raw["projection_dims"])
-        return cls(**raw)
 
 
 class ProjectionNetwork:

@@ -28,6 +28,7 @@ from .model import EncoderModel, predict
 from .objective import (DualStreamConfig, ProjectionNetwork, StepLosses,
                         composite_loss, contrastive_loss, dual_forward,
                         project)
+from .schema import Schema
 from .seeding import rng_for
 
 TRAIN_MODES = ("baseline", "sa_only", "proposed")
@@ -38,7 +39,7 @@ ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(Schema):
     learning_rate: float = 1e-3
     max_epochs: int = 20
     patience: int = 5
@@ -57,21 +58,11 @@ class TrainConfig:
                               f"{self.max_epochs}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.mode not in TRAIN_MODES:
             raise ConfigError(f"mode must be one of {TRAIN_MODES}, "
                               f"got {self.mode!r}")
-
-    def to_dict(self) -> dict:
-        return {"learning_rate": self.learning_rate,
-                "max_epochs": self.max_epochs,
-                "patience": self.patience,
-                "batch_size": self.batch_size,
-                "seed": self.seed,
-                "mode": self.mode}
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "TrainConfig":
-        return cls(**raw)
 
 
 class Adam:

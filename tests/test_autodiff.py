@@ -71,21 +71,8 @@ class TestUnary:
 
     def test_unary_gradients(self):
         x = RNG.uniform(-2, 2, (5, 3))
-        for op in (ad.relu, ad.gelu, ad.neg):
+        for op in (ad.relu, ad.gelu):
             check_grad(op, x)
-        pos = RNG.uniform(0.1, 2.0, (5, 3))
-        for op in (ad.exp, ad.log, ad.sqrt):
-            check_grad(op, pos)
-
-    def test_exp_log_inverse(self):
-        x = RNG.uniform(0.1, 3.0, 20)
-        np.testing.assert_allclose(ad.log(ad.exp(ad.tensor(x))).data, x, rtol=1e-12)
-
-    def test_log_rejects_non_positive(self):
-        with pytest.raises(DomainError):
-            ad.log(ad.tensor([1.0, 0.0]))
-        with pytest.raises(DomainError):
-            ad.sqrt(ad.tensor([-1.0]))
 
     def test_scale(self):
         check_grad(lambda t: ad.scale(t, -1.7), RNG.uniform(-2, 2, (4,)))
@@ -251,7 +238,6 @@ class TestStructuralOps:
         check_grad(lambda t: ad.slice_front(t, 2), x)
         check_grad(lambda t: ad.take_index(t, 0, axis=1), x)
         check_grad(lambda t: ad.sum_axis(t, 1), x)
-        check_grad(ad.mean_all, x)
 
     def test_embedding_lookup_accumulates_repeated_ids(self):
         table = ad.parameter(RNG.uniform(-1, 1, (5, 3)))
@@ -332,16 +318,12 @@ class TestNumericGuards:
     def test_no_nan_inf_for_bounded_inputs(self):
         # |x| <= 1e3 must never produce NaN/Inf on any op's forward
         x = RNG.uniform(-1e3, 1e3, (8, 8))
-        pos = np.abs(x) + 1e-6
         outs = [
             ad.matmul(ad.tensor(x), ad.tensor(x)).data,
             ad.add(ad.tensor(x), ad.tensor(x)).data,
             ad.mul(ad.tensor(x), ad.tensor(x)).data,
             ad.relu(ad.tensor(x)).data,
             ad.gelu(ad.tensor(x)).data,
-            ad.exp(ad.tensor(x)).data,
-            ad.log(ad.tensor(pos)).data,
-            ad.sqrt(ad.tensor(pos)).data,
             ad.softmax_rows(ad.tensor(x)).data,
             ad.layer_norm(ad.tensor(x), ad.tensor(np.ones(8)),
                           ad.tensor(np.zeros(8))).data,
@@ -352,7 +334,3 @@ class TestNumericGuards:
         ]
         for out in outs:
             assert np.all(np.isfinite(out))
-
-    def test_exp_saturates_instead_of_overflowing(self):
-        out = ad.exp(ad.tensor([1000.0])).data
-        assert np.isfinite(out).all()

@@ -4,6 +4,8 @@ isolation, worker parallelism)."""
 
 import csv
 import json
+import re
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ from click.testing import CliRunner
 from selfaug.cli import main
 from selfaug.config import ExperimentConfig
 from selfaug.data import load_jsonl, load_label_space
-from selfaug.harness import run_grid, run_training
+from selfaug.harness import _principal_components, run_grid, run_training
 
 RUN_ARTIFACTS = ("config.json", "checkpoint.bin", "epochs.jsonl",
                  "metrics.json")
@@ -46,6 +48,48 @@ def small_config(out_dir: str, mode: str = "proposed",
         "threshold": 0.5,
         "out_dir": out_dir,
     }
+
+
+def _rename(section: dict, old: str, new: str) -> None:
+    section[new] = section.pop(old)
+
+
+# (mutation of the desk preset, expected start of the error line)
+MALFORMED_CONFIGS = {
+    "dual.alfa": (lambda c: _rename(c["dual"], "alpha", "alfa"),
+                  "error: dual.alfa: unknown key"),
+    "train.lr": (lambda c: _rename(c["train"], "learning_rate", "lr"),
+                 "error: train.lr: unknown key"),
+    "string learning_rate": (
+        lambda c: c["train"].update(learning_rate="x"),
+        'error: train.learning_rate: expected a number, got "x"'),
+    "null alpha": (lambda c: c["dual"].update(alpha=None),
+                   "error: dual.alpha: expected a number, got null"),
+    "n_heads 0": (lambda c: c["model"].update(n_heads=0),
+                  "error: model: n_heads must be positive"),
+    "string ratios": (lambda c: c["data"].update(ratios="abc"),
+                      'error: data.ratios: expected an array, got "abc"'),
+    "count many": (
+        lambda c: c["data"]["synth_spec"].update(count="many"),
+        'error: data.synth_spec.count: expected an integer, got "many"'),
+    "projection_dims 5": (
+        lambda c: c["dual"].update(projection_dims=5),
+        "error: dual.projection_dims: expected an array, got 5"),
+    "grid.alpha scalar": (lambda c: c.update(grid={"alpha": 0.1}),
+                          "error: grid.alpha: expected an array, got 0.1"),
+    "threshold half": (lambda c: c.update(threshold="half"),
+                       'error: threshold: expected a number, got "half"'),
+    "dual without alpha": (lambda c: c["dual"].pop("alpha"),
+                           "error: dual.alpha: required key is missing"),
+    "model array": (lambda c: c.update(model=[1]),
+                    "error: model: expected an object, got [1]"),
+    "max_seq_len 1": (lambda c: c["model"].update(max_seq_len=1),
+                      "error: model: max_seq_len must be >= 2"),
+    "negative seed": (lambda c: c["train"].update(seed=-1),
+                      "error: train: seed must be non-negative"),
+}
+PYTHON_INTERNALS = re.compile(r"Error|Exception|NoneType|__\w+__|<class|"
+                              r"argument|instances of|'(int|float|str)'")
 
 
 def write_config(tmp_path: Path, payload: dict) -> Path:
@@ -103,6 +147,20 @@ class TestTrainCommand:
         result = invoke("--config", str(cfg), "train")
         assert result.exit_code == 2
         assert "typo_section" in result.output
+
+    @pytest.mark.parametrize("probe", MALFORMED_CONFIGS)
+    def test_malformed_config_exits_2_naming_the_key(self, tmp_path, probe):
+        mutate, expected = MALFORMED_CONFIGS[probe]
+        preset = resources.files("selfaug") / "presets" / "desk_binary.json"
+        payload = json.loads(preset.read_text(encoding="utf-8"))
+        mutate(payload)
+        payload["out_dir"] = str(tmp_path / "run")
+        result = invoke("--config", str(write_config(tmp_path, payload)),
+                        "train")
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith(expected), result.output
+        assert not PYTHON_INTERNALS.search(result.output), result.output
+        assert not (tmp_path / "run").exists()
 
     def test_seed_and_out_overrides(self, tmp_path):
         out = tmp_path / "other"
@@ -266,6 +324,34 @@ class TestExportCommand:
         assert abs(pc1.mean()) < 1e-9
         assert abs(pc2.mean()) < 1e-9
         assert pc1.var() >= pc2.var()
+
+    def test_pcs_match_eigh_when_top_eigenvalues_are_close(self):
+        # sample covariance with eigenvalues exactly (1.0, 0.96, ...) in a
+        # random basis: the top two directions are hard to separate
+        rng = np.random.default_rng(5)
+        z = rng.normal(size=(500, 6))
+        z -= z.mean(axis=0)
+        z = z @ np.linalg.inv(np.linalg.cholesky(z.T @ z / len(z))).T
+        basis, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+        x = z * np.sqrt([1.0, 0.96, 0.5, 0.3, 0.2, 0.1]) @ basis.T + 3.0
+        centered = x - x.mean(axis=0)
+        _, vectors = np.linalg.eigh(centered.T @ centered / len(x))
+        pcs = _principal_components(x)
+        for col, vector in ((0, vectors[:, -1]), (1, vectors[:, -2])):
+            want = centered @ vector
+            sign = np.sign(pcs[:, col] @ want)
+            np.testing.assert_allclose(pcs[:, col], sign * want, rtol=0,
+                                       atol=1e-9 * np.abs(want).max())
+            pivot = np.abs(vector).argmax()
+            assert sign * vector[pivot] > 0  # largest component positive
+
+    def test_pcs_edge_cases(self):
+        assert _principal_components(np.ones((1, 4))) is None
+        assert _principal_components(np.ones((5, 1))) is None
+        rank_one = np.outer(np.arange(5.0), [1.0, 2.0, 0.0])
+        pcs = _principal_components(rank_one)
+        assert np.ptp(pcs[:, 0]) > 0
+        np.testing.assert_array_equal(pcs[:, 1], 0.0)
 
     def test_tapped_layer_export(self, tmp_path):
         ckpt = self._trained_checkpoint(tmp_path)

@@ -1,13 +1,24 @@
 """Experiment config parsing: strict key checking, source selection,
-grid validation, and override plumbing."""
+grid validation, override plumbing, and the preset round trip."""
 
+import copy
 import json
+from importlib import resources
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from selfaug.config import (DataConfig, ExperimentConfig, GridSpec,
-                            ModelSettings)
+from selfaug.config import DataConfig, ExperimentConfig, GridSpec
+from selfaug.data import SynthSpec
 from selfaug.errors import ConfigError
+from selfaug.model import ModelConfig
+
+PRESETS = resources.files("selfaug") / "presets"
+CORPUS_SPEC = "synth_binary.json"
+ALL_PRESETS = sorted(p.name for p in PRESETS.iterdir()
+                     if p.name.endswith(".json"))
+EXPERIMENT_PRESETS = [name for name in ALL_PRESETS if name != CORPUS_SPEC]
 
 
 def synth_data_dict() -> dict:
@@ -62,13 +73,23 @@ class TestDataConfig:
 
 
 class TestModelSettings:
+    """The config's model section, read into a ModelConfig."""
+
     def test_divisibility(self):
         with pytest.raises(ConfigError):
-            ModelSettings(d_model=30, n_heads=4)
+            ModelConfig(d_model=30, n_heads=4)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="dmodel"):
-            ModelSettings.from_dict({"dmodel": 32})
+            ModelConfig.from_dict({"dmodel": 32})
+
+    @pytest.mark.parametrize("key, value", [("vocab_size", 100),
+                                            ("head_kind", "binary"),
+                                            ("n_outputs", 2)])
+    def test_data_derived_fields_rejected_by_name(self, key, value):
+        with pytest.raises(ConfigError, match=f"model.{key}"):
+            ExperimentConfig.from_dict({**minimal_config_dict(),
+                                        "model": {key: value}})
 
 
 class TestGridSpec:
@@ -182,3 +203,83 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="threshold"):
             ExperimentConfig.from_dict({**minimal_config_dict(),
                                         "threshold": 1.0})
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("train", "learning_rate", True, "expected a number, got true"),
+        ("train", "learning_rate", 10 ** 400, "expected a finite number"),
+        ("train", "batch_size", 16.0, "expected an integer, got 16.0"),
+        ("dual", "pooling", ["cls"], 'expected a string, got ["cls"]'),
+    ], ids=["bool", "huge-integer", "float-for-integer", "array-for-string"])
+    def test_wrong_types_name_the_key_path(self, section, key, value,
+                                           message):
+        raw = minimal_config_dict()
+        raw.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict(raw)
+        assert str(err.value).startswith(f"{section}.{key}: {message}")
+
+
+def _read_preset(name: str) -> dict:
+    return json.loads((PRESETS / name).read_text(encoding="utf-8"))
+
+
+def _without_nulls(node):
+    if isinstance(node, dict):
+        return {k: _without_nulls(v) for k, v in node.items()
+                if v is not None}
+    if isinstance(node, list):
+        return [_without_nulls(v) for v in node]
+    return node
+
+
+@pytest.mark.parametrize("name", ALL_PRESETS)
+def test_preset_round_trip(name):
+    """Writing a loaded preset gives back its file, unset keys left out,
+    and reading that again gives an equal config."""
+    raw = _read_preset(name)
+    cls = SynthSpec if name == CORPUS_SPEC else ExperimentConfig
+    config = cls.from_dict(raw)
+    assert config.to_dict() == _without_nulls(raw)
+    assert cls.from_dict(config.to_dict()) == config
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4)
+
+
+def _nodes(node):
+    """Every (container, key) pair below `node`, depth first."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield node, key
+        yield from _nodes(child)
+
+
+@pytest.mark.parametrize("name", EXPERIMENT_PRESETS)
+@given(data=st.data())
+def test_mutated_presets_raise_only_config_errors(name, data):
+    raw = copy.deepcopy(_read_preset(name))
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        parent, key = data.draw(st.sampled_from(list(_nodes(raw))),
+                                label="target")
+        action = data.draw(st.sampled_from(
+            ("swap", "null", "add_key", "delete")), label="action")
+        if action == "swap":
+            parent[key] = data.draw(JSON_VALUES, label="value")
+        elif action == "null":
+            parent[key] = None
+        elif action == "add_key":
+            target = parent if isinstance(parent, dict) else raw
+            target[data.draw(st.text(max_size=6), label="new key")] = \
+                data.draw(JSON_VALUES, label="new value")
+        elif isinstance(parent, dict):
+            del parent[key]
+    try:
+        ExperimentConfig.from_dict(raw)
+    except ConfigError:
+        pass
