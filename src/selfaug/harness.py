@@ -115,14 +115,19 @@ def _restored_model(model_cfg: ModelConfig,
     return model
 
 
+def _label_space_meta(label_space: LabelSpace) -> dict:
+    return {"task_kind": label_space.task_kind,
+            "labels": list(label_space.labels)}
+
+
 def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _write_run_artifacts(run_dir: Path, config: ExperimentConfig,
                          model_cfg: ModelConfig, prepared: PreparedData,
-                         result: TrainResult, val: MetricsBundle,
-                         test: MetricsBundle) -> dict:
+                         result: TrainResult, arrays: dict[str, np.ndarray],
+                         val: MetricsBundle, test: MetricsBundle) -> dict:
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "config.json").write_text(_json_text(config.to_dict()),
                                          encoding="utf-8")
@@ -139,17 +144,12 @@ def _write_run_artifacts(run_dir: Path, config: ExperimentConfig,
                "test": test.to_dict()}
     (run_dir / "metrics.json").write_text(_json_text(metrics),
                                           encoding="utf-8")
+    # exactly what export_embeddings reads back
     meta = {"experiment": config.to_dict(),
             "model_config": model_cfg.to_dict(),
-            "label_space": {"task_kind": prepared.label_space.task_kind,
-                            "labels": list(prepared.label_space.labels)},
-            "vocab": prepared.vocab.id_to_token,
-            "mode": config.train.mode,
-            "seed": config.train.seed,
-            "best_epoch": result.best_epoch,
-            "best_val_f1": round(result.best_f1, 6),
-            "adam_steps": result.adam_steps}
-    save_checkpoint(run_dir / "checkpoint.bin", meta, result.state)
+            "label_space": _label_space_meta(prepared.label_space),
+            "vocab": prepared.vocab.id_to_token}
+    save_checkpoint(run_dir / "checkpoint.bin", meta, arrays)
     return metrics
 
 
@@ -163,7 +163,8 @@ def _execute(config: ExperimentConfig, prepared: PreparedData,
     result = train(model_f, model_c, projection, prepared.train,
                    prepared.val, prepared.vocab, prepared.label_space,
                    config.dual, config.train, config.threshold)
-    best = _restored_model(model_cfg, result.state)
+    arrays = {f"f.{name}": arr for name, arr in result.state.items()}
+    best = _restored_model(model_cfg, arrays)
     val = evaluate(best, prepared.val, prepared.vocab,
                    prepared.label_space, config.train.batch_size,
                    config.threshold)
@@ -171,7 +172,7 @@ def _execute(config: ExperimentConfig, prepared: PreparedData,
                     prepared.label_space, config.train.batch_size,
                     config.threshold)
     metrics = _write_run_artifacts(run_dir, config, model_cfg, prepared,
-                                   result, val, test)
+                                   result, arrays, val, test)
     metrics["run_dir"] = str(run_dir)
     return metrics
 
@@ -405,6 +406,9 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
     if prepared.vocab.id_to_token != meta["vocab"]:
         raise ConfigError("checkpoint vocabulary does not match the "
                           "re-prepared data; the data source changed")
+    if _label_space_meta(prepared.label_space) != meta["label_space"]:
+        raise ConfigError("checkpoint label space does not match the "
+                          "re-prepared data; the label file changed")
     examples = getattr(prepared, split)
     if not examples:
         raise DataError(f"{split} split is empty")

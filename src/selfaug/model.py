@@ -174,11 +174,6 @@ class EncoderModel:
         params.extend([("head_w", self.head_w), ("head_b", self.head_b)])
         return params
 
-    def copy(self) -> "EncoderModel":
-        other = EncoderModel(self.config, seed=0)
-        other.load_state(self.state())
-        return other
-
     def state(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.parameters()}
 
@@ -320,19 +315,41 @@ def save_checkpoint(path: str | Path, meta: dict,
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a checkpoint, refusing one whose header or array table does
+    not fit the file (a truncated or foreign file) with a ConfigError."""
     raw = Path(path).read_bytes()
-    if raw[:4] != CHECKPOINT_MAGIC:
+    if len(raw) < 16 or raw[:4] != CHECKPOINT_MAGIC:
         raise ConfigError(f"{path} is not a checkpoint file")
     version, header_len = struct.unpack("<IQ", raw[4:16])
     if version != CHECKPOINT_VERSION:
-        raise ConfigError(f"unsupported checkpoint version {version}")
-    header = json.loads(raw[16:16 + header_len].decode("utf-8"))
+        raise ConfigError(f"{path}: unsupported checkpoint version "
+                          f"{version}")
     base = 16 + header_len
+    if base > len(raw):
+        raise ConfigError(f"{path} is truncated: its header needs "
+                          f"{header_len} bytes, {len(raw) - 16} remain")
+    try:
+        header = json.loads(raw[16:base].decode("utf-8"))
+    except ValueError:
+        raise ConfigError(f"{path}: checkpoint header is not valid "
+                          f"JSON") from None
+    if not isinstance(header, dict) or \
+            not isinstance(header.get("meta"), dict) or \
+            not isinstance(header.get("arrays"), list):
+        raise ConfigError(f"{path}: checkpoint header lacks its meta "
+                          f"object or arrays list")
+    size = len(raw) - base
     arrays: dict[str, np.ndarray] = {}
     for entry in header["arrays"]:
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
-        start = base + entry["offset"]
+        offset = entry["offset"]
+        if offset < 0 or offset + 8 * count > size:
+            raise ConfigError(f"{path} is truncated: array "
+                              f"{entry['name']} needs bytes {offset} to "
+                              f"{offset + 8 * count} of a {size}-byte data "
+                              f"region")
         arrays[entry["name"]] = np.frombuffer(
-            raw, dtype="<f8", count=count, offset=start).reshape(shape).copy()
+            raw, dtype="<f8", count=count,
+            offset=base + offset).reshape(shape).copy()
     return header["meta"], arrays

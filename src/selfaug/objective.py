@@ -106,15 +106,6 @@ class ProjectionNetwork:
             out.append((f"proj{i}_b", b))
         return out
 
-    def state(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self.parameters()}
-
-    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        for name, t in self.parameters():
-            if name not in arrays:
-                raise ConfigError(f"projection state missing {name}")
-            t.data = np.asarray(arrays[name], dtype=np.float64).copy()
-
 
 def project(net: ProjectionNetwork, pooled: Tensor,
             train: bool = True) -> Tensor:

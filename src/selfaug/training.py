@@ -104,13 +104,6 @@ class Adam:
             p.data = p.data - self.learning_rate * (m / bias1) / \
                 (np.sqrt(v / bias2) + ADAM_EPS)
 
-    def state(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name in self.m:
-            out[f"adam_m.{name}"] = self.m[name].copy()
-            out[f"adam_v.{name}"] = self.v[name].copy()
-        return out
-
 
 class EarlyStopper:
     """Stop after `patience` consecutive epochs without strict improvement.
@@ -168,10 +161,10 @@ class TrainResult:
     best_epoch: int
     best_f1: float
     stopped_early: bool
-    # parameter arrays at the best epoch, names prefixed by stream
-    # (f. / c. / proj.) plus optimizer moments (adam_m. / adam_v.)
+    # stream one's parameter arrays at the best epoch, keyed by
+    # model_f.parameters() names; the copy, the projection and the
+    # optimizer moments only shape training and are not kept
     state: dict[str, np.ndarray] = field(repr=False)
-    adam_steps: int = 0
 
 
 def classification_loss(logits: Tensor, batch: Batch,
@@ -235,20 +228,6 @@ def evaluate(model: EncoderModel, examples: list[Example],
     return evaluate_predictions(preds, golds, list(label_space.labels))
 
 
-def _snapshot(mode: str, model_f: EncoderModel,
-              model_c: EncoderModel | None,
-              projection: ProjectionNetwork | None,
-              optimizer: Adam) -> dict[str, np.ndarray]:
-    state = {f"f.{k}": v for k, v in model_f.state().items()}
-    if mode != "baseline":
-        state.update({f"c.{k}": v for k, v in model_c.state().items()})
-    if mode == "proposed":
-        state.update({f"proj.{k}": v
-                      for k, v in projection.state().items()})
-    state.update(optimizer.state())
-    return state
-
-
 def train(model_f: EncoderModel, model_c: EncoderModel | None,
           projection: ProjectionNetwork | None,
           train_examples: list[Example], val_examples: list[Example],
@@ -258,8 +237,9 @@ def train(model_f: EncoderModel, model_c: EncoderModel | None,
     """Run one training job and return the best-epoch snapshot.
 
     Stream one (model_f) is the model that validation sees and the
-    checkpoint serves; the copy and the projection ride along in the
-    snapshot so a run can resume, but inference never touches them.
+    checkpoint serves, so the snapshot holds its parameters alone.  The
+    copy and the projection only shape training; the snapshot is what
+    inference reads, not a point to resume training from.
     """
     mode = train_cfg.mode
     if not train_examples:
@@ -326,12 +306,10 @@ def train(model_f: EncoderModel, model_c: EncoderModel | None,
             seconds=time.perf_counter() - started))
         should_stop = stopper.update(epoch, bundle.macro.f1)
         if stopper.best_epoch == epoch:
-            best_state = _snapshot(mode, model_f, model_c, projection,
-                                   optimizer)
+            best_state = model_f.state()
         if should_stop:
             stopped_early = True
             break
     return TrainResult(records=records, best_epoch=stopper.best_epoch,
                        best_f1=stopper.best_score,
-                       stopped_early=stopped_early, state=best_state,
-                       adam_steps=optimizer.step_count)
+                       stopped_early=stopped_early, state=best_state)

@@ -285,7 +285,8 @@ def test_03_injection_identities_and_gradient_stop():
     # stream sees exactly x + x = 2x
     model_f = EncoderModel(cfg, seed=33)
     randomize_parameters(model_f, np.random.default_rng(34))
-    model_c = model_f.copy()
+    model_c = EncoderModel(cfg, seed=33)
+    randomize_parameters(model_c, np.random.default_rng(34))
     dual = DualStreamConfig(tap_layer=0, inject_layer=0, alpha=0.2,
                             projection_dims=(8, 8, 4))
     _, _, pooled_tap, pooled_injected = dual_forward(

@@ -5,6 +5,7 @@ isolation, worker parallelism)."""
 import csv
 import json
 import re
+import struct
 from importlib import resources
 from pathlib import Path
 
@@ -15,7 +16,9 @@ from click.testing import CliRunner
 from selfaug.cli import main
 from selfaug.config import ExperimentConfig
 from selfaug.data import load_jsonl, load_label_space
-from selfaug.harness import _principal_components, run_grid, run_training
+from selfaug.harness import (EXPORT_LAYERS, _principal_components,
+                             run_grid, run_training)
+from selfaug.model import load_checkpoint, save_checkpoint
 
 RUN_ARTIFACTS = ("config.json", "checkpoint.bin", "epochs.jsonl",
                  "metrics.json")
@@ -90,6 +93,18 @@ MALFORMED_CONFIGS = {
 }
 PYTHON_INTERNALS = re.compile(r"Error|Exception|NoneType|__\w+__|<class|"
                               r"argument|instances of|'(int|float|str)'")
+
+# (file bytes, header length) -> damaged file bytes; the cuts fall in each
+# region of the layout: 16-byte preamble | JSON header | float64 data
+CHECKPOINT_DAMAGE = {
+    "not a checkpoint": lambda blob, n: b"not a checkpoint",
+    "cut in the preamble": lambda blob, n: blob[:10],
+    "cut in the header": lambda blob, n: blob[:16 + n // 2],
+    "cut in the data": lambda blob, n: blob[:(16 + n + len(blob)) // 2],
+    "one byte short": lambda blob, n: blob[:-1],
+    "header without arrays": lambda blob, n:
+        blob[:8] + struct.pack("<Q", 12) + b'{"meta": {}}',
+}
 
 
 def write_config(tmp_path: Path, payload: dict) -> Path:
@@ -366,11 +381,73 @@ class TestExportCommand:
                         "--layer", "h42")
         assert result.exit_code == 2
 
-    def test_garbage_checkpoint_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("damage", CHECKPOINT_DAMAGE)
+    def test_garbage_checkpoint_exits_2(self, tmp_path, damage):
+        blob = self._trained_checkpoint(tmp_path).read_bytes()
+        header_len = struct.unpack("<Q", blob[8:16])[0]
         bogus = tmp_path / "bogus.bin"
-        bogus.write_bytes(b"not a checkpoint")
-        result = invoke("export-embeddings", "--checkpoint", str(bogus))
-        assert result.exit_code == 2
+        bogus.write_bytes(CHECKPOINT_DAMAGE[damage](blob, header_len))
+        result = invoke("--out", str(tmp_path / "exp"), "export-embeddings",
+                        "--checkpoint", str(bogus))
+        assert result.exit_code == 2, result.output
+        assert str(bogus) in result.output
+        assert not PYTHON_INTERNALS.search(result.output), result.output
+        assert not (tmp_path / "exp" / "embeddings.csv").exists()
+
+    def test_changed_label_order_exits_2(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(
+            small_config("unused")["data"]["synth_spec"]))
+        assert invoke("--out", str(tmp_path / "data"), "gen-synth",
+                      "--spec", str(spec_path)).exit_code == 0
+        labels_path = tmp_path / "data" / "corpus.labels.json"
+        payload = small_config(str(tmp_path / "run"))
+        payload["data"] = {
+            "dataset_path": str(tmp_path / "data" / "corpus.jsonl"),
+            "label_space_path": str(labels_path),
+            "ratios": [0.7, 0.15, 0.15]}
+        cfg = write_config(tmp_path, payload)
+        assert invoke("--config", str(cfg), "train").exit_code == 0
+        space = json.loads(labels_path.read_text())
+        space["labels"].reverse()
+        labels_path.write_text(json.dumps(space))
+        result = invoke("--out", str(tmp_path / "exp"), "export-embeddings",
+                        "--checkpoint", str(tmp_path / "run" /
+                                            "checkpoint.bin"))
+        assert result.exit_code == 2, result.output
+        assert "label space" in result.output
+        assert not (tmp_path / "exp" / "embeddings.csv").exists()
+
+    def test_checkpoint_in_the_full_training_layout_exports_the_same(
+            self, tmp_path):
+        # earlier checkpoints also held the copy stream, the projection,
+        # both Adam moment sets and the run summary; export reads only
+        # the f. arrays and four meta keys of either layout
+        ckpt = self._trained_checkpoint(tmp_path)
+        meta, arrays = load_checkpoint(ckpt)
+        full = dict(arrays)
+        rng = np.random.default_rng(0)
+        for name, arr in arrays.items():
+            full[f"c.{name[2:]}"] = rng.normal(size=arr.shape)
+        for i, (a, b) in enumerate(((8, 8), (8, 8), (8, 4))):
+            full[f"proj.proj{i}_w"] = rng.normal(size=(a, b))
+            full[f"proj.proj{i}_b"] = rng.normal(size=b)
+        for name, arr in list(full.items()):
+            full[f"adam_m.{name}"] = rng.normal(size=arr.shape)
+            full[f"adam_v.{name}"] = rng.random(size=arr.shape)
+        full_meta = {**meta, "mode": "proposed", "seed": 0, "best_epoch": 3,
+                     "best_val_f1": 1.0, "adam_steps": 30}
+        save_checkpoint(tmp_path / "full.bin", full_meta, full)
+        for layer in EXPORT_LAYERS:
+            for name, path in (("slim", ckpt),
+                               ("full", tmp_path / "full.bin")):
+                result = invoke("--out", str(tmp_path / name / layer),
+                                "export-embeddings", "--checkpoint",
+                                str(path), "--layer", layer)
+                assert result.exit_code == 0, result.output
+            assert (tmp_path / "slim" / layer / "embeddings.csv")\
+                .read_bytes() == \
+                (tmp_path / "full" / layer / "embeddings.csv").read_bytes()
 
 
 class TestGenSynthCommand:

@@ -122,14 +122,6 @@ class TestForward:
         with pytest.raises(ShapeError):
             model.forward(make_batch(s=5))
 
-    def test_copy_produces_identical_outputs(self):
-        model = EncoderModel(small_config(), seed=10)
-        twin = model.copy()
-        batch = make_batch()
-        a, _ = model.forward(batch)
-        b, _ = twin.forward(batch)
-        np.testing.assert_array_equal(a.data, b.data)
-
 
 class TestPooling:
     def test_cls_takes_position_zero(self):

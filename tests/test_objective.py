@@ -296,7 +296,7 @@ class TestDualForward:
         # becomes exactly twice the embedding output, and cls pooling is
         # linear, so the pooled pair differs by an exact factor of two
         model_f = EncoderModel(tiny_config(), seed=0)
-        model_c = model_f.copy()
+        model_c = EncoderModel(tiny_config(), seed=0)
         cfg = DualStreamConfig(tap_layer=0, inject_layer=0, alpha=0.5,
                                projection_dims=(8, 8, 4))
         _, _, pooled_i, pooled_j = dual_forward(model_f, model_c,
