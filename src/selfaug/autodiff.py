@@ -207,7 +207,7 @@ def relu(a: Tensor) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """Tanh-form gelu: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3)))."""
     x = a.data
-    t = np.tanh(_GELU_C * (x + _GELU_K * x ** 3))
+    t = np.tanh(_GELU_C * (x + _GELU_K * (x * x * x)))
     out = Tensor(0.5 * x * (1.0 + t))
 
     def apply(g: Array) -> None:

@@ -330,49 +330,78 @@ class Batch:
         return self.token_ids.shape[0]
 
 
-def _targets_for(chunk: Sequence[Example], label_space: LabelSpace) -> np.ndarray:
+def _targets_for(examples: Sequence[Example],
+                 label_space: LabelSpace) -> np.ndarray:
     if label_space.single_label:
-        return np.array([label_space.index_of(ex.labels[0]) for ex in chunk],
-                        dtype=np.int64)
-    out = np.zeros((len(chunk), len(label_space.labels)), dtype=np.float64)
-    for row, ex in enumerate(chunk):
+        return np.array([label_space.index_of(ex.labels[0])
+                         for ex in examples], dtype=np.int64)
+    out = np.zeros((len(examples), len(label_space.labels)),
+                   dtype=np.float64)
+    for row, ex in enumerate(examples):
         for label in ex.labels:
             out[row, label_space.index_of(label)] = 1.0
     return out
 
 
-def _assemble(chunk: Sequence[Example], vocab: Vocabulary,
-              label_space: LabelSpace, max_seq_len: int) -> Batch:
-    encoded = [encode(ex.text, vocab, max_seq_len) for ex in chunk]
-    ids = np.stack([e[0] for e in encoded])
-    mask = np.stack([e[1] for e in encoded])
-    # trim uniform padding columns; the longest row caps the batch width
-    width = max(2, int(mask.sum(axis=1).max()))
-    return Batch(token_ids=ids[:, :width], attention_mask=mask[:, :width],
-                 targets=_targets_for(chunk, label_space),
-                 ids=[ex.id for ex in chunk])
+@dataclass
+class EncodedSplit:
+    """A split tokenized once: `encode` ids trimmed to the longest row
+    (at least 2 columns), each row's real length (CLS included), the
+    targets and the example ids, all in corpus order."""
+
+    token_ids: np.ndarray  # int64 [n, width]
+    lengths: np.ndarray    # int64 [n]
+    targets: np.ndarray    # int64 [n] or float64 [n, k]
+    ids: list[str]
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
-def batches(examples: Sequence[Example], vocab: Vocabulary,
-            label_space: LabelSpace, batch_size: int, max_seq_len: int,
-            train: bool, seed: int = 0) -> Iterator[Batch]:
+def encode_split(examples: Sequence[Example], vocab: Vocabulary,
+                 label_space: LabelSpace,
+                 max_seq_len: int) -> EncodedSplit:
+    # the id matrix widens as longer rows turn up, so a split is never
+    # held at max_seq_len columns (PAD is 0, the padding np.pad adds)
+    token_ids = np.zeros((len(examples), 2), dtype=np.int64)
+    lengths = np.zeros(len(examples), dtype=np.int64)
+    for i, ex in enumerate(examples):
+        # looked up at call time, so a wrapped encode sees every call
+        ids, mask = encode(ex.text, vocab, max_seq_len)
+        n = lengths[i] = np.count_nonzero(mask)
+        if n > token_ids.shape[1]:
+            token_ids = np.pad(token_ids,
+                               ((0, 0), (0, n - token_ids.shape[1])))
+        token_ids[i, :n] = ids[:n]
+    return EncodedSplit(token_ids=token_ids, lengths=lengths,
+                        targets=_targets_for(examples, label_space),
+                        ids=[ex.id for ex in examples])
+
+
+def batches(split: EncodedSplit, batch_size: int, train: bool,
+            seed: int = 0) -> Iterator[Batch]:
     """Deterministic batch stream.
 
     Training mode shuffles under the seed and drops a final partial batch
     (batch statistics in the objective need full batches); eval mode keeps
-    the corpus order and the final partial batch.
+    the corpus order and the final partial batch.  Each batch is trimmed
+    to its longest row (at least 2 columns).
     """
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    order = list(range(len(examples)))
-    if train:
-        rng = rng_for(seed, "shuffle")
-        order = [int(i) for i in rng.permutation(len(examples))]
-    for start in range(0, len(order), batch_size):
-        chunk = [examples[i] for i in order[start:start + batch_size]]
-        if train and len(chunk) < batch_size:
-            break
-        yield _assemble(chunk, vocab, label_space, max_seq_len)
+    n = len(split)
+    order = rng_for(seed, "shuffle").permutation(n) if train \
+        else np.arange(n)
+    stop = n - n % batch_size if train else n
+    for start in range(0, stop, batch_size):
+        rows = order[start:start + batch_size]
+        lengths = split.lengths[rows]
+        width = max(2, int(lengths.max()))
+        mask = (np.arange(width) < lengths[:, None]).astype(np.float64)
+        yield Batch(token_ids=split.token_ids[rows, :width],
+                    attention_mask=mask,
+                    targets=split.targets[rows],
+                    ids=[split.ids[i] for i in rows])
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,9 @@ import numpy as np
 from . import autodiff as ad
 from .config import ExperimentConfig
 from .data import (Example, LabelSpace, Vocabulary, batches, build_vocab,
-                   gen_synthetic, k_folds, load_jsonl, load_label_space,
-                   load_synth_spec, make_splits, write_jsonl)
+                   encode_split, gen_synthetic, k_folds, load_jsonl,
+                   load_label_space, load_synth_spec, make_splits,
+                   write_jsonl)
 from .errors import ConfigError, DataError
 from .metrics import MetricsBundle
 from .model import (EncoderModel, ModelConfig, load_checkpoint, pool,
@@ -45,6 +46,9 @@ ABLATION_CSV_COLUMNS = ("row", "mode", "best_epoch", "best_val_f1",
                         "test_precision", "test_recall", "test_f1")
 CSV_FLOAT_COLUMNS = frozenset({"alpha", "best_val_f1", "test_precision",
                                "test_recall", "test_f1"})
+# the checkpoint meta keys export_embeddings reads, with their JSON types
+CHECKPOINT_META = {"experiment": dict, "model_config": dict,
+                   "label_space": dict, "vocab": list}
 
 
 @dataclass
@@ -159,18 +163,20 @@ def _execute(config: ExperimentConfig, prepared: PreparedData,
     model_cfg = replace(config.model, vocab_size=len(prepared.vocab),
                         head_kind=prepared.label_space.task_kind,
                         n_outputs=len(prepared.label_space.labels))
+    train_split, val_split, test_split = (
+        encode_split(examples, prepared.vocab, prepared.label_space,
+                     model_cfg.max_seq_len)
+        for examples in (prepared.train, prepared.val, prepared.test))
     model_f, model_c, projection = _build_components(config, model_cfg)
-    result = train(model_f, model_c, projection, prepared.train,
-                   prepared.val, prepared.vocab, prepared.label_space,
-                   config.dual, config.train, config.threshold)
+    result = train(model_f, model_c, projection, train_split, val_split,
+                   prepared.label_space, config.dual, config.train,
+                   config.threshold)
     arrays = {f"f.{name}": arr for name, arr in result.state.items()}
     best = _restored_model(model_cfg, arrays)
-    val = evaluate(best, prepared.val, prepared.vocab,
-                   prepared.label_space, config.train.batch_size,
-                   config.threshold)
-    test = evaluate(best, prepared.test, prepared.vocab,
-                    prepared.label_space, config.train.batch_size,
-                    config.threshold)
+    val = evaluate(best, val_split, prepared.label_space,
+                   config.train.batch_size, config.threshold)
+    test = evaluate(best, test_split, prepared.label_space,
+                    config.train.batch_size, config.threshold)
     metrics = _write_run_artifacts(run_dir, config, model_cfg, prepared,
                                    result, arrays, val, test)
     metrics["run_dir"] = str(run_dir)
@@ -397,8 +403,16 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
         raise ConfigError(f"layer must be one of {EXPORT_LAYERS}, "
                           f"got {layer!r}")
     meta, arrays = load_checkpoint(checkpoint_path)
-    config = ExperimentConfig.from_dict(meta["experiment"])
-    model_cfg = ModelConfig.from_dict(meta["model_config"])
+    for key, kind in CHECKPOINT_META.items():
+        if not isinstance(meta.get(key), kind):
+            raise ConfigError(f"{checkpoint_path}: checkpoint meta lacks "
+                              f"{key!r} or holds the wrong type there")
+    try:
+        config = ExperimentConfig.from_dict(meta["experiment"])
+        model_cfg = ModelConfig.from_dict(meta["model_config"])
+    except ConfigError as err:
+        raise ConfigError(f"{checkpoint_path}: checkpoint meta: "
+                          f"{err}") from None
     if layer == "tapped" and config.dual is None:
         raise ConfigError("tapped export needs a run with a dual section")
 
@@ -422,8 +436,12 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
     predicted: list[str] = []
     vectors: list[np.ndarray] = []
     labels = list(prepared.label_space.labels)
-    for batch in batches(examples, prepared.vocab, prepared.label_space,
-                         32, model_cfg.max_seq_len, train=False):
+    # only the batch stream holds the encoded split, so it is freed
+    # before the embeddings are stacked
+    for batch in batches(encode_split(examples, prepared.vocab,
+                                      prepared.label_space,
+                                      model_cfg.max_seq_len),
+                         32, train=False):
         with ad.no_grad():
             logits, hidden = model.forward(batch, train=False)
             source = hidden[-1] if layer == "pooled_final" \

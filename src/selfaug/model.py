@@ -189,7 +189,7 @@ class EncoderModel:
             if arr.shape != t.shape:
                 raise ShapeError(f"parameter {name}: stored shape "
                                  f"{arr.shape} != model shape {t.shape}")
-            t.data = arr.copy()
+            t.data[...] = arr  # in place: an optimizer may own the storage
 
     def forward(self, batch: Batch, train: bool = False,
                 injection: Injection | None = None,
@@ -340,16 +340,35 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
                           f"object or arrays list")
     size = len(raw) - base
     arrays: dict[str, np.ndarray] = {}
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        offset = entry["offset"]
-        if offset < 0 or offset + 8 * count > size:
+    for index, entry in enumerate(header["arrays"]):
+        name, shape, offset = _array_entry(path, index, entry)
+        if name in arrays:
+            raise ConfigError(f"{path}: checkpoint array {name} is listed "
+                              f"twice")
+        count = math.prod(shape)
+        if offset + 8 * count > size:
             raise ConfigError(f"{path} is truncated: array "
-                              f"{entry['name']} needs bytes {offset} to "
+                              f"{name} needs bytes {offset} to "
                               f"{offset + 8 * count} of a {size}-byte data "
                               f"region")
-        arrays[entry["name"]] = np.frombuffer(
+        arrays[name] = np.frombuffer(
             raw, dtype="<f8", count=count,
             offset=base + offset).reshape(shape).copy()
     return header["meta"], arrays
+
+
+def _array_entry(path: str | Path, index: int,
+                 entry) -> tuple[str, tuple[int, ...], int]:
+    """(name, shape, offset) of one header array entry."""
+    def count(value) -> bool:
+        return type(value) is int and value >= 0
+
+    if isinstance(entry, dict):
+        name, shape = entry.get("name"), entry.get("shape")
+        offset = entry.get("offset")
+        if isinstance(name, str) and isinstance(shape, list) and \
+                all(count(n) for n in shape) and count(offset):
+            return name, tuple(shape), offset
+    raise ConfigError(f"{path}: checkpoint array entry {index} needs a "
+                      f"name string, a shape of non-negative integers and "
+                      f"a non-negative integer offset")

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import Batch, Example, LabelSpace, Vocabulary, batches
+from .data import Batch, EncodedSplit, LabelSpace, batches
 from .errors import ConfigError, DataError, DomainError
 from .metrics import MetricsBundle, evaluate_predictions
 from .model import EncoderModel, predict
@@ -68,8 +68,12 @@ class TrainConfig(Schema):
 class Adam:
     """Bias-corrected Adam over named parameters.
 
-    Parameters with no gradient are treated as zero-gradient: the moments
-    decay and a fresh parameter stays put exactly.
+    The optimizer owns the parameter storage: every parameter's `.data`
+    and `.grad` become views into one contiguous vector each, so a step is
+    a handful of vector operations and `zero_grad` one fill.  A `.grad`
+    (or `.data`) a caller assigns or clears is copied into the arena at
+    the next step; a missing gradient counts as zero, so the moments decay
+    and a fresh parameter stays put exactly.
     """
 
     def __init__(self, params: list[tuple[str, Tensor]],
@@ -77,32 +81,68 @@ class Adam:
         names = [name for name, _ in params]
         if len(names) != len(set(names)):
             raise ConfigError("duplicate parameter names in optimizer")
-        self.params = list(params)
+        if len({id(t) for _, t in params}) != len(params):
+            raise ConfigError("a parameter is registered twice in the "
+                              "optimizer")
+        self.names = names
         self.learning_rate = learning_rate
         self.step_count = 0
-        self.m = {name: np.zeros_like(t.data) for name, t in params}
-        self.v = {name: np.zeros_like(t.data) for name, t in params}
+        sizes = [t.size for _, t in params]
+        self.offsets = np.cumsum([0] + sizes[:-1])
+        self.data, self.grad, self.m, self.v, self._num, self._den = \
+            (np.zeros(sum(sizes)) for _ in range(6))
+        self._views = []
+        for (_, t), start in zip(params, self.offsets):
+            span = slice(start, start + t.size)
+            data = self.data[span].reshape(t.shape)
+            grad = self.grad[span].reshape(t.shape)
+            data[...] = t.data
+            if t.grad is not None:
+                grad[...] = t.grad
+            t.data, t.grad = data, grad
+            self._views.append((t, data, grad))
 
     def zero_grad(self) -> None:
-        for _, t in self.params:
-            t.grad = None
+        self.grad.fill(0.0)
 
     def step(self) -> None:
         self.step_count += 1
         t = self.step_count
+        for p, data, grad in self._views:
+            if p.grad is not grad:
+                grad[...] = 0.0 if p.grad is None else p.grad
+                p.grad = grad
+            if p.data is not data:
+                data[...] = p.data
+                p.data = data
+        g = self.grad
+        if not np.isfinite(g).all():
+            first = np.flatnonzero(~np.isfinite(g))[0]
+            name = self.names[np.searchsorted(self.offsets, first,
+                                              side="right") - 1]
+            raise DomainError(f"non-finite gradient for {name} at step {t}")
         bias1 = 1.0 - ADAM_BETA1 ** t
         bias2 = 1.0 - ADAM_BETA2 ** t
-        for name, p in self.params:
-            g = p.grad if p.grad is not None else 0.0
-            if not np.all(np.isfinite(g)):
-                raise DomainError(f"non-finite gradient for {name} at "
-                                  f"step {t}")
-            m = self.m[name] = ADAM_BETA1 * self.m[name] + \
-                (1.0 - ADAM_BETA1) * g
-            v = self.v[name] = ADAM_BETA2 * self.v[name] + \
-                (1.0 - ADAM_BETA2) * np.square(g)
-            p.data = p.data - self.learning_rate * (m / bias1) / \
-                (np.sqrt(v / bias2) + ADAM_EPS)
+        # element for element and in the same order as the per-tensor
+        #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g^2
+        #   p = p - lr*(m/bias1) / (sqrt(v/bias2) + eps)
+        # so results are bitwise those of a loop over tensors; num and den
+        # are scratch, so a step allocates nothing
+        num, den = self._num, self._den
+        self.m *= ADAM_BETA1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=num)
+        self.m += num
+        self.v *= ADAM_BETA2
+        np.square(g, out=den)
+        den *= 1.0 - ADAM_BETA2
+        self.v += den
+        np.divide(self.m, bias1, out=num)
+        num *= self.learning_rate
+        np.divide(self.v, bias2, out=den)
+        np.sqrt(den, out=den)
+        den += ADAM_EPS
+        num /= den
+        self.data -= num
 
 
 class EarlyStopper:
@@ -209,17 +249,15 @@ def _targets_as_decisions(batch: Batch,
             for row in batch.targets]
 
 
-def evaluate(model: EncoderModel, examples: list[Example],
-             vocab: Vocabulary, label_space: LabelSpace,
-             batch_size: int = 32,
+def evaluate(model: EncoderModel, split: EncodedSplit,
+             label_space: LabelSpace, batch_size: int = 32,
              threshold: float = 0.5) -> MetricsBundle:
     """Deterministic eval-mode pass over a split."""
-    if not examples:
+    if not split:
         raise DataError("cannot evaluate an empty split")
     preds: list = []
     golds: list = []
-    for batch in batches(examples, vocab, label_space, batch_size,
-                         model.config.max_seq_len, train=False):
+    for batch in batches(split, batch_size, train=False):
         with ad.no_grad():
             logits, _ = model.forward(batch, train=False)
         preds.extend(predict(logits.data, model.config.head_kind,
@@ -230,8 +268,8 @@ def evaluate(model: EncoderModel, examples: list[Example],
 
 def train(model_f: EncoderModel, model_c: EncoderModel | None,
           projection: ProjectionNetwork | None,
-          train_examples: list[Example], val_examples: list[Example],
-          vocab: Vocabulary, label_space: LabelSpace,
+          train_split: EncodedSplit, val_split: EncodedSplit,
+          label_space: LabelSpace,
           dual_cfg: DualStreamConfig | None, train_cfg: TrainConfig,
           threshold: float = 0.5) -> TrainResult:
     """Run one training job and return the best-epoch snapshot.
@@ -242,9 +280,9 @@ def train(model_f: EncoderModel, model_c: EncoderModel | None,
     inference reads, not a point to resume training from.
     """
     mode = train_cfg.mode
-    if not train_examples:
+    if not train_split:
         raise DataError("training split is empty")
-    if not val_examples:
+    if not val_split:
         raise DataError("validation split is empty")
     if mode != "baseline":
         if model_c is None:
@@ -258,8 +296,8 @@ def train(model_f: EncoderModel, model_c: EncoderModel | None,
         if train_cfg.batch_size < 2:
             raise ConfigError("proposed mode needs batch_size >= 2 for "
                               "the feature statistics")
-    if len(train_examples) < train_cfg.batch_size:
-        raise DataError(f"training split ({len(train_examples)} examples) "
+    if len(train_split) < train_cfg.batch_size:
+        raise DataError(f"training split ({len(train_split)} examples) "
                         f"is smaller than one batch "
                         f"({train_cfg.batch_size})")
 
@@ -283,9 +321,7 @@ def train(model_f: EncoderModel, model_c: EncoderModel | None,
         rng_c = rng_for(train_cfg.seed, "dropout_c", epoch)
         sums = np.zeros(4)
         n_batches = 0
-        for batch in batches(train_examples, vocab, label_space,
-                             train_cfg.batch_size,
-                             model_f.config.max_seq_len, train=True,
+        for batch in batches(train_split, train_cfg.batch_size, train=True,
                              seed=train_cfg.seed + epoch):
             optimizer.zero_grad()
             losses = _step_losses(mode, model_f, model_c, projection,
@@ -295,7 +331,7 @@ def train(model_f: EncoderModel, model_c: EncoderModel | None,
             sums += np.array(losses.as_floats())
             n_batches += 1
         means = sums / n_batches
-        bundle = evaluate(model_f, val_examples, vocab, label_space,
+        bundle = evaluate(model_f, val_split, label_space,
                           train_cfg.batch_size, threshold)
         records.append(EpochRecord(
             epoch=epoch, ce_f=means[0], ce_c=means[1],

@@ -16,8 +16,8 @@ import numpy as np
 
 import selfaug.autodiff as ad
 from selfaug.config import ExperimentConfig
-from selfaug.data import SynthSpec, batches, build_vocab, gen_synthetic, \
-    make_splits
+from selfaug.data import SynthSpec, batches, build_vocab, encode_split, \
+    gen_synthetic, make_splits
 from selfaug.harness import prepare_data, run_grid, run_training
 from selfaug.metrics import evaluate_predictions
 from selfaug.model import EncoderModel, ModelConfig, predict
@@ -394,7 +394,7 @@ def _anchor_spec() -> SynthSpec:
     })
 
 
-def _reference_single_stream(model, train_ex, val_ex, vocab, space, cfg):
+def _reference_single_stream(model, train_split, val_split, space, cfg):
     """Plain one-model trainer written against the public ops only: its own
     Adam arithmetic, batch loop, and validation recount."""
     params = model.parameters()
@@ -405,8 +405,7 @@ def _reference_single_stream(model, train_ex, val_ex, vocab, space, cfg):
     for epoch in range(1, cfg.max_epochs + 1):
         total = 0.0
         n_batches = 0
-        for batch in batches(train_ex, vocab, space, cfg.batch_size,
-                             model.config.max_seq_len, train=True,
+        for batch in batches(train_split, cfg.batch_size, train=True,
                              seed=cfg.seed + epoch):
             for _, p in params:
                 p.grad = None
@@ -427,8 +426,7 @@ def _reference_single_stream(model, train_ex, val_ex, vocab, space, cfg):
 
         preds: list[int] = []
         golds: list[int] = []
-        for batch in batches(val_ex, vocab, space, cfg.batch_size,
-                             model.config.max_seq_len, train=False):
+        for batch in batches(val_split, cfg.batch_size, train=False):
             with ad.no_grad():
                 logits, _ = model.forward(batch)
             preds.extend(predict(logits.data, model.config.head_kind, 0.5))
@@ -451,11 +449,13 @@ def test_05_baseline_mode_matches_reference_trainer():
     train_cfg = TrainConfig(learning_rate=1e-3, max_epochs=5, patience=5,
                             batch_size=8, seed=3, mode="baseline")
 
+    train_split, val_split = (encode_split(part, vocab, space, 16)
+                              for part in (splits.train, splits.val))
     result = train(EncoderModel(model_cfg, seed=7), None, None,
-                   splits.train, splits.val, vocab, space, None, train_cfg)
+                   train_split, val_split, space, None, train_cfg)
     reference = _reference_single_stream(
-        EncoderModel(model_cfg, seed=7), splits.train, splits.val,
-        vocab, space, train_cfg)
+        EncoderModel(model_cfg, seed=7), train_split, val_split, space,
+        train_cfg)
 
     assert len(result.records) == len(reference) == 5
     for rec, (ce, prec, recall, f1) in zip(result.records, reference):

@@ -69,6 +69,15 @@ class TestUnary:
         want = [0.5 * x * (1 + math.tanh(c * (x + 0.044715 * x**3))) for x in xs]
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
+    def test_gelu_cube_by_products_matches_pow(self):
+        # the forward cubes by x * x * x; numpy's x ** 3 goes through pow
+        # and is ~40x slower, and the two agree to rounding
+        xs = np.linspace(-12, 12, 2001)
+        got = ad.gelu(ad.tensor(xs)).data
+        c = math.sqrt(2.0 / math.pi)
+        want = 0.5 * xs * (1.0 + np.tanh(c * (xs + 0.044715 * xs ** 3)))
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
     def test_unary_gradients(self):
         x = RNG.uniform(-2, 2, (5, 3))
         for op in (ad.relu, ad.gelu):

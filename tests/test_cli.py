@@ -94,8 +94,19 @@ MALFORMED_CONFIGS = {
 PYTHON_INTERNALS = re.compile(r"Error|Exception|NoneType|__\w+__|<class|"
                               r"argument|instances of|'(int|float|str)'")
 
+def _edited_header(edit):
+    """Damage that rewrites the JSON header and keeps the data region."""
+    def damage(blob: bytes, n: int) -> bytes:
+        header = json.loads(blob[16:16 + n])
+        edit(header)
+        text = json.dumps(header).encode()
+        return blob[:8] + struct.pack("<Q", len(text)) + text + blob[16 + n:]
+    return damage
+
+
 # (file bytes, header length) -> damaged file bytes; the cuts fall in each
-# region of the layout: 16-byte preamble | JSON header | float64 data
+# region of the layout: 16-byte preamble | JSON header | float64 data, and
+# the edits break one field of a well-formed header
 CHECKPOINT_DAMAGE = {
     "not a checkpoint": lambda blob, n: b"not a checkpoint",
     "cut in the preamble": lambda blob, n: blob[:10],
@@ -104,6 +115,34 @@ CHECKPOINT_DAMAGE = {
     "one byte short": lambda blob, n: blob[:-1],
     "header without arrays": lambda blob, n:
         blob[:8] + struct.pack("<Q", 12) + b'{"meta": {}}',
+    "empty meta and arrays": lambda blob, n:
+        blob[:8] + struct.pack("<Q", 26) + b'{"meta": {}, "arrays": []}',
+    **{f"meta without {key}": _edited_header(
+        lambda h, key=key: h["meta"].pop(key))
+       for key in ("experiment", "model_config", "label_space", "vocab")},
+    "experiment not an object": _edited_header(
+        lambda h: h["meta"].update(experiment=["data"])),
+    "vocab not a list": _edited_header(
+        lambda h: h["meta"].update(vocab="<pad> <unk>")),
+    "experiment without its sections": _edited_header(
+        lambda h: h["meta"].update(experiment={})),
+    **{f"array without {key}": _edited_header(
+        lambda h, key=key: h["arrays"][0].pop(key))
+       for key in ("name", "shape", "offset")},
+    "array entry not an object": _edited_header(
+        lambda h: h["arrays"].append("f.head_b")),
+    "string shape": _edited_header(
+        lambda h: h["arrays"][0].update(shape="8,2")),
+    "boolean in shape": _edited_header(
+        lambda h: h["arrays"][0].update(shape=[True, 2])),
+    "fractional offset": _edited_header(
+        lambda h: h["arrays"][0].update(offset=8.5)),
+    "negative offset": _edited_header(
+        lambda h: h["arrays"][0].update(offset=-8)),
+    "numeric name": _edited_header(
+        lambda h: h["arrays"][0].update(name=7)),
+    "duplicate array name": _edited_header(
+        lambda h: h["arrays"].append(dict(h["arrays"][-1]))),
 }
 
 

@@ -11,10 +11,11 @@ import pytest
 
 from selfaug.data import (CLS, PAD, UNK, Batch, Example, LabelSpace,
                           SynthSpec, Vocabulary, batches, build_vocab, encode,
-                          gen_synthetic, k_folds, load_jsonl,
+                          encode_split, gen_synthetic, k_folds, load_jsonl,
                           load_label_space, make_splits, tokenize,
                           write_jsonl)
 from selfaug.errors import ConfigError, DataError
+from selfaug.seeding import rng_for
 
 BINARY = LabelSpace(task_kind="binary", labels=("ailment", "banter"))
 
@@ -227,37 +228,37 @@ class TestKFolds:
             k_folds(make_examples(3), k=5, seed=0)
 
 
+def encoded(examples, vocab, space=BINARY, max_seq_len=8):
+    return encode_split(examples, vocab, space, max_seq_len)
+
+
 class TestBatches:
     def setup_method(self):
         self.examples = make_examples(10)
         self.vocab = build_vocab(self.examples)
+        self.split = encoded(self.examples, self.vocab)
 
     def test_train_drops_partial_batch(self):
-        out = list(batches(self.examples, self.vocab, BINARY, batch_size=3,
-                           max_seq_len=8, train=True, seed=1))
+        out = list(batches(self.split, batch_size=3, train=True, seed=1))
         assert [b.size for b in out] == [3, 3, 3]
 
     def test_eval_keeps_partial_batch_in_order(self):
-        out = list(batches(self.examples, self.vocab, BINARY, batch_size=3,
-                           max_seq_len=8, train=False))
+        out = list(batches(self.split, batch_size=3, train=False))
         assert [b.size for b in out] == [3, 3, 3, 1]
         assert out[0].ids == ["e0", "e1", "e2"]
 
     def test_shuffle_deterministic_under_seed(self):
-        a = [b.ids for b in batches(self.examples, self.vocab, BINARY, 3, 8,
-                                    train=True, seed=5)]
-        b = [b.ids for b in batches(self.examples, self.vocab, BINARY, 3, 8,
-                                    train=True, seed=5)]
+        a = [b.ids for b in batches(self.split, 3, train=True, seed=5)]
+        b = [b.ids for b in batches(self.split, 3, train=True, seed=5)]
         assert a == b
-        c = [b.ids for b in batches(self.examples, self.vocab, BINARY, 3, 8,
-                                    train=True, seed=6)]
+        c = [b.ids for b in batches(self.split, 3, train=True, seed=6)]
         assert a != c
 
     def test_padding_masked_and_width_capped(self):
         examples = [Example("short", "one", ("ailment",)),
                     Example("long", "one two three four", ("banter",))]
         vocab = build_vocab(examples)
-        (batch,) = batches(examples, vocab, BINARY, 2, max_seq_len=16,
+        (batch,) = batches(encoded(examples, vocab, max_seq_len=16), 2,
                            train=False)
         assert batch.token_ids.shape[1] == 5  # CLS + 4 tokens
         assert batch.attention_mask[0].sum() == 2
@@ -268,9 +269,60 @@ class TestBatches:
         space = LabelSpace("multilabel", ("a", "b", "c"))
         examples = [Example("x", "t", ("a", "c")), Example("y", "t", ("b",))]
         vocab = build_vocab(examples)
-        (batch,) = batches(examples, vocab, space, 2, 4, train=False)
+        (batch,) = batches(encoded(examples, vocab, space, 4), 2,
+                           train=False)
         np.testing.assert_array_equal(batch.targets,
                                       [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+
+    @pytest.mark.parametrize("train", [True, False])
+    @pytest.mark.parametrize("task_kind", ["binary", "multilabel"])
+    def test_equal_to_stacking_encode_per_example(self, train, task_kind):
+        # lengths 1 to past max_seq_len: an empty text is CLS alone, and
+        # the eval stream's first batch of bare CLS rows comes out 2 wide
+        words = "alpha beta gamma delta epsilon zeta eta theta".split()
+        space = BINARY if task_kind == "binary" \
+            else LabelSpace("multilabel", ("a", "b", "c"))
+        label_sets = [(lbl,) for lbl in space.labels] \
+            if task_kind == "binary" else [("a",), ("b", "c"), ("a", "c")]
+        examples = [Example(f"r{i}", "" if i < 3 else
+                            " ".join(words[:i % 10]),
+                            label_sets[i % len(label_sets)])
+                    for i in range(23)]
+        vocab = build_vocab(examples[3:])
+        max_seq_len, batch_size, seed = 7, 3, 11
+        split = encode_split(examples, vocab, space, max_seq_len)
+        order = rng_for(seed, "shuffle").permutation(23)[:21] if train \
+            else range(23)
+        out = list(batches(split, batch_size, train=train, seed=seed))
+        assert [row for b in out for row in b.ids] == \
+            [examples[i].id for i in order]
+        widths = []
+        for batch in out:
+            chunk = [next(ex for ex in examples if ex.id == row)
+                     for row in batch.ids]
+            ids = np.stack([encode(ex.text, vocab, max_seq_len)[0]
+                            for ex in chunk])
+            mask = np.stack([encode(ex.text, vocab, max_seq_len)[1]
+                             for ex in chunk])
+            width = max(2, int(mask.sum(axis=1).max()))
+            widths.append(width)
+            assert batch.token_ids.dtype == np.int64
+            assert batch.attention_mask.dtype == np.float64
+            np.testing.assert_array_equal(batch.token_ids, ids[:, :width])
+            np.testing.assert_array_equal(batch.attention_mask,
+                                          mask[:, :width])
+            if task_kind == "binary":
+                want = [space.index_of(ex.labels[0]) for ex in chunk]
+            else:
+                want = [[float(lbl in ex.labels) for lbl in space.labels]
+                        for ex in chunk]
+            np.testing.assert_array_equal(batch.targets, want)
+            assert batch.targets.dtype == \
+                (np.int64 if task_kind == "binary" else np.float64)
+        assert min(widths) >= 2 and max(widths) == max_seq_len
+        if not train:
+            assert widths[0] == 2
+        assert split.token_ids.shape == (23, max_seq_len)
 
 
 def keyword_class(text, spec):

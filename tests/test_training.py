@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from selfaug import autodiff as ad
-from selfaug.data import LabelSpace, SynthSpec, build_vocab, gen_synthetic
+from selfaug.data import (LabelSpace, SynthSpec, Vocabulary, build_vocab,
+                          encode_split, gen_synthetic)
 from selfaug.errors import ConfigError, DataError, DomainError
 from selfaug.model import EncoderModel, ModelConfig
 from selfaug.objective import DualStreamConfig, ProjectionNetwork
@@ -43,7 +44,9 @@ def small_setup(mode: str, seed: int = 0, n_examples: int = 64):
     dual = DualStreamConfig(tap_layer=1, inject_layer=1, alpha=0.2,
                             projection_dims=(8, 8, 4)) \
         if mode != "baseline" else None
-    return model_f, model_c, projection, train_ex, val_ex, vocab, \
+    return model_f, model_c, projection, \
+        encode_split(train_ex, vocab, label_space, cfg.max_seq_len), \
+        encode_split(val_ex, vocab, label_space, cfg.max_seq_len), \
         label_space, dual
 
 
@@ -94,6 +97,57 @@ class TestAdam:
         q.grad = np.array([np.nan])
         with pytest.raises(DomainError, match="weights_out"):
             opt.step()
+        # the bad value in the middle of the arena, between two finite
+        # parameters, past the first element of its own
+        params = [(name, ad.parameter(np.ones(shape))) for name, shape in
+                  (("embed", (3, 5)), ("mid", (2, 3)), ("head", (4,)))]
+        opt = Adam(params, learning_rate=0.1)
+        opt.zero_grad()
+        params[1][1].grad[1, 2] = np.inf
+        with pytest.raises(DomainError, match=r"for mid at step 1$"):
+            opt.step()
+
+    def test_fused_step_bitwise_equals_per_tensor_arithmetic(self):
+        # the reference is the per-tensor update acceptance test_05's
+        # trainer also uses; "c" never gets a gradient, and "b" takes one
+        # assigned by hand on every third step instead of from backward
+        rng = np.random.default_rng(4)
+        shapes = {"a": (3, 5), "b": (7,), "c": (2, 2, 2)}
+        params = [(name, ad.parameter(rng.normal(size=shape)))
+                  for name, shape in shapes.items()]
+        want = {name: t.data.copy() for name, t in params}
+        m = {name: np.zeros(shape) for name, shape in shapes.items()}
+        v = {name: np.zeros(shape) for name, shape in shapes.items()}
+        lr = 0.01
+        opt = Adam(params, learning_rate=lr)
+        (_, a), (_, b), (_, c) = params
+        c_start = c.data.copy()
+        for step in range(1, 26):
+            grads = {"a": rng.normal(size=shapes["a"]),
+                     "b": rng.normal(size=shapes["b"])
+                     * 10.0 ** rng.integers(-6, 3)}
+            opt.zero_grad()
+            loss = ad.sum_all(ad.mul(a, ad.tensor(grads["a"])))
+            if step % 3:
+                loss = ad.add(loss, ad.sum_all(
+                    ad.mul(b, ad.tensor(grads["b"]))))
+            else:
+                b.grad = grads["b"].copy()
+            ad.backward(loss)
+            opt.step()
+            bias1 = 1.0 - 0.9 ** step
+            bias2 = 1.0 - 0.999 ** step
+            for name in shapes:
+                g = grads.get(name, 0.0)
+                m[name] = 0.9 * m[name] + (1.0 - 0.9) * g
+                v[name] = 0.999 * v[name] + (1.0 - 0.999) * np.square(g)
+                want[name] = want[name] - lr * (m[name] / bias1) / \
+                    (np.sqrt(v[name] / bias2) + 1e-8)
+            for name, t in params:
+                assert np.array_equal(t.data, want[name]), (name, step)
+                assert np.shares_memory(t.data, opt.data), name
+                assert np.shares_memory(t.grad, opt.grad), name
+        assert np.array_equal(c.data, c_start)  # no gradient, no move
 
     def test_two_runs_bitwise_identical(self):
         def run():
@@ -225,28 +279,26 @@ class TestTrain:
                                           abs=1e-12)
 
     def test_proposed_needs_projection(self):
-        model_f, model_c, _, tr, va, vocab, space, dual = \
-            small_setup("proposed")
+        model_f, model_c, _, tr, va, space, dual = small_setup("proposed")
         cfg = TrainConfig(max_epochs=1, patience=1, batch_size=8,
                           seed=0, mode="proposed")
         with pytest.raises(ConfigError):
-            train(model_f, model_c, None, tr, va, vocab, space, dual, cfg)
+            train(model_f, model_c, None, tr, va, space, dual, cfg)
 
     def test_empty_split_rejected(self):
-        model_f, model_c, proj, tr, va, vocab, space, dual = \
-            small_setup("baseline")
+        model_f, model_c, proj, tr, va, space, dual = small_setup("baseline")
         cfg = TrainConfig(max_epochs=1, patience=1, batch_size=8,
                           seed=0, mode="baseline")
+        empty = encode_split([], Vocabulary([]), space, 16)
         with pytest.raises(DataError):
-            train(model_f, model_c, proj, tr, [], vocab, space, dual, cfg)
+            train(model_f, model_c, proj, tr, empty, space, dual, cfg)
 
     def test_train_smaller_than_batch_rejected(self):
-        model_f, model_c, proj, tr, va, vocab, space, dual = \
-            small_setup("baseline")
+        model_f, model_c, proj, tr, va, space, dual = small_setup("baseline")
         cfg = TrainConfig(max_epochs=1, patience=1, batch_size=256,
                           seed=0, mode="baseline")
         with pytest.raises(DataError):
-            train(model_f, model_c, proj, tr, va, vocab, space, dual, cfg)
+            train(model_f, model_c, proj, tr, va, space, dual, cfg)
 
     def test_max_epochs_one_gives_one_record(self):
         parts = small_setup("baseline")
@@ -268,7 +320,8 @@ class TestEvaluate:
         # force a constant predictor: zero head weights, biased logits
         model.head_w.data = np.zeros_like(model.head_w.data)
         model.head_b.data = np.array([5.0, 0.0])
-        bundle = evaluate(model, examples, vocab, label_space)
+        bundle = evaluate(model, encode_split(examples, vocab, label_space,
+                                              16), label_space)
         assert bundle.macro.f1 == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_deterministic(self):
@@ -278,8 +331,9 @@ class TestEvaluate:
                           n_layers=1, d_ff=16, max_seq_len=16,
                           head_kind="binary", n_outputs=2)
         model = EncoderModel(cfg, seed=1)
-        a = evaluate(model, examples, vocab, label_space)
-        b = evaluate(model, examples, vocab, label_space)
+        split = encode_split(examples, vocab, label_space, 16)
+        a = evaluate(model, split, label_space)
+        b = evaluate(model, split, label_space)
         assert a.to_dict() == b.to_dict()
 
     def test_empty_split_rejected(self):
@@ -289,4 +343,5 @@ class TestEvaluate:
                           n_layers=1, d_ff=16, max_seq_len=16,
                           head_kind="binary", n_outputs=2)
         with pytest.raises(DataError):
-            evaluate(EncoderModel(cfg, seed=0), [], vocab, label_space)
+            evaluate(EncoderModel(cfg, seed=0),
+                     encode_split([], vocab, label_space, 16), label_space)
