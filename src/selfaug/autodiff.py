@@ -1,14 +1,19 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-The graph is implicit: every operation attaches a node to its output tensor
-recording the tracked inputs and a closure that routes the output gradient
-back to them.  ``backward`` linearizes the graph once (iterative post-order,
-so depth is not bounded by the interpreter recursion limit) and walks it in
-reverse; each node is therefore visited exactly once even when a tensor is
-shared between subexpressions, and shared inputs accumulate their gradient
-with ``+=``.  Gradients are cleared explicitly by the caller, never by the
-engine, which is what lets a parameter collect contributions from several
-losses in one step.
+The graph is implicit: every operation that has a tracked input attaches a
+node to its output tensor.  The node holds the gradient targets of the
+op's operands (each tracked input's own node, or the tensor itself for a
+`requires_grad` leaf) and a closure over the arrays its backward reads,
+never an intermediate tensor, so an op output that no backward reads is
+freed as soon as the forward drops it.  ``backward`` linearizes the graph once (iterative
+post-order, so depth is not bounded by the interpreter recursion limit) and
+walks it in reverse; each node is therefore visited exactly once even when
+a tensor is shared between subexpressions, and shared inputs accumulate
+their gradient with ``+=``.  A node's gradient lives only until the sweep
+has applied it, so after ``backward`` only leaves hold a `.grad`.  Leaf
+gradients are cleared explicitly by the caller, never by the engine, which
+is what lets a parameter collect contributions from several losses in one
+step.
 
 Everything is float64.  This library exists for verification work and the
 finite-difference checks in the test-suite need the headroom.
@@ -31,15 +36,23 @@ _GELU_K = 0.044715
 
 
 class Node:
-    """One recorded operation: the tracked inputs and a gradient routine."""
+    """One recorded operation: where its inputs' gradients go, a gradient
+    routine, and the gradient of its output while a sweep is under way.
 
-    __slots__ = ("op", "inputs", "apply")
+    `inputs` lines up with the op's tensor operands; each entry is the
+    operand's node, the operand itself when it is a `requires_grad` leaf,
+    or None when it is untracked.  `apply(g, *inputs)` routes the output
+    gradient `g` into the targets.
+    """
 
-    def __init__(self, op: str, inputs: tuple["Tensor", ...],
-                 apply: Callable[[Array], None]) -> None:
+    __slots__ = ("op", "inputs", "apply", "grad")
+
+    def __init__(self, op: str, inputs: tuple[Target | None, ...],
+                 apply: Callable[..., None]) -> None:
         self.op = op
         self.inputs = inputs
         self.apply = apply
+        self.grad: Array | None = None
 
 
 class Tensor:
@@ -82,6 +95,10 @@ class Tensor:
         return f"Tensor(shape={self.shape}{tail})"
 
 
+# what a gradient accumulates into: a recorded op or a leaf tensor
+Target = Node | Tensor
+
+
 def tensor(data) -> Tensor:
     return Tensor(data)
 
@@ -105,20 +122,22 @@ def no_grad() -> Iterator[None]:
         _grad_enabled = prev
 
 
-def _tracked(t: Tensor) -> bool:
-    return t.requires_grad or t.node is not None
+def _target(t: Tensor) -> Target | None:
+    if t.node is not None:
+        return t.node
+    return t if t.requires_grad else None
 
 
 def _attach(out: Tensor, op: str, inputs: Sequence[Tensor],
-            apply: Callable[[Array], None]) -> Tensor:
+            apply: Callable[..., None]) -> Tensor:
     if _grad_enabled:
-        tracked = tuple(t for t in inputs if _tracked(t))
-        if tracked:
-            out.node = Node(op, tracked, apply)
+        targets = tuple([_target(t) for t in inputs])
+        if targets.count(None) < len(targets):
+            out.node = Node(op, targets, apply)
     return out
 
 
-def _accum(t: Tensor, g: Array) -> None:
+def _accum(t: Target, g: Array) -> None:
     if t.grad is None:
         t.grad = np.array(g, dtype=np.float64)
     else:
@@ -143,17 +162,20 @@ def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
 
 # ---------------------------------------------------------------------------
 # elementwise and unary operations
+#
+# Each backward closure reads arrays and shapes bound before it is defined,
+# never a Tensor, so a node keeps alive only what its backward reads.
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "add")
     out = Tensor(a.data + b.data)
 
-    def apply(g: Array) -> None:
-        if _tracked(a):
-            _accum(a, g)
-        if _tracked(b):
-            _accum(b, g)
+    def apply(g: Array, ta: Target | None, tb: Target | None) -> None:
+        if ta is not None:
+            _accum(ta, g)
+        if tb is not None:
+            _accum(tb, g)
 
     return _attach(out, "add", (a, b), apply)
 
@@ -162,24 +184,25 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "sub")
     out = Tensor(a.data - b.data)
 
-    def apply(g: Array) -> None:
-        if _tracked(a):
-            _accum(a, g)
-        if _tracked(b):
-            _accum(b, -g)
+    def apply(g: Array, ta: Target | None, tb: Target | None) -> None:
+        if ta is not None:
+            _accum(ta, g)
+        if tb is not None:
+            _accum(tb, -g)
 
     return _attach(out, "sub", (a, b), apply)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "mul")
-    out = Tensor(a.data * b.data)
+    x, y = a.data, b.data
+    out = Tensor(x * y)
 
-    def apply(g: Array) -> None:
-        if _tracked(a):
-            _accum(a, g * b.data)
-        if _tracked(b):
-            _accum(b, g * a.data)
+    def apply(g: Array, ta: Target | None, tb: Target | None) -> None:
+        if ta is not None:
+            _accum(ta, g * y)
+        if tb is not None:
+            _accum(tb, g * x)
 
     return _attach(out, "mul", (a, b), apply)
 
@@ -189,17 +212,18 @@ def scale(a: Tensor, factor: float) -> Tensor:
     c = float(factor)
     out = Tensor(a.data * c)
 
-    def apply(g: Array) -> None:
-        _accum(a, g * c)
+    def apply(g: Array, ta: Target) -> None:
+        _accum(ta, g * c)
 
     return _attach(out, "scale", (a,), apply)
 
 
 def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0.0))
+    x = a.data
+    out = Tensor(np.maximum(x, 0.0))
 
-    def apply(g: Array) -> None:
-        _accum(a, g * (a.data > 0.0))
+    def apply(g: Array, ta: Target) -> None:
+        _accum(ta, g * (x > 0.0))
 
     return _attach(out, "relu", (a,), apply)
 
@@ -210,9 +234,9 @@ def gelu(a: Tensor) -> Tensor:
     t = np.tanh(_GELU_C * (x + _GELU_K * (x * x * x)))
     out = Tensor(0.5 * x * (1.0 + t))
 
-    def apply(g: Array) -> None:
+    def apply(g: Array, ta: Target) -> None:
         dt = (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_K * x * x)
-        _accum(a, g * (0.5 * (1.0 + t) + 0.5 * x * dt))
+        _accum(ta, g * (0.5 * (1.0 + t) + 0.5 * x * dt))
 
     return _attach(out, "gelu", (a,), apply)
 
@@ -232,18 +256,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions of {a.shape} and "
                          f"{b.shape} do not match")
+    x, y = a.data, b.data
     try:
-        out_data = np.matmul(a.data, b.data)
+        out_data = np.matmul(x, y)
     except ValueError as err:
         raise ShapeError(f"matmul: batch dimensions of {a.shape} and "
                          f"{b.shape} are not broadcastable") from err
     out = Tensor(out_data)
 
-    def apply(g: Array) -> None:
-        if _tracked(a):
-            _accum(a, _unbroadcast(np.matmul(g, _swap_last(b.data)), a.shape))
-        if _tracked(b):
-            _accum(b, _unbroadcast(np.matmul(_swap_last(a.data), g), b.shape))
+    def apply(g: Array, ta: Target | None, tb: Target | None) -> None:
+        if ta is not None:
+            _accum(ta, _unbroadcast(np.matmul(g, _swap_last(y)), x.shape))
+        if tb is not None:
+            _accum(tb, _unbroadcast(np.matmul(_swap_last(x), g), y.shape))
 
     return _attach(out, "matmul", (a, b), apply)
 
@@ -262,29 +287,32 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if b is not None and b.shape != (w.shape[1],):
         raise ShapeError(f"linear: bias shape {b.shape} does not match "
                          f"weight shape {w.shape}")
-    out_data = x.data @ w.data
+    xd, wd = x.data, w.data
+    out_data = xd @ wd
     if b is not None:
         out_data = out_data + b.data
     out = Tensor(out_data)
     k, n = w.shape
 
-    def apply(g: Array) -> None:
-        if _tracked(x):
-            _accum(x, g @ w.data.T)
-        if _tracked(w):
-            _accum(w, x.data.reshape(-1, k).T @ g.reshape(-1, n))
-        if b is not None and _tracked(b):
-            _accum(b, g.reshape(-1, n).sum(axis=0))
+    def apply(g: Array, tx: Target | None, tw: Target | None,
+              tb: Target | None = None) -> None:
+        if tx is not None:
+            _accum(tx, g @ wd.T)
+        if tw is not None:
+            _accum(tw, xd.reshape(-1, k).T @ g.reshape(-1, n))
+        if tb is not None:
+            _accum(tb, g.reshape(-1, n).sum(axis=0))
 
     inputs = (x, w) if b is None else (x, w, b)
     return _attach(out, "linear", inputs, apply)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
+    in_shape = a.shape
     out = Tensor(a.data.reshape(shape))
 
-    def apply(g: Array) -> None:
-        _accum(a, g.reshape(a.shape))
+    def apply(g: Array, ta: Target) -> None:
+        _accum(ta, g.reshape(in_shape))
 
     return _attach(out, "reshape", (a,), apply)
 
@@ -292,21 +320,22 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 def swap_axes(a: Tensor, axis1: int, axis2: int) -> Tensor:
     out = Tensor(np.swapaxes(a.data, axis1, axis2))
 
-    def apply(g: Array) -> None:
-        _accum(a, np.swapaxes(g, axis1, axis2))
+    def apply(g: Array, ta: Target) -> None:
+        _accum(ta, np.swapaxes(g, axis1, axis2))
 
     return _attach(out, "swap_axes", (a,), apply)
 
 
 def broadcast_to(a: Tensor, shape: tuple[int, ...]) -> Tensor:
+    in_shape = a.shape
     try:
         out = Tensor(np.broadcast_to(a.data, shape))
     except ValueError as err:
         raise ShapeError(f"broadcast_to: cannot broadcast {a.shape} "
                          f"to {shape}") from err
 
-    def apply(g: Array) -> None:
-        _accum(a, _unbroadcast(g, a.shape))
+    def apply(g: Array, ta: Target) -> None:
+        _accum(ta, _unbroadcast(g, in_shape))
 
     return _attach(out, "broadcast_to", (a,), apply)
 
@@ -316,12 +345,13 @@ def slice_front(a: Tensor, length: int) -> Tensor:
     if not 0 < length <= a.shape[0]:
         raise ShapeError(f"slice_front: length {length} out of range for "
                          f"shape {a.shape}")
+    in_shape = a.shape
     out = Tensor(a.data[:length])
 
-    def apply(g: Array) -> None:
-        full = np.zeros_like(a.data)
+    def apply(g: Array, ta: Target) -> None:
+        full = np.zeros(in_shape)
         full[:length] = g
-        _accum(a, full)
+        _accum(ta, full)
 
     return _attach(out, "slice_front", (a,), apply)
 
@@ -331,32 +361,35 @@ def take_index(a: Tensor, index: int, axis: int) -> Tensor:
     if not 0 <= index < a.shape[axis]:
         raise ShapeError(f"take_index: index {index} out of range for "
                          f"axis {axis} of shape {a.shape}")
+    in_shape = a.shape
     out = Tensor(np.take(a.data, index, axis=axis))
 
-    def apply(g: Array) -> None:
-        full = np.zeros_like(a.data)
-        sel = [slice(None)] * a.ndim
+    def apply(g: Array, ta: Target) -> None:
+        full = np.zeros(in_shape)
+        sel = [slice(None)] * len(in_shape)
         sel[axis] = index
         full[tuple(sel)] = g
-        _accum(a, full)
+        _accum(ta, full)
 
     return _attach(out, "take_index", (a,), apply)
 
 
 def sum_axis(a: Tensor, axis: int) -> Tensor:
+    in_shape = a.shape
     out = Tensor(a.data.sum(axis=axis))
 
-    def apply(g: Array) -> None:
-        _accum(a, np.broadcast_to(np.expand_dims(g, axis), a.shape))
+    def apply(g: Array, ta: Target) -> None:
+        _accum(ta, np.broadcast_to(np.expand_dims(g, axis), in_shape))
 
     return _attach(out, "sum_axis", (a,), apply)
 
 
 def sum_all(a: Tensor) -> Tensor:
+    in_shape = a.shape
     out = Tensor(a.data.sum())
 
-    def apply(g: Array) -> None:
-        _accum(a, np.full(a.shape, float(g)))
+    def apply(g: Array, ta: Target) -> None:
+        _accum(ta, np.full(in_shape, float(g)))
 
     return _attach(out, "sum_all", (a,), apply)
 
@@ -367,28 +400,34 @@ def embedding_lookup(table: Tensor, ids: Array) -> Tensor:
     if np.any(ids < 0) or np.any(ids >= table.shape[0]):
         raise DomainError(f"embedding_lookup: id out of range "
                           f"[0, {table.shape[0]})")
+    table_shape = table.shape
     out = Tensor(table.data[ids])
     d = table.shape[1]
 
-    def apply(g: Array) -> None:
-        full = np.zeros_like(table.data)
+    def apply(g: Array, tt: Target) -> None:
+        full = np.zeros(table_shape)
         np.add.at(full, ids.reshape(-1), g.reshape(-1, d))
-        _accum(table, full)
+        _accum(tt, full)
 
     return _attach(out, "embedding_lookup", (table,), apply)
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; identity (and no node) at rate 0."""
+    """Inverted dropout; identity (and no node) at rate 0.
+
+    The node keeps the boolean keep-mask (1 byte per element) and scales
+    it again on the way back, which gives the same floats as the scaled
+    mask the forward used.
+    """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout: rate must lie in [0, 1), got {rate}")
     if rate == 0.0:
         return a
-    mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
-    out = Tensor(a.data * mask)
+    keep = rng.random(a.shape) >= rate
+    out = Tensor(a.data * (keep / (1.0 - rate)))
 
-    def apply(g: Array) -> None:
-        _accum(a, g * mask)
+    def apply(g: Array, ta: Target) -> None:
+        _accum(ta, g * (keep / (1.0 - rate)))
 
     return _attach(out, "dropout", (a,), apply)
 
@@ -404,8 +443,8 @@ def softmax_rows(a: Tensor) -> Tensor:
     y = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(y)
 
-    def apply(g: Array) -> None:
-        _accum(a, y * (g - (g * y).sum(axis=-1, keepdims=True)))
+    def apply(g: Array, ta: Target) -> None:
+        _accum(ta, y * (g - (g * y).sum(axis=-1, keepdims=True)))
 
     return _attach(out, "softmax_rows", (a,), apply)
 
@@ -418,22 +457,24 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor,
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm: gain {gain.shape} / bias {bias.shape} "
                          f"do not match feature width {d}")
-    x = a.data
+    x, gd = a.data, gain.data
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x - mu) * inv
-    out = Tensor(xhat * gain.data + bias.data)
+    out = Tensor(xhat * gd + bias.data)
 
-    def apply(g: Array) -> None:
-        if _tracked(gain):
-            _accum(gain, (g * xhat).reshape(-1, d).sum(axis=0))
-        if _tracked(bias):
-            _accum(bias, g.reshape(-1, d).sum(axis=0))
-        if _tracked(a):
-            gx = g * gain.data
-            _accum(a, inv * (gx - gx.mean(axis=-1, keepdims=True)
-                             - xhat * (gx * xhat).mean(axis=-1, keepdims=True)))
+    def apply(g: Array, ta: Target | None, tgain: Target | None,
+              tbias: Target | None) -> None:
+        if tgain is not None:
+            _accum(tgain, (g * xhat).reshape(-1, d).sum(axis=0))
+        if tbias is not None:
+            _accum(tbias, g.reshape(-1, d).sum(axis=0))
+        if ta is not None:
+            gx = g * gd
+            _accum(ta, inv * (gx - gx.mean(axis=-1, keepdims=True)
+                              - xhat * (gx * xhat).mean(axis=-1,
+                                                        keepdims=True)))
 
     return _attach(out, "layer_norm", (a, gain, bias), apply)
 
@@ -460,9 +501,9 @@ def batch_norm_features(a: Tensor, eps: float = 1e-5,
     out = Tensor(xhat)
     n = x.shape[0]
 
-    def apply(g: Array) -> None:
-        _accum(a, inv * (g - g.mean(axis=0)
-                         - xhat * (g * xhat).sum(axis=0) / n))
+    def apply(g: Array, ta: Target) -> None:
+        _accum(ta, inv * (g - g.mean(axis=0)
+                          - xhat * (g * xhat).sum(axis=0) / n))
 
     return _attach(out, "batch_norm_features", (a,), apply)
 
@@ -487,10 +528,10 @@ def cross_entropy(logits: Tensor, targets: Array) -> Tensor:
     rows = np.arange(b)
     out = Tensor(-logp[rows, targets].mean())
 
-    def apply(g: Array) -> None:
+    def apply(g: Array, tl: Target) -> None:
         p = np.exp(logp)
         p[rows, targets] -= 1.0
-        _accum(logits, p * (float(g) / b))
+        _accum(tl, p * (float(g) / b))
 
     return _attach(out, "cross_entropy", (logits,), apply)
 
@@ -510,9 +551,9 @@ def binary_cross_entropy_with_logits(logits: Tensor, targets: Array) -> Tensor:
     out = Tensor(loss.mean())
     n = x.size
 
-    def apply(g: Array) -> None:
+    def apply(g: Array, tl: Target) -> None:
         sig = 1.0 / (1.0 + np.exp(-x))
-        _accum(logits, (sig - targets) * (float(g) / n))
+        _accum(tl, (sig - targets) * (float(g) / n))
 
     return _attach(out, "binary_cross_entropy_with_logits", (logits,), apply)
 
@@ -521,26 +562,25 @@ def binary_cross_entropy_with_logits(logits: Tensor, targets: Array) -> Tensor:
 # backward
 
 
-def _postorder(root: Tensor) -> list[Tensor]:
-    """Tensors with nodes, inputs before consumers, each exactly once."""
-    order: list[Tensor] = []
-    visited = {id(root)}
-    stack: list[tuple[Tensor, Iterator[Tensor]]] = [
-        (root, iter(root.node.inputs if root.node else ()))
+def _postorder(root: Tensor) -> list[Node]:
+    """Nodes the root depends on, inputs before consumers, each once."""
+    if root.node is None:
+        return []
+    order: list[Node] = []
+    visited = {root.node}
+    stack: list[tuple[Node, Iterator[Target | None]]] = [
+        (root.node, iter(root.node.inputs))
     ]
     while stack:
-        t, children = stack[-1]
-        pushed = False
+        node, children = stack[-1]
         for child in children:
-            if child.node is not None and id(child) not in visited:
-                visited.add(id(child))
-                stack.append((child, iter(child.node.inputs)))
-                pushed = True
+            if type(child) is Node and child not in visited:
+                visited.add(child)
+                stack.append((child, iter(child.inputs)))
                 break
-        if not pushed:
+        else:
             stack.pop()
-            if t.node is not None:
-                order.append(t)
+            order.append(node)
     return order
 
 
@@ -548,18 +588,22 @@ def backward(loss: Tensor) -> None:
     """Reverse-mode sweep from a scalar loss.
 
     Seeds d(loss)/d(loss) = 1 and visits every recorded node exactly once in
-    reverse topological order.  Gradients land in `.grad` of every tracked
-    tensor that the loss depends on; everything else is left untouched.
+    reverse topological order.  Gradients accumulate in `.grad` of every
+    leaf tensor (`requires_grad`) that the loss depends on, and the loss
+    itself accumulates the seed in its `.grad`; intermediate tensors never
+    get one.  Each node's gradient is dropped as soon as the node has
+    routed it onward, so the graph survives the sweep (a second loss may
+    share it) but none of its intermediate gradients do.
     """
     if loss.size != 1:
         raise ShapeError(f"backward: loss must be a scalar, "
                          f"got shape {loss.shape}")
-    if loss.grad is None:
-        loss.grad = np.ones_like(loss.data)
-    else:
-        loss.grad = loss.grad + np.ones_like(loss.data)
+    seed = np.ones_like(loss.data)
+    loss.grad = seed if loss.grad is None else loss.grad + seed
     if loss.node is None:
         return
-    for t in reversed(_postorder(loss)):
-        if t.grad is not None:
-            t.node.apply(t.grad)
+    loss.node.grad = np.ones_like(loss.data)
+    for node in reversed(_postorder(loss)):
+        g, node.grad = node.grad, None
+        if g is not None:
+            node.apply(g, *node.inputs)

@@ -25,7 +25,7 @@ from .data import (Example, LabelSpace, Vocabulary, batches, build_vocab,
                    encode_split, gen_synthetic, k_folds, load_jsonl,
                    load_label_space, load_synth_spec, make_splits,
                    write_jsonl)
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, ShapeError
 from .metrics import MetricsBundle
 from .model import (EncoderModel, ModelConfig, load_checkpoint, pool,
                     predict, save_checkpoint)
@@ -426,7 +426,11 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
     examples = getattr(prepared, split)
     if not examples:
         raise DataError(f"{split} split is empty")
-    model = _restored_model(model_cfg, arrays)
+    try:
+        model = _restored_model(model_cfg, arrays)
+    except (ConfigError, ShapeError) as err:
+        raise ConfigError(f"{checkpoint_path}: checkpoint arrays do not fit "
+                          f"its model_config: {err}") from None
 
     pooling = config.dual.pooling if config.dual is not None else "cls"
     tap = config.dual.tap_layer if config.dual is not None else None

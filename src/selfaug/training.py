@@ -324,6 +324,10 @@ def train(model_f: EncoderModel, model_c: EncoderModel | None,
         for batch in batches(train_split, train_cfg.batch_size, train=True,
                              seed=train_cfg.seed + epoch):
             optimizer.zero_grad()
+            # the previous step's graph, which after backward holds only
+            # what its closures read, stays alive until `losses` is rebound
+            # here: freeing it earlier lets the allocator trim the heap, and
+            # this forward then faults the same pages back in
             losses = _step_losses(mode, model_f, model_c, projection,
                                   batch, dual_cfg, rng_f, rng_c)
             ad.backward(losses.total)

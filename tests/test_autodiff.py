@@ -2,6 +2,7 @@
 against the central finite-difference oracle in conftest."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -270,6 +271,18 @@ class TestStructuralOps:
         kept = a != 0.0
         np.testing.assert_allclose(a[kept], 2.0 * x.data[kept], rtol=1e-15)
 
+    def test_dropout_backward_rescales_the_boolean_mask_bitwise(self):
+        x = ad.parameter(RNG.uniform(-1, 1, (50, 4)))
+        g = RNG.uniform(-1, 1, (50, 4))
+        y = ad.dropout(x, 0.3, np.random.default_rng(4))
+        saved = [c.cell_contents for c in y.node.apply.__closure__
+                 if isinstance(c.cell_contents, np.ndarray)]
+        assert [a.dtype for a in saved] == [np.dtype(bool)]
+        ad.backward(ad.sum_all(ad.mul(y, ad.tensor(g))))
+        mask = (np.random.default_rng(4).random((50, 4)) >= 0.3) \
+            .astype(np.float64)
+        np.testing.assert_array_equal(x.grad, g * (mask / (1.0 - 0.3)))
+
 
 class TestBackward:
     def test_sum_gradient_is_ones(self):
@@ -300,6 +313,24 @@ class TestBackward:
         ad.backward(ad.sum_all(x))
         np.testing.assert_array_equal(x.grad, [2.0, 2.0])
 
+    def test_second_loss_through_shared_intermediate(self):
+        # h feeds two losses; the second sweep must not send h the
+        # gradient the first one left behind
+        xv = np.array([1.0, 2.0])
+        w = ad.parameter(np.array([0.5, -1.5]))
+        h = ad.mul(ad.tensor(xv), w)
+        ad.backward(ad.sum_all(h))
+        ad.backward(ad.sum_all(ad.scale(h, 2.0)))
+        np.testing.assert_array_equal(w.grad, 3.0 * xv)
+
+    def test_same_loss_twice_counts_twice(self):
+        w = ad.parameter(np.array([0.5, -1.5]))
+        loss = ad.sum_all(ad.scale(w, 3.0))
+        ad.backward(loss)
+        ad.backward(loss)
+        np.testing.assert_array_equal(w.grad, [6.0, 6.0])
+        np.testing.assert_array_equal(loss.grad, 2.0)
+
     def test_unreachable_tensor_untouched(self):
         x = ad.parameter(np.ones(3))
         bystander = ad.parameter(np.ones(3))
@@ -321,6 +352,46 @@ class TestBackward:
         with ad.no_grad():
             y = ad.mul(x, x)
         assert y.node is None
+
+
+class TestGraphRetention:
+    def test_output_no_backward_reads_is_freed_after_forward(self):
+        q = ad.parameter(RNG.uniform(-1, 1, (3, 4)))
+        k = ad.parameter(RNG.uniform(-1, 1, (4, 3)))
+        scores = ad.matmul(q, k)
+        raw = weakref.ref(scores.data)
+        loss = ad.sum_all(ad.scale(scores, 0.5))
+        del scores
+        assert raw() is None  # scale's backward reads only its factor
+        ad.backward(loss)
+        np.testing.assert_allclose(q.grad, 0.5 * np.ones((3, 3)) @ k.data.T,
+                                   rtol=1e-15)
+
+    def test_sweep_leaves_gradients_on_leaves_and_loss_only(self):
+        x = ad.parameter(RNG.uniform(-1, 1, (4, 3)))
+        w = ad.parameter(RNG.uniform(-1, 1, (3, 5)))
+        b = ad.parameter(RNG.uniform(-1, 1, 5))
+        hidden = [ad.linear(x, w, b)]
+        hidden.append(ad.gelu(hidden[-1]))
+        hidden.append(ad.softmax_rows(hidden[-1]))
+        hidden.append(ad.mul(hidden[-1], hidden[1]))
+        hidden.append(ad.add(hidden[-1], hidden[0]))
+        loss = ad.sum_all(hidden[-1])
+        ad.backward(loss)
+        nodes = ad._postorder(loss)
+        assert len(nodes) == 6
+        assert all(node.grad is None for node in nodes)
+        assert all(t.grad is None for t in hidden)
+        np.testing.assert_array_equal(loss.grad, 1.0)
+        assert all(p.grad is not None for p in (x, w, b))
+
+    def test_parameters_accumulate_across_two_losses(self):
+        xv = np.array([1.0, -2.0])
+        w = ad.parameter(np.array([0.5, 3.0]))
+        ad.backward(ad.sum_all(ad.mul(ad.tensor(xv), w)))
+        x = ad.tensor(xv)
+        ad.backward(ad.sum_all(ad.mul(ad.mul(x, w), x)))
+        np.testing.assert_array_equal(w.grad, xv + xv * xv)
 
 
 class TestNumericGuards:

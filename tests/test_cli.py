@@ -143,6 +143,15 @@ CHECKPOINT_DAMAGE = {
         lambda h: h["arrays"][0].update(name=7)),
     "duplicate array name": _edited_header(
         lambda h: h["arrays"].append(dict(h["arrays"][-1]))),
+    "head_b shape [1]": _edited_header(
+        lambda h: next(a for a in h["arrays"]
+                       if a["name"] == "f.head_b").update(shape=[1])),
+    "model_config d_ff doubled": _edited_header(
+        lambda h: h["meta"]["model_config"].update(
+            d_ff=2 * h["meta"]["model_config"]["d_ff"])),
+    "f. array entry removed": _edited_header(
+        lambda h: h["arrays"].remove(next(
+            a for a in h["arrays"] if a["name"].startswith("f.")))),
 }
 
 

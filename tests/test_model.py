@@ -187,6 +187,27 @@ class TestWholeModelGradient:
             assert err < 1e-3, f"{name}: {err}"
 
 
+class TestTrainingGraph:
+    def test_nodes_hold_arrays_not_tensors(self):
+        # a backward closure that held a Tensor would keep op outputs
+        # alive that no backward reads, and their gradients with them
+        model = EncoderModel(small_config(n_layers=2, dropout_rate=0.2),
+                             seed=5)
+        batch = make_batch()
+        logits, _ = model.forward(batch, train=True,
+                                  rng=np.random.default_rng(6))
+        loss = ad.cross_entropy(logits, batch.targets)
+        nodes = ad._postorder(loss)
+        ops = {node.op for node in nodes}
+        assert {"dropout", "matmul", "layer_norm", "linear"} <= ops
+        for node in nodes:
+            for cell in node.apply.__closure__ or ():
+                assert not isinstance(cell.cell_contents, ad.Tensor), node.op
+        ad.backward(loss)
+        assert all(node.grad is None for node in nodes)
+        assert all(param.grad is not None for _, param in model.parameters())
+
+
 class TestCheckpoint:
     def test_save_load_save_is_byte_identical(self, tmp_path):
         arrays = {"w": RNG.normal(0, 1, (3, 4)), "b": RNG.normal(0, 1, 4)}
