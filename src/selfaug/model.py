@@ -114,36 +114,25 @@ class EncoderLayer:
                 ("ln1_gain", self.ln1_gain), ("ln1_bias", self.ln1_bias),
                 ("ln2_gain", self.ln2_gain), ("ln2_bias", self.ln2_bias)]
 
-    def _split_heads(self, x: Tensor, b: int, s: int) -> Tensor:
-        cfg = self.config
-        return ad.swap_axes(ad.reshape(x, (b, s, cfg.n_heads, cfg.d_head)),
-                            1, 2)
-
     def apply(self, h: Tensor, mask: np.ndarray, train: bool,
               rng: np.random.Generator | None) -> Tensor:
         cfg = self.config
-        b, s, d = h.shape
-        q = self._split_heads(ad.linear(h, self.wq, self.bq), b, s)
-        k = self._split_heads(ad.linear(h, self.wk, self.bk), b, s)
-        v = self._split_heads(ad.linear(h, self.wv, self.bv), b, s)
-        scores = ad.scale(ad.matmul(q, ad.swap_axes(k, 2, 3)),
-                          1.0 / math.sqrt(cfg.d_head))
+        rate = cfg.dropout_rate if train else 0.0
         # keys at pad positions get -1e9 before softmax
-        bias = np.broadcast_to((mask - 1.0)[:, None, None, :] * MASK_OFFSET,
-                               scores.shape)
-        probs = ad.softmax_rows(ad.add(scores, ad.tensor(bias)))
-        if train and cfg.dropout_rate > 0.0:
-            probs = ad.dropout(probs, cfg.dropout_rate, rng)
-        ctx = ad.reshape(ad.swap_axes(ad.matmul(probs, v), 1, 2), (b, s, d))
+        ctx = ad.self_attention(ad.linear(h, self.wq, self.bq),
+                                ad.linear(h, self.wk, self.bk),
+                                ad.linear(h, self.wv, self.bv),
+                                (mask - 1.0) * MASK_OFFSET, cfg.n_heads,
+                                1.0 / math.sqrt(cfg.d_head), rate, rng)
         attn = ad.linear(ctx, self.wo, self.bo)
-        if train and cfg.dropout_rate > 0.0:
-            attn = ad.dropout(attn, cfg.dropout_rate, rng)
+        if rate > 0.0:
+            attn = ad.dropout(attn, rate, rng)
         h = ad.layer_norm(ad.add(h, attn), self.ln1_gain, self.ln1_bias,
                           eps=LN_EPS)
         ffn = ad.linear(ad.gelu(ad.linear(h, self.w1, self.b1)),
                         self.w2, self.b2)
-        if train and cfg.dropout_rate > 0.0:
-            ffn = ad.dropout(ffn, cfg.dropout_rate, rng)
+        if rate > 0.0:
+            ffn = ad.dropout(ffn, rate, rng)
         return ad.layer_norm(ad.add(h, ffn), self.ln2_gain, self.ln2_bias,
                              eps=LN_EPS)
 

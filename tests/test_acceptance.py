@@ -190,6 +190,18 @@ def _op_cases(rng: np.random.Generator) -> list:
                   lambda logits=logits, onehot=onehot:
                   ad.scale(ad.binary_cross_entropy_with_logits(
                       logits, onehot), 1.7)))
+
+    q, k, v = (ad.parameter(n(0.0, 1.0, (2, 4, 6))) for _ in range(3))
+    key_bias = np.zeros((2, 4))
+    key_bias[0, int(rng.integers(1, 4)):] = -1e9  # padded keys
+    mask_seed = int(rng.integers(0, 2 ** 31))
+    w = n(0.0, 1.0, (2, 4, 6))
+    cases.append(("self_attention", [("q", q), ("k", k), ("v", v)],
+                  lambda q=q, k=k, v=v, key_bias=key_bias,
+                  mask_seed=mask_seed, w=w:
+                  _wsum(ad.self_attention(
+                      q, k, v, key_bias, 2, 0.5, 0.3,
+                      np.random.default_rng(mask_seed)), w)))
     return cases
 
 

@@ -154,6 +154,79 @@ class TestSoftmax:
                    RNG.uniform(-2, 2, (3, 5)))
 
 
+def _attention_chain(q, k, v, mask, n_heads, rate, rng):
+    """The encoder's attention as unfused ops: the reference that
+    self_attention must reproduce bit for bit."""
+    b, s, d = q.shape
+    dh = d // n_heads
+
+    def split(x):
+        return ad.swap_axes(ad.reshape(x, (b, s, n_heads, dh)), 1, 2)
+
+    qh, kh, vh = split(q), split(k), split(v)
+    scores = ad.scale(ad.matmul(qh, ad.swap_axes(kh, 2, 3)),
+                      1.0 / math.sqrt(dh))
+    bias = np.broadcast_to((mask - 1.0)[:, None, None, :] * 1e9,
+                           scores.shape)
+    probs = ad.softmax_rows(ad.add(scores, ad.tensor(bias)))
+    if rate > 0.0:
+        probs = ad.dropout(probs, rate, rng)
+    return ad.reshape(ad.swap_axes(ad.matmul(probs, vh), 1, 2), (b, s, d))
+
+
+def _attention(q, k, v, mask, n_heads, rate, rng):
+    dh = q.shape[-1] // n_heads
+    return ad.self_attention(q, k, v, (mask - 1.0) * 1e9, n_heads,
+                             1.0 / math.sqrt(dh), rate, rng)
+
+
+def _padded_mask(b, s, rng):
+    lengths = rng.integers(1, s + 1, b)
+    lengths[0] = s - 1  # at least one padded row
+    return (np.arange(s) < lengths[:, None]).astype(np.float64)
+
+
+class TestSelfAttention:
+    @pytest.mark.parametrize("rate", [0.0, 0.2])
+    @pytest.mark.parametrize("b,s,d,n_heads", [(16, 8, 32, 4), (4, 16, 64, 4)])
+    def test_bitwise_equal_to_the_unfused_chain(self, b, s, d, n_heads, rate):
+        arrays = [RNG.normal(0.0, 1.0, (b, s, d)) for _ in range(3)]
+        mask = _padded_mask(b, s, RNG)
+        weights = ad.tensor(RNG.normal(0.0, 1.0, (b, s, d)))
+        results = []
+        for op in (_attention_chain, _attention):
+            qkv = [ad.parameter(a.copy()) for a in arrays]
+            out = op(*qkv, mask, n_heads, rate, np.random.default_rng(7))
+            ad.backward(ad.sum_all(ad.mul(out, weights)))
+            results.append((out.data, [t.grad for t in qkv]))
+        (want, want_grads), (got, got_grads) = results
+        np.testing.assert_array_equal(got, want)
+        for name, g, w in zip("qkv", got_grads, want_grads):
+            np.testing.assert_array_equal(g, w, err_msg=name)
+            # the next backward (g @ W.T) rounds by layout, so the
+            # gradient must arrive laid out as the chain's does
+            assert g.strides == w.strides, name
+        assert got_grads[1].strides == (s * d * 8, 8, s * 8)  # transposed
+
+    @pytest.mark.parametrize("rate", [0.0, 0.2])
+    def test_gradients(self, rate):
+        mask = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
+        weights = ad.tensor(RNG.uniform(-1, 1, (2, 4, 6)))
+        check_grad(lambda q, k, v: ad.mul(
+            _attention(q, k, v, mask, 2, rate, np.random.default_rng(3)),
+            weights), *(RNG.uniform(-1, 1, (2, 4, 6)) for _ in range(3)))
+
+    def test_rejects_bad_shapes(self):
+        x = ad.tensor(np.zeros((2, 3, 4)))
+        with pytest.raises(ShapeError, match="divisible"):
+            ad.self_attention(x, x, x, np.zeros((2, 3)), 3, 1.0)
+        with pytest.raises(ShapeError, match=r"\(2, 4\)"):
+            ad.self_attention(x, x, x, np.zeros((2, 4)), 2, 1.0)
+        with pytest.raises(ShapeError):
+            ad.self_attention(x, x, ad.tensor(np.zeros((2, 3, 2))),
+                              np.zeros((2, 3)), 2, 1.0)
+
+
 class TestNormalizations:
     def test_layer_norm_constant_row_is_bias(self):
         # zero variance handled by eps; gain 1 / bias 0 gives exact zeros
@@ -384,6 +457,28 @@ class TestGraphRetention:
         assert all(t.grad is None for t in hidden)
         np.testing.assert_array_equal(loss.grad, 1.0)
         assert all(p.grad is not None for p in (x, w, b))
+
+    def _saved_arrays(self, out):
+        return [c.cell_contents for c in out.node.apply.__closure__
+                if isinstance(c.cell_contents, np.ndarray)]
+
+    def test_attention_keeps_one_probability_array_and_the_mask(self):
+        b, s, d, heads = 3, 5, 8, 2
+        qkv = [ad.parameter(RNG.normal(0.0, 1.0, (b, s, d)))
+               for _ in range(3)]
+        out = _attention(*qkv, np.ones((b, s)), heads, 0.2,
+                         np.random.default_rng(0))
+        saved = self._saved_arrays(out)
+        square = [a for a in saved
+                  if a.dtype == np.float64 and a.shape == (b, heads, s, s)]
+        assert len(square) == 1  # the dropped-out copy is recomputed
+        assert [a.shape for a in saved if a.dtype == bool] \
+            == [(b, heads, s, s)]
+
+    def test_gelu_keeps_only_its_input(self):
+        x = ad.parameter(RNG.uniform(-2, 2, (4, 3)))
+        saved = self._saved_arrays(ad.gelu(x))
+        assert len(saved) == 1 and saved[0] is x.data
 
     def test_parameters_accumulate_across_two_losses(self):
         xv = np.array([1.0, -2.0])
