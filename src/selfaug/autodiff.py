@@ -17,11 +17,17 @@ step.
 
 Where an intermediate is cheap to compute again from what a node keeps
 anyway, backward recomputes it instead of holding it.  The attention core
-(split heads, scores, key mask, softmax, dropout, context, merge heads) is
-one node, ``self_attention``, that keeps q, k, v, the probabilities and
-the boolean keep-mask and rebuilds the dropped-out probabilities; ``gelu``
-keeps only its input and takes the tanh again.  On the benchmark's
-``wide`` workload this cut peak RSS by about a sixth, to about 360 MB.
+with its output projection (split heads, scores, key mask, softmax,
+dropout, context, merge heads, context @ wo + bo) is one node,
+``self_attention``, that keeps q, k, v, the probabilities and the boolean
+keep-mask and rebuilds the dropped-out probabilities and the context.
+The feed-forward block (linear, gelu, linear) is one node,
+``feed_forward``, that keeps its input and the pre-activation and
+rebuilds the activation from the one tanh its derivative needs; ``gelu``
+on its own keeps only its input and takes the tanh again.  On the
+benchmark's ``wide`` workload the attention node cut peak RSS by about a
+sixth, to about 360 MB, and the two rebuilt arrays, with the optimizer's
+block-sized scratch, took it to about 300 MB.
 
 Everything is float64.  This library exists for verification work and the
 finite-difference checks in the test-suite need the headroom.
@@ -240,18 +246,27 @@ def _gelu_tanh(x: Array) -> Array:
     return np.tanh(_GELU_C * (x + _GELU_K * (x * x * x)))
 
 
+def _gelu_value(x: Array, t: Array) -> Array:
+    """gelu(x) from x and its tanh t = _gelu_tanh(x)."""
+    return 0.5 * x * (1.0 + t)
+
+
+def _gelu_grad(g: Array, x: Array, t: Array) -> Array:
+    """Gradient at gelu's input x, from the output gradient g and tanh t."""
+    dt = (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_K * x * x)
+    return g * (0.5 * (1.0 + t) + 0.5 * x * dt)
+
+
 def gelu(a: Tensor) -> Tensor:
     """Tanh-form gelu: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3))).
 
     The node keeps only x; backward computes the tanh again from it.
     """
     x = a.data
-    out = Tensor(0.5 * x * (1.0 + _gelu_tanh(x)))
+    out = Tensor(_gelu_value(x, _gelu_tanh(x)))
 
     def apply(g: Array, ta: Target) -> None:
-        t = _gelu_tanh(x)
-        dt = (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_K * x * x)
-        _accum(ta, g * (0.5 * (1.0 + t) + 0.5 * x * dt))
+        _accum(ta, _gelu_grad(g, x, _gelu_tanh(x)))
 
     return _attach(out, "gelu", (a,), apply)
 
@@ -288,38 +303,84 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _attach(out, "matmul", (a, b), apply)
 
 
+def _check_affine(op: str, in_shape: tuple[int, ...], w: Tensor,
+                  b: Tensor | None) -> None:
+    """Raise unless `w` is a 2-D weight whose rows match the last axis of
+    `in_shape` and `b`, if given, is a bias of its width."""
+    if w.ndim != 2:
+        raise ShapeError(f"{op}: weight must be 2-D, got {w.shape}")
+    if in_shape[-1] != w.shape[0]:
+        raise ShapeError(f"{op}: input shape {in_shape} does not match "
+                         f"weight shape {w.shape}")
+    if b is not None and b.shape != (w.shape[1],):
+        raise ShapeError(f"{op}: bias shape {b.shape} does not match "
+                         f"weight shape {w.shape}")
+
+
+def _affine(xd: Array, wd: Array, bd: Array | None) -> Array:
+    out = xd @ wd
+    return out if bd is None else out + bd
+
+
+def _linear_grads(g: Array, xd: Array, wd: Array, tw: Target | None,
+                  tb: Target | None) -> Array:
+    """Route the gradient g of xd @ wd + b into the weight and bias
+    targets, and return the gradient at xd."""
+    k, n = wd.shape
+    if tw is not None:
+        _accum(tw, xd.reshape(-1, k).T @ g.reshape(-1, n))
+    if tb is not None:
+        _accum(tb, g.reshape(-1, n).sum(axis=0))
+    return g @ wd.T
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """x @ w (+ b), with x of shape [..., k], w of [k, n], b of [n].
 
     Fused affine map: one node instead of matmul + broadcast + add, which
     keeps the graphs built by the encoder small.
     """
-    if w.ndim != 2:
-        raise ShapeError(f"linear: weight must be 2-D, got {w.shape}")
-    if x.shape[-1] != w.shape[0]:
-        raise ShapeError(f"linear: input shape {x.shape} does not match "
-                         f"weight shape {w.shape}")
-    if b is not None and b.shape != (w.shape[1],):
-        raise ShapeError(f"linear: bias shape {b.shape} does not match "
-                         f"weight shape {w.shape}")
+    _check_affine("linear", x.shape, w, b)
     xd, wd = x.data, w.data
-    out_data = xd @ wd
-    if b is not None:
-        out_data = out_data + b.data
-    out = Tensor(out_data)
-    k, n = w.shape
+    out = Tensor(_affine(xd, wd, None if b is None else b.data))
 
     def apply(g: Array, tx: Target | None, tw: Target | None,
               tb: Target | None = None) -> None:
+        gx = _linear_grads(g, xd, wd, tw, tb)
         if tx is not None:
-            _accum(tx, g @ wd.T)
-        if tw is not None:
-            _accum(tw, xd.reshape(-1, k).T @ g.reshape(-1, n))
-        if tb is not None:
-            _accum(tb, g.reshape(-1, n).sum(axis=0))
+            _accum(tx, gx)
 
     inputs = (x, w) if b is None else (x, w, b)
     return _attach(out, "linear", inputs, apply)
+
+
+def feed_forward(h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
+                 b2: Tensor) -> Tensor:
+    """gelu(h @ w1 + b1) @ w2 + b2, the encoder's feed-forward block.
+
+    One node stands for the chain linear, gelu, linear.  It keeps h and
+    the pre-activation x = h @ w1 + b1, not the activation: backward takes
+    the tanh of x once and uses it both to rebuild gelu(x) for w2's
+    gradient and for gelu's derivative.  Every product sees the operands,
+    in the memory layouts, that the chain's would, so outputs and
+    gradients are bitwise equal to the chain's.
+    """
+    _check_affine("feed_forward", h.shape, w1, b1)
+    _check_affine("feed_forward", (*h.shape[:-1], w1.shape[-1]), w2, b2)
+    hd, w1d, w2d = h.data, w1.data, w2.data
+    x = _affine(hd, w1d, b1.data)
+    out = Tensor(_affine(_gelu_value(x, _gelu_tanh(x)), w2d, b2.data))
+
+    def apply(g: Array, th: Target | None, tw1: Target | None,
+              tb1: Target | None, tw2: Target | None,
+              tb2: Target | None) -> None:
+        t = _gelu_tanh(x)
+        ga = _linear_grads(g, _gelu_value(x, t), w2d, tw2, tb2)
+        gh = _linear_grads(_gelu_grad(ga, x, t), hd, w1d, tw1, tb1)
+        if th is not None:
+            _accum(th, gh)
+
+    return _attach(out, "feed_forward", (h, w1, b1, w2, b2), apply)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -472,23 +533,27 @@ def softmax_rows(a: Tensor) -> Tensor:
     return _attach(out, "softmax_rows", (a,), apply)
 
 
-def self_attention(q: Tensor, k: Tensor, v: Tensor, key_bias: Array,
-                   n_heads: int, scale: float, rate: float = 0.0,
+def self_attention(q: Tensor, k: Tensor, v: Tensor, wo: Tensor, bo: Tensor,
+                   key_bias: Array, n_heads: int, scale: float,
+                   rate: float = 0.0,
                    rng: np.random.Generator | None = None) -> Tensor:
-    """Multi-head scaled dot-product attention over [batch, seq, d] inputs.
+    """Multi-head scaled dot-product attention over [batch, seq, d] inputs,
+    with its output projection.
 
     Splits d into `n_heads` heads, takes softmax(q k^T * scale + key_bias)
     row-wise, applies inverted dropout at `rate` to those probabilities,
-    and merges the heads of probs @ v back into [batch, seq, d].
-    `key_bias` is [batch, seq], added to every score of that key.
+    merges the heads of probs @ v back into a [batch, seq, d] context and
+    returns context @ wo + bo.  `key_bias` is [batch, seq], added to every
+    score of that key.
 
     One node stands for the chain reshape, swap_axes, matmul, scale, add,
-    softmax_rows, dropout, matmul, swap_axes, reshape.  It keeps q, k, v,
-    the probabilities and the boolean keep-mask, and computes the
-    dropped-out probabilities again in backward.  Every product sees the
-    operands, in the memory layouts, that the chain's would, so outputs
-    and gradients are bitwise equal to the chain's; the key gradient, for
-    one, leaves as a transposed view, as the chain's does.
+    softmax_rows, dropout, matmul, swap_axes, reshape, linear.  It keeps
+    q, k, v, the probabilities and the boolean keep-mask, and computes the
+    dropped-out probabilities and the context again in backward.  Every
+    product sees the operands, in the memory layouts, that the chain's
+    would, so outputs and gradients are bitwise equal to the chain's; the
+    key gradient, for one, leaves as a transposed view, as the chain's
+    does.
     """
     if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
         raise ShapeError(f"self_attention: q, k, v must share one "
@@ -498,6 +563,7 @@ def self_attention(q: Tensor, k: Tensor, v: Tensor, key_bias: Array,
     if d % n_heads != 0:
         raise ShapeError(f"self_attention: width {d} not divisible by "
                          f"{n_heads} heads")
+    _check_affine("self_attention", q.shape, wo, bo)
     if key_bias.shape != (b, s):
         raise ShapeError(f"self_attention: key bias shape {key_bias.shape} "
                          f"does not match [batch, seq] {(b, s)}")
@@ -510,26 +576,30 @@ def self_attention(q: Tensor, k: Tensor, v: Tensor, key_bias: Array,
         return np.swapaxes(x, 1, 2).reshape(b, s, d)
 
     qh, kh, vh = (np.swapaxes(t.data.reshape(split), 1, 2) for t in (q, k, v))
+    wod = wo.data
     y = _softmax(np.matmul(qh, _swap_last(kh)) * scale
                  + key_bias[:, None, None, :])
     keep = None if rate == 0.0 else rng.random(y.shape) >= rate
     p = y if keep is None else y * (keep / (1.0 - rate))
-    out = Tensor(merge(np.matmul(p, vh)))
+    out = Tensor(_affine(merge(np.matmul(p, vh)), wod, bo.data))
 
     def apply(g: Array, tq: Target | None, tk: Target | None,
-              tv: Target | None) -> None:
-        g = np.swapaxes(g.reshape(split), 1, 2)
+              tv: Target | None, two: Target | None,
+              tbo: Target | None) -> None:
         # x * 1.0 is x bit for bit, so no dropout needs no branch
         drop = 1.0 if keep is None else keep / (1.0 - rate)
+        p = y * drop
+        g = _linear_grads(g, merge(np.matmul(p, vh)), wod, two, tbo)
+        g = np.swapaxes(g.reshape(split), 1, 2)
         if tv is not None:
-            _accum(tv, merge(np.matmul(_swap_last(y * drop), g)))
+            _accum(tv, merge(np.matmul(_swap_last(p), g)))
         gs = _softmax_grad(y, np.matmul(g, _swap_last(vh)) * drop) * scale
         if tq is not None:
             _accum(tq, merge(np.matmul(gs, kh)))
         if tk is not None:
             _accum(tk, merge(_swap_last(np.matmul(_swap_last(qh), gs))))
 
-    return _attach(out, "self_attention", (q, k, v), apply)
+    return _attach(out, "self_attention", (q, k, v, wo, bo), apply)
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor,

@@ -131,7 +131,7 @@ def _json_text(payload: dict) -> str:
 def _write_run_artifacts(run_dir: Path, config: ExperimentConfig,
                          model_cfg: ModelConfig, prepared: PreparedData,
                          result: TrainResult, arrays: dict[str, np.ndarray],
-                         val: MetricsBundle, test: MetricsBundle) -> dict:
+                         test: MetricsBundle) -> dict:
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "config.json").write_text(_json_text(config.to_dict()),
                                          encoding="utf-8")
@@ -141,10 +141,10 @@ def _write_run_artifacts(run_dir: Path, config: ExperimentConfig,
     metrics = {"mode": config.train.mode,
                "seed": config.train.seed,
                "best_epoch": result.best_epoch,
-               "best_val_f1": round(result.best_f1, 6),
+               "best_val_f1": round(result.best_val.macro.f1, 6),
                "epochs_run": len(result.records),
                "stopped_early": result.stopped_early,
-               "val": val.to_dict(),
+               "val": result.best_val.to_dict(),
                "test": test.to_dict()}
     (run_dir / "metrics.json").write_text(_json_text(metrics),
                                           encoding="utf-8")
@@ -172,13 +172,13 @@ def _execute(config: ExperimentConfig, prepared: PreparedData,
                    prepared.label_space, config.dual, config.train,
                    config.threshold)
     arrays = {f"f.{name}": arr for name, arr in result.state.items()}
-    best = _restored_model(model_cfg, arrays)
-    val = evaluate(best, val_split, prepared.label_space,
-                   config.train.batch_size, config.threshold)
-    test = evaluate(best, test_split, prepared.label_space,
-                    config.train.batch_size, config.threshold)
+    # validation metrics come from training's own best-epoch evaluation,
+    # which saw the same parameters; only the test split is new to them
+    test = evaluate(_restored_model(model_cfg, arrays), test_split,
+                    prepared.label_space, config.train.batch_size,
+                    config.threshold)
     metrics = _write_run_artifacts(run_dir, config, model_cfg, prepared,
-                                   result, arrays, val, test)
+                                   result, arrays, test)
     metrics["run_dir"] = str(run_dir)
     return metrics
 
@@ -471,14 +471,17 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
     with out_csv.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for i, row_id in enumerate(ids):
-            row = [row_id, golds[i], predicted[i]]
-            row += [f"{x:.6f}" for x in embeddings[i]]
-            if pcs is not None:
-                # wider precision: the zero-mean property of the
-                # projections should survive the round trip through text
-                row += [f"{x:.12g}" for x in pcs[i]]
-            writer.writerow(row)
+        pc_rows = pcs if pcs is not None else np.empty((len(ids), 0))
+        for row_id, gold, pred, vec, pc in zip(ids, golds, predicted,
+                                               embeddings, pc_rows):
+            # one row at a time through tolist(): Python floats format
+            # faster than numpy scalars, to the same strings, and a whole
+            # matrix of them would outweigh the matrix.  pcs get wider
+            # precision: the zero-mean property of the projections should
+            # survive the round trip through text
+            writer.writerow([row_id, gold, pred]
+                            + [f"{x:.6f}" for x in vec.tolist()]
+                            + [f"{x:.12g}" for x in pc.tolist()])
     return len(ids)
 
 

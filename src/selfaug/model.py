@@ -119,18 +119,17 @@ class EncoderLayer:
         cfg = self.config
         rate = cfg.dropout_rate if train else 0.0
         # keys at pad positions get -1e9 before softmax
-        ctx = ad.self_attention(ad.linear(h, self.wq, self.bq),
-                                ad.linear(h, self.wk, self.bk),
-                                ad.linear(h, self.wv, self.bv),
-                                (mask - 1.0) * MASK_OFFSET, cfg.n_heads,
-                                1.0 / math.sqrt(cfg.d_head), rate, rng)
-        attn = ad.linear(ctx, self.wo, self.bo)
+        attn = ad.self_attention(ad.linear(h, self.wq, self.bq),
+                                 ad.linear(h, self.wk, self.bk),
+                                 ad.linear(h, self.wv, self.bv),
+                                 self.wo, self.bo,
+                                 (mask - 1.0) * MASK_OFFSET, cfg.n_heads,
+                                 1.0 / math.sqrt(cfg.d_head), rate, rng)
         if rate > 0.0:
             attn = ad.dropout(attn, rate, rng)
         h = ad.layer_norm(ad.add(h, attn), self.ln1_gain, self.ln1_bias,
                           eps=LN_EPS)
-        ffn = ad.linear(ad.gelu(ad.linear(h, self.w1, self.b1)),
-                        self.w2, self.b2)
+        ffn = ad.feed_forward(h, self.w1, self.b1, self.w2, self.b2)
         if rate > 0.0:
             ffn = ad.dropout(ffn, rate, rng)
         return ad.layer_norm(ad.add(h, ffn), self.ln2_gain, self.ln2_bias,

@@ -36,6 +36,9 @@ TRAIN_MODES = ("baseline", "sa_only", "proposed")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# elements per block of an Adam step: six 256 KiB operands stay in a
+# 2 MiB L2 cache
+ADAM_BLOCK = 32_768
 
 
 @dataclass(frozen=True)
@@ -70,10 +73,10 @@ class Adam:
 
     The optimizer owns the parameter storage: every parameter's `.data`
     and `.grad` become views into one contiguous vector each, so a step is
-    a handful of vector operations and `zero_grad` one fill.  A `.grad`
-    (or `.data`) a caller assigns or clears is copied into the arena at
-    the next step; a missing gradient counts as zero, so the moments decay
-    and a fresh parameter stays put exactly.
+    a handful of vector operations per cache-sized block and `zero_grad`
+    one fill.  A `.grad` (or `.data`) a caller assigns or clears is copied
+    into the arena at the next step; a missing gradient counts as zero, so
+    the moments decay and a fresh parameter stays put exactly.
     """
 
     def __init__(self, params: list[tuple[str, Tensor]],
@@ -89,8 +92,10 @@ class Adam:
         self.step_count = 0
         sizes = [t.size for _, t in params]
         self.offsets = np.cumsum([0] + sizes[:-1])
-        self.data, self.grad, self.m, self.v, self._num, self._den = \
-            (np.zeros(sum(sizes)) for _ in range(6))
+        self.data, self.grad, self.m, self.v = \
+            (np.zeros(sum(sizes)) for _ in range(4))
+        self._num, self._den = \
+            (np.empty(min(sum(sizes), ADAM_BLOCK)) for _ in range(2))
         self._views = []
         for (_, t), start in zip(params, self.offsets):
             span = slice(start, start + t.size)
@@ -126,23 +131,29 @@ class Adam:
         # element for element and in the same order as the per-tensor
         #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g^2
         #   p = p - lr*(m/bias1) / (sqrt(v/bias2) + eps)
-        # so results are bitwise those of a loop over tensors; num and den
-        # are scratch, so a step allocates nothing
-        num, den = self._num, self._den
-        self.m *= ADAM_BETA1
-        np.multiply(g, 1.0 - ADAM_BETA1, out=num)
-        self.m += num
-        self.v *= ADAM_BETA2
-        np.square(g, out=den)
-        den *= 1.0 - ADAM_BETA2
-        self.v += den
-        np.divide(self.m, bias1, out=num)
-        num *= self.learning_rate
-        np.divide(self.v, bias2, out=den)
-        np.sqrt(den, out=den)
-        den += ADAM_EPS
-        num /= den
-        self.data -= num
+        # so results are bitwise those of a loop over tensors.  The arena
+        # goes through in blocks, so each block's operands stay in cache
+        # across the 13 passes; num and den are block-sized scratch, so the
+        # update allocates nothing
+        for start in range(0, g.size, ADAM_BLOCK):
+            span = slice(start, start + ADAM_BLOCK)
+            gb, m, v, w = g[span], self.m[span], self.v[span], \
+                self.data[span]
+            num, den = self._num[:gb.size], self._den[:gb.size]
+            m *= ADAM_BETA1
+            np.multiply(gb, 1.0 - ADAM_BETA1, out=num)
+            m += num
+            v *= ADAM_BETA2
+            np.square(gb, out=den)
+            den *= 1.0 - ADAM_BETA2
+            v += den
+            np.divide(m, bias1, out=num)
+            num *= self.learning_rate
+            np.divide(v, bias2, out=den)
+            np.sqrt(den, out=den)
+            den += ADAM_EPS
+            num /= den
+            w -= num
 
 
 class EarlyStopper:
@@ -199,7 +210,7 @@ class EpochRecord:
 class TrainResult:
     records: list[EpochRecord]
     best_epoch: int
-    best_f1: float
+    best_val: MetricsBundle  # validation metrics of the best epoch
     stopped_early: bool
     # stream one's parameter arrays at the best epoch, keyed by
     # model_f.parameters() names; the copy, the projection and the
@@ -272,7 +283,8 @@ def train(model_f: EncoderModel, model_c: EncoderModel | None,
           label_space: LabelSpace,
           dual_cfg: DualStreamConfig | None, train_cfg: TrainConfig,
           threshold: float = 0.5) -> TrainResult:
-    """Run one training job and return the best-epoch snapshot.
+    """Run one training job and return the best-epoch snapshot and its
+    validation metrics.
 
     Stream one (model_f) is the model that validation sees and the
     checkpoint serves, so the snapshot holds its parameters alone.  The
@@ -312,6 +324,7 @@ def train(model_f: EncoderModel, model_c: EncoderModel | None,
 
     records: list[EpochRecord] = []
     best_state: dict[str, np.ndarray] = {}
+    best_val: MetricsBundle | None = None
     stopped_early = False
     for epoch in range(1, train_cfg.max_epochs + 1):
         started = time.perf_counter()
@@ -346,10 +359,10 @@ def train(model_f: EncoderModel, model_c: EncoderModel | None,
             seconds=time.perf_counter() - started))
         should_stop = stopper.update(epoch, bundle.macro.f1)
         if stopper.best_epoch == epoch:
-            best_state = model_f.state()
+            best_state, best_val = model_f.state(), bundle
         if should_stop:
             stopped_early = True
             break
     return TrainResult(records=records, best_epoch=stopper.best_epoch,
-                       best_f1=stopper.best_score,
+                       best_val=best_val,
                        stopped_early=stopped_early, state=best_state)

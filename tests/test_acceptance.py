@@ -196,12 +196,24 @@ def _op_cases(rng: np.random.Generator) -> list:
     key_bias[0, int(rng.integers(1, 4)):] = -1e9  # padded keys
     mask_seed = int(rng.integers(0, 2 ** 31))
     w = n(0.0, 1.0, (2, 4, 6))
-    cases.append(("self_attention", [("q", q), ("k", k), ("v", v)],
-                  lambda q=q, k=k, v=v, key_bias=key_bias,
+    wo = ad.parameter(n(0.0, 1.0, (6, 6)))
+    bo = ad.parameter(n(0.0, 1.0, 6))
+    cases.append(("self_attention", [("q", q), ("k", k), ("v", v),
+                                     ("wo", wo), ("bo", bo)],
+                  lambda q=q, k=k, v=v, wo=wo, bo=bo, key_bias=key_bias,
                   mask_seed=mask_seed, w=w:
                   _wsum(ad.self_attention(
-                      q, k, v, key_bias, 2, 0.5, 0.3,
+                      q, k, v, wo, bo, key_bias, 2, 0.5, 0.3,
                       np.random.default_rng(mask_seed)), w)))
+
+    h = ad.parameter(n(0.0, 1.0, (2, 3, 4)))
+    w1, b1 = ad.parameter(n(0.0, 1.0, (4, 5))), ad.parameter(n(0.0, 1.0, 5))
+    w2, b2 = ad.parameter(n(0.0, 1.0, (5, 4))), ad.parameter(n(0.0, 1.0, 4))
+    w = n(0.0, 1.0, (2, 3, 4))
+    cases.append(("feed_forward", [("h", h), ("w1", w1), ("b1", b1),
+                                   ("w2", w2), ("b2", b2)],
+                  lambda h=h, w1=w1, b1=b1, w2=w2, b2=b2, w=w:
+                  _wsum(ad.feed_forward(h, w1, b1, w2, b2), w)))
     return cases
 
 

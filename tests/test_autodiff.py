@@ -154,9 +154,9 @@ class TestSoftmax:
                    RNG.uniform(-2, 2, (3, 5)))
 
 
-def _attention_chain(q, k, v, mask, n_heads, rate, rng):
-    """The encoder's attention as unfused ops: the reference that
-    self_attention must reproduce bit for bit."""
+def _attention_chain(q, k, v, wo, bo, mask, n_heads, rate, rng):
+    """The encoder's attention as unfused ops plus its output linear: the
+    reference that self_attention must reproduce bit for bit."""
     b, s, d = q.shape
     dh = d // n_heads
 
@@ -171,12 +171,13 @@ def _attention_chain(q, k, v, mask, n_heads, rate, rng):
     probs = ad.softmax_rows(ad.add(scores, ad.tensor(bias)))
     if rate > 0.0:
         probs = ad.dropout(probs, rate, rng)
-    return ad.reshape(ad.swap_axes(ad.matmul(probs, vh), 1, 2), (b, s, d))
+    ctx = ad.reshape(ad.swap_axes(ad.matmul(probs, vh), 1, 2), (b, s, d))
+    return ad.linear(ctx, wo, bo)
 
 
-def _attention(q, k, v, mask, n_heads, rate, rng):
+def _attention(q, k, v, wo, bo, mask, n_heads, rate, rng):
     dh = q.shape[-1] // n_heads
-    return ad.self_attention(q, k, v, (mask - 1.0) * 1e9, n_heads,
+    return ad.self_attention(q, k, v, wo, bo, (mask - 1.0) * 1e9, n_heads,
                              1.0 / math.sqrt(dh), rate, rng)
 
 
@@ -186,45 +187,107 @@ def _padded_mask(b, s, rng):
     return (np.arange(s) < lengths[:, None]).astype(np.float64)
 
 
+def _assert_same_results(results, names):
+    """Forward outputs and every gradient bitwise equal, with the
+    reference's strides: the next backward (g @ W.T) rounds by layout,
+    so a gradient must arrive laid out as the chain's does."""
+    (want, want_grads), (got, got_grads) = results
+    np.testing.assert_array_equal(got, want)
+    for name, g, w in zip(names, got_grads, want_grads):
+        np.testing.assert_array_equal(g, w, err_msg=name)
+        assert g.strides == w.strides, name
+
+
 class TestSelfAttention:
     @pytest.mark.parametrize("rate", [0.0, 0.2])
     @pytest.mark.parametrize("b,s,d,n_heads", [(16, 8, 32, 4), (4, 16, 64, 4)])
     def test_bitwise_equal_to_the_unfused_chain(self, b, s, d, n_heads, rate):
         arrays = [RNG.normal(0.0, 1.0, (b, s, d)) for _ in range(3)]
+        arrays += [RNG.normal(0.0, 0.1, (d, d)), RNG.normal(0.0, 0.1, d)]
         mask = _padded_mask(b, s, RNG)
         weights = ad.tensor(RNG.normal(0.0, 1.0, (b, s, d)))
         results = []
         for op in (_attention_chain, _attention):
-            qkv = [ad.parameter(a.copy()) for a in arrays]
-            out = op(*qkv, mask, n_heads, rate, np.random.default_rng(7))
+            params = [ad.parameter(a.copy()) for a in arrays]
+            out = op(*params, mask, n_heads, rate, np.random.default_rng(7))
             ad.backward(ad.sum_all(ad.mul(out, weights)))
-            results.append((out.data, [t.grad for t in qkv]))
-        (want, want_grads), (got, got_grads) = results
-        np.testing.assert_array_equal(got, want)
-        for name, g, w in zip("qkv", got_grads, want_grads):
-            np.testing.assert_array_equal(g, w, err_msg=name)
-            # the next backward (g @ W.T) rounds by layout, so the
-            # gradient must arrive laid out as the chain's does
-            assert g.strides == w.strides, name
-        assert got_grads[1].strides == (s * d * 8, 8, s * 8)  # transposed
+            results.append((out.data, [t.grad for t in params]))
+        _assert_same_results(results, ("q", "k", "v", "wo", "bo"))
+        key_grad = results[1][1][1]
+        assert key_grad.strides == (s * d * 8, 8, s * 8)  # transposed
 
     @pytest.mark.parametrize("rate", [0.0, 0.2])
     def test_gradients(self, rate):
         mask = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
         weights = ad.tensor(RNG.uniform(-1, 1, (2, 4, 6)))
-        check_grad(lambda q, k, v: ad.mul(
-            _attention(q, k, v, mask, 2, rate, np.random.default_rng(3)),
-            weights), *(RNG.uniform(-1, 1, (2, 4, 6)) for _ in range(3)))
+        check_grad(lambda q, k, v, wo, bo: ad.mul(
+            _attention(q, k, v, wo, bo, mask, 2, rate,
+                       np.random.default_rng(3)), weights),
+            *(RNG.uniform(-1, 1, (2, 4, 6)) for _ in range(3)),
+            RNG.uniform(-1, 1, (6, 6)), RNG.uniform(-1, 1, 6))
 
     def test_rejects_bad_shapes(self):
         x = ad.tensor(np.zeros((2, 3, 4)))
+        wo, bo = ad.tensor(np.zeros((4, 4))), ad.tensor(np.zeros(4))
         with pytest.raises(ShapeError, match="divisible"):
-            ad.self_attention(x, x, x, np.zeros((2, 3)), 3, 1.0)
+            ad.self_attention(x, x, x, wo, bo, np.zeros((2, 3)), 3, 1.0)
         with pytest.raises(ShapeError, match=r"\(2, 4\)"):
-            ad.self_attention(x, x, x, np.zeros((2, 4)), 2, 1.0)
+            ad.self_attention(x, x, x, wo, bo, np.zeros((2, 4)), 2, 1.0)
         with pytest.raises(ShapeError):
-            ad.self_attention(x, x, ad.tensor(np.zeros((2, 3, 2))),
+            ad.self_attention(x, x, ad.tensor(np.zeros((2, 3, 2))), wo, bo,
                               np.zeros((2, 3)), 2, 1.0)
+        with pytest.raises(ShapeError, match="weight shape"):
+            ad.self_attention(x, x, x, ad.tensor(np.zeros((3, 4))), bo,
+                              np.zeros((2, 3)), 2, 1.0)
+        with pytest.raises(ShapeError, match="bias shape"):
+            ad.self_attention(x, x, x, wo, ad.tensor(np.zeros(3)),
+                              np.zeros((2, 3)), 2, 1.0)
+
+
+def _feed_forward_chain(h, w1, b1, w2, b2):
+    """The encoder's feed-forward block as unfused ops: the reference that
+    feed_forward must reproduce bit for bit."""
+    return ad.linear(ad.gelu(ad.linear(h, w1, b1)), w2, b2)
+
+
+class TestFeedForward:
+    @pytest.mark.parametrize("rate", [0.0, 0.2])
+    @pytest.mark.parametrize("b,s,d", [(16, 8, 32), (4, 16, 64)])
+    def test_bitwise_equal_to_the_unfused_chain(self, b, s, d, rate):
+        f = 2 * d
+        arrays = [RNG.normal(0.0, 1.0, (b, s, d)),
+                  RNG.normal(0.0, 0.2, (d, f)), RNG.normal(0.0, 0.2, f),
+                  RNG.normal(0.0, 0.2, (f, d)), RNG.normal(0.0, 0.2, d)]
+        weights = ad.tensor(RNG.normal(0.0, 1.0, (b, s, d)))
+        results = []
+        for op in (_feed_forward_chain, ad.feed_forward):
+            params = [ad.parameter(a.copy()) for a in arrays]
+            # the encoder drops out the block's output, so the gradient
+            # arrives through dropout's backward at rate > 0
+            out = ad.dropout(op(*params), rate, np.random.default_rng(7))
+            ad.backward(ad.sum_all(ad.mul(out, weights)))
+            results.append((out.data, [t.grad for t in params]))
+        _assert_same_results(results, ("h", "w1", "b1", "w2", "b2"))
+
+    def test_gradients(self):
+        weights = ad.tensor(RNG.uniform(-1, 1, (2, 3, 4)))
+        check_grad(lambda *params: ad.mul(ad.feed_forward(*params), weights),
+                   RNG.uniform(-1, 1, (2, 3, 4)), RNG.uniform(-1, 1, (4, 5)),
+                   RNG.uniform(-1, 1, 5), RNG.uniform(-1, 1, (5, 4)),
+                   RNG.uniform(-1, 1, 4))
+
+    def test_rejects_bad_shapes(self):
+        h = ad.tensor(np.zeros((2, 3, 4)))
+        w1, b1 = ad.tensor(np.zeros((4, 6))), ad.tensor(np.zeros(6))
+        w2, b2 = ad.tensor(np.zeros((6, 4))), ad.tensor(np.zeros(4))
+        with pytest.raises(ShapeError, match="weight shape"):
+            ad.feed_forward(h, w2, b1, w2, b2)
+        with pytest.raises(ShapeError, match="bias shape"):
+            ad.feed_forward(h, w1, b2, w2, b2)
+        with pytest.raises(ShapeError, match=r"\(2, 3, 6\)"):
+            ad.feed_forward(h, w1, b1, w1, b2)
+        with pytest.raises(ShapeError, match="2-D"):
+            ad.feed_forward(h, w1, b1, b2, b2)
 
 
 class TestNormalizations:
@@ -464,9 +527,9 @@ class TestGraphRetention:
 
     def test_attention_keeps_one_probability_array_and_the_mask(self):
         b, s, d, heads = 3, 5, 8, 2
-        qkv = [ad.parameter(RNG.normal(0.0, 1.0, (b, s, d)))
-               for _ in range(3)]
-        out = _attention(*qkv, np.ones((b, s)), heads, 0.2,
+        params = [ad.parameter(RNG.normal(0.0, 1.0, shape))
+                  for shape in ((b, s, d),) * 3 + ((d, d), (d,))]
+        out = _attention(*params, np.ones((b, s)), heads, 0.2,
                          np.random.default_rng(0))
         saved = self._saved_arrays(out)
         square = [a for a in saved
@@ -474,6 +537,28 @@ class TestGraphRetention:
         assert len(square) == 1  # the dropped-out copy is recomputed
         assert [a.shape for a in saved if a.dtype == bool] \
             == [(b, heads, s, s)]
+        # the projection keeps its weight, not its input: no [B,S,d]
+        # context array, only views of q, k and v
+        assert any(a is params[3].data for a in saved)
+        assert not any(a is params[4].data for a in saved)
+        wide = [a for a in saved if a.size == b * s * d]
+        assert len(wide) == 3
+        assert all(any(np.shares_memory(a, t.data) for t in params[:3])
+                   for a in wide)
+
+    def test_feed_forward_keeps_its_input_and_pre_activation(self):
+        b, s, d, f = 3, 5, 4, 6
+        params = [ad.parameter(RNG.normal(0.0, 1.0, shape))
+                  for shape in ((b, s, d), (d, f), (f,), (f, d), (d,))]
+        out = ad.feed_forward(*params)
+        saved = self._saved_arrays(out)
+        activations = [a for a in saved if a.shape == (b, s, f)]
+        assert len(activations) == 1  # x; gelu(x) is rebuilt in backward
+        pre = params[0].data @ params[1].data + params[2].data
+        np.testing.assert_array_equal(activations[0], pre)
+        assert [a.shape for a in saved if a.ndim == 3] == [(b, s, d),
+                                                          (b, s, f)]
+        assert any(a is params[0].data for a in saved)
 
     def test_gelu_keeps_only_its_input(self):
         x = ad.parameter(RNG.uniform(-2, 2, (4, 3)))

@@ -75,3 +75,13 @@ def test_every_recorded_op_has_its_backward_timed(traced_run):
     assert {"dropout", "linear", "matmul", "layer_norm",
             "batch_norm_features", "cross_entropy"} <= called
     assert timed == called
+
+
+def test_every_traced_op_is_an_autodiff_function():
+    # the tracer wraps OPS by name; an op that no src/ path calls any
+    # more (gelu, since the encoder records feed_forward) must stay
+    # until the tracer drops it, or --trace 1 fails at install
+    tracing = load_tracing()
+    missing = [op for op in tracing.OPS
+               if not callable(getattr(ad, op, None))]
+    assert missing == []

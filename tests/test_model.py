@@ -199,7 +199,9 @@ class TestTrainingGraph:
         loss = ad.cross_entropy(logits, batch.targets)
         nodes = ad._postorder(loss)
         ops = {node.op for node in nodes}
-        assert {"dropout", "self_attention", "layer_norm", "linear"} <= ops
+        assert {"dropout", "self_attention", "feed_forward", "layer_norm",
+                "linear"} <= ops
+        assert "gelu" not in ops
         for node in nodes:
             for cell in node.apply.__closure__ or ():
                 assert not isinstance(cell.cell_contents, ad.Tensor), node.op

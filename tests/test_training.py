@@ -12,8 +12,8 @@ from selfaug.data import (LabelSpace, SynthSpec, Vocabulary, build_vocab,
 from selfaug.errors import ConfigError, DataError, DomainError
 from selfaug.model import EncoderModel, ModelConfig
 from selfaug.objective import DualStreamConfig, ProjectionNetwork
-from selfaug.training import (Adam, EarlyStopper, TrainConfig, evaluate,
-                              train)
+from selfaug.training import (ADAM_BLOCK, Adam, EarlyStopper, TrainConfig,
+                              evaluate, train)
 
 
 def synth_examples(count: int = 64, seed: int = 0):
@@ -148,6 +148,45 @@ class TestAdam:
                 assert np.shares_memory(t.data, opt.data), name
                 assert np.shares_memory(t.grad, opt.grad), name
         assert np.array_equal(c.data, c_start)  # no gradient, no move
+
+    def test_blocked_step_bitwise_equals_per_tensor_arithmetic(self):
+        # four blocks, the last one partial; block boundaries fall inside
+        # "a" (at ADAM_BLOCK) and twice inside "b"
+        rng = np.random.default_rng(9)
+        shapes = {"a": (ADAM_BLOCK + 5000,), "b": (2, ADAM_BLOCK),
+                  "c": (3, 1000)}
+        params = [(name, ad.parameter(rng.normal(size=shape)))
+                  for name, shape in shapes.items()]
+        opt = Adam(params, learning_rate=0.01)
+        assert opt.data.size > 3 * ADAM_BLOCK
+        want = {name: t.data.copy() for name, t in params}
+        m = {name: np.zeros(shape) for name, shape in shapes.items()}
+        v = {name: np.zeros(shape) for name, shape in shapes.items()}
+        for step in range(1, 4):
+            opt.zero_grad()
+            bias1 = 1.0 - 0.9 ** step
+            bias2 = 1.0 - 0.999 ** step
+            for name, t in params:
+                g = rng.normal(size=shapes[name]) * 10.0 ** rng.integers(-4, 3)
+                t.grad[...] = g
+                m[name] = 0.9 * m[name] + (1.0 - 0.9) * g
+                v[name] = 0.999 * v[name] + (1.0 - 0.999) * np.square(g)
+                want[name] = want[name] - 0.01 * (m[name] / bias1) / \
+                    (np.sqrt(v[name] / bias2) + 1e-8)
+            opt.step()
+            for name, t in params:
+                assert np.array_equal(t.data, want[name]), (name, step)
+
+        # a non-finite gradient in the last block stops the step before
+        # any block has moved a parameter or a moment
+        before = [arr.copy() for arr in (opt.data, opt.m, opt.v)]
+        opt.zero_grad()
+        opt.grad[:-1] = rng.normal(size=opt.grad.size - 1)
+        opt.grad[-1] = np.nan
+        with pytest.raises(DomainError, match="for c at step 4"):
+            opt.step()
+        for old, new in zip(before, (opt.data, opt.m, opt.v)):
+            assert np.array_equal(old, new)
 
     def test_two_runs_bitwise_identical(self):
         def run():
