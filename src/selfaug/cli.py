@@ -12,7 +12,7 @@ from pathlib import Path
 
 import click
 
-from .config import ExperimentConfig
+from .config import GRID_AXES, ExperimentConfig
 from .errors import ConfigError, DataError
 from .harness import (export_embeddings, generate_corpus, run_ablation,
                       run_grid, run_kfold, run_training)
@@ -39,8 +39,9 @@ def _guarded(body):
               help="Override the config's training seed.")
 @click.option("--out", "out_dir", type=str, default=None,
               help="Override the config's output directory.")
-@click.option("--workers", type=int, default=1, show_default=True,
-              help="Parallel workers for grid and k-fold cells.")
+@click.option("--workers", type=click.IntRange(min=1), default=1,
+              show_default=True,
+              help="Parallel workers for grid, k-fold and ablation cells.")
 @click.pass_context
 def main(ctx: click.Context, config_path: str | None, seed: int | None,
          out_dir: str | None, workers: int) -> None:
@@ -82,10 +83,10 @@ def grid(ctx: click.Context) -> None:
                    f"written to {config.out_dir}")
         if summary["winner"] is not None:
             w = summary["winner"]
-            click.echo(f"winner: batch_size={w['batch_size']} "
-                       f"alpha={w['alpha']} tap={w['tap_layer']} "
-                       f"inject={w['inject_layer']} "
-                       f"val F1 {w['best_val_f1']:.4f}")
+            # a grid without a dual section has only batch_size
+            axes = " ".join(f"{axis}={w[axis]}" for axis in GRID_AXES
+                            if axis in w)
+            click.echo(f"winner: {axes} val F1 {w['best_val_f1']:.4f}")
     _guarded(body)
 
 
@@ -115,7 +116,7 @@ def ablate(ctx: click.Context) -> None:
     """Run baseline, sa_only, and proposed under shared seeds."""
     def body():
         config = _load_config(ctx)
-        summary = run_ablation(config)
+        summary = run_ablation(config, workers=ctx.obj["workers"])
         click.echo(f"ablation written to {config.out_dir}")
         for row in summary["rows"]:
             click.echo(f"  {row['row']:<10} test F1 "

@@ -8,6 +8,7 @@ typos fail loudly instead of silently running defaults.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -21,7 +22,8 @@ from .training import TrainConfig
 
 DEFAULT_RATIOS = (0.8, 0.1, 0.1)
 
-GRID_AXES = ("batch_size", "alpha", "tap_layer", "inject_layer")
+DUAL_AXES = ("alpha", "tap_layer", "inject_layer")
+GRID_AXES = ("batch_size", *DUAL_AXES)
 
 
 @dataclass(frozen=True)
@@ -117,19 +119,15 @@ class GridSpec(Schema):
                                       f"depth {n_layers}")
 
     def cells(self, train: TrainConfig,
-              dual: DualStreamConfig) -> list[dict]:
-        batch_sizes = self.batch_size or (train.batch_size,)
-        alphas = self.alpha or (dual.alpha,)
-        taps = self.tap_layer or (dual.tap_layer,)
-        injects = self.inject_layer or (dual.inject_layer,)
-        out = []
-        for b in batch_sizes:
-            for a in alphas:
-                for t in taps:
-                    for j in injects:
-                        out.append({"batch_size": b, "alpha": a,
-                                    "tap_layer": t, "inject_layer": j})
-        return out
+              dual: DualStreamConfig | None) -> list[dict]:
+        """One dict per cell; without a dual section a cell has only
+        batch_size."""
+        axes = {"batch_size": self.batch_size or (train.batch_size,)}
+        if dual is not None:
+            for axis in DUAL_AXES:
+                axes[axis] = getattr(self, axis) or (getattr(dual, axis),)
+        return [dict(zip(axes, values))
+                for values in itertools.product(*axes.values())]
 
 
 @dataclass(frozen=True)
@@ -172,12 +170,12 @@ class ExperimentConfig(Schema):
 
     def with_cell(self, cell: dict) -> "ExperimentConfig":
         """Apply one grid cell's hyperparameters."""
+        dual = self.dual
+        if dual is not None:
+            dual = replace(dual, **{axis: cell[axis] for axis in DUAL_AXES})
         return replace(
-            self, grid=None,
-            train=replace(self.train, batch_size=cell["batch_size"]),
-            dual=replace(self.dual, alpha=cell["alpha"],
-                         tap_layer=cell["tap_layer"],
-                         inject_layer=cell["inject_layer"]))
+            self, grid=None, dual=dual,
+            train=replace(self.train, batch_size=cell["batch_size"]))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":

@@ -1,6 +1,13 @@
 """Experiment harness: data preparation, single runs, grid search, k-fold,
 ablations, and embedding export.
 
+Grid, k-fold and ablation are sweeps on one cell engine: each prepares
+its data once, builds one job (config, prepared data, run directory) per
+cell, and `_run_cells` runs the jobs in this process or in a process
+pool, returning each cell's metric columns or the exception it raised.
+Grid records a failure as a row; k-fold and ablation raise the first one
+after every cell has run, and then write no table.
+
 Every run directory holds the same four artifacts (config.json as the
 resolved snapshot, checkpoint.bin, epochs.jsonl, metrics.json), and every
 primary output except wall-clock fields in epochs.jsonl is byte-identical across
@@ -20,11 +27,11 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .config import ExperimentConfig
-from .data import (Example, LabelSpace, Vocabulary, batches, build_vocab,
-                   encode_split, gen_synthetic, k_folds, load_jsonl,
-                   load_label_space, load_synth_spec, make_splits,
-                   write_jsonl)
+from .config import GRID_AXES, ExperimentConfig
+from .data import (Example, Folds, LabelSpace, Vocabulary, batches,
+                   build_vocab, encode_split, gen_synthetic, k_folds,
+                   load_jsonl, load_label_space, load_synth_spec,
+                   make_splits, write_jsonl)
 from .errors import ConfigError, DataError, ShapeError
 from .metrics import MetricsBundle
 from .model import (EncoderModel, ModelConfig, load_checkpoint, pool,
@@ -37,13 +44,12 @@ SPLIT_NAMES = ("train", "val", "test")
 ABLATION_ROWS = (("Baseline", "baseline"), ("+SA", "sa_only"),
                  ("+Proposed", "proposed"))
 
-GRID_CSV_COLUMNS = ("cell", "batch_size", "alpha", "tap_layer",
-                    "inject_layer", "status", "best_epoch", "best_val_f1",
-                    "test_precision", "test_recall", "test_f1", "error")
-KFOLD_CSV_COLUMNS = ("fold", "best_epoch", "best_val_f1",
-                     "test_precision", "test_recall", "test_f1")
-ABLATION_CSV_COLUMNS = ("row", "mode", "best_epoch", "best_val_f1",
-                        "test_precision", "test_recall", "test_f1")
+# the row columns every sweep cell fills from its run's metrics
+METRIC_COLUMNS = ("best_epoch", "best_val_f1", "test_precision",
+                  "test_recall", "test_f1")
+GRID_CSV_COLUMNS = ("cell", *GRID_AXES, "status", *METRIC_COLUMNS, "error")
+KFOLD_CSV_COLUMNS = ("fold", *METRIC_COLUMNS)
+ABLATION_CSV_COLUMNS = ("row", "mode", *METRIC_COLUMNS)
 CSV_FLOAT_COLUMNS = frozenset({"alpha", "best_val_f1", "test_precision",
                                "test_recall", "test_f1"})
 # the checkpoint meta keys export_embeddings reads, with their JSON types
@@ -160,6 +166,9 @@ def _write_run_artifacts(run_dir: Path, config: ExperimentConfig,
 def _execute(config: ExperimentConfig, prepared: PreparedData,
              run_dir: Path) -> dict:
     """Train on already-prepared data and write the four artifacts."""
+    if not prepared.val or not prepared.test:
+        raise DataError("training needs non-empty validation and test "
+                        "splits")
     model_cfg = replace(config.model, vocab_size=len(prepared.vocab),
                         head_kind=prepared.label_space.task_kind,
                         n_outputs=len(prepared.label_space.labels))
@@ -186,10 +195,43 @@ def _execute(config: ExperimentConfig, prepared: PreparedData,
 def run_training(config: ExperimentConfig) -> dict:
     """One training run into config.out_dir; returns the metrics payload."""
     prepared = prepare_data(config)  # before mkdir: bad data, no debris
-    if not prepared.val or not prepared.test:
-        raise DataError("training needs non-empty validation and test "
-                        "splits")
     return _execute(config, prepared, Path(config.out_dir))
+
+
+# one sweep cell: its config, the prepared data, and its run directory
+Job = tuple[ExperimentConfig, PreparedData, Path]
+
+
+def _cell(job: Job) -> dict | Exception:
+    """Run one cell; its row's metric columns, or the exception it raised
+    (returned, so that one failing cell never stops the others)."""
+    try:
+        metrics = _execute(*job)
+    except Exception as err:  # noqa: BLE001 - each sweep decides
+        return err
+    test = metrics["test"]["macro"]
+    return dict(zip(METRIC_COLUMNS, (
+        metrics["best_epoch"], metrics["best_val_f1"], test["precision"],
+        test["recall"], test["f1"])))
+
+
+def _run_cells(out_dir: Path, jobs: list[Job],
+               workers: int) -> list[dict | Exception]:
+    """Every cell's result, in job order.  One worker runs the cells in
+    this process; more run them in a pool that is joined before return."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if workers <= 1:
+        return [_cell(job) for job in jobs]
+    with ProcessPoolExecutor(min(workers, len(jobs))) as pool_:
+        return list(pool_.map(_cell, jobs))
+
+
+def _all_ok(results: list[dict | Exception]) -> list[dict]:
+    """The results, once every cell has run; the first failure is raised."""
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return results
 
 
 def _csv_cell(column: str, value):
@@ -198,41 +240,19 @@ def _csv_cell(column: str, value):
     return f"{value:.6f}" if column in CSV_FLOAT_COLUMNS else value
 
 
-def _write_csv(path: Path, columns: tuple[str, ...],
-               rows: list[dict]) -> None:
-    """One line per row dict; a missing or None value is an empty cell."""
-    with path.open("w", encoding="utf-8", newline="") as fh:
+def _write_tables(out_dir: Path, name: str, summary: dict,
+                  columns: tuple[str, ...], rows: list[dict]) -> None:
+    """`<name>.json` holds the summary; `<name>.csv` one line per row
+    dict, where a missing or None value is an empty cell."""
+    (out_dir / f"{name}.json").write_text(_json_text(summary),
+                                          encoding="utf-8")
+    with (out_dir / f"{name}.csv").open("w", encoding="utf-8",
+                                        newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_csv_cell(col, row.get(col))
                              for col in columns])
-
-
-def _grid_cell(config: ExperimentConfig, index: int, cell: dict) -> dict:
-    row = {"cell": index, **cell}
-    run_dir = Path(config.out_dir) / f"cell{index:03d}"
-    try:
-        metrics = run_training(replace(config.with_cell(cell),
-                                       out_dir=str(run_dir)))
-    except Exception as err:  # per-cell isolation: the grid keeps going
-        row.update({"status": "failed", "error": str(err),
-                    "best_epoch": None, "best_val_f1": None,
-                    "test_precision": None, "test_recall": None,
-                    "test_f1": None})
-        return row
-    row.update({"status": "ok", "error": "",
-                "best_epoch": metrics["best_epoch"],
-                "best_val_f1": metrics["best_val_f1"],
-                "test_precision": metrics["test"]["macro"]["precision"],
-                "test_recall": metrics["test"]["macro"]["recall"],
-                "test_f1": metrics["test"]["macro"]["f1"]})
-    return row
-
-
-def _grid_cell_payload(payload: tuple[dict, int, dict]) -> dict:
-    config_dict, index, cell = payload
-    return _grid_cell(ExperimentConfig.from_dict(config_dict), index, cell)
 
 
 def run_grid(config: ExperimentConfig, workers: int = 1) -> dict:
@@ -245,18 +265,23 @@ def run_grid(config: ExperimentConfig, workers: int = 1) -> dict:
     """
     if config.grid is None:
         raise ConfigError("grid command needs a grid section")
-    prepare_data(config)  # validate data before any cell starts
+    # cells vary no data setting, so they share one preparation
+    prepared = prepare_data(config)
     cells = config.grid.cells(config.train, config.dual)
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if workers > 1:
-        payloads = [(config.to_dict(), i, cell)
-                    for i, cell in enumerate(cells)]
-        with ProcessPoolExecutor(max_workers=workers) as pool_:
-            rows = list(pool_.map(_grid_cell_payload, payloads))
-    else:
-        rows = [_grid_cell(config, i, cell)
-                for i, cell in enumerate(cells)]
+    run_dirs = [out_dir / f"cell{i:03d}" for i in range(len(cells))]
+    jobs = [(replace(config.with_cell(cell), out_dir=str(run_dir)),
+             prepared, run_dir) for cell, run_dir in zip(cells, run_dirs)]
+    rows = []
+    for i, (cell, result) in enumerate(
+            zip(cells, _run_cells(out_dir, jobs, workers))):
+        if isinstance(result, Exception):
+            rows.append({"cell": i, **cell, "status": "failed",
+                         "error": str(result),
+                         **dict.fromkeys(METRIC_COLUMNS)})
+        else:
+            rows.append({"cell": i, **cell, "status": "ok", "error": "",
+                         **result})
     ok_rows = [r for r in rows if r["status"] == "ok"]
     winner = None
     if ok_rows:
@@ -266,47 +291,29 @@ def run_grid(config: ExperimentConfig, workers: int = 1) -> dict:
                "n_failed": len(rows) - len(ok_rows),
                "rows": rows,
                "winner": winner}
-    (out_dir / "grid.json").write_text(_json_text(summary),
-                                       encoding="utf-8")
-    _write_csv(out_dir / "grid.csv", GRID_CSV_COLUMNS, rows)
+    _write_tables(out_dir, "grid", summary, GRID_CSV_COLUMNS, rows)
     return summary
 
 
-def _kfold_fold(config: ExperimentConfig, k: int, index: int,
-                val_fraction: float) -> dict:
-    examples, label_space = _corpus(config)
-    folds = k_folds(examples, k, config.train.seed)
+def _fold_data(config: ExperimentConfig, folds: Folds, index: int,
+               val_fraction: float, label_space: LabelSpace) -> PreparedData:
     test_ex = folds.folds[index]
     rest = [ex for j, fold in enumerate(folds.folds) if j != index
             for ex in fold]
     inner = make_splits(rest, (1.0 - val_fraction, val_fraction, 0.0),
                         config.train.seed)
-    prepared = PreparedData(
+    return PreparedData(
         train=inner.train, val=inner.val, test=test_ex,
         vocab=build_vocab(inner.train, min_freq=config.data.min_freq,
                           max_size=config.data.max_vocab),
         label_space=label_space, stratified=folds.stratified)
-    run_dir = Path(config.out_dir) / f"fold{index}"
-    metrics = _execute(config, prepared, run_dir)
-    return {"fold": index,
-            "best_epoch": metrics["best_epoch"],
-            "best_val_f1": metrics["best_val_f1"],
-            "test_precision": metrics["test"]["macro"]["precision"],
-            "test_recall": metrics["test"]["macro"]["recall"],
-            "test_f1": metrics["test"]["macro"]["f1"],
-            "stratified": folds.stratified}
-
-
-def _kfold_payload(payload: tuple[dict, int, int, float]) -> dict:
-    config_dict, k, index, val_fraction = payload
-    return _kfold_fold(ExperimentConfig.from_dict(config_dict), k, index,
-                       val_fraction)
 
 
 def run_kfold(config: ExperimentConfig, k: int, val_fraction: float = 0.2,
               workers: int = 1) -> dict:
     """Cross-validation: each fold is held out once as the test set, and
-    the validation slice is carved from the remaining folds."""
+    the validation slice is carved from the remaining folds.  A failing
+    fold is raised once every fold has run, and no table is written."""
     if k < 2:
         raise ConfigError("k must be at least 2")
     if not 0.0 < val_fraction < 1.0:
@@ -314,57 +321,46 @@ def run_kfold(config: ExperimentConfig, k: int, val_fraction: float = 0.2,
     if not config.data.splittable:
         raise ConfigError("k-fold needs a splittable data source, not "
                           "pre-split files")
-    _corpus(config)  # validate the source before creating output
+    examples, label_space = _corpus(config)
+    folds = k_folds(examples, k, config.train.seed)
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if workers > 1:
-        payloads = [(config.to_dict(), k, i, val_fraction)
-                    for i in range(k)]
-        with ProcessPoolExecutor(max_workers=workers) as pool_:
-            rows = list(pool_.map(_kfold_payload, payloads))
-    else:
-        rows = [_kfold_fold(config, k, i, val_fraction) for i in range(k)]
-    stratified = all(row.pop("stratified") for row in rows)
+    # every fold's config keeps the sweep's out_dir
+    jobs = [(config, _fold_data(config, folds, i, val_fraction, label_space),
+             out_dir / f"fold{i}") for i in range(k)]
+    rows = [{"fold": i, **result} for i, result in
+            enumerate(_all_ok(_run_cells(out_dir, jobs, workers)))]
     stats = {}
     for metric in ("test_precision", "test_recall", "test_f1"):
         values = np.array([row[metric] for row in rows])
         stats[metric] = {"mean": round(float(values.mean()), 6),
                          "std": round(float(values.std()), 6)}
     summary = {"k": k, "val_fraction": val_fraction,
-               "stratified": stratified, "rows": rows, "summary": stats}
-    (out_dir / "kfold.json").write_text(_json_text(summary),
-                                        encoding="utf-8")
+               "stratified": folds.stratified, "rows": rows,
+               "summary": stats}
     aggregates = [{"fold": name, **{metric: values[name]
                                     for metric, values in stats.items()}}
                   for name in ("mean", "std")]
-    _write_csv(out_dir / "kfold.csv", KFOLD_CSV_COLUMNS, rows + aggregates)
+    _write_tables(out_dir, "kfold", summary, KFOLD_CSV_COLUMNS,
+                  rows + aggregates)
     return summary
 
 
-def run_ablation(config: ExperimentConfig) -> dict:
-    """Baseline / +SA / +Proposed under shared seeds and splits."""
+def run_ablation(config: ExperimentConfig, workers: int = 1) -> dict:
+    """Baseline / +SA / +Proposed under shared seeds and splits.  A
+    failing mode is raised once every mode has run, and no table is
+    written."""
     if config.dual is None:
         raise ConfigError("ablation needs a dual section")
-    prepare_data(config)  # validate before creating output
+    prepared = prepare_data(config)  # the modes share one preparation
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for row_name, mode in ABLATION_ROWS:
-        sub = config.with_overrides(mode=mode,
-                                    out_dir=str(out_dir / mode))
-        metrics = run_training(sub)
-        rows.append({"row": row_name, "mode": mode,
-                     "best_epoch": metrics["best_epoch"],
-                     "best_val_f1": metrics["best_val_f1"],
-                     "test_precision":
-                         metrics["test"]["macro"]["precision"],
-                     "test_recall": metrics["test"]["macro"]["recall"],
-                     "test_f1": metrics["test"]["macro"]["f1"]})
-    summary = {"rows": rows}
-    (out_dir / "ablation.json").write_text(_json_text(summary),
-                                           encoding="utf-8")
-    _write_csv(out_dir / "ablation.csv", ABLATION_CSV_COLUMNS, rows)
-    return summary
+    jobs = [(config.with_overrides(mode=mode, out_dir=str(out_dir / mode)),
+             prepared, out_dir / mode) for _, mode in ABLATION_ROWS]
+    rows = [{"row": row_name, "mode": mode, **result}
+            for (row_name, mode), result in
+            zip(ABLATION_ROWS, _all_ok(_run_cells(out_dir, jobs, workers)))]
+    _write_tables(out_dir, "ablation", {"rows": rows}, ABLATION_CSV_COLUMNS,
+                  rows)
+    return {"rows": rows}
 
 
 def _principal_components(embeddings: np.ndarray) -> np.ndarray | None:

@@ -4,6 +4,7 @@ isolation, worker parallelism)."""
 
 import csv
 import json
+import multiprocessing
 import re
 import struct
 from importlib import resources
@@ -17,7 +18,8 @@ from selfaug.cli import main
 from selfaug.config import ExperimentConfig
 from selfaug.data import load_jsonl, load_label_space
 from selfaug.harness import (EXPORT_LAYERS, _principal_components,
-                             run_grid, run_training)
+                             run_ablation, run_grid, run_kfold,
+                             run_training)
 from selfaug.model import load_checkpoint, save_checkpoint
 
 RUN_ARTIFACTS = ("config.json", "checkpoint.bin", "epochs.jsonl",
@@ -298,14 +300,57 @@ class TestGridCommand:
         assert summary["winner"]["batch_size"] == 8
         assert "smaller than one batch" in summary["rows"][1]["error"]
 
-    def test_workers_match_serial(self, tmp_path):
-        payload = small_config(str(tmp_path / "serial"), max_epochs=2)
+    def test_grid_without_dual_section(self, tmp_path):
+        payload = small_config(str(tmp_path / "g"), mode="baseline",
+                               max_epochs=2)
+        del payload["dual"]
+        payload["grid"] = {"batch_size": [8, 16]}
+        result = invoke("--config", str(write_config(tmp_path, payload)),
+                        "grid")
+        assert result.exit_code == 0, result.output
+        assert "winner: batch_size=" in result.output
+        summary = json.loads((tmp_path / "g" / "grid.json").read_text())
+        assert [r["status"] for r in summary["rows"]] == ["ok", "ok"]
+        with (tmp_path / "g" / "grid.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["batch_size"], r["alpha"], r["tap_layer"],
+                 r["inject_layer"]) for r in rows] == \
+            [("8", "", "", ""), ("16", "", "", "")]
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_exit_2(self, tmp_path, workers):
+        payload = small_config(str(tmp_path / "g"))
         payload["grid"] = {"alpha": [0.1, 0.3]}
-        serial = run_grid(ExperimentConfig.from_dict(payload))
-        payload["out_dir"] = str(tmp_path / "parallel")
-        parallel = run_grid(ExperimentConfig.from_dict(payload),
-                            workers=2)
+        result = invoke("--workers", workers, "--config",
+                        str(write_config(tmp_path, payload)), "grid")
+        assert result.exit_code == 2
+        assert not (tmp_path / "g").exists()
+
+    @pytest.mark.parametrize("sweep", ["grid", "kfold", "ablation"])
+    def test_workers_match_serial(self, tmp_path, sweep):
+        def run(name: str, workers: int) -> dict:
+            payload["out_dir"] = str(tmp_path / name)
+            config = ExperimentConfig.from_dict(payload)
+            if sweep == "grid":
+                return run_grid(config, workers)
+            if sweep == "kfold":
+                return run_kfold(config, 3, workers=workers)
+            return run_ablation(config, workers)
+
+        payload = small_config("", max_epochs=2)
+        if sweep == "grid":
+            # 80 train examples: the batch-512 cells fail
+            payload["grid"] = {"batch_size": [8, 512],
+                               "alpha": [0.1, 0.3]}
+        serial = run("serial", 1)
+        parallel = run("parallel", 2)
+        assert multiprocessing.active_children() == []
         assert serial["rows"] == parallel["rows"]
+        if sweep == "grid":
+            assert parallel["n_failed"] == 2
+        table = f"{sweep}.csv"
+        assert (tmp_path / "serial" / table).read_bytes() == \
+            (tmp_path / "parallel" / table).read_bytes()
 
 
 class TestKfoldCommand:
@@ -362,6 +407,23 @@ class TestAblateCommand:
         row = summary["rows"][0]
         assert row["test_f1"] == solo_metrics["test"]["macro"]["f1"]
         assert row["best_val_f1"] == solo_metrics["best_val_f1"]
+
+
+class TestSweepFailure:
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("command, table", [
+        (("kfold", "-k", "3"), "kfold.csv"),
+        (("ablate",), "ablation.csv")], ids=["kfold", "ablate"])
+    def test_failing_cell_exits_2_without_table(self, tmp_path, command,
+                                                table, workers):
+        payload = small_config(str(tmp_path / "out"), max_epochs=2)
+        payload["train"]["batch_size"] = 512
+        result = invoke("--workers", workers, "--config",
+                        str(write_config(tmp_path, payload)), *command)
+        assert multiprocessing.active_children() == []
+        assert result.exit_code == 2
+        assert "smaller than one batch" in result.output
+        assert not (tmp_path / "out" / table).exists()
 
 
 class TestExportCommand:
