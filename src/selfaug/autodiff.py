@@ -21,6 +21,12 @@ with its output projection (split heads, scores, key mask, softmax,
 dropout, context, merge heads, context @ wo + bo) is one node,
 ``self_attention``, that keeps q, k, v, the probabilities and the boolean
 keep-mask and rebuilds the dropped-out probabilities and the context.
+Its queries may cover only the first rows of the sequence while keys and
+values cover all of it: the encoder's last layer passes the [CLS] row
+alone when nothing reads the others, and then that layer's output, the
+final hidden state, is [batch, 1, d].  That node and ``dropout`` (through
+``draw_shape``) draw their masks at full width and cut them, so the rng
+and the rows kept see what a full-width call would.
 The feed-forward block (linear, gelu, linear) is one node,
 ``feed_forward``, that keeps its input and the pre-activation and
 rebuilds the activation from the one tanh its derivative needs; ``gelu``
@@ -488,18 +494,29 @@ def embedding_lookup(table: Tensor, ids: Array) -> Tensor:
     return _attach(out, "embedding_lookup", (table,), apply)
 
 
-def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
+def dropout(a: Tensor, rate: float, rng: np.random.Generator,
+            draw_shape: tuple[int, ...] | None = None) -> Tensor:
     """Inverted dropout; identity (and no node) at rate 0.
 
     The node keeps the boolean keep-mask (1 byte per element) and scales
     it again on the way back, which gives the same floats as the scaled
-    mask the forward used.
+    mask the forward used.  With `draw_shape`, `a` stands for the leading
+    corner of a tensor of that shape: the mask is drawn at `draw_shape`
+    and cut to `a`'s, so the rng advances as it would for the whole
+    tensor and `a` sees the whole tensor's mask entries.
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout: rate must lie in [0, 1), got {rate}")
     if rate == 0.0:
         return a
-    keep = rng.random(a.shape) >= rate
+    if draw_shape is None:
+        keep = rng.random(a.shape) >= rate
+    else:
+        if len(draw_shape) != a.ndim or \
+                any(n > m for n, m in zip(a.shape, draw_shape)):
+            raise ShapeError(f"dropout: shape {a.shape} is not a corner "
+                             f"of draw shape {tuple(draw_shape)}")
+        keep = rng.random(draw_shape)[tuple(map(slice, a.shape))] >= rate
     out = Tensor(a.data * (keep / (1.0 - rate)))
 
     def apply(g: Array, ta: Target) -> None:
@@ -542,9 +559,16 @@ def self_attention(q: Tensor, k: Tensor, v: Tensor, wo: Tensor, bo: Tensor,
 
     Splits d into `n_heads` heads, takes softmax(q k^T * scale + key_bias)
     row-wise, applies inverted dropout at `rate` to those probabilities,
-    merges the heads of probs @ v back into a [batch, seq, d] context and
-    returns context @ wo + bo.  `key_bias` is [batch, seq], added to every
-    score of that key.
+    merges the heads of probs @ v back into a [batch, seq_q, d] context
+    and returns context @ wo + bo.  `key_bias` is [batch, seq], added to
+    every score of that key.
+
+    q may hold fewer rows than k and v: its seq_q rows are the queries of
+    the first seq_q positions, as when only the [CLS] row of a layer's
+    output is read.  The keep-mask is still drawn for the whole
+    [batch, heads, seq, seq] score matrix and cut to q's rows, so the rng
+    advances as a full call's would and every row gets the full call's
+    mask.
 
     One node stands for the chain reshape, swap_axes, matmul, scale, add,
     softmax_rows, dropout, matmul, swap_axes, reshape, linear.  It keeps
@@ -555,11 +579,15 @@ def self_attention(q: Tensor, k: Tensor, v: Tensor, wo: Tensor, bo: Tensor,
     key gradient, for one, leaves as a transposed view, as the chain's
     does.
     """
-    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
-        raise ShapeError(f"self_attention: q, k, v must share one "
-                         f"[batch, seq, d] shape, got {q.shape}, {k.shape} "
+    if k.ndim != 3 or v.shape != k.shape or q.ndim != 3 or \
+            (q.shape[0], q.shape[2]) != (k.shape[0], k.shape[2]) or \
+            q.shape[1] > k.shape[1]:
+        raise ShapeError(f"self_attention: k and v must share one "
+                         f"[batch, seq, d] shape and q be [batch, seq_q, d] "
+                         f"with seq_q <= seq, got {q.shape}, {k.shape} "
                          f"and {v.shape}")
-    b, s, d = q.shape
+    b, s, d = k.shape
+    sq = q.shape[1]
     if d % n_heads != 0:
         raise ShapeError(f"self_attention: width {d} not divisible by "
                          f"{n_heads} heads")
@@ -570,16 +598,19 @@ def self_attention(q: Tensor, k: Tensor, v: Tensor, wo: Tensor, bo: Tensor,
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"self_attention: rate must lie in [0, 1), "
                           f"got {rate}")
-    split = (b, s, n_heads, d // n_heads)
+
+    def split(x: Array) -> Array:
+        return np.swapaxes(x.reshape(b, -1, n_heads, d // n_heads), 1, 2)
 
     def merge(x: Array) -> Array:
-        return np.swapaxes(x, 1, 2).reshape(b, s, d)
+        return np.swapaxes(x, 1, 2).reshape(b, -1, d)
 
-    qh, kh, vh = (np.swapaxes(t.data.reshape(split), 1, 2) for t in (q, k, v))
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
     wod = wo.data
     y = _softmax(np.matmul(qh, _swap_last(kh)) * scale
                  + key_bias[:, None, None, :])
-    keep = None if rate == 0.0 else rng.random(y.shape) >= rate
+    keep = None if rate == 0.0 else \
+        rng.random((b, n_heads, s, s))[:, :, :sq] >= rate
     p = y if keep is None else y * (keep / (1.0 - rate))
     out = Tensor(_affine(merge(np.matmul(p, vh)), wod, bo.data))
 
@@ -589,8 +620,7 @@ def self_attention(q: Tensor, k: Tensor, v: Tensor, wo: Tensor, bo: Tensor,
         # x * 1.0 is x bit for bit, so no dropout needs no branch
         drop = 1.0 if keep is None else keep / (1.0 - rate)
         p = y * drop
-        g = _linear_grads(g, merge(np.matmul(p, vh)), wod, two, tbo)
-        g = np.swapaxes(g.reshape(split), 1, 2)
+        g = split(_linear_grads(g, merge(np.matmul(p, vh)), wod, two, tbo))
         if tv is not None:
             _accum(tv, merge(np.matmul(_swap_last(p), g)))
         gs = _softmax_grad(y, np.matmul(g, _swap_last(vh)) * drop) * scale
@@ -611,10 +641,9 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor,
         raise ShapeError(f"layer_norm: gain {gain.shape} / bias {bias.shape} "
                          f"do not match feature width {d}")
     x, gd = a.data, gain.data
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
+    xhat = x - x.sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / d + eps)
+    xhat *= inv
     out = Tensor(xhat * gd + bias.data)
 
     def apply(g: Array, ta: Target | None, tgain: Target | None,
@@ -625,9 +654,9 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor,
             _accum(tbias, g.reshape(-1, d).sum(axis=0))
         if ta is not None:
             gx = g * gd
-            _accum(ta, inv * (gx - gx.mean(axis=-1, keepdims=True)
-                              - xhat * (gx * xhat).mean(axis=-1,
-                                                        keepdims=True)))
+            _accum(ta, inv * (gx - gx.sum(axis=-1, keepdims=True) / d
+                              - xhat * ((gx * xhat).sum(axis=-1,
+                                                        keepdims=True) / d)))
 
     return _attach(out, "layer_norm", (a, gain, bias), apply)
 
@@ -647,15 +676,14 @@ def batch_norm_features(a: Tensor, eps: float = 1e-5,
         raise ConfigError("batch_norm_features: batch size must be >= 2 in "
                           "training mode")
     x = a.data
-    mu = x.mean(axis=0)
-    var = x.var(axis=0)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
-    out = Tensor(xhat)
     n = x.shape[0]
+    xhat = x - x.sum(axis=0) / n
+    inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=0) / n + eps)
+    xhat *= inv
+    out = Tensor(xhat)
 
     def apply(g: Array, ta: Target) -> None:
-        _accum(ta, inv * (g - g.mean(axis=0)
+        _accum(ta, inv * (g - g.sum(axis=0) / n
                           - xhat * (g * xhat).sum(axis=0) / n))
 
     return _attach(out, "batch_norm_features", (a,), apply)

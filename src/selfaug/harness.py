@@ -163,12 +163,18 @@ def _write_run_artifacts(run_dir: Path, config: ExperimentConfig,
     return metrics
 
 
+def _check_splits(prepared: PreparedData, where: str = "") -> None:
+    """Raise a DataError naming the first empty split of `prepared`."""
+    for name in SPLIT_NAMES:
+        if not getattr(prepared, name):
+            raise DataError(f"{where}training needs a non-empty {name} "
+                            f"split")
+
+
 def _execute(config: ExperimentConfig, prepared: PreparedData,
              run_dir: Path) -> dict:
     """Train on already-prepared data and write the four artifacts."""
-    if not prepared.val or not prepared.test:
-        raise DataError("training needs non-empty validation and test "
-                        "splits")
+    _check_splits(prepared)
     model_cfg = replace(config.model, vocab_size=len(prepared.vocab),
                         head_kind=prepared.label_space.task_kind,
                         n_outputs=len(prepared.label_space.labels))
@@ -327,6 +333,8 @@ def run_kfold(config: ExperimentConfig, k: int, val_fraction: float = 0.2,
     # every fold's config keeps the sweep's out_dir
     jobs = [(config, _fold_data(config, folds, i, val_fraction, label_space),
              out_dir / f"fold{i}") for i in range(k)]
+    for i, (_, prepared, _) in enumerate(jobs):  # before the sweep's mkdir
+        _check_splits(prepared, f"fold {i}: ")
     rows = [{"fold": i, **result} for i, result in
             enumerate(_all_ok(_run_cells(out_dir, jobs, workers)))]
     stats = {}
@@ -429,7 +437,10 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
                           f"its model_config: {err}") from None
 
     pooling = config.dual.pooling if config.dual is not None else "cls"
-    tap = config.dual.tap_layer if config.dual is not None else None
+    source_layer = model_cfg.n_layers if layer == "pooled_final" \
+        else config.dual.tap_layer
+    # the top layer runs for the CLS row alone unless it is mean-pooled
+    cls_only = pooling == "cls" or source_layer != model_cfg.n_layers
     by_id = {ex.id: ex for ex in examples}
     ids: list[str] = []
     golds: list[str] = []
@@ -443,10 +454,10 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
                                       model_cfg.max_seq_len),
                          32, train=False):
         with ad.no_grad():
-            logits, hidden = model.forward(batch, train=False)
-            source = hidden[-1] if layer == "pooled_final" \
-                else hidden[tap]
-            pooled = pool(source, batch.attention_mask, pooling)
+            logits, hidden = model.forward(batch, train=False,
+                                           cls_only=cls_only)
+            pooled = pool(hidden[source_layer], batch.attention_mask,
+                          pooling)
         decisions = predict(logits.data, model_cfg.head_kind,
                             config.threshold)
         for row_id, decision, vec in zip(batch.ids, decisions,

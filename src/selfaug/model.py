@@ -5,7 +5,10 @@ The forward pass returns every intermediate hidden state H_0..H_L (H_0 is
 the embedding output), and an optional injection (j, T) replaces H_j with
 H_j + T before layer j+1 consumes it; j = n_layers sums into the final state
 just before pooling.  That additive hook is the entire coupling surface the
-dual-stream objective needs.
+dual-stream objective needs.  A forward with `cls_only` runs the last layer
+for the [CLS] position alone, so its H_L is [batch, 1, d]: the baseline
+step, evaluation, each stream of a dual step whose tap or pooled view does
+not need the rest of H_L, and export unless it mean-pools H_L.
 
 Layout is post-layer-norm: attention -> add & norm -> feed-forward ->
 add & norm.  Padding positions are masked out of every attention row, so
@@ -115,23 +118,32 @@ class EncoderLayer:
                 ("ln2_gain", self.ln2_gain), ("ln2_bias", self.ln2_bias)]
 
     def apply(self, h: Tensor, mask: np.ndarray, train: bool,
-              rng: np.random.Generator | None) -> Tensor:
+              rng: np.random.Generator | None,
+              cls_only: bool = False) -> Tensor:
+        """The layer's output for every position, or with `cls_only` for
+        position 0 alone, as [batch, 1, d].  Keys and values always come
+        from every position of `h`, and every dropout mask is drawn at
+        full width and cut to the rows kept, so the CLS row and the rng
+        end up as they would after a full-width call."""
         cfg = self.config
         rate = cfg.dropout_rate if train else 0.0
+        full = h.shape
+        rows = ad.reshape(ad.take_index(h, 0, axis=1),
+                          (full[0], 1, full[2])) if cls_only else h
         # keys at pad positions get -1e9 before softmax
-        attn = ad.self_attention(ad.linear(h, self.wq, self.bq),
+        attn = ad.self_attention(ad.linear(rows, self.wq, self.bq),
                                  ad.linear(h, self.wk, self.bk),
                                  ad.linear(h, self.wv, self.bv),
                                  self.wo, self.bo,
                                  (mask - 1.0) * MASK_OFFSET, cfg.n_heads,
                                  1.0 / math.sqrt(cfg.d_head), rate, rng)
         if rate > 0.0:
-            attn = ad.dropout(attn, rate, rng)
-        h = ad.layer_norm(ad.add(h, attn), self.ln1_gain, self.ln1_bias,
+            attn = ad.dropout(attn, rate, rng, full)
+        h = ad.layer_norm(ad.add(rows, attn), self.ln1_gain, self.ln1_bias,
                           eps=LN_EPS)
         ffn = ad.feed_forward(h, self.w1, self.b1, self.w2, self.b2)
         if rate > 0.0:
-            ffn = ad.dropout(ffn, rate, rng)
+            ffn = ad.dropout(ffn, rate, rng, full)
         return ad.layer_norm(ad.add(h, ffn), self.ln2_gain, self.ln2_bias,
                              eps=LN_EPS)
 
@@ -182,12 +194,19 @@ class EncoderModel:
     def forward(self, batch: Batch, train: bool = False,
                 injection: Injection | None = None,
                 rng: np.random.Generator | None = None,
+                cls_only: bool = False,
                 ) -> tuple[Tensor, list[Tensor]]:
         """Logits plus the full list of hidden states H_0..H_L.
 
         With injection (j, T), H_j becomes H_j + T before the next layer
         (or, at j = n_layers, before pooling); the returned list holds the
         post-injection state, which is what downstream consumers see.
+
+        With `cls_only`, the last layer computes position 0 alone, the
+        only row the classifier head reads, and H_L is [batch, 1, d]; an
+        injection at j = n_layers then adds T's position-0 row.  The
+        logits, H_L's one row and the rng's state equal a full forward's
+        up to rounding.
         """
         cfg = self.config
         ids, mask = batch.token_ids, batch.attention_mask
@@ -220,9 +239,14 @@ class EncoderModel:
             h = ad.add(h, injection[1])
         hidden = [h]
         for depth, layer in enumerate(self.layers, start=1):
-            h = layer.apply(h, mask, train, rng)
+            last = cls_only and depth == cfg.n_layers
+            h = layer.apply(h, mask, train, rng, cls_only=last)
             if injection is not None and injection[0] == depth:
-                h = ad.add(h, injection[1])
+                tap = injection[1]
+                if last:
+                    tap = ad.reshape(ad.take_index(tap, 0, axis=1),
+                                     (b, 1, cfg.d_model))
+                h = ad.add(h, tap)
             hidden.append(h)
         pooled = pool(hidden[-1], mask, "cls")
         logits = ad.linear(pooled, self.head_w, self.head_b)
@@ -303,9 +327,14 @@ def save_checkpoint(path: str | Path, meta: dict,
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a checkpoint, refusing one whose header or array table does
-    not fit the file (a truncated or foreign file) with a ConfigError."""
-    raw = Path(path).read_bytes()
+    """Read a checkpoint, refusing a file that cannot be read, or one
+    whose header or array table does not fit the file (a truncated or
+    foreign file), with a ConfigError."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as err:
+        raise ConfigError(f"{path}: cannot read the checkpoint: "
+                          f"{err.strerror or err}") from None
     if len(raw) < 16 or raw[:4] != CHECKPOINT_MAGIC:
         raise ConfigError(f"{path} is not a checkpoint file")
     version, header_len = struct.unpack("<IQ", raw[4:16])

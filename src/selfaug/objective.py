@@ -202,13 +202,20 @@ def dual_forward(model_f: EncoderModel, model_c: EncoderModel, batch: Batch,
     """
     if model_f.config.n_layers != model_c.config.n_layers:
         raise ConfigError("both streams must share the encoder depth")
-    config.validate_for(model_f.config.n_layers)
-    logits_f, hidden_f = model_f.forward(batch, train=train, rng=rng_f)
+    n_layers = model_f.config.n_layers
+    config.validate_for(n_layers)
+    # a stream's last layer runs for the CLS row alone unless the rest of
+    # its top state is read: stream one's as the tap (injected whole),
+    # the copy's when it is mean-pooled for the contrastive view
+    logits_f, hidden_f = model_f.forward(
+        batch, train=train, rng=rng_f,
+        cls_only=config.tap_layer != n_layers)
     tap = hidden_f[config.tap_layer]
     injected = tap.detach() if config.augment_gradient == "stop" else tap
     logits_c, hidden_c = model_c.forward(
         batch, train=train, injection=(config.inject_layer, injected),
-        rng=rng_c)
+        rng=rng_c, cls_only=not (config.pooling == "mean"
+                                 and config.inject_layer == n_layers))
     pooled_tap = pool(tap, batch.attention_mask, config.pooling)
     pooled_injected = pool(hidden_c[config.inject_layer],
                            batch.attention_mask, config.pooling)

@@ -233,7 +233,8 @@ def _step_losses(mode: str, model_f: EncoderModel,
                  rng_c: np.random.Generator) -> StepLosses:
     head_kind = model_f.config.head_kind
     if mode == "baseline":
-        logits, _ = model_f.forward(batch, train=True, rng=rng_f)
+        logits, _ = model_f.forward(batch, train=True, rng=rng_f,
+                                    cls_only=True)
         ce = classification_loss(logits, batch, head_kind)
         return StepLosses(ce_f=ce, ce_c=ad.tensor(0.0),
                           contrastive=ad.tensor(0.0), total=ce)
@@ -270,7 +271,7 @@ def evaluate(model: EncoderModel, split: EncodedSplit,
     golds: list = []
     for batch in batches(split, batch_size, train=False):
         with ad.no_grad():
-            logits, _ = model.forward(batch, train=False)
+            logits, _ = model.forward(batch, train=False, cls_only=True)
         preds.extend(predict(logits.data, model.config.head_kind,
                              threshold))
         golds.extend(_targets_as_decisions(batch, label_space))

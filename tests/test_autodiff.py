@@ -226,9 +226,59 @@ class TestSelfAttention:
             *(RNG.uniform(-1, 1, (2, 4, 6)) for _ in range(3)),
             RNG.uniform(-1, 1, (6, 6)), RNG.uniform(-1, 1, 6))
 
+    @pytest.mark.parametrize("rate", [0.0, 0.2])
+    @pytest.mark.parametrize("sq", [1, 3])
+    def test_fewer_query_rows_match_the_full_call(self, sq, rate):
+        # q holding the first sq positions gives the full call's first sq
+        # output rows, the gradients a loss on those rows alone sends back,
+        # and leaves the rng where the full call leaves it
+        b, s, d, n_heads = 4, 8, 16, 4
+        arrays = [RNG.normal(0.0, 1.0, (b, s, d)) for _ in range(3)]
+        arrays += [RNG.normal(0.0, 0.1, (d, d)), RNG.normal(0.0, 0.1, d)]
+        mask = _padded_mask(b, s, RNG)
+        weights = np.zeros((b, s, d))
+        weights[:, :sq] = RNG.normal(0.0, 1.0, (b, sq, d))
+        results = []
+        for rows in (s, sq):
+            params = [ad.parameter(a.copy()) for a in arrays]
+            params[0] = ad.parameter(arrays[0][:, :rows].copy())
+            rng = np.random.default_rng(7)
+            out = _attention(*params, mask, n_heads, rate, rng)
+            ad.backward(ad.sum_all(ad.mul(out,
+                                          ad.tensor(weights[:, :rows]))))
+            results.append((out.data[:, :sq], params[0].grad[:, :sq],
+                            [t.grad for t in params[1:]],
+                            rng.bit_generator.state))
+        (want, want_q, want_grads, want_rng), (got, got_q, got_grads,
+                                               got_rng) = results
+        assert got.shape == (b, sq, d)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got_q, want_q, rtol=0, atol=1e-12)
+        for name, g, w in zip(("k", "v", "wo", "bo"), got_grads, want_grads):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12,
+                                       err_msg=name)
+        assert got_rng == want_rng
+
+    @pytest.mark.parametrize("rate", [0.0, 0.2])
+    def test_gradients_with_fewer_query_rows(self, rate):
+        mask = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
+        weights = ad.tensor(RNG.uniform(-1, 1, (2, 1, 6)))
+        check_grad(lambda q, k, v, wo, bo: ad.mul(
+            _attention(q, k, v, wo, bo, mask, 2, rate,
+                       np.random.default_rng(3)), weights),
+            RNG.uniform(-1, 1, (2, 1, 6)),
+            *(RNG.uniform(-1, 1, (2, 4, 6)) for _ in range(2)),
+            RNG.uniform(-1, 1, (6, 6)), RNG.uniform(-1, 1, 6))
+
     def test_rejects_bad_shapes(self):
         x = ad.tensor(np.zeros((2, 3, 4)))
         wo, bo = ad.tensor(np.zeros((4, 4))), ad.tensor(np.zeros(4))
+        with pytest.raises(ShapeError, match="seq_q <= seq"):
+            ad.self_attention(ad.tensor(np.zeros((2, 4, 4))), x, x, wo, bo,
+                              np.zeros((2, 3)), 2, 1.0)
+        with pytest.raises(ShapeError, match="seq_q <= seq"):
+            ad.self_attention(ad.tensor(np.zeros((1, 3, 4))), x, x, wo, bo,
+                              np.zeros((2, 3)), 2, 1.0)
         with pytest.raises(ShapeError, match="divisible"):
             ad.self_attention(x, x, x, wo, bo, np.zeros((2, 3)), 3, 1.0)
         with pytest.raises(ShapeError, match=r"\(2, 4\)"):
@@ -326,6 +376,43 @@ class TestNormalizations:
         out = ad.batch_norm_features(ad.tensor(np.ones((1, 4))), train=False)
         np.testing.assert_array_equal(out.data, np.zeros((1, 4)))
 
+    @pytest.mark.parametrize("shape", [(16, 12, 32), (16, 64, 128)])
+    def test_sums_bitwise_equal_numpy_mean_and_var(self, shape):
+        # the sum-and-divide forms skip numpy's Python-level mean and var
+        # wrappers; each forward value and gradient must keep their bits
+        x = RNG.normal(0.5, 2.0, shape)
+        d = shape[-1]
+        gain, bias = RNG.uniform(0.5, 1.5, d), RNG.uniform(-0.5, 0.5, d)
+        g = RNG.normal(0.0, 1.0, shape)
+
+        mu = x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+        xhat = (x - mu) * inv
+        gx = g * gain
+        want = [xhat * gain + bias,
+                inv * (gx - gx.mean(axis=-1, keepdims=True)
+                       - xhat * (gx * xhat).mean(axis=-1, keepdims=True)),
+                (g * xhat).reshape(-1, d).sum(axis=0),
+                g.reshape(-1, d).sum(axis=0)]
+        params = [ad.parameter(a.copy()) for a in (x, gain, bias)]
+        out = ad.layer_norm(*params)
+        ad.backward(ad.sum_all(ad.mul(out, ad.tensor(g))))
+        for name, got, w in zip(("out", "x", "gain", "bias"),
+                                [out.data] + [t.grad for t in params], want):
+            np.testing.assert_array_equal(got, w, err_msg=name)
+
+        x2, g2 = x.reshape(-1, d), g.reshape(-1, d)
+        n = x2.shape[0]
+        inv = 1.0 / np.sqrt(x2.var(axis=0) + 1e-5)
+        xhat = (x2 - x2.mean(axis=0)) * inv
+        want = [xhat, inv * (g2 - g2.mean(axis=0)
+                             - xhat * (g2 * xhat).sum(axis=0) / n)]
+        t = ad.parameter(x2.copy())
+        out = ad.batch_norm_features(t)
+        ad.backward(ad.sum_all(ad.mul(out, ad.tensor(g2))))
+        np.testing.assert_array_equal(out.data, want[0])
+        np.testing.assert_array_equal(t.grad, want[1])
+
     def test_batch_norm_gradient(self):
         # weight the output: the raw column sums are identically zero, which
         # would make the probe function constant
@@ -406,6 +493,20 @@ class TestStructuralOps:
         np.testing.assert_array_equal(a, b)
         kept = a != 0.0
         np.testing.assert_allclose(a[kept], 2.0 * x.data[kept], rtol=1e-15)
+
+    def test_dropout_draw_shape_cuts_the_whole_tensors_mask(self):
+        x = ad.parameter(RNG.uniform(-1, 1, (4, 5, 6)))
+        corner = ad.reshape(ad.take_index(x, 0, axis=1), (4, 1, 6))
+        rng_full, rng_corner = (np.random.default_rng(2) for _ in range(2))
+        full = ad.dropout(x, 0.3, rng_full)
+        cut = ad.dropout(corner, 0.3, rng_corner, draw_shape=(4, 5, 6))
+        np.testing.assert_array_equal(cut.data, full.data[:, :1])
+        assert rng_corner.bit_generator.state == \
+            rng_full.bit_generator.state
+        with pytest.raises(ShapeError, match="corner"):
+            ad.dropout(x, 0.3, rng_full, draw_shape=(4, 4, 6))
+        with pytest.raises(ShapeError, match="corner"):
+            ad.dropout(x, 0.3, rng_full, draw_shape=(4, 30))
 
     def test_dropout_backward_rescales_the_boolean_mask_bitwise(self):
         x = ad.parameter(RNG.uniform(-1, 1, (50, 4)))

@@ -16,11 +16,11 @@ from click.testing import CliRunner
 
 from selfaug.cli import main
 from selfaug.config import ExperimentConfig
-from selfaug.data import load_jsonl, load_label_space
+from selfaug.data import batches, encode_split, load_jsonl, load_label_space
 from selfaug.harness import (EXPORT_LAYERS, _principal_components,
-                             run_ablation, run_grid, run_kfold,
-                             run_training)
-from selfaug.model import load_checkpoint, save_checkpoint
+                             _restored_model, prepare_data, run_ablation,
+                             run_grid, run_kfold, run_training)
+from selfaug.model import ModelConfig, load_checkpoint, pool, save_checkpoint
 
 RUN_ARTIFACTS = ("config.json", "checkpoint.bin", "epochs.jsonl",
                  "metrics.json")
@@ -377,6 +377,19 @@ class TestKfoldCommand:
         result = invoke("--config", str(cfg), "kfold", "-k", "1")
         assert result.exit_code == 2
 
+    def test_empty_inner_split_exits_2_without_directory(self, tmp_path):
+        # every fold's train split is empty at this val fraction; that is
+        # found before any fold runs, so no sweep directory is made
+        out = tmp_path / "kf"
+        cfg = write_config(tmp_path, small_config(str(out)))
+        result = invoke("--config", str(cfg), "kfold", "-k", "3",
+                        "--val-fraction", "0.999")
+        assert multiprocessing.active_children() == []
+        assert result.exit_code == 2, result.output
+        assert "fold 0: training needs a non-empty train split" in \
+            result.output
+        assert not out.exists()
+
     def test_presplit_data_rejected(self, tmp_path):
         payload = small_config(str(tmp_path / "kf"))
         payload["data"] = {
@@ -503,6 +516,51 @@ class TestExportCommand:
         assert str(bogus) in result.output
         assert not PYTHON_INTERNALS.search(result.output), result.output
         assert not (tmp_path / "exp" / "embeddings.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_checkpoint_exits_2(self, tmp_path, kind):
+        path = tmp_path / ("nonexistent.bin" if kind == "missing" else "")
+        result = invoke("--out", str(tmp_path / "exp"), "export-embeddings",
+                        "--checkpoint", str(path))
+        assert result.exit_code == 2, result.output
+        assert f"error: {path}: cannot read the checkpoint" in result.output
+        assert "Errno" not in result.output
+        assert not PYTHON_INTERNALS.search(result.output), result.output
+        assert not (tmp_path / "exp").exists()
+
+    @pytest.mark.parametrize("pooling,tap_layer", [
+        ("mean", 1), ("mean", 2), ("cls", 2)])
+    def test_export_matches_full_forward(self, tmp_path, pooling, tap_layer):
+        # export runs the top layer for the CLS row alone unless it
+        # mean-pools that layer; the vectors match a full forward's
+        out = tmp_path / "run"
+        payload = small_config(str(out))
+        payload["dual"].update(pooling=pooling, tap_layer=tap_layer)
+        cfg = write_config(tmp_path, payload)
+        assert invoke("--config", str(cfg), "train").exit_code == 0
+        meta, arrays = load_checkpoint(out / "checkpoint.bin")
+        model_cfg = ModelConfig.from_dict(meta["model_config"])
+        model = _restored_model(model_cfg, arrays)
+        prepared = prepare_data(ExperimentConfig.from_dict(payload))
+        for layer in EXPORT_LAYERS:
+            result = invoke("--out", str(tmp_path / layer),
+                            "export-embeddings", "--checkpoint",
+                            str(out / "checkpoint.bin"), "--layer", layer)
+            assert result.exit_code == 0, result.output
+            with (tmp_path / layer / "embeddings.csv").open() as fh:
+                rows = {r["id"]: r for r in csv.DictReader(fh)}
+            source = 2 if layer == "pooled_final" else tap_layer
+            for batch in batches(encode_split(
+                    prepared.test, prepared.vocab, prepared.label_space,
+                    model_cfg.max_seq_len), 32, train=False):
+                _, hidden = model.forward(batch)
+                want = pool(hidden[source], batch.attention_mask,
+                            pooling).data
+                for row_id, vec in zip(batch.ids, want):
+                    got = [float(rows[row_id][f"e{i}"])
+                           for i in range(len(vec))]
+                    np.testing.assert_allclose(got, vec, rtol=0,
+                                               atol=5.1e-7)
 
     def test_changed_label_order_exits_2(self, tmp_path):
         spec_path = tmp_path / "spec.json"

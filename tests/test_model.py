@@ -123,6 +123,65 @@ class TestForward:
             model.forward(make_batch(s=5))
 
 
+def _close(got, want):
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+class TestClsOnly:
+    @pytest.mark.parametrize("train", [False, True])
+    def test_matches_the_full_forward(self, train):
+        # with dropout on, every mask the CLS row sees is the one the full
+        # forward draws, and the rng ends in the same state
+        model = EncoderModel(small_config(n_layers=2, dropout_rate=0.2),
+                             seed=5)
+        batch = make_batch(b=3)
+        runs = []
+        for cls_only in (False, True):
+            rng = np.random.default_rng(6)
+            logits, hidden = model.forward(batch, train=train, rng=rng,
+                                           cls_only=cls_only)
+            ad.backward(ad.cross_entropy(logits, batch.targets)
+                        if train else ad.sum_all(logits))
+            grads = [t.grad.copy() for _, t in model.parameters()]
+            for _, t in model.parameters():
+                t.grad = None
+            runs.append((logits.data, hidden, grads,
+                         rng.bit_generator.state))
+        (want, full, want_grads, want_rng), (got, cls, got_grads,
+                                             got_rng) = runs
+        _close(got, want)
+        assert cls[-1].shape == (3, 1, 8)
+        _close(cls[-1].data, full[-1].data[:, :1])
+        for a, b in zip(cls[:-1], full[:-1]):
+            np.testing.assert_array_equal(a.data, b.data)
+        for (name, _), g, w in zip(model.parameters(), got_grads,
+                                   want_grads):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12,
+                                       err_msg=name)
+        assert got_rng == want_rng
+
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    def test_injection_matches_the_full_forward(self, j):
+        # at j = n_layers only the tap's CLS row is added, and a tap whose
+        # gradient flows gets the full forward's gradient back
+        model = EncoderModel(small_config(n_layers=2), seed=6)
+        batch = make_batch()
+        value = RNG.normal(0, 0.1, (2, 5, 8))
+        runs = []
+        for cls_only in (False, True):
+            tap = ad.parameter(value.copy())
+            logits, hidden = model.forward(batch, injection=(j, tap),
+                                           cls_only=cls_only)
+            ad.backward(ad.sum_all(logits))
+            runs.append((logits.data, hidden[-1].data, tap.grad))
+        (want, full, want_grad), (got, cls, got_grad) = runs
+        _close(got, want)
+        _close(cls, full[:, :1])
+        _close(got_grad, want_grad)
+        if j == 2:
+            np.testing.assert_array_equal(got_grad[:, 1:], 0.0)
+
+
 class TestPooling:
     def test_cls_takes_position_zero(self):
         h = ad.tensor(RNG.normal(0, 1, (2, 4, 3)))

@@ -12,7 +12,7 @@ import pytest
 from selfaug import autodiff as ad
 from selfaug.data import Batch
 from selfaug.errors import ConfigError, ShapeError
-from selfaug.model import EncoderModel, ModelConfig
+from selfaug.model import EncoderModel, ModelConfig, pool
 from selfaug.objective import (DualStreamConfig, ProjectionNetwork,
                                composite_loss, contrastive_loss,
                                dual_forward, project)
@@ -360,6 +360,48 @@ class TestDualForward:
         _, _, pooled_i, _ = dual_forward(model_f, model_c, batch, cfg)
         _, hidden = model_f.forward(batch)
         assert np.array_equal(pooled_i.data, hidden[2].data[:, 0, :])
+
+    @pytest.mark.parametrize("tap,inject,pooling,full_f,full_c", [
+        (1, 2, "cls", False, False),
+        (2, 0, "cls", True, False),
+        (2, 1, "mean", True, False),
+        (1, 2, "mean", False, True),
+        (2, 2, "mean", True, True),
+    ])
+    def test_streams_run_full_width_only_when_read(self, monkeypatch, tap,
+                                                   inject, pooling, full_f,
+                                                   full_c):
+        # a top state that is tapped whole, or mean-pooled for the
+        # contrastive view, comes from a full-width forward; otherwise the
+        # top layer runs for the CLS row alone.  Either way the four
+        # outputs match full forwards
+        model_f = EncoderModel(tiny_config(), seed=0)
+        model_c = EncoderModel(tiny_config(), seed=1)
+        batch = tiny_batch(batch=3)
+        mask = batch.attention_mask
+        cfg = DualStreamConfig(tap_layer=tap, inject_layer=inject,
+                               alpha=0.5, pooling=pooling,
+                               projection_dims=(8, 8, 4))
+        widths = []
+        forward = EncoderModel.forward
+
+        def spy(model, *args, **kwargs):
+            logits, hidden = forward(model, *args, **kwargs)
+            widths.append(hidden[-1].shape[1])
+            return logits, hidden
+
+        monkeypatch.setattr(EncoderModel, "forward", spy)
+        got = dual_forward(model_f, model_c, batch, cfg)
+        seq = batch.token_ids.shape[1]
+        assert widths == [seq if full_f else 1, seq if full_c else 1]
+        monkeypatch.undo()
+        logits_f, hidden_f = model_f.forward(batch)
+        logits_c, hidden_c = model_c.forward(
+            batch, injection=(inject, hidden_f[tap]))
+        want = (logits_f, logits_c, pool(hidden_f[tap], mask, pooling),
+                pool(hidden_c[inject], mask, pooling))
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g.data, w.data, rtol=0, atol=1e-12)
 
     def test_depth_mismatch_rejected(self):
         model_f = EncoderModel(tiny_config(n_layers=2), seed=0)
