@@ -143,13 +143,16 @@ def load_label_space(path: str | Path) -> LabelSpace:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as err:
         raise DataError(f"cannot read label space {path}: {err}") from err
-    if not isinstance(raw, dict) or "task_kind" not in raw or "labels" not in raw:
-        raise DataError(f"label space {path} needs 'task_kind' and 'labels'")
+    if not isinstance(raw, dict) or not isinstance(raw.get("task_kind"), str) \
+            or not isinstance(raw.get("labels"), list) \
+            or not all(isinstance(label, str) for label in raw["labels"]):
+        raise DataError(f"label space {path} needs a 'task_kind' string "
+                        f"and a 'labels' list of strings")
     return LabelSpace(task_kind=raw["task_kind"], labels=tuple(raw["labels"]))
 
 
 def load_jsonl(path: str | Path, label_space: LabelSpace) -> list[Example]:
-    """One JSON object per line with fields id, text, labels.
+    """One JSON object per line with fields id, text (a string), labels.
 
     Errors carry the 1-based line number; labels are validated against the
     label space; duplicate ids and label counts inconsistent with the task
@@ -168,9 +171,13 @@ def load_jsonl(path: str | Path, label_space: LabelSpace) -> list[Example]:
                 raw = json.loads(line)
             except json.JSONDecodeError as err:
                 raise DataError(f"{path}:{lineno}: invalid JSON: {err.msg}") from err
+            if not isinstance(raw, dict):
+                raise DataError(f"{path}:{lineno}: expected a JSON object")
             for key in ("id", "text", "labels"):
                 if key not in raw:
                     raise DataError(f"{path}:{lineno}: missing field {key!r}")
+            if not isinstance(raw["text"], str):
+                raise DataError(f"{path}:{lineno}: 'text' must be a string")
             labels = raw["labels"]
             if not isinstance(labels, list) or not labels:
                 raise DataError(f"{path}:{lineno}: 'labels' must be a "
@@ -187,7 +194,7 @@ def load_jsonl(path: str | Path, label_space: LabelSpace) -> list[Example]:
             if ex_id in seen:
                 raise DataError(f"{path}:{lineno}: duplicate id {ex_id!r}")
             seen.add(ex_id)
-            examples.append(Example(id=ex_id, text=str(raw["text"]),
+            examples.append(Example(id=ex_id, text=raw["text"],
                                     labels=tuple(labels)))
     return examples
 

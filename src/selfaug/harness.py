@@ -53,8 +53,7 @@ ABLATION_CSV_COLUMNS = ("row", "mode", *METRIC_COLUMNS)
 CSV_FLOAT_COLUMNS = frozenset({"alpha", "best_val_f1", "test_precision",
                                "test_recall", "test_f1"})
 # the checkpoint meta keys export_embeddings reads, with their JSON types
-CHECKPOINT_META = {"experiment": dict, "model_config": dict,
-                   "label_space": dict, "vocab": list}
+CHECKPOINT_META = {"experiment": dict, "label_space": dict, "vocab": list}
 
 
 @dataclass
@@ -101,6 +100,14 @@ def prepare_data(config: ExperimentConfig) -> PreparedData:
                         stratified=stratified)
 
 
+def _model_config(config: ExperimentConfig,
+                  prepared: PreparedData) -> ModelConfig:
+    """The configured encoder, sized to the vocabulary and label space."""
+    return replace(config.model, vocab_size=len(prepared.vocab),
+                   head_kind=prepared.label_space.task_kind,
+                   n_outputs=len(prepared.label_space.labels))
+
+
 def _build_components(config: ExperimentConfig, model_cfg: ModelConfig):
     # stream seeds are offsets of the run seed so the two encoders and
     # the projection start from distinct but reproducible states
@@ -120,8 +127,10 @@ def _build_components(config: ExperimentConfig, model_cfg: ModelConfig):
 def _restored_model(model_cfg: ModelConfig,
                     state: dict[str, np.ndarray]) -> EncoderModel:
     model = EncoderModel(model_cfg, seed=0)
+    # older files' key biases: softmax cancels the per-row shift they add
     model.load_state({name[2:]: arr for name, arr in state.items()
-                      if name.startswith("f.")})
+                      if name.startswith("f.")
+                      and not name.endswith(".attn_k_b")})
     return model
 
 
@@ -135,7 +144,7 @@ def _json_text(payload: dict) -> str:
 
 
 def _write_run_artifacts(run_dir: Path, config: ExperimentConfig,
-                         model_cfg: ModelConfig, prepared: PreparedData,
+                         prepared: PreparedData,
                          result: TrainResult, arrays: dict[str, np.ndarray],
                          test: MetricsBundle) -> dict:
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -156,7 +165,6 @@ def _write_run_artifacts(run_dir: Path, config: ExperimentConfig,
                                           encoding="utf-8")
     # exactly what export_embeddings reads back
     meta = {"experiment": config.to_dict(),
-            "model_config": model_cfg.to_dict(),
             "label_space": _label_space_meta(prepared.label_space),
             "vocab": prepared.vocab.id_to_token}
     save_checkpoint(run_dir / "checkpoint.bin", meta, arrays)
@@ -175,9 +183,7 @@ def _execute(config: ExperimentConfig, prepared: PreparedData,
              run_dir: Path) -> dict:
     """Train on already-prepared data and write the four artifacts."""
     _check_splits(prepared)
-    model_cfg = replace(config.model, vocab_size=len(prepared.vocab),
-                        head_kind=prepared.label_space.task_kind,
-                        n_outputs=len(prepared.label_space.labels))
+    model_cfg = _model_config(config, prepared)
     train_split, val_split, test_split = (
         encode_split(examples, prepared.vocab, prepared.label_space,
                      model_cfg.max_seq_len)
@@ -192,8 +198,8 @@ def _execute(config: ExperimentConfig, prepared: PreparedData,
     test = evaluate(_restored_model(model_cfg, arrays), test_split,
                     prepared.label_space, config.train.batch_size,
                     config.threshold)
-    metrics = _write_run_artifacts(run_dir, config, model_cfg, prepared,
-                                   result, arrays, test)
+    metrics = _write_run_artifacts(run_dir, config, prepared, result,
+                                   arrays, test)
     metrics["run_dir"] = str(run_dir)
     return metrics
 
@@ -221,11 +227,9 @@ def _cell(job: Job) -> dict | Exception:
         test["recall"], test["f1"])))
 
 
-def _run_cells(out_dir: Path, jobs: list[Job],
-               workers: int) -> list[dict | Exception]:
+def _run_cells(jobs: list[Job], workers: int) -> list[dict | Exception]:
     """Every cell's result, in job order.  One worker runs the cells in
     this process; more run them in a pool that is joined before return."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     if workers <= 1:
         return [_cell(job) for job in jobs]
     with ProcessPoolExecutor(min(workers, len(jobs))) as pool_:
@@ -250,6 +254,7 @@ def _write_tables(out_dir: Path, name: str, summary: dict,
                   columns: tuple[str, ...], rows: list[dict]) -> None:
     """`<name>.json` holds the summary; `<name>.csv` one line per row
     dict, where a missing or None value is an empty cell."""
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / f"{name}.json").write_text(_json_text(summary),
                                           encoding="utf-8")
     with (out_dir / f"{name}.csv").open("w", encoding="utf-8",
@@ -280,7 +285,7 @@ def run_grid(config: ExperimentConfig, workers: int = 1) -> dict:
              prepared, run_dir) for cell, run_dir in zip(cells, run_dirs)]
     rows = []
     for i, (cell, result) in enumerate(
-            zip(cells, _run_cells(out_dir, jobs, workers))):
+            zip(cells, _run_cells(jobs, workers))):
         if isinstance(result, Exception):
             rows.append({"cell": i, **cell, "status": "failed",
                          "error": str(result),
@@ -333,10 +338,10 @@ def run_kfold(config: ExperimentConfig, k: int, val_fraction: float = 0.2,
     # every fold's config keeps the sweep's out_dir
     jobs = [(config, _fold_data(config, folds, i, val_fraction, label_space),
              out_dir / f"fold{i}") for i in range(k)]
-    for i, (_, prepared, _) in enumerate(jobs):  # before the sweep's mkdir
+    for i, (_, prepared, _) in enumerate(jobs):  # before any fold runs
         _check_splits(prepared, f"fold {i}: ")
     rows = [{"fold": i, **result} for i, result in
-            enumerate(_all_ok(_run_cells(out_dir, jobs, workers)))]
+            enumerate(_all_ok(_run_cells(jobs, workers)))]
     stats = {}
     for metric in ("test_precision", "test_recall", "test_f1"):
         values = np.array([row[metric] for row in rows])
@@ -365,7 +370,7 @@ def run_ablation(config: ExperimentConfig, workers: int = 1) -> dict:
              prepared, out_dir / mode) for _, mode in ABLATION_ROWS]
     rows = [{"row": row_name, "mode": mode, **result}
             for (row_name, mode), result in
-            zip(ABLATION_ROWS, _all_ok(_run_cells(out_dir, jobs, workers)))]
+            zip(ABLATION_ROWS, _all_ok(_run_cells(jobs, workers)))]
     _write_tables(out_dir, "ablation", {"rows": rows}, ABLATION_CSV_COLUMNS,
                   rows)
     return {"rows": rows}
@@ -413,7 +418,6 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
                               f"{key!r} or holds the wrong type there")
     try:
         config = ExperimentConfig.from_dict(meta["experiment"])
-        model_cfg = ModelConfig.from_dict(meta["model_config"])
     except ConfigError as err:
         raise ConfigError(f"{checkpoint_path}: checkpoint meta: "
                           f"{err}") from None
@@ -430,25 +434,24 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
     examples = getattr(prepared, split)
     if not examples:
         raise DataError(f"{split} split is empty")
+    model_cfg = _model_config(config, prepared)
     try:
         model = _restored_model(model_cfg, arrays)
     except (ConfigError, ShapeError) as err:
         raise ConfigError(f"{checkpoint_path}: checkpoint arrays do not fit "
-                          f"its model_config: {err}") from None
+                          f"its experiment's model: {err}") from None
 
     pooling = config.dual.pooling if config.dual is not None else "cls"
     source_layer = model_cfg.n_layers if layer == "pooled_final" \
         else config.dual.tap_layer
     # the top layer runs for the CLS row alone unless it is mean-pooled
     cls_only = pooling == "cls" or source_layer != model_cfg.n_layers
-    by_id = {ex.id: ex for ex in examples}
-    ids: list[str] = []
-    golds: list[str] = []
     predicted: list[str] = []
     vectors: list[np.ndarray] = []
     labels = list(prepared.label_space.labels)
-    # only the batch stream holds the encoded split, so it is freed
-    # before the embeddings are stacked
+    # evaluation batches keep the split's order, so row i is examples[i].
+    # Only the batch stream holds the encoded split, so it is freed before
+    # the embeddings are stacked
     for batch in batches(encode_split(examples, prepared.vocab,
                                       prepared.label_space,
                                       model_cfg.max_seq_len),
@@ -458,15 +461,11 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
                                            cls_only=cls_only)
             pooled = pool(hidden[source_layer], batch.attention_mask,
                           pooling)
-        decisions = predict(logits.data, model_cfg.head_kind,
-                            config.threshold)
-        for row_id, decision, vec in zip(batch.ids, decisions,
-                                         pooled.data):
-            ids.append(row_id)
-            golds.append("|".join(by_id[row_id].labels))
-            predicted.append(_label_names(decision, labels))
-            vectors.append(np.asarray(vec))
-    embeddings = np.stack(vectors)
+        predicted.extend(_label_names(decision, labels) for decision in
+                         predict(logits.data, model_cfg.head_kind,
+                                 config.threshold))
+        vectors.append(pooled.data)
+    embeddings = np.concatenate(vectors)
     pcs = _principal_components(embeddings)
 
     out_csv = Path(out_csv)
@@ -478,18 +477,18 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
     with out_csv.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        pc_rows = pcs if pcs is not None else np.empty((len(ids), 0))
-        for row_id, gold, pred, vec, pc in zip(ids, golds, predicted,
-                                               embeddings, pc_rows):
+        pc_rows = pcs if pcs is not None else np.empty((len(examples), 0))
+        for ex, pred, vec, pc in zip(examples, predicted, embeddings,
+                                     pc_rows):
             # one row at a time through tolist(): Python floats format
             # faster than numpy scalars, to the same strings, and a whole
             # matrix of them would outweigh the matrix.  pcs get wider
             # precision: the zero-mean property of the projections should
             # survive the round trip through text
-            writer.writerow([row_id, gold, pred]
+            writer.writerow([ex.id, "|".join(ex.labels), pred]
                             + [f"{x:.6f}" for x in vec.tolist()]
                             + [f"{x:.12g}" for x in pc.tolist()])
-    return len(ids)
+    return len(examples)
 
 
 def generate_corpus(spec_path: str | Path, seed: int,
@@ -500,9 +499,7 @@ def generate_corpus(spec_path: str | Path, seed: int,
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     write_jsonl(out_path, examples)
-    space = spec.label_space()
     space_path = out_path.with_name(out_path.stem + ".labels.json")
-    space_path.write_text(_json_text({"task_kind": space.task_kind,
-                                      "labels": list(space.labels)}),
+    space_path.write_text(_json_text(_label_space_meta(spec.label_space())),
                           encoding="utf-8")
     return out_path, space_path

@@ -87,7 +87,8 @@ class ModelConfig(Schema):
 
 class EncoderLayer:
     """One block: multi-head self-attention and a gelu feed-forward, each
-    with residual connection and post-layer-norm."""
+    with residual connection and post-layer-norm.  The key projection
+    has no bias: softmax cancels the constant q . b_k adds to a row."""
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator) -> None:
         d, f = config.d_model, config.d_ff
@@ -97,7 +98,7 @@ class EncoderLayer:
             return ad.parameter(rng.normal(0.0, INIT_STD, (rows, cols)))
 
         self.wq, self.bq = w(d, d), ad.parameter(np.zeros(d))
-        self.wk, self.bk = w(d, d), ad.parameter(np.zeros(d))
+        self.wk = w(d, d)
         self.wv, self.bv = w(d, d), ad.parameter(np.zeros(d))
         self.wo, self.bo = w(d, d), ad.parameter(np.zeros(d))
         self.w1, self.b1 = w(d, f), ad.parameter(np.zeros(f))
@@ -109,7 +110,7 @@ class EncoderLayer:
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         return [("attn_q_w", self.wq), ("attn_q_b", self.bq),
-                ("attn_k_w", self.wk), ("attn_k_b", self.bk),
+                ("attn_k_w", self.wk),
                 ("attn_v_w", self.wv), ("attn_v_b", self.bv),
                 ("attn_out_w", self.wo), ("attn_out_b", self.bo),
                 ("ffn_in_w", self.w1), ("ffn_in_b", self.b1),
@@ -132,7 +133,7 @@ class EncoderLayer:
                           (full[0], 1, full[2])) if cls_only else h
         # keys at pad positions get -1e9 before softmax
         attn = ad.self_attention(ad.linear(rows, self.wq, self.bq),
-                                 ad.linear(h, self.wk, self.bk),
+                                 ad.linear(h, self.wk),
                                  ad.linear(h, self.wv, self.bv),
                                  self.wo, self.bo,
                                  (mask - 1.0) * MASK_OFFSET, cfg.n_heads,

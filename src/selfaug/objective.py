@@ -79,9 +79,10 @@ class DualStreamConfig(Schema):
 
 
 class ProjectionNetwork:
-    """Three affine layers (input -> d1 -> d2 -> d3), each followed by
+    """Three linear layers (input -> d1 -> d2 -> d3), each followed by
     parameter-free per-feature batch normalization; ReLU after the first
-    two, none after the last.
+    two, none after the last.  The layers have no bias: batch norm
+    subtracts each feature's mean, and a bias with it.
 
     Shared between both streams: the same parameters project both pooled
     batches, and gradient accumulation sums their contributions.
@@ -90,21 +91,13 @@ class ProjectionNetwork:
     def __init__(self, d_in: int, dims: tuple[int, int, int],
                  seed: int) -> None:
         self.d_in = d_in
-        self.dims = tuple(dims)
         rng = np.random.default_rng(seed)
-        sizes = [d_in, *self.dims]
-        self.weights: list[Tensor] = []
-        self.biases: list[Tensor] = []
-        for a, b in zip(sizes, sizes[1:]):
-            self.weights.append(ad.parameter(rng.normal(0.0, 0.02, (a, b))))
-            self.biases.append(ad.parameter(np.zeros(b)))
+        sizes = [d_in, *dims]
+        self.weights = [ad.parameter(rng.normal(0.0, 0.02, (a, b)))
+                        for a, b in zip(sizes, sizes[1:])]
 
     def parameters(self) -> list[tuple[str, Tensor]]:
-        out = []
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out.append((f"proj{i}_w", w))
-            out.append((f"proj{i}_b", b))
-        return out
+        return [(f"proj{i}_w", w) for i, w in enumerate(self.weights)]
 
 
 def project(net: ProjectionNetwork, pooled: Tensor,
@@ -118,8 +111,8 @@ def project(net: ProjectionNetwork, pooled: Tensor,
                           "training mode")
     h = pooled
     last = len(net.weights) - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = ad.batch_norm_features(ad.linear(h, w, b),
+    for i, w in enumerate(net.weights):
+        h = ad.batch_norm_features(ad.linear(h, w),
                                    eps=PROJECTION_BN_EPS, train=train)
         if i < last:
             h = ad.relu(h)

@@ -17,10 +17,11 @@ from click.testing import CliRunner
 from selfaug.cli import main
 from selfaug.config import ExperimentConfig
 from selfaug.data import batches, encode_split, load_jsonl, load_label_space
-from selfaug.harness import (EXPORT_LAYERS, _principal_components,
-                             _restored_model, prepare_data, run_ablation,
-                             run_grid, run_kfold, run_training)
-from selfaug.model import ModelConfig, load_checkpoint, pool, save_checkpoint
+from selfaug.harness import (EXPORT_LAYERS, _model_config,
+                             _principal_components, _restored_model,
+                             prepare_data, run_ablation, run_grid, run_kfold,
+                             run_training)
+from selfaug.model import load_checkpoint, pool, save_checkpoint
 
 RUN_ARTIFACTS = ("config.json", "checkpoint.bin", "epochs.jsonl",
                  "metrics.json")
@@ -121,7 +122,7 @@ CHECKPOINT_DAMAGE = {
         blob[:8] + struct.pack("<Q", 26) + b'{"meta": {}, "arrays": []}',
     **{f"meta without {key}": _edited_header(
         lambda h, key=key: h["meta"].pop(key))
-       for key in ("experiment", "model_config", "label_space", "vocab")},
+       for key in ("experiment", "label_space", "vocab")},
     "experiment not an object": _edited_header(
         lambda h: h["meta"].update(experiment=["data"])),
     "vocab not a list": _edited_header(
@@ -148,9 +149,9 @@ CHECKPOINT_DAMAGE = {
     "head_b shape [1]": _edited_header(
         lambda h: next(a for a in h["arrays"]
                        if a["name"] == "f.head_b").update(shape=[1])),
-    "model_config d_ff doubled": _edited_header(
-        lambda h: h["meta"]["model_config"].update(
-            d_ff=2 * h["meta"]["model_config"]["d_ff"])),
+    "experiment.model.d_ff doubled": _edited_header(
+        lambda h: h["meta"]["experiment"]["model"].update(
+            d_ff=2 * h["meta"]["experiment"]["model"]["d_ff"])),
     "f. array entry removed": _edited_header(
         lambda h: h["arrays"].remove(next(
             a for a in h["arrays"] if a["name"].startswith("f.")))),
@@ -199,6 +200,36 @@ class TestTrainCommand:
         cfg = write_config(tmp_path, payload)
         result = invoke("--config", str(cfg), "train")
         assert result.exit_code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, space, message", [
+        ("5", {}, "corpus.jsonl:2: expected a JSON object"),
+        ('{"id": "b", "text": null, "labels": ["ailment"]}', {},
+         "corpus.jsonl:2: 'text' must be a string"),
+        # a string of labels would otherwise split into one-letter labels
+        ("", {"labels": "ab"}, "labels.json needs a 'task_kind' string"),
+        ("", {"labels": ["ailment", 2]}, "labels.json needs a 'task_kind'"),
+        ("", {"task_kind": ["binary"]}, "labels.json needs a 'task_kind'")],
+        ids=["number line", "null text", "labels string", "numeric label",
+             "task_kind list"])
+    def test_malformed_data_file_exits_2(self, tmp_path, line, space,
+                                         message):
+        dataset = tmp_path / "corpus.jsonl"
+        dataset.write_text('{"id": "a", "text": "fever", "labels": '
+                           '["ailment"]}\n' + line + "\n")
+        labels = tmp_path / "labels.json"
+        labels.write_text(json.dumps({"task_kind": "binary",
+                                      "labels": ["ailment", "banter"],
+                                      **space}))
+        out = tmp_path / "run"
+        payload = small_config(str(out))
+        payload["data"] = {"dataset_path": str(dataset),
+                           "label_space_path": str(labels)}
+        result = invoke("--config", str(write_config(tmp_path, payload)),
+                        "train")
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not PYTHON_INTERNALS.search(result.output), result.output
         assert not out.exists()
 
     def test_config_flag_required(self):
@@ -299,6 +330,19 @@ class TestGridCommand:
         assert statuses == ["ok", "failed"]
         assert summary["winner"]["batch_size"] == 8
         assert "smaller than one batch" in summary["rows"][1]["error"]
+
+    def test_grid_whose_cells_all_fail_still_writes_its_tables(
+            self, tmp_path):
+        out = tmp_path / "g"
+        payload = small_config(str(out), max_epochs=2)
+        payload["grid"] = {"batch_size": [256, 512]}
+        summary = run_grid(ExperimentConfig.from_dict(payload))
+        assert summary["n_failed"] == 2 and summary["winner"] is None
+        with (out / "grid.csv").open() as fh:
+            assert [r["status"] for r in csv.DictReader(fh)] == \
+                ["failed", "failed"]
+        assert sorted(p.name for p in out.iterdir()) == \
+            ["grid.csv", "grid.json"]
 
     def test_grid_without_dual_section(self, tmp_path):
         payload = small_config(str(tmp_path / "g"), mode="baseline",
@@ -437,6 +481,7 @@ class TestSweepFailure:
         assert result.exit_code == 2
         assert "smaller than one batch" in result.output
         assert not (tmp_path / "out" / table).exists()
+        assert not (tmp_path / "out").exists()
 
 
 class TestExportCommand:
@@ -538,10 +583,11 @@ class TestExportCommand:
         payload["dual"].update(pooling=pooling, tap_layer=tap_layer)
         cfg = write_config(tmp_path, payload)
         assert invoke("--config", str(cfg), "train").exit_code == 0
-        meta, arrays = load_checkpoint(out / "checkpoint.bin")
-        model_cfg = ModelConfig.from_dict(meta["model_config"])
+        _, arrays = load_checkpoint(out / "checkpoint.bin")
+        config = ExperimentConfig.from_dict(payload)
+        prepared = prepare_data(config)
+        model_cfg = _model_config(config, prepared)
         model = _restored_model(model_cfg, arrays)
-        prepared = prepare_data(ExperimentConfig.from_dict(payload))
         for layer in EXPORT_LAYERS:
             result = invoke("--out", str(tmp_path / layer),
                             "export-embeddings", "--checkpoint",
@@ -589,12 +635,20 @@ class TestExportCommand:
     def test_checkpoint_in_the_full_training_layout_exports_the_same(
             self, tmp_path):
         # earlier checkpoints also held the copy stream, the projection,
-        # both Adam moment sets and the run summary; export reads only
-        # the f. arrays and four meta keys of either layout
+        # both Adam moment sets and the run summary, and later ones a key
+        # bias per layer and a model_config meta key; export reads only
+        # the f. arrays other than key biases, and three meta keys
         ckpt = self._trained_checkpoint(tmp_path)
         meta, arrays = load_checkpoint(ckpt)
-        full = dict(arrays)
         rng = np.random.default_rng(0)
+        keyed = dict(arrays)
+        for i in range(2):
+            keyed[f"f.layer{i}.attn_k_b"] = rng.normal(size=8)
+        config = ExperimentConfig.from_dict(meta["experiment"])
+        model_cfg = _model_config(config, prepare_data(config))
+        save_checkpoint(tmp_path / "keyed.bin",
+                        {**meta, "model_config": model_cfg.to_dict()}, keyed)
+        full = dict(arrays)
         for name, arr in arrays.items():
             full[f"c.{name[2:]}"] = rng.normal(size=arr.shape)
         for i, (a, b) in enumerate(((8, 8), (8, 8), (8, 4))):
@@ -608,14 +662,16 @@ class TestExportCommand:
         save_checkpoint(tmp_path / "full.bin", full_meta, full)
         for layer in EXPORT_LAYERS:
             for name, path in (("slim", ckpt),
-                               ("full", tmp_path / "full.bin")):
+                               ("full", tmp_path / "full.bin"),
+                               ("keyed", tmp_path / "keyed.bin")):
                 result = invoke("--out", str(tmp_path / name / layer),
                                 "export-embeddings", "--checkpoint",
                                 str(path), "--layer", layer)
                 assert result.exit_code == 0, result.output
-            assert (tmp_path / "slim" / layer / "embeddings.csv")\
-                .read_bytes() == \
-                (tmp_path / "full" / layer / "embeddings.csv").read_bytes()
+            for name in ("full", "keyed"):
+                assert (tmp_path / "slim" / layer / "embeddings.csv")\
+                    .read_bytes() == \
+                    (tmp_path / name / layer / "embeddings.csv").read_bytes()
 
 
 class TestGenSynthCommand:

@@ -3,17 +3,22 @@ early-stopping rule replayed against a brute-force oracle, and bitwise
 run determinism across all three modes.
 """
 
+from importlib import resources
+
 import numpy as np
 import pytest
 
 from selfaug import autodiff as ad
-from selfaug.data import (LabelSpace, SynthSpec, Vocabulary, build_vocab,
-                          encode_split, gen_synthetic)
+from selfaug.config import ExperimentConfig
+from selfaug.data import (LabelSpace, SynthSpec, Vocabulary, batches,
+                          build_vocab, encode_split, gen_synthetic)
 from selfaug.errors import ConfigError, DataError, DomainError
+from selfaug.harness import _build_components, _model_config, prepare_data
 from selfaug.model import EncoderModel, ModelConfig
 from selfaug.objective import DualStreamConfig, ProjectionNetwork
+from selfaug.seeding import rng_for
 from selfaug.training import (ADAM_BLOCK, Adam, EarlyStopper, TrainConfig,
-                              evaluate, train)
+                              _step_losses, evaluate, train)
 
 
 def synth_examples(count: int = 64, seed: int = 0):
@@ -344,6 +349,32 @@ class TestTrain:
         cfg = TrainConfig(max_epochs=1, patience=1, batch_size=8,
                           seed=0, mode="baseline")
         assert len(train(*parts, cfg).records) == 1
+
+
+def test_every_optimized_parameter_gets_a_gradient():
+    # one proposed step on the desk preset's first training batch, from
+    # initialization: a parameter whose gradient is rounding noise (a
+    # key bias under softmax, a bias before batch norm) learns nothing
+    config = ExperimentConfig.from_file(
+        resources.files("selfaug") / "presets" / "desk_binary.json")
+    prepared = prepare_data(config)
+    model_cfg = _model_config(config, prepared)
+    model_f, model_c, projection = _build_components(config, model_cfg)
+    split = encode_split(prepared.train, prepared.vocab,
+                         prepared.label_space, model_cfg.max_seq_len)
+    seed = config.train.seed
+    batch = next(iter(batches(split, config.train.batch_size, train=True,
+                              seed=seed + 1)))
+    named = [(f"f.{n}", t) for n, t in model_f.parameters()] + \
+        [(f"c.{n}", t) for n, t in model_c.parameters()] + \
+        [(f"proj.{n}", t) for n, t in projection.parameters()]
+    Adam(named, config.train.learning_rate)  # zeroed gradient views
+    losses = _step_losses("proposed", model_f, model_c, projection, batch,
+                          config.dual, rng_for(seed, "dropout_f", 1),
+                          rng_for(seed, "dropout_c", 1))
+    ad.backward(losses.total)
+    largest = {name: float(np.abs(t.grad).max()) for name, t in named}
+    assert {name: g for name, g in largest.items() if g <= 1e-9} == {}
 
 
 class TestEvaluate:
