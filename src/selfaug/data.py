@@ -124,10 +124,10 @@ def encode(text: str, vocab: Vocabulary,
     """
     if max_seq_len < 2:
         raise ConfigError(f"max_seq_len must be >= 2, got {max_seq_len}")
-    ids = [CLS] + [vocab.id_of(t) for t in tokenize(text)]
-    ids = ids[:max_seq_len]
+    token_id = vocab.token_to_id.get
+    ids = [CLS, *[token_id(t, UNK) for t in tokenize(text)]][:max_seq_len]
     n = len(ids)
-    out = np.full(max_seq_len, PAD, dtype=np.int64)
+    out = np.zeros(max_seq_len, dtype=np.int64)  # PAD is 0
     out[:n] = ids
     mask = np.zeros(max_seq_len, dtype=np.float64)
     mask[:n] = 1.0
@@ -148,7 +148,11 @@ def load_label_space(path: str | Path) -> LabelSpace:
             or not all(isinstance(label, str) for label in raw["labels"]):
         raise DataError(f"label space {path} needs a 'task_kind' string "
                         f"and a 'labels' list of strings")
-    return LabelSpace(task_kind=raw["task_kind"], labels=tuple(raw["labels"]))
+    try:
+        return LabelSpace(task_kind=raw["task_kind"],
+                          labels=tuple(raw["labels"]))
+    except ConfigError as err:
+        raise DataError(f"label space {path}: {err}") from None
 
 
 def load_jsonl(path: str | Path, label_space: LabelSpace) -> list[Example]:
@@ -178,6 +182,11 @@ def load_jsonl(path: str | Path, label_space: LabelSpace) -> list[Example]:
                     raise DataError(f"{path}:{lineno}: missing field {key!r}")
             if not isinstance(raw["text"], str):
                 raise DataError(f"{path}:{lineno}: 'text' must be a string")
+            # str() would turn any JSON value into an id, null into "None"
+            if isinstance(raw["id"], bool) \
+                    or not isinstance(raw["id"], (str, int)):
+                raise DataError(f"{path}:{lineno}: 'id' must be a string "
+                                f"or an integer")
             labels = raw["labels"]
             if not isinstance(labels, list) or not labels:
                 raise DataError(f"{path}:{lineno}: 'labels' must be a "

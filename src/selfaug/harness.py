@@ -23,6 +23,7 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -40,6 +41,8 @@ from .objective import ProjectionNetwork
 from .training import TrainResult, evaluate, train
 
 EXPORT_LAYERS = ("pooled_final", "tapped")
+# the export forward's time per row stops falling at about 128 rows
+EXPORT_BATCH_SIZE = 128
 SPLIT_NAMES = ("train", "val", "test")
 ABLATION_ROWS = (("Baseline", "baseline"), ("+SA", "sa_only"),
                  ("+Proposed", "proposed"))
@@ -446,16 +449,19 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
         else config.dual.tap_layer
     # the top layer runs for the CLS row alone unless it is mean-pooled
     cls_only = pooling == "cls" or source_layer != model_cfg.n_layers
-    predicted: list[str] = []
-    vectors: list[np.ndarray] = []
     labels = list(prepared.label_space.labels)
+    predicted: list[str] = []
+    embeddings = np.empty((len(examples), model_cfg.d_model))
+    start = 0
     # evaluation batches keep the split's order, so row i is examples[i].
     # Only the batch stream holds the encoded split, so it is freed before
-    # the embeddings are stacked
+    # the PCA.  A row's values depend on its batch only through the
+    # batch's padded width: the per-row products do not see the batch,
+    # and only the sums over the key axis see the padding
     for batch in batches(encode_split(examples, prepared.vocab,
                                       prepared.label_space,
                                       model_cfg.max_seq_len),
-                         32, train=False):
+                         EXPORT_BATCH_SIZE, train=False):
         with ad.no_grad():
             logits, hidden = model.forward(batch, train=False,
                                            cls_only=cls_only)
@@ -464,8 +470,8 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
         predicted.extend(_label_names(decision, labels) for decision in
                          predict(logits.data, model_cfg.head_kind,
                                  config.threshold))
-        vectors.append(pooled.data)
-    embeddings = np.concatenate(vectors)
+        embeddings[start:start + len(batch.ids)] = pooled.data
+        start += len(batch.ids)
     pcs = _principal_components(embeddings)
 
     out_csv = Path(out_csv)
@@ -474,20 +480,27 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
     header = ["id", "gold", "predicted"] + \
         [f"e{i}" for i in range(width)] + \
         (["pc1", "pc2"] if pcs is not None else [])
+    # each row takes two writes.  The text fields go through csv into
+    # `heads` with a "\r\n" terminator that is cut off again: csv's
+    # minimal quoting covers the terminator's characters, so a bare "\r"
+    # in an id is quoted and its row reads back whole.  The numbers need no
+    # quoting and take one format string, one row at a time through
+    # tolist(): the floats of a whole matrix would outweigh the matrix.
+    # pcs get wider precision: the zero-mean property of the projections
+    # should survive the round trip through text
+    numbers = ",%.6f" * width + (",%.12g" * 2 if pcs is not None else "") \
+        + "\n"
+    pc_rows = pcs if pcs is not None else np.empty((len(examples), 0))
+    heads: list[str] = []
+    text_fields = csv.writer(SimpleNamespace(write=heads.append),
+                             lineterminator="\r\n")
     with out_csv.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        pc_rows = pcs if pcs is not None else np.empty((len(examples), 0))
+        fh.write(",".join(header) + "\n")
         for ex, pred, vec, pc in zip(examples, predicted, embeddings,
                                      pc_rows):
-            # one row at a time through tolist(): Python floats format
-            # faster than numpy scalars, to the same strings, and a whole
-            # matrix of them would outweigh the matrix.  pcs get wider
-            # precision: the zero-mean property of the projections should
-            # survive the round trip through text
-            writer.writerow([ex.id, "|".join(ex.labels), pred]
-                            + [f"{x:.6f}" for x in vec.tolist()]
-                            + [f"{x:.12g}" for x in pc.tolist()])
+            text_fields.writerow((ex.id, "|".join(ex.labels), pred))
+            fh.write(heads.pop()[:-2])
+            fh.write(numbers % (*vec.tolist(), *pc.tolist()))
     return len(examples)
 
 

@@ -3,6 +3,7 @@ checks that are awkward to drive from the shell (per-cell failure
 isolation, worker parallelism)."""
 
 import csv
+import io
 import json
 import multiprocessing
 import re
@@ -17,7 +18,8 @@ from click.testing import CliRunner
 from selfaug.cli import main
 from selfaug.config import ExperimentConfig
 from selfaug.data import batches, encode_split, load_jsonl, load_label_space
-from selfaug.harness import (EXPORT_LAYERS, _model_config,
+from selfaug.harness import (EXPORT_BATCH_SIZE, EXPORT_LAYERS,
+                             _model_config,
                              _principal_components, _restored_model,
                              prepare_data, run_ablation, run_grid, run_kfold,
                              run_training)
@@ -209,9 +211,22 @@ class TestTrainCommand:
         # a string of labels would otherwise split into one-letter labels
         ("", {"labels": "ab"}, "labels.json needs a 'task_kind' string"),
         ("", {"labels": ["ailment", 2]}, "labels.json needs a 'task_kind'"),
-        ("", {"task_kind": ["binary"]}, "labels.json needs a 'task_kind'")],
+        ("", {"task_kind": ["binary"]}, "labels.json needs a 'task_kind'"),
+        ('{"id": null, "text": "x", "labels": ["ailment"]}', {},
+         "corpus.jsonl:2: 'id' must be a string or an integer"),
+        ('{"id": [1], "text": "x", "labels": ["ailment"]}', {},
+         "corpus.jsonl:2: 'id' must be a string or an integer"),
+        ('{"id": true, "text": "x", "labels": ["ailment"]}', {},
+         "corpus.jsonl:2: 'id' must be a string or an integer"),
+        ("", {"task_kind": "trinary"},
+         "labels.json: unknown task kind 'trinary'"),
+        ("", {"labels": ["ailment", "ailment"]},
+         "labels.json: label space contains duplicate labels"),
+        ("", {"labels": ["ailment", "banter", "other"]},
+         "labels.json: binary task needs exactly 2 labels, got 3")],
         ids=["number line", "null text", "labels string", "numeric label",
-             "task_kind list"])
+             "task_kind list", "null id", "list id", "bool id",
+             "unknown task kind", "duplicate labels", "binary with 3"])
     def test_malformed_data_file_exits_2(self, tmp_path, line, space,
                                          message):
         dataset = tmp_path / "corpus.jsonl"
@@ -607,6 +622,110 @@ class TestExportCommand:
                            for i in range(len(vec))]
                     np.testing.assert_allclose(got, vec, rtol=0,
                                                atol=5.1e-7)
+
+    def test_export_across_batch_boundaries(self, tmp_path):
+        # 340 test rows: two full export batches of 128 and a partial
+        # one.  The rare long figurative template gives batches of
+        # different widths, and a row's values may move only in the
+        # rounding when its export batch is wider than its batch of 32
+        out = tmp_path / "run"
+        payload = small_config(str(out), max_epochs=1)
+        payload["data"]["synth_spec"].update(
+            count=400, ambiguity=0.05, figurative_templates=[
+                "honestly this whole {kw} thing has gone on for far too "
+                "long"])
+        payload["data"]["ratios"] = [0.1, 0.05, 0.85]
+        cfg = write_config(tmp_path, payload)
+        assert invoke("--config", str(cfg), "train").exit_code == 0
+        _, arrays = load_checkpoint(out / "checkpoint.bin")
+        config = ExperimentConfig.from_dict(payload)
+        prepared = prepare_data(config)
+        model_cfg = _model_config(config, prepared)
+        model = _restored_model(model_cfg, arrays)
+        n = len(prepared.test)
+        assert n > 300 and n % EXPORT_BATCH_SIZE != 0
+        reference = list(batches(encode_split(
+            prepared.test, prepared.vocab, prepared.label_space,
+            model_cfg.max_seq_len), 32, train=False))
+        assert len({b.token_ids.shape[1] for b in reference}) > 1
+        for layer in EXPORT_LAYERS:
+            result = invoke("--out", str(tmp_path / layer),
+                            "export-embeddings", "--checkpoint",
+                            str(out / "checkpoint.bin"), "--layer", layer)
+            assert result.exit_code == 0, result.output
+            with (tmp_path / layer / "embeddings.csv").open() as fh:
+                rows = list(csv.DictReader(fh))
+            assert [r["id"] for r in rows] == \
+                [ex.id for ex in prepared.test]
+            source = 2 if layer == "pooled_final" else 1
+            start = 0
+            for batch in reference:
+                _, hidden = model.forward(batch)
+                want = pool(hidden[source], batch.attention_mask,
+                            "cls").data
+                got = [[float(row[f"e{i}"]) for i in range(want.shape[1])]
+                       for row in rows[start:start + len(want)]]
+                np.testing.assert_allclose(got, want, rtol=0, atol=5.1e-7)
+                start += len(want)
+
+    def _presplit_run(self, tmp_path, test_ids: list) -> Path:
+        labels = ["head, ache", "banter"]
+        space = tmp_path / "labels.json"
+        space.write_text(json.dumps({"task_kind": "binary",
+                                     "labels": labels}))
+        payload = small_config(str(tmp_path / "run"), max_epochs=1)
+        payload["data"] = {"label_space_path": str(space)}
+        splits = {"train": [f"t{i}" for i in range(16)],
+                  "val": ["v0", "v1"], "test": test_ids}
+        for name, ids in splits.items():
+            path = tmp_path / f"{name}.jsonl"
+            path.write_text("".join(
+                json.dumps({"id": ex_id, "labels": [labels[i % 2]],
+                            "text": ["fever all night", "a prank"][i % 2]})
+                + "\n" for i, ex_id in enumerate(ids)))
+            payload["data"][f"{name}_path"] = str(path)
+        cfg = write_config(tmp_path, payload)
+        assert invoke("--config", str(cfg), "train").exit_code == 0
+        return tmp_path / "run" / "checkpoint.bin"
+
+    def test_csv_quoting_round_trips(self, tmp_path):
+        test_ids = ["plain", "com,ma", 'quo"te', "new\nline", "car\rriage",
+                    "both\r\nends", 7]
+        ckpt = self._presplit_run(tmp_path, test_ids)
+        result = invoke("--out", str(tmp_path / "exp"), "export-embeddings",
+                        "--checkpoint", str(ckpt))
+        assert result.exit_code == 0, result.output
+        with (tmp_path / "exp" / "embeddings.csv").open(
+                encoding="utf-8", newline="") as fh:
+            text = fh.read()
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert [r[0] for r in rows[1:]] == [str(i) for i in test_ids]
+        assert [r[1] for r in rows[1:]] == ["head, ache", "banter"] * 3 \
+            + ["head, ache"]
+        assert {r[2] for r in rows[1:]} <= {"head, ache", "banter"}
+        assert rows[0][-2:] == ["pc1", "pc2"]
+        assert all(len(r) == len(rows[0]) for r in rows)
+        # each line is what the default csv.writer writes for its row, with
+        # "\n" for its "\r\n": its minimal quoting covers both characters,
+        # so a bare "\r" in an id is quoted and the row reads back whole
+        def csv_line(row):
+            buf = io.StringIO(newline="")
+            csv.writer(buf).writerow(row)
+            return buf.getvalue().removesuffix("\r\n") + "\n"
+        assert text == "".join(csv_line(row) for row in rows)
+
+    def test_single_row_split_exports_without_pcs(self, tmp_path):
+        ckpt = self._presplit_run(tmp_path, ["only"])
+        result = invoke("--out", str(tmp_path / "exp"), "export-embeddings",
+                        "--checkpoint", str(ckpt))
+        assert result.exit_code == 0, result.output
+        text = (tmp_path / "exp" / "embeddings.csv").read_text(
+            encoding="utf-8")
+        header, row = csv.reader(io.StringIO(text))
+        assert header == ["id", "gold", "predicted"] + \
+            [f"e{i}" for i in range(8)]
+        assert len(row) == len(header) and row[:2] == ["only", "head, ache"]
+        assert text.endswith(row[-1] + "\n")  # no trailing comma
 
     def test_changed_label_order_exits_2(self, tmp_path):
         spec_path = tmp_path / "spec.json"
