@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .data import SynthSpec
+from .data import SynthSpec, read_text
 from .errors import ConfigError
 from .model import ModelConfig
 from .objective import DualStreamConfig
@@ -78,10 +78,6 @@ class DataConfig(Schema):
     @property
     def presplit(self) -> bool:
         return self.train_path is not None
-
-    @property
-    def splittable(self) -> bool:
-        return not self.presplit
 
 
 @dataclass(frozen=True)
@@ -179,11 +175,8 @@ class ExperimentConfig(Schema):
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file {path} does not exist")
         try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
+            raw = json.loads(read_text(path, "config file", ConfigError))
         except json.JSONDecodeError as err:
             raise ConfigError(f"config file {path} is not valid JSON: "
                               f"{err}") from err

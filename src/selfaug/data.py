@@ -27,6 +27,9 @@ TASK_KINDS = ("binary", "multiclass", "multilabel")
 PAD, UNK, CLS = 0, 1, 2
 RESERVED_TOKENS = ("<pad>", "<unk>", "<cls>")
 
+# what a template's {kw} is formatted with when the spec is checked
+TEMPLATE_SENTINEL = "\x00kw\x00"
+
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]+", re.UNICODE)
 
 
@@ -138,11 +141,29 @@ def encode(text: str, vocab: Vocabulary,
 # dataset files
 
 
+def read_text(path: str | Path, what: str,
+              error: type[ValueError]) -> str:
+    """The UTF-8 text of the file at `path`.  A file that is missing,
+    unreadable (a directory, say) or not UTF-8 raises `error`, naming the
+    file as `what` and `path`."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise error(f"{what} {path} does not exist") from None
+    except OSError as err:
+        raise error(f"cannot read {what} {path}: "
+                    f"{err.strerror or err}") from None
+    except UnicodeDecodeError as err:
+        raise error(f"{what} {path} is not UTF-8 text: byte {err.start} "
+                    f"does not decode") from None
+
+
 def load_label_space(path: str | Path) -> LabelSpace:
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as err:
-        raise DataError(f"cannot read label space {path}: {err}") from err
+        raw = json.loads(read_text(path, "label space", DataError))
+    except json.JSONDecodeError as err:
+        raise DataError(f"label space {path} is not valid JSON: "
+                        f"{err}") from None
     if not isinstance(raw, dict) or not isinstance(raw.get("task_kind"), str) \
             or not isinstance(raw.get("labels"), list) \
             or not all(isinstance(label, str) for label in raw["labels"]):
@@ -162,49 +183,48 @@ def load_jsonl(path: str | Path, label_space: LabelSpace) -> list[Example]:
     label space; duplicate ids and label counts inconsistent with the task
     kind are rejected.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"dataset file not found: {path}")
+    text = read_text(path, "dataset file", DataError)
     examples: list[Example] = []
     seen: set[str] = set()
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise DataError(f"{path}:{lineno}: invalid JSON: {err.msg}") from err
-            if not isinstance(raw, dict):
-                raise DataError(f"{path}:{lineno}: expected a JSON object")
-            for key in ("id", "text", "labels"):
-                if key not in raw:
-                    raise DataError(f"{path}:{lineno}: missing field {key!r}")
-            if not isinstance(raw["text"], str):
-                raise DataError(f"{path}:{lineno}: 'text' must be a string")
-            # str() would turn any JSON value into an id, null into "None"
-            if isinstance(raw["id"], bool) \
-                    or not isinstance(raw["id"], (str, int)):
-                raise DataError(f"{path}:{lineno}: 'id' must be a string "
-                                f"or an integer")
-            labels = raw["labels"]
-            if not isinstance(labels, list) or not labels:
-                raise DataError(f"{path}:{lineno}: 'labels' must be a "
-                                f"non-empty list")
-            for label in labels:
-                if label not in label_space.labels:
-                    raise DataError(f"{path}:{lineno}: unknown label "
-                                    f"{label!r}")
-            if label_space.single_label and len(labels) != 1:
-                raise DataError(f"{path}:{lineno}: {label_space.task_kind} "
-                                f"task requires exactly one label, "
-                                f"got {len(labels)}")
-            ex_id = str(raw["id"])
-            if ex_id in seen:
-                raise DataError(f"{path}:{lineno}: duplicate id {ex_id!r}")
-            seen.add(ex_id)
-            examples.append(Example(id=ex_id, text=raw["text"],
-                                    labels=tuple(labels)))
+    # read_text turned every line break into "\n", as a file iteration does
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            raw = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise DataError(f"{path}:{lineno}: invalid JSON: "
+                            f"{err.msg}") from err
+        if not isinstance(raw, dict):
+            raise DataError(f"{path}:{lineno}: expected a JSON object")
+        for key in ("id", "text", "labels"):
+            if key not in raw:
+                raise DataError(f"{path}:{lineno}: missing field {key!r}")
+        if not isinstance(raw["text"], str):
+            raise DataError(f"{path}:{lineno}: 'text' must be a string")
+        # str() would turn any JSON value into an id, null into "None"
+        if isinstance(raw["id"], bool) \
+                or not isinstance(raw["id"], (str, int)):
+            raise DataError(f"{path}:{lineno}: 'id' must be a string "
+                            f"or an integer")
+        labels = raw["labels"]
+        if not isinstance(labels, list) or not labels:
+            raise DataError(f"{path}:{lineno}: 'labels' must be a "
+                            f"non-empty list")
+        for label in labels:
+            if label not in label_space.labels:
+                raise DataError(f"{path}:{lineno}: unknown label "
+                                f"{label!r}")
+        if label_space.single_label and len(labels) != 1:
+            raise DataError(f"{path}:{lineno}: {label_space.task_kind} "
+                            f"task requires exactly one label, "
+                            f"got {len(labels)}")
+        ex_id = str(raw["id"])
+        if ex_id in seen:
+            raise DataError(f"{path}:{lineno}: duplicate id {ex_id!r}")
+        seen.add(ex_id)
+        examples.append(Example(id=ex_id, text=raw["text"],
+                                labels=tuple(labels)))
     return examples
 
 
@@ -444,8 +464,7 @@ class SynthSpec(Schema):
     count: int
 
     def __post_init__(self) -> None:
-        if self.task_kind not in TASK_KINDS:
-            raise ConfigError(f"unknown task kind {self.task_kind!r}")
+        self.label_space()  # the task kind and the class list
         if not 0.0 <= self.ambiguity <= 1.0:
             raise ConfigError(f"ambiguity must lie in [0, 1], "
                               f"got {self.ambiguity}")
@@ -454,14 +473,26 @@ class SynthSpec(Schema):
         for cls in self.classes:
             if not self.keywords.get(cls):
                 raise ConfigError(f"class {cls!r} has an empty keyword list")
+        for cls in self.keywords:
+            if cls not in self.classes:
+                raise ConfigError(f"keywords name {cls!r}, which is not "
+                                  f"one of the classes")
         for pool_name, pool in (("literal", self.literal_templates),
                                 ("figurative", self.figurative_templates)):
             if not pool:
                 raise ConfigError(f"{pool_name} template pool is empty")
             for tpl in pool:
-                if "{kw}" not in tpl:
-                    raise ConfigError(f"template {tpl!r} lacks a "
-                                      f"{{kw}} placeholder")
+                # a template is formatted as _sentence formats it; the
+                # sentinel must come out whole, so "{{kw}}" is refused
+                try:
+                    embeds = TEMPLATE_SENTINEL in tpl.format(
+                        kw=TEMPLATE_SENTINEL)
+                except (AttributeError, IndexError, KeyError, ValueError):
+                    embeds = False
+                if not embeds:
+                    raise ConfigError(f"template {tpl!r} must hold a "
+                                      f"{{kw}} placeholder, no other field "
+                                      f"and no lone brace")
 
     def label_space(self) -> LabelSpace:
         return LabelSpace(task_kind=self.task_kind, labels=self.classes)
@@ -469,9 +500,10 @@ class SynthSpec(Schema):
 
 def load_synth_spec(path: str | Path) -> SynthSpec:
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as err:
-        raise DataError(f"cannot read synthetic spec {path}: {err}") from err
+        raw = json.loads(read_text(path, "synthetic spec", DataError))
+    except json.JSONDecodeError as err:
+        raise DataError(f"synthetic spec {path} is not valid JSON: "
+                        f"{err}") from None
     return SynthSpec.from_dict(raw)
 
 

@@ -22,6 +22,7 @@ import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import compress
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -332,7 +333,7 @@ def run_kfold(config: ExperimentConfig, k: int, val_fraction: float = 0.2,
         raise ConfigError("k must be at least 2")
     if not 0.0 < val_fraction < 1.0:
         raise ConfigError("val_fraction must lie in (0, 1)")
-    if not config.data.splittable:
+    if config.data.presplit:
         raise ConfigError("k-fold needs a splittable data source, not "
                           "pre-split files")
     examples, label_space = _corpus(config)
@@ -393,12 +394,6 @@ def _principal_components(embeddings: np.ndarray) -> np.ndarray | None:
     return centered @ (top * signs * (values > 1e-12))
 
 
-def _label_names(decision, labels: list[str]) -> str:
-    if isinstance(decision, (set, frozenset)):
-        return "|".join(labels[i] for i in sorted(decision))
-    return labels[int(decision)]
-
-
 def export_embeddings(checkpoint_path: str | Path, split: str,
                       layer: str, out_csv: str | Path) -> int:
     """Write one CSV row per example: id, gold and predicted labels,
@@ -449,8 +444,8 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
         else config.dual.tap_layer
     # the top layer runs for the CLS row alone unless it is mean-pooled
     cls_only = pooling == "cls" or source_layer != model_cfg.n_layers
-    labels = list(prepared.label_space.labels)
-    predicted: list[str] = []
+    labels = prepared.label_space.labels
+    predicted = np.empty((len(examples), len(labels)), dtype=bool)
     embeddings = np.empty((len(examples), model_cfg.d_model))
     start = 0
     # evaluation batches keep the split's order, so row i is examples[i].
@@ -467,11 +462,11 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
                                            cls_only=cls_only)
             pooled = pool(hidden[source_layer], batch.attention_mask,
                           pooling)
-        predicted.extend(_label_names(decision, labels) for decision in
-                         predict(logits.data, model_cfg.head_kind,
-                                 config.threshold))
-        embeddings[start:start + len(batch.ids)] = pooled.data
-        start += len(batch.ids)
+        rows = slice(start, start + batch.size)
+        predicted[rows] = predict(logits.data, model_cfg.head_kind,
+                                  config.threshold)
+        embeddings[rows] = pooled.data
+        start += batch.size
     pcs = _principal_components(embeddings)
 
     out_csv = Path(out_csv)
@@ -496,9 +491,11 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
                              lineterminator="\r\n")
     with out_csv.open("w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for ex, pred, vec, pc in zip(examples, predicted, embeddings,
-                                     pc_rows):
-            text_fields.writerow((ex.id, "|".join(ex.labels), pred))
+        for ex, chosen, vec, pc in zip(examples, predicted, embeddings,
+                                       pc_rows):
+            text_fields.writerow((ex.id, "|".join(ex.labels),
+                                  "|".join(compress(labels,
+                                                    chosen.tolist()))))
             fh.write(heads.pop()[:-2])
             fh.write(numbers % (*vec.tolist(), *pc.tolist()))
     return len(examples)

@@ -1,45 +1,22 @@
-"""Precision/recall/F1 from confusion counts.
+"""Precision/recall/F1 from boolean decision matrices.
 
-Single-label tasks count one-vs-rest per class; multilabel tasks count every
-(example, label) decision.  Zero-denominator cases score 0 and are tallied so
-reports can flag classes that never appeared.  Macro is the headline average
-(it drives early stopping and the report tables); micro and per-class values
+Predictions and gold labels are both boolean [n, k] indicator matrices
+whose column c is labels[c]: a single-label row holds one True, a
+multilabel row one or more.  Every (example, class) cell is one decision,
+so both task kinds share one counting rule, and the per-class counts are
+column sums.  Zero-denominator cases score 0 and are tallied so reports
+can flag classes that never appeared.  Macro is the headline average (it
+drives early stopping and the report tables); micro and per-class values
 are always emitted alongside.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ShapeError
-
-Prediction = int | set[int] | frozenset[int]
-
-
-@dataclass
-class ClassCounts:
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
-    tn: int = 0
-
-
-@dataclass
-class ConfusionCounts:
-    """Per-class decision counts over a batch of predictions."""
-
-    labels: list[str]
-    per_class: list[ClassCounts]
-    n_examples: int
-    exact_matches: int
-
-    def __post_init__(self) -> None:
-        for c in self.per_class:
-            total = c.tp + c.fp + c.fn + c.tn
-            if total != self.n_examples:
-                raise ShapeError(
-                    f"confusion counts for a class sum to {total}, "
-                    f"expected {self.n_examples}")
 
 
 @dataclass
@@ -73,46 +50,6 @@ class MetricsBundle:
         }
 
 
-def _as_set(p: Prediction) -> frozenset[int]:
-    if isinstance(p, (set, frozenset)):
-        return frozenset(p)
-    return frozenset((int(p),))
-
-
-def confusion(predictions: list[Prediction], targets: list[Prediction],
-              labels: list[str]) -> ConfusionCounts:
-    """Count TP/FP/FN/TN per class.
-
-    Accepts class indices (single-label) or sets of indices (multilabel);
-    a bare index is treated as a singleton set, so both task kinds share one
-    counting rule: each (example, class) pair contributes to exactly one
-    cell.
-    """
-    if len(predictions) != len(targets):
-        raise ShapeError(f"{len(predictions)} predictions vs "
-                         f"{len(targets)} targets")
-    k = len(labels)
-    per_class = [ClassCounts() for _ in range(k)]
-    exact = 0
-    for pred, gold in zip(predictions, targets):
-        p, g = _as_set(pred), _as_set(gold)
-        if p == g:
-            exact += 1
-        for c in range(k):
-            in_p, in_g = c in p, c in g
-            counts = per_class[c]
-            if in_p and in_g:
-                counts.tp += 1
-            elif in_p:
-                counts.fp += 1
-            elif in_g:
-                counts.fn += 1
-            else:
-                counts.tn += 1
-    return ConfusionCounts(labels=list(labels), per_class=per_class,
-                           n_examples=len(predictions), exact_matches=exact)
-
-
 def prf(tp: int, fp: int, fn: int) -> tuple[float, float, float, int]:
     """P = TP/(TP+FP), R = TP/(TP+FN), F1 = 2PR/(P+R); zero denominators
     score 0.  Returns (p, r, f1, zero_division_events)."""
@@ -132,39 +69,42 @@ def prf(tp: int, fp: int, fn: int) -> tuple[float, float, float, int]:
     return p, r, f1, zero_div
 
 
-def summarize(counts: ConfusionCounts) -> MetricsBundle:
-    """Per-class, macro (unweighted mean), and micro (pooled counts) scores.
+def evaluate_predictions(predicted: np.ndarray, gold: np.ndarray,
+                         labels: list[str]) -> MetricsBundle:
+    """Per-class, macro (unweighted mean) and micro (pooled counts) scores
+    of `predicted` against `gold`, both boolean [n, len(labels)].
 
     Accuracy is the exact-match rate: fraction correct for single-label,
     subset accuracy for multilabel.  For single-label tasks the pooled FP
     and FN counts coincide, which makes micro P = R = F1 = accuracy.
     """
+    if predicted.ndim != 2 or predicted.shape != gold.shape or \
+            predicted.shape[1] != len(labels):
+        raise ShapeError(f"predictions {predicted.shape} and gold "
+                         f"{gold.shape} must both be [n, {len(labels)}]")
+    n = len(predicted)
+    # counts as Python ints, so that the scores are Python floats; the
+    # macro sums add them one class at a time, in class order
+    tps = (predicted & gold).sum(axis=0).tolist()
+    fps = (predicted & ~gold).sum(axis=0).tolist()
+    fns = (~predicted & gold).sum(axis=0).tolist()
     per_class: dict[str, Scores] = {}
     zero_divisions = 0
     macro_p = macro_r = macro_f1 = 0.0
-    pooled_tp = pooled_fp = pooled_fn = 0
-    for label, c in zip(counts.labels, counts.per_class):
-        p, r, f1, zd = prf(c.tp, c.fp, c.fn)
+    for label, tp, fp, fn in zip(labels, tps, fps, fns):
+        p, r, f1, zd = prf(tp, fp, fn)
         per_class[label] = Scores(p, r, f1)
         zero_divisions += zd
         macro_p += p
         macro_r += r
         macro_f1 += f1
-        pooled_tp += c.tp
-        pooled_fp += c.fp
-        pooled_fn += c.fn
-    k = len(counts.labels)
+    k = len(labels)
     macro = Scores(macro_p / k, macro_r / k, macro_f1 / k)
-    mp, mr, mf1, zd = prf(pooled_tp, pooled_fp, pooled_fn)
+    mp, mr, mf1, zd = prf(sum(tps), sum(fps), sum(fns))
     zero_divisions += zd
     micro = Scores(mp, mr, mf1)
-    accuracy = counts.exact_matches / counts.n_examples if counts.n_examples else 0.0
+    exact = int((predicted == gold).all(axis=1).sum())
+    accuracy = exact / n if n else 0.0
     return MetricsBundle(per_class=per_class, macro=macro, micro=micro,
-                         accuracy=accuracy, n_examples=counts.n_examples,
+                         accuracy=accuracy, n_examples=n,
                          zero_division_count=zero_divisions)
-
-
-def evaluate_predictions(predictions: list[Prediction],
-                         targets: list[Prediction],
-                         labels: list[str]) -> MetricsBundle:
-    return summarize(confusion(predictions, targets, labels))

@@ -273,25 +273,27 @@ def pool(hidden: Tensor, mask: np.ndarray, kind: str) -> Tensor:
 
 
 def predict(logits: np.ndarray, head_kind: str,
-            threshold: float = 0.5) -> list[int] | list[set[int]]:
-    """Class decisions from raw logits.
+            threshold: float = 0.5) -> np.ndarray:
+    """Class decisions from raw logits, as a boolean [n, k] matrix whose
+    column c is class c.
 
-    Single-label: argmax, ties resolving to the lower index.  Multilabel:
-    sigmoid >= threshold per class, falling back to the single best class
-    when nothing clears the bar.
+    Single-label: one True per row, at the argmax, ties resolving to the
+    lower index.  Multilabel: sigmoid >= threshold per class; a row where
+    nothing clears the bar falls back to the argmax of its probabilities.
     """
     if head_kind in ("binary", "multiclass"):
-        return [int(i) for i in np.argmax(logits, axis=-1)]
-    if head_kind == "multilabel":
-        probs = 1.0 / (1.0 + np.exp(-logits))
-        out: list[set[int]] = []
-        for row in probs:
-            chosen = {int(i) for i in np.nonzero(row >= threshold)[0]}
-            if not chosen:
-                chosen = {int(np.argmax(row))}
-            out.append(chosen)
-        return out
-    raise ConfigError(f"unknown head kind {head_kind!r}")
+        scores = logits
+        chosen = np.zeros(logits.shape, dtype=bool)
+    elif head_kind == "multilabel":
+        # the fallback reads the probabilities, not the logits: sigmoid
+        # saturates, so their argmax can fall on another column
+        scores = 1.0 / (1.0 + np.exp(-logits))
+        chosen = scores >= threshold
+    else:
+        raise ConfigError(f"unknown head kind {head_kind!r}")
+    empty = np.flatnonzero(~chosen.any(axis=1))
+    chosen[empty, scores[empty].argmax(axis=1)] = True
+    return chosen
 
 
 # ---------------------------------------------------------------------------

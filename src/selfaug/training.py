@@ -253,29 +253,25 @@ def _step_losses(mode: str, model_f: EncoderModel,
     return composite_loss(ce_f, ce_c, lc, dual_cfg.alpha)
 
 
-def _targets_as_decisions(batch: Batch,
-                          label_space: LabelSpace) -> list:
-    if label_space.single_label:
-        return [int(t) for t in batch.targets]
-    return [frozenset(int(i) for i in np.nonzero(row > 0.5)[0])
-            for row in batch.targets]
-
-
 def evaluate(model: EncoderModel, split: EncodedSplit,
              label_space: LabelSpace, batch_size: int = 32,
              threshold: float = 0.5) -> MetricsBundle:
     """Deterministic eval-mode pass over a split."""
     if not split:
         raise DataError("cannot evaluate an empty split")
-    preds: list = []
-    golds: list = []
+    k = len(label_space.labels)
+    predicted = np.empty((len(split), k), dtype=bool)
+    start = 0
+    # evaluation batches keep the split's order, so row i is example i
     for batch in batches(split, batch_size, train=False):
         with ad.no_grad():
             logits, _ = model.forward(batch, train=False, cls_only=True)
-        preds.extend(predict(logits.data, model.config.head_kind,
-                             threshold))
-        golds.extend(_targets_as_decisions(batch, label_space))
-    return evaluate_predictions(preds, golds, list(label_space.labels))
+        predicted[start:start + batch.size] = \
+            predict(logits.data, model.config.head_kind, threshold)
+        start += batch.size
+    gold = np.eye(k, dtype=bool)[split.targets] \
+        if label_space.single_label else split.targets > 0.5
+    return evaluate_predictions(predicted, gold, list(label_space.labels))
 
 
 def train(model_f: EncoderModel, model_c: EncoderModel | None,

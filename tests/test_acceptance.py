@@ -26,7 +26,7 @@ from selfaug.objective import DualStreamConfig, composite_loss, \
 from selfaug.training import EarlyStopper, TrainConfig, train
 
 from conftest import fd_grad, rel_err
-from test_metrics import oracle_bundle, random_task
+from test_metrics import indicator, oracle_bundle, random_task
 from test_model import make_batch, model_loss, randomize_parameters, \
     small_config
 
@@ -448,14 +448,16 @@ def _reference_single_stream(model, train_split, val_split, space, cfg):
             total += loss.item()
             n_batches += 1
 
-        preds: list[int] = []
+        preds: list[np.ndarray] = []
         golds: list[int] = []
         for batch in batches(val_split, cfg.batch_size, train=False):
             with ad.no_grad():
                 logits, _ = model.forward(batch)
-            preds.extend(predict(logits.data, model.config.head_kind, 0.5))
+            preds.append(predict(logits.data, model.config.head_kind, 0.5))
             golds.extend(int(t) for t in batch.targets)
-        bundle = evaluate_predictions(preds, golds, list(space.labels))
+        bundle = evaluate_predictions(np.concatenate(preds),
+                                      indicator(golds, len(space.labels)),
+                                      list(space.labels))
         rows.append((total / n_batches, bundle.macro.precision,
                      bundle.macro.recall, bundle.macro.f1))
     return rows
@@ -529,7 +531,8 @@ def test_07_metrics_match_brute_force_recount():
     for _ in range(1000):
         kind, k, preds, golds = random_task(rng)
         labels = [f"c{i}" for i in range(k)]
-        got = evaluate_predictions(preds, golds, labels)
+        got = evaluate_predictions(indicator(preds, k), indicator(golds, k),
+                                   labels)
         per, macro, micro, acc = oracle_bundle(preds, golds, k)
         for c, label in enumerate(labels):
             s = got.per_class[label]

@@ -25,6 +25,8 @@ from selfaug.harness import (EXPORT_BATCH_SIZE, EXPORT_LAYERS,
                              run_training)
 from selfaug.model import load_checkpoint, pool, save_checkpoint
 
+from test_metrics import oracle_bundle
+
 RUN_ARTIFACTS = ("config.json", "checkpoint.bin", "epochs.jsonl",
                  "metrics.json")
 
@@ -244,6 +246,64 @@ class TestTrainCommand:
                         "train")
         assert result.exit_code == 2, result.output
         assert message in result.output
+        assert not PYTHON_INTERNALS.search(result.output), result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target, damage", [
+        ("config", "directory"), ("config", "latin-1"),
+        ("dataset", "directory"), ("dataset", "latin-1"),
+        ("synth spec", "latin-1"), ("label space", "latin-1")])
+    def test_unreadable_input_file_exits_2(self, tmp_path, target, damage):
+        files = {"dataset": tmp_path / "corpus.jsonl",
+                 "label space": tmp_path / "labels.json",
+                 "synth spec": tmp_path / "spec.json"}
+        files["dataset"].write_text('{"id": "a", "text": "fever", '
+                                    '"labels": ["ailment"]}\n')
+        files["label space"].write_text(json.dumps(
+            {"task_kind": "binary", "labels": ["ailment", "banter"]}))
+        out = tmp_path / "run"
+        payload = small_config(str(out))
+        files["synth spec"].write_text(json.dumps(
+            payload["data"].pop("synth_spec")))
+        payload["data"] = {"synth_spec_path": str(files["synth spec"])} \
+            if target == "synth spec" else \
+            {"dataset_path": str(files["dataset"]),
+             "label_space_path": str(files["label space"])}
+        files["config"] = write_config(tmp_path, payload)
+        path = files[target]
+        if damage == "directory":
+            path.unlink()
+            path.mkdir()
+        else:  # a Latin-1 "\u00e9" is no UTF-8 byte sequence
+            path.write_bytes(b"\xe9" + path.read_bytes())
+        result = invoke("--config", str(files["config"]), "train")
+        assert result.exit_code == 2, result.output
+        assert str(path) in result.output
+        assert "Errno" not in result.output and "codec" not in result.output
+        assert not PYTHON_INTERNALS.search(result.output), result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"classes": []}, "binary task needs exactly 2 labels, got 0"),
+        ({"literal_templates": ["{kw} and {other}"]},
+         "template '{kw} and {other}' must hold a {kw} placeholder"),
+        ({"literal_templates": ["{kw} {"]},
+         "template '{kw} {' must hold a {kw} placeholder"),
+        ({"figurative_templates": ["{{kw}}"]},
+         "template '{{kw}}' must hold a {kw} placeholder"),
+        ({"keywords": {"ailment": ["fever"], "banter": ["meme"],
+                       "errand": ["laundry"]}},
+         "keywords name 'errand', which is not one of the classes")],
+        ids=["no classes", "unknown field", "lone brace", "escaped kw",
+             "unknown keyword class"])
+    def test_malformed_synth_spec_exits_2(self, tmp_path, edit, message):
+        out = tmp_path / "run"
+        payload = small_config(str(out))
+        payload["data"]["synth_spec"].update(edit)
+        result = invoke("--config", str(write_config(tmp_path, payload)),
+                        "train")
+        assert result.exit_code == 2, result.output
+        assert f"error: data.synth_spec: {message}" in result.output
         assert not PYTHON_INTERNALS.search(result.output), result.output
         assert not out.exists()
 
@@ -522,6 +582,50 @@ class TestExportCommand:
         assert abs(pc1.mean()) < 1e-9
         assert abs(pc2.mean()) < 1e-9
         assert pc1.var() >= pc2.var()
+
+    @pytest.mark.parametrize("task", ["desk preset", "multilabel"])
+    def test_export_recounts_to_the_test_metrics(self, tmp_path, task):
+        # the exported gold and predicted columns of the test split are
+        # the decisions metrics.json scored
+        out = tmp_path / "run"
+        preset = resources.files("selfaug") / "presets" / "desk_binary.json"
+        payload = json.loads(preset.read_text(encoding="utf-8"))
+        payload["out_dir"] = str(out)
+        if task == "multilabel":
+            # three epochs leave one- and many-label predictions, right
+            # and wrong ones, so the recount is no tautology
+            payload["data"]["synth_spec"].update(
+                task_kind="multilabel", count=300,
+                classes=["ailment", "banter", "errand"],
+                keywords={"ailment": ["fever", "nausea"],
+                          "banter": ["meme", "prank"],
+                          "errand": ["laundry", "grocery"]})
+            payload["train"].update(mode="baseline", learning_rate=0.005,
+                                    max_epochs=3, patience=3)
+        cfg = write_config(tmp_path, payload)
+        assert invoke("--config", str(cfg), "train").exit_code == 0
+        result = invoke("--out", str(tmp_path / "exp"), "export-embeddings",
+                        "--checkpoint", str(out / "checkpoint.bin"),
+                        "--split", "test", "--layer", "pooled_final")
+        assert result.exit_code == 0, result.output
+        labels = payload["data"]["synth_spec"]["classes"]
+        with (tmp_path / "exp" / "embeddings.csv").open(
+                encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+
+        def decisions(column):
+            return [{labels.index(name) for name in row[column].split("|")}
+                    for row in rows]
+        _, macro, _, accuracy = oracle_bundle(
+            decisions("predicted"), decisions("gold"), len(labels))
+        test = json.loads((out / "metrics.json").read_text())["test"]
+        assert test["n_examples"] == len(rows)
+        assert abs(test["macro"]["f1"] - macro[2]) <= 5e-7
+        assert abs(test["accuracy"] - accuracy) <= 5e-7
+        if task == "multilabel":
+            assert test["macro"]["f1"] < 1.0
+            assert {"banter", "ailment|banter|errand"} <= \
+                {row["predicted"] for row in rows}
 
     def test_pcs_match_eigh_when_top_eigenvalues_are_close(self):
         # sample covariance with eigenvalues exactly (1.0, 0.96, ...) in a

@@ -204,15 +204,31 @@ class TestPooling:
 
 class TestPredict:
     def test_argmax_tie_takes_lower_index(self):
-        assert predict(np.array([[1.0, 1.0, 0.5]]), "multiclass") == [0]
+        np.testing.assert_array_equal(
+            predict(np.array([[1.0, 1.0, 0.5]]), "multiclass"),
+            [[True, False, False]])
 
     def test_multilabel_threshold(self):
         logits = np.array([[2.0, -2.0, 0.1]])
-        assert predict(logits, "multilabel", threshold=0.5) == [{0, 2}]
+        np.testing.assert_array_equal(
+            predict(logits, "multilabel", threshold=0.5),
+            [[True, False, True]])
 
     def test_multilabel_fallback_to_best_class(self):
         logits = np.array([[-1.0, -2.0, -3.0]])
-        assert predict(logits, "multilabel", threshold=0.5) == [{0}]
+        np.testing.assert_array_equal(
+            predict(logits, "multilabel", threshold=0.5),
+            [[True, False, False]])
+
+    def test_multilabel_fallback_reads_the_probabilities(self):
+        # both sigmoids underflow to 0.0, so the probabilities tie and the
+        # lower index wins, where the logits' argmax would take column 1
+        logits = np.array([[-900.0, -800.0], [3.0, -1.0]])
+        with np.errstate(over="ignore"):
+            chosen = predict(logits, "multilabel", threshold=0.5)
+        np.testing.assert_array_equal(chosen, [[True, False],
+                                               [True, False]])
+        assert chosen.dtype == bool
 
 
 def randomize_parameters(model, rng, scale=0.3):
