@@ -33,7 +33,10 @@ rebuilds the activation from the one tanh its derivative needs; ``gelu``
 on its own keeps only its input and takes the tanh again.  On the
 benchmark's ``wide`` workload the attention node cut peak RSS by about a
 sixth, to about 360 MB, and the two rebuilt arrays, with the optimizer's
-block-sized scratch, took it to about 300 MB.
+block-sized scratch, took it to about 300 MB.  The CLS-only top layer
+took it to about 265 MB, and the training loop's dropping each step's
+graph before the next forward (with glibc told to keep freed memory) to
+about 185 MB.
 
 Everything is float64.  This library exists for verification work and the
 finite-difference checks in the test-suite need the headroom.

@@ -175,6 +175,17 @@ def _write_run_artifacts(run_dir: Path, config: ExperimentConfig,
     return metrics
 
 
+def _check_out_dir(out_dir: Path) -> None:
+    """Raise a ConfigError if `out_dir` is, or lies below, an existing
+    file, so that no work is done for a run that could not be written."""
+    for path in (out_dir, *out_dir.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigError(f"out_dir {str(out_dir)!r}: {str(path)!r} "
+                                  f"is not a directory")
+            return
+
+
 def _check_splits(prepared: PreparedData, where: str = "") -> None:
     """Raise a DataError naming the first empty split of `prepared`."""
     for name in SPLIT_NAMES:
@@ -210,6 +221,7 @@ def _execute(config: ExperimentConfig, prepared: PreparedData,
 
 def run_training(config: ExperimentConfig) -> dict:
     """One training run into config.out_dir; returns the metrics payload."""
+    _check_out_dir(Path(config.out_dir))
     prepared = prepare_data(config)  # before mkdir: bad data, no debris
     return _execute(config, prepared, Path(config.out_dir))
 
@@ -280,10 +292,11 @@ def run_grid(config: ExperimentConfig, workers: int = 1) -> dict:
     """
     if config.grid is None:
         raise ConfigError("grid command needs a grid section")
+    out_dir = Path(config.out_dir)
+    _check_out_dir(out_dir)
     # cells vary no data setting, so they share one preparation
     prepared = prepare_data(config)
     cells = config.grid.cells(config.train, config.dual)
-    out_dir = Path(config.out_dir)
     run_dirs = [out_dir / f"cell{i:03d}" for i in range(len(cells))]
     jobs = [(replace(config.with_cell(cell), out_dir=str(run_dir)),
              prepared, run_dir) for cell, run_dir in zip(cells, run_dirs)]
@@ -336,9 +349,10 @@ def run_kfold(config: ExperimentConfig, k: int, val_fraction: float = 0.2,
     if config.data.presplit:
         raise ConfigError("k-fold needs a splittable data source, not "
                           "pre-split files")
+    out_dir = Path(config.out_dir)
+    _check_out_dir(out_dir)
     examples, label_space = _corpus(config)
     folds = k_folds(examples, k, config.train.seed)
-    out_dir = Path(config.out_dir)
     # every fold's config keeps the sweep's out_dir
     jobs = [(config, _fold_data(config, folds, i, val_fraction, label_space),
              out_dir / f"fold{i}") for i in range(k)]
@@ -368,8 +382,9 @@ def run_ablation(config: ExperimentConfig, workers: int = 1) -> dict:
     written."""
     if config.dual is None:
         raise ConfigError("ablation needs a dual section")
-    prepared = prepare_data(config)  # the modes share one preparation
     out_dir = Path(config.out_dir)
+    _check_out_dir(out_dir)
+    prepared = prepare_data(config)  # the modes share one preparation
     jobs = [(config.with_overrides(mode=mode, out_dir=str(out_dir / mode)),
              prepared, out_dir / mode) for _, mode in ABLATION_ROWS]
     rows = [{"row": row_name, "mode": mode, **result}
@@ -409,6 +424,8 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
     if layer not in EXPORT_LAYERS:
         raise ConfigError(f"layer must be one of {EXPORT_LAYERS}, "
                           f"got {layer!r}")
+    out_csv = Path(out_csv)
+    _check_out_dir(out_csv.parent)
     meta, arrays = load_checkpoint(checkpoint_path)
     for key, kind in CHECKPOINT_META.items():
         if not isinstance(meta.get(key), kind):
@@ -469,7 +486,6 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
         start += batch.size
     pcs = _principal_components(embeddings)
 
-    out_csv = Path(out_csv)
     out_csv.parent.mkdir(parents=True, exist_ok=True)
     width = embeddings.shape[1]
     header = ["id", "gold", "predicted"] + \
@@ -504,9 +520,10 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
 def generate_corpus(spec_path: str | Path, seed: int,
                     out_path: str | Path) -> tuple[Path, Path]:
     """Generate a synthetic corpus file plus its label-space file."""
+    out_path = Path(out_path)
+    _check_out_dir(out_path.parent)
     spec = load_synth_spec(spec_path)
     examples = gen_synthetic(spec, seed=seed)
-    out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     write_jsonl(out_path, examples)
     space_path = out_path.with_name(out_path.stem + ".labels.json")

@@ -14,6 +14,9 @@ field of every EpochRecord except wall-clock seconds reproduces bitwise.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import platform
 import time
 from dataclasses import dataclass, field
 
@@ -39,6 +42,16 @@ ADAM_EPS = 1e-8
 # elements per block of an Adam step: six 256 KiB operands stay in a
 # 2 MiB L2 cache
 ADAM_BLOCK = 32_768
+
+# glibc's mallopt parameters (malloc.h) and the values `train` gives them
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+# glibc's ceiling for the mmap threshold on 64-bit: activations up to
+# this size come from the heap, whose freed blocks the next step reuses
+MMAP_THRESHOLD_BYTES = 32 * 2**20
+# far above one step's graph (about 80 MB on the benchmark's wide model),
+# so the heap a step frees stays in the process for the next forward
+TRIM_THRESHOLD_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -225,6 +238,29 @@ def classification_loss(logits: Tensor, batch: Batch,
     return ad.cross_entropy(logits, batch.targets)
 
 
+@functools.cache  # the settings hold for the whole process
+def _keep_freed_memory() -> None:
+    """Have glibc keep the memory a training step frees, once per process.
+
+    By default glibc serves large arrays from fresh mmaps and returns the
+    top of the heap to the kernel once enough of it is free, so every
+    step's forward faults in again the pages the last step's graph gave
+    back.  Setting either value turns off glibc's dynamic thresholds, and
+    on the benchmark's wide workload either one alone faulted in more
+    pages than neither, so the trim threshold is set only once the mmap
+    threshold is accepted.  Off glibc, or when libc or `mallopt` cannot be
+    loaded, nothing changes.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    if mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES) == 1:
+        mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
+
+
 def _step_losses(mode: str, model_f: EncoderModel,
                  model_c: EncoderModel | None,
                  projection: ProjectionNetwork | None, batch: Batch,
@@ -317,6 +353,7 @@ def train(model_f: EncoderModel, model_c: EncoderModel | None,
     if mode == "proposed":
         named += [(f"proj.{n}", t) for n, t in projection.parameters()]
     optimizer = Adam(named, train_cfg.learning_rate)
+    _keep_freed_memory()
     stopper = EarlyStopper(train_cfg.patience)
 
     records: list[EpochRecord] = []
@@ -334,15 +371,15 @@ def train(model_f: EncoderModel, model_c: EncoderModel | None,
         for batch in batches(train_split, train_cfg.batch_size, train=True,
                              seed=train_cfg.seed + epoch):
             optimizer.zero_grad()
-            # the previous step's graph, which after backward holds only
-            # what its closures read, stays alive until `losses` is rebound
-            # here: freeing it earlier lets the allocator trim the heap, and
-            # this forward then faults the same pages back in
             losses = _step_losses(mode, model_f, model_c, projection,
                                   batch, dual_cfg, rng_f, rng_c)
             ad.backward(losses.total)
             optimizer.step()
             sums += np.array(losses.as_floats())
+            # the graph goes before the next forward builds another, so
+            # only one is ever alive; `_keep_freed_memory` keeps the pages
+            # it frees in the heap, where that forward reuses them
+            del losses
             n_batches += 1
         means = sums / n_batches
         bundle = evaluate(model_f, val_split, label_space,

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from selfaug import harness
 from selfaug.cli import main
 from selfaug.config import ExperimentConfig
 from selfaug.data import batches, encode_split, load_jsonl, load_label_space
@@ -539,6 +540,41 @@ class TestAblateCommand:
         row = summary["rows"][0]
         assert row["test_f1"] == solo_metrics["test"]["macro"]["f1"]
         assert row["best_val_f1"] == solo_metrics["best_val_f1"]
+
+
+class TestOutPath:
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below"])
+    @pytest.mark.parametrize("command", [
+        ("train",), ("grid",), ("kfold", "-k", "2"), ("ablate",)],
+        ids=["train", "grid", "kfold", "ablate"])
+    def test_out_at_or_below_a_file_exits_2_before_any_work(
+            self, tmp_path, monkeypatch, command, below):
+        trained = []
+        for name in ("prepare_data", "_corpus", "train"):
+            monkeypatch.setattr(harness, name,
+                                lambda *a, name=name: trained.append(name))
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory", encoding="utf-8")
+        out = blocker / "run" if below else blocker
+        payload = small_config(str(tmp_path / "unused"))
+        payload["grid"] = {"alpha": [0.1, 0.2]}
+        result = invoke("--config", str(write_config(tmp_path, payload)),
+                        "--out", str(out), *command)
+        assert result.exit_code == 2, result.output
+        assert str(out) in result.output
+        assert "not a directory" in result.output
+        assert trained == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["exp.json", "taken"]
+        assert blocker.read_text(encoding="utf-8") == "not a directory"
+
+    def test_export_below_a_file_exits_2(self, tmp_path):
+        blocker = tmp_path / "taken"
+        blocker.write_text("", encoding="utf-8")
+        result = invoke("--out", str(blocker), "export-embeddings",
+                        "--checkpoint", str(tmp_path / "missing.bin"))
+        assert result.exit_code == 2, result.output
+        assert str(blocker) in result.output
 
 
 class TestSweepFailure:

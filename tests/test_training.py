@@ -3,12 +3,24 @@ early-stopping rule replayed against a brute-force oracle, and bitwise
 run determinism across all three modes.
 """
 
+import ctypes
+import gc
+import json
+import os
+import platform
+import shutil
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import selfaug
 from selfaug import autodiff as ad
+from selfaug import training
 from selfaug.config import ExperimentConfig
 from selfaug.data import (LabelSpace, SynthSpec, Vocabulary, batches,
                           build_vocab, encode_split, gen_synthetic)
@@ -17,8 +29,11 @@ from selfaug.harness import _build_components, _model_config, prepare_data
 from selfaug.model import EncoderModel, ModelConfig
 from selfaug.objective import DualStreamConfig, ProjectionNetwork
 from selfaug.seeding import rng_for
-from selfaug.training import (ADAM_BLOCK, Adam, EarlyStopper, TrainConfig,
-                              _step_losses, evaluate, train)
+from selfaug.training import (ADAM_BLOCK, M_MMAP_THRESHOLD,
+                              M_TRIM_THRESHOLD, MMAP_THRESHOLD_BYTES,
+                              TRIM_THRESHOLD_BYTES, Adam, EarlyStopper,
+                              TrainConfig, _keep_freed_memory, _step_losses,
+                              evaluate, train)
 
 
 def synth_examples(count: int = 64, seed: int = 0):
@@ -349,6 +364,139 @@ class TestTrain:
         cfg = TrainConfig(max_epochs=1, patience=1, batch_size=8,
                           seed=0, mode="baseline")
         assert len(train(*parts, cfg).records) == 1
+
+
+@pytest.mark.parametrize("mode", ["baseline", "proposed"])
+def test_step_graph_is_gone_before_the_next_forward(mode, monkeypatch):
+    # nodes alive before training (another test's, say) are not its graph
+    gc.collect()
+    before = [o for o in gc.get_objects() if isinstance(o, ad.Node)]
+    step_losses = training._step_losses
+    calls = []
+
+    def checked(*args):
+        if calls:
+            alive = [o.op for o in gc.get_objects()
+                     if isinstance(o, ad.Node)
+                     and not any(o is b for b in before)]
+            assert alive == [], f"step {len(calls) + 1} starts with " \
+                                f"{len(alive)} nodes alive"
+        calls.append(1)
+        return step_losses(*args)
+
+    monkeypatch.setattr(training, "_step_losses", checked)
+    train(*small_setup(mode), TrainConfig(max_epochs=2, patience=2,
+                                          batch_size=8, seed=0, mode=mode))
+    assert len(calls) == 12  # 48 training examples, 6 batches, 2 epochs
+
+
+class FakeLibc:
+    """A libc whose mallopt records its calls and returns `answer`."""
+
+    def __init__(self, answer: int) -> None:
+        self.answer = answer
+        self.calls: list[tuple[int, int]] = []
+
+    def mallopt(self, param: int, value: int) -> int:
+        self.calls.append((param, value))
+        return self.answer
+
+
+def _unloadable(name):
+    raise OSError(f"cannot load {name}")
+
+
+class TestKeepFreedMemory:
+    @pytest.fixture(autouse=True)
+    def unset_on_glibc(self, monkeypatch):
+        """The helper not yet applied, in what reads as a glibc process."""
+        monkeypatch.setattr(platform, "libc_ver", lambda: ("glibc", "2.36"))
+        _keep_freed_memory.cache_clear()
+        yield
+        _keep_freed_memory.cache_clear()
+
+    def test_unloadable_libc_is_a_no_op(self, monkeypatch):
+        monkeypatch.setattr(ctypes, "CDLL", _unloadable)
+        _keep_freed_memory()
+
+    def test_libc_without_mallopt_is_a_no_op(self, monkeypatch):
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace())
+        _keep_freed_memory()
+
+    def test_off_glibc_sets_nothing(self, monkeypatch):
+        libc = FakeLibc(1)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+        monkeypatch.setattr(platform, "libc_ver", lambda: ("", ""))
+        _keep_freed_memory()
+        assert libc.calls == []
+
+    def test_refused_mmap_threshold_leaves_the_trim_threshold(
+            self, monkeypatch):
+        libc = FakeLibc(0)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+        _keep_freed_memory()
+        assert libc.calls == [(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)]
+
+    def test_two_trainings_set_it_once(self, monkeypatch):
+        libc = FakeLibc(1)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+        for _ in range(2):
+            train(*small_setup("baseline"),
+                  TrainConfig(max_epochs=1, patience=1, batch_size=8,
+                              seed=0, mode="baseline"))
+        assert libc.calls == [(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES),
+                              (M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)]
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="mallopt is glibc's")
+    def test_glibc_accepts_both_values(self):
+        mallopt = ctypes.CDLL(None).mallopt
+        assert mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES) == 1
+        assert mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES) == 1
+
+
+# one dropout-on proposed epoch whose [16, 32, 64] activations (256 KiB)
+# glibc would serve from mmap by default, run with the allocator settings
+# as shipped or, given a second argument, with the helper a no-op
+ALLOCATOR_RUN = """
+import sys
+from selfaug import harness, training
+from selfaug.config import ExperimentConfig
+if len(sys.argv) > 2:
+    training._keep_freed_memory = lambda: None
+words = " ".join(f"w{i}" for i in range(36))
+harness.run_training(ExperimentConfig.from_dict({
+    "data": {"synth_spec": {
+        "task_kind": "binary", "classes": ["ailment", "banter"],
+        "keywords": {"ailment": ["fever", "nausea"],
+                     "banter": ["meme", "prank"]},
+        "literal_templates": ["the {kw} " + words],
+        "figurative_templates": ["pure {kw} " + words],
+        "ambiguity": 0.0, "count": 60},
+        "ratios": [0.8, 0.1, 0.1]},
+    "model": {"d_model": 64, "n_heads": 2, "n_layers": 2, "d_ff": 64,
+              "max_seq_len": 32, "dropout_rate": 0.1},
+    "dual": {"tap_layer": 1, "inject_layer": 1, "alpha": 0.2,
+             "projection_dims": [64, 64, 32]},
+    "train": {"max_epochs": 1, "patience": 1, "batch_size": 16,
+              "mode": "proposed"},
+    "out_dir": sys.argv[1]}))
+"""
+
+
+def test_allocator_settings_do_not_move_bytes(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(selfaug.__file__).parents[1])}
+    runs = {}
+    # one output path for both: the checkpoint stores the config
+    out = tmp_path / "run"
+    for name, extra in (("shipped", []), ("default", ["no-op"])):
+        subprocess.run([sys.executable, "-c", ALLOCATOR_RUN, str(out),
+                        *extra], check=True, env=env, timeout=60)
+        runs[name] = {f: (out / f).read_bytes()
+                      for f in ("metrics.json", "checkpoint.bin")}
+        shutil.rmtree(out)
+    assert json.loads(runs["shipped"]["metrics.json"])["epochs_run"] == 1
+    assert runs["shipped"] == runs["default"]
 
 
 def test_every_optimized_parameter_gets_a_gradient():
