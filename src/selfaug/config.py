@@ -140,10 +140,6 @@ class ExperimentConfig(Schema):
     def __post_init__(self) -> None:
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError("threshold must lie in (0, 1)")
-        for name in ("vocab_size", "head_kind", "n_outputs"):
-            if getattr(self.model, name) is not None:
-                raise ConfigError(f"model.{name}: set from the prepared "
-                                  "data, not in a config")
         if self.train.mode != "baseline" and self.dual is None:
             raise ConfigError(f"mode {self.train.mode!r} needs a dual "
                               "section")

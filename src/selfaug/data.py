@@ -85,15 +85,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.id_to_token)
 
-    def id_of(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK)
-
-    def decode(self, ids: Sequence[int]) -> list[str]:
-        """Content tokens for `ids`, dropping PAD and CLS; UNK maps to its
-        marker string, so decode(encode(x)) recovers the kept tokens modulo
-        UNK substitutions."""
-        return [self.id_to_token[i] for i in ids if i not in (PAD, CLS)]
-
 
 def build_vocab(examples: Sequence[Example], min_freq: int = 1,
                 max_size: int | None = None) -> Vocabulary:
@@ -180,8 +171,8 @@ def load_jsonl(path: str | Path, label_space: LabelSpace) -> list[Example]:
     """One JSON object per line with fields id, text (a string), labels.
 
     Errors carry the 1-based line number; labels are validated against the
-    label space; duplicate ids and label counts inconsistent with the task
-    kind are rejected.
+    label space; duplicate ids, a label listed twice and label counts
+    inconsistent with the task kind are rejected.
     """
     text = read_text(path, "dataset file", DataError)
     examples: list[Example] = []
@@ -211,10 +202,13 @@ def load_jsonl(path: str | Path, label_space: LabelSpace) -> list[Example]:
         if not isinstance(labels, list) or not labels:
             raise DataError(f"{path}:{lineno}: 'labels' must be a "
                             f"non-empty list")
-        for label in labels:
+        for i, label in enumerate(labels):
             if label not in label_space.labels:
                 raise DataError(f"{path}:{lineno}: unknown label "
                                 f"{label!r}")
+            if label in labels[:i]:
+                raise DataError(f"{path}:{lineno}: label {label!r} is "
+                                f"listed twice")
         if label_space.single_label and len(labels) != 1:
             raise DataError(f"{path}:{lineno}: {label_space.task_kind} "
                             f"task requires exactly one label, "

@@ -36,8 +36,8 @@ from .data import (Example, Folds, LabelSpace, Vocabulary, batches,
                    make_splits, write_jsonl)
 from .errors import ConfigError, DataError, ShapeError
 from .metrics import MetricsBundle
-from .model import (EncoderModel, ModelConfig, load_checkpoint, pool,
-                    predict, save_checkpoint)
+from .model import (EncoderModel, load_checkpoint, pool, predict,
+                    save_checkpoint)
 from .objective import ProjectionNetwork
 from .training import TrainResult, evaluate, train
 
@@ -104,33 +104,32 @@ def prepare_data(config: ExperimentConfig) -> PreparedData:
                         stratified=stratified)
 
 
-def _model_config(config: ExperimentConfig,
-                  prepared: PreparedData) -> ModelConfig:
+def _encoder(config: ExperimentConfig, prepared: PreparedData,
+             seed: int) -> EncoderModel:
     """The configured encoder, sized to the vocabulary and label space."""
-    return replace(config.model, vocab_size=len(prepared.vocab),
-                   head_kind=prepared.label_space.task_kind,
-                   n_outputs=len(prepared.label_space.labels))
+    return EncoderModel(config.model, len(prepared.vocab),
+                        len(prepared.label_space.labels), seed=seed)
 
 
-def _build_components(config: ExperimentConfig, model_cfg: ModelConfig):
+def _build_components(config: ExperimentConfig, prepared: PreparedData):
     # stream seeds are offsets of the run seed so the two encoders and
     # the projection start from distinct but reproducible states
     seed = config.train.seed
     mode = config.train.mode
-    model_f = EncoderModel(model_cfg, seed=seed)
-    model_c = EncoderModel(model_cfg, seed=seed + 1) \
+    model_f = _encoder(config, prepared, seed)
+    model_c = _encoder(config, prepared, seed + 1) \
         if mode != "baseline" else None
     projection = None
     if mode == "proposed":
-        projection = ProjectionNetwork(model_cfg.d_model,
+        projection = ProjectionNetwork(config.model.d_model,
                                        config.dual.projection_dims,
                                        seed=seed + 2)
     return model_f, model_c, projection
 
 
-def _restored_model(model_cfg: ModelConfig,
+def _restored_model(config: ExperimentConfig, prepared: PreparedData,
                     state: dict[str, np.ndarray]) -> EncoderModel:
-    model = EncoderModel(model_cfg, seed=0)
+    model = _encoder(config, prepared, seed=0)
     # older files' key biases: softmax cancels the per-row shift they add
     model.load_state({name[2:]: arr for name, arr in state.items()
                       if name.startswith("f.")
@@ -167,8 +166,12 @@ def _write_run_artifacts(run_dir: Path, config: ExperimentConfig,
                "test": test.to_dict()}
     (run_dir / "metrics.json").write_text(_json_text(metrics),
                                           encoding="utf-8")
-    # exactly what export_embeddings reads back
-    meta = {"experiment": config.to_dict(),
+    # exactly what export_embeddings reads back.  The run directory is
+    # left out, so that one config and seed give the same bytes wherever
+    # the run is written
+    experiment = {key: value for key, value in config.to_dict().items()
+                  if key != "out_dir"}
+    meta = {"experiment": experiment,
             "label_space": _label_space_meta(prepared.label_space),
             "vocab": prepared.vocab.id_to_token}
     save_checkpoint(run_dir / "checkpoint.bin", meta, arrays)
@@ -186,6 +189,14 @@ def _check_out_dir(out_dir: Path) -> None:
             return
 
 
+def _check_out_file(path: Path) -> None:
+    """Raise a ConfigError if `path` is an existing directory, or if its
+    directory could not be made (see `_check_out_dir`)."""
+    if path.is_dir():
+        raise ConfigError(f"output file {str(path)!r} is a directory")
+    _check_out_dir(path.parent)
+
+
 def _check_splits(prepared: PreparedData, where: str = "") -> None:
     """Raise a DataError naming the first empty split of `prepared`."""
     for name in SPLIT_NAMES:
@@ -198,19 +209,18 @@ def _execute(config: ExperimentConfig, prepared: PreparedData,
              run_dir: Path) -> dict:
     """Train on already-prepared data and write the four artifacts."""
     _check_splits(prepared)
-    model_cfg = _model_config(config, prepared)
     train_split, val_split, test_split = (
         encode_split(examples, prepared.vocab, prepared.label_space,
-                     model_cfg.max_seq_len)
+                     config.model.max_seq_len)
         for examples in (prepared.train, prepared.val, prepared.test))
-    model_f, model_c, projection = _build_components(config, model_cfg)
+    model_f, model_c, projection = _build_components(config, prepared)
     result = train(model_f, model_c, projection, train_split, val_split,
                    prepared.label_space, config.dual, config.train,
                    config.threshold)
     arrays = {f"f.{name}": arr for name, arr in result.state.items()}
     # validation metrics come from training's own best-epoch evaluation,
     # which saw the same parameters; only the test split is new to them
-    test = evaluate(_restored_model(model_cfg, arrays), test_split,
+    test = evaluate(_restored_model(config, prepared, arrays), test_split,
                     prepared.label_space, config.train.batch_size,
                     config.threshold)
     metrics = _write_run_artifacts(run_dir, config, prepared, result,
@@ -425,7 +435,7 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
         raise ConfigError(f"layer must be one of {EXPORT_LAYERS}, "
                           f"got {layer!r}")
     out_csv = Path(out_csv)
-    _check_out_dir(out_csv.parent)
+    _check_out_file(out_csv)
     meta, arrays = load_checkpoint(checkpoint_path)
     for key, kind in CHECKPOINT_META.items():
         if not isinstance(meta.get(key), kind):
@@ -449,21 +459,20 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
     examples = getattr(prepared, split)
     if not examples:
         raise DataError(f"{split} split is empty")
-    model_cfg = _model_config(config, prepared)
     try:
-        model = _restored_model(model_cfg, arrays)
+        model = _restored_model(config, prepared, arrays)
     except (ConfigError, ShapeError) as err:
         raise ConfigError(f"{checkpoint_path}: checkpoint arrays do not fit "
                           f"its experiment's model: {err}") from None
 
     pooling = config.dual.pooling if config.dual is not None else "cls"
-    source_layer = model_cfg.n_layers if layer == "pooled_final" \
+    source_layer = config.model.n_layers if layer == "pooled_final" \
         else config.dual.tap_layer
     # the top layer runs for the CLS row alone unless it is mean-pooled
-    cls_only = pooling == "cls" or source_layer != model_cfg.n_layers
+    cls_only = pooling == "cls" or source_layer != config.model.n_layers
     labels = prepared.label_space.labels
     predicted = np.empty((len(examples), len(labels)), dtype=bool)
-    embeddings = np.empty((len(examples), model_cfg.d_model))
+    embeddings = np.empty((len(examples), config.model.d_model))
     start = 0
     # evaluation batches keep the split's order, so row i is examples[i].
     # Only the batch stream holds the encoded split, so it is freed before
@@ -472,7 +481,7 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
     # and only the sums over the key axis see the padding
     for batch in batches(encode_split(examples, prepared.vocab,
                                       prepared.label_space,
-                                      model_cfg.max_seq_len),
+                                      config.model.max_seq_len),
                          EXPORT_BATCH_SIZE, train=False):
         with ad.no_grad():
             logits, hidden = model.forward(batch, train=False,
@@ -480,7 +489,8 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
             pooled = pool(hidden[source_layer], batch.attention_mask,
                           pooling)
         rows = slice(start, start + batch.size)
-        predicted[rows] = predict(logits.data, model_cfg.head_kind,
+        predicted[rows] = predict(logits.data,
+                                  not prepared.label_space.single_label,
                                   config.threshold)
         embeddings[rows] = pooled.data
         start += batch.size
@@ -521,12 +531,13 @@ def generate_corpus(spec_path: str | Path, seed: int,
                     out_path: str | Path) -> tuple[Path, Path]:
     """Generate a synthetic corpus file plus its label-space file."""
     out_path = Path(out_path)
-    _check_out_dir(out_path.parent)
+    space_path = out_path.with_name(out_path.stem + ".labels.json")
+    for path in (out_path, space_path):
+        _check_out_file(path)
     spec = load_synth_spec(spec_path)
     examples = gen_synthetic(spec, seed=seed)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     write_jsonl(out_path, examples)
-    space_path = out_path.with_name(out_path.stem + ".labels.json")
     space_path.write_text(_json_text(_label_space_meta(spec.label_space())),
                           encoding="utf-8")
     return out_path, space_path

@@ -39,32 +39,25 @@ MASK_OFFSET = 1e9
 
 INIT_STD = 0.02
 
-HEAD_KINDS = ("binary", "multiclass", "multilabel")
-
 Injection = tuple[int, Tensor]
 
 
 @dataclass(frozen=True)
 class ModelConfig(Schema):
-    """Encoder shape.  `vocab_size`, `head_kind` and `n_outputs` come from
-    the prepared data: a config file leaves them unset and a run fills
-    them in before building the encoder."""
+    """Encoder shape.  The vocabulary size and the head's width come from
+    the prepared data and are passed to `EncoderModel` beside it."""
 
-    vocab_size: int | None = None
     d_model: int = 32
     n_heads: int = 4
     n_layers: int = 2
     d_ff: int = 64
     max_seq_len: int = 128
     dropout_rate: float = 0.0
-    head_kind: str | None = None
-    n_outputs: int | None = None
 
     def __post_init__(self) -> None:
-        for name in ("vocab_size", "d_model", "n_heads", "n_layers", "d_ff",
-                     "n_outputs"):
+        for name in ("d_model", "n_heads", "n_layers", "d_ff"):
             value = getattr(self, name)
-            if value is not None and value < 1:
+            if value < 1:
                 raise ConfigError(f"{name} must be positive, got {value}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by "
@@ -75,10 +68,6 @@ class ModelConfig(Schema):
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must lie in [0, 1), "
                               f"got {self.dropout_rate}")
-        if self.head_kind is not None and self.head_kind not in HEAD_KINDS:
-            raise ConfigError(f"unknown head kind {self.head_kind!r}")
-        if self.head_kind == "binary" and self.n_outputs not in (None, 2):
-            raise ConfigError("binary head uses exactly 2 outputs")
 
     @property
     def d_head(self) -> int:
@@ -151,20 +140,22 @@ class EncoderLayer:
 
 class EncoderModel:
     """Token + learned positional embeddings, a stack of encoder layers,
-    and a classification head over the pooled state."""
+    and a classification head over the pooled state with one output per
+    class."""
 
-    def __init__(self, config: ModelConfig, seed: int) -> None:
+    def __init__(self, config: ModelConfig, vocab_size: int, n_outputs: int,
+                 seed: int) -> None:
         self.config = config
         rng = np.random.default_rng(seed)
         self.token_embedding = ad.parameter(
-            rng.normal(0.0, INIT_STD, (config.vocab_size, config.d_model)))
+            rng.normal(0.0, INIT_STD, (vocab_size, config.d_model)))
         self.position_embedding = ad.parameter(
             rng.normal(0.0, INIT_STD, (config.max_seq_len, config.d_model)))
         self.layers = [EncoderLayer(config, rng)
                        for _ in range(config.n_layers)]
         self.head_w = ad.parameter(
-            rng.normal(0.0, INIT_STD, (config.d_model, config.n_outputs)))
-        self.head_b = ad.parameter(np.zeros(config.n_outputs))
+            rng.normal(0.0, INIT_STD, (config.d_model, n_outputs)))
+        self.head_b = ad.parameter(np.zeros(n_outputs))
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         params = [("token_embedding", self.token_embedding),
@@ -272,7 +263,7 @@ def pool(hidden: Tensor, mask: np.ndarray, kind: str) -> Tensor:
     raise ConfigError(f"unknown pooling kind {kind!r}")
 
 
-def predict(logits: np.ndarray, head_kind: str,
+def predict(logits: np.ndarray, multilabel: bool,
             threshold: float = 0.5) -> np.ndarray:
     """Class decisions from raw logits, as a boolean [n, k] matrix whose
     column c is class c.
@@ -281,16 +272,14 @@ def predict(logits: np.ndarray, head_kind: str,
     lower index.  Multilabel: sigmoid >= threshold per class; a row where
     nothing clears the bar falls back to the argmax of its probabilities.
     """
-    if head_kind in ("binary", "multiclass"):
-        scores = logits
-        chosen = np.zeros(logits.shape, dtype=bool)
-    elif head_kind == "multilabel":
+    if multilabel:
         # the fallback reads the probabilities, not the logits: sigmoid
         # saturates, so their argmax can fall on another column
         scores = 1.0 / (1.0 + np.exp(-logits))
         chosen = scores >= threshold
     else:
-        raise ConfigError(f"unknown head kind {head_kind!r}")
+        scores = logits
+        chosen = np.zeros(logits.shape, dtype=bool)
     empty = np.flatnonzero(~chosen.any(axis=1))
     chosen[empty, scores[empty].argmax(axis=1)] = True
     return chosen

@@ -232,8 +232,8 @@ class TrainResult:
 
 
 def classification_loss(logits: Tensor, batch: Batch,
-                        head_kind: str) -> Tensor:
-    if head_kind == "multilabel":
+                        multilabel: bool) -> Tensor:
+    if multilabel:
         return ad.binary_cross_entropy_with_logits(logits, batch.targets)
     return ad.cross_entropy(logits, batch.targets)
 
@@ -266,19 +266,19 @@ def _step_losses(mode: str, model_f: EncoderModel,
                  projection: ProjectionNetwork | None, batch: Batch,
                  dual_cfg: DualStreamConfig | None,
                  rng_f: np.random.Generator,
-                 rng_c: np.random.Generator) -> StepLosses:
-    head_kind = model_f.config.head_kind
+                 rng_c: np.random.Generator,
+                 multilabel: bool) -> StepLosses:
     if mode == "baseline":
         logits, _ = model_f.forward(batch, train=True, rng=rng_f,
                                     cls_only=True)
-        ce = classification_loss(logits, batch, head_kind)
+        ce = classification_loss(logits, batch, multilabel)
         return StepLosses(ce_f=ce, ce_c=ad.tensor(0.0),
                           contrastive=ad.tensor(0.0), total=ce)
     logits_f, logits_c, pooled_i, pooled_j = dual_forward(
         model_f, model_c, batch, dual_cfg, train=True,
         rng_f=rng_f, rng_c=rng_c)
-    ce_f = classification_loss(logits_f, batch, head_kind)
-    ce_c = classification_loss(logits_c, batch, head_kind)
+    ce_f = classification_loss(logits_f, batch, multilabel)
+    ce_c = classification_loss(logits_c, batch, multilabel)
     if mode == "sa_only":
         # alpha = 0 zeroes the contrastive weight; the term is skipped
         # rather than computed and multiplied by zero
@@ -303,7 +303,7 @@ def evaluate(model: EncoderModel, split: EncodedSplit,
         with ad.no_grad():
             logits, _ = model.forward(batch, train=False, cls_only=True)
         predicted[start:start + batch.size] = \
-            predict(logits.data, model.config.head_kind, threshold)
+            predict(logits.data, not label_space.single_label, threshold)
         start += batch.size
     gold = np.eye(k, dtype=bool)[split.targets] \
         if label_space.single_label else split.targets > 0.5
@@ -372,7 +372,8 @@ def train(model_f: EncoderModel, model_c: EncoderModel | None,
                              seed=train_cfg.seed + epoch):
             optimizer.zero_grad()
             losses = _step_losses(mode, model_f, model_c, projection,
-                                  batch, dual_cfg, rng_f, rng_c)
+                                  batch, dual_cfg, rng_f, rng_c,
+                                  not label_space.single_label)
             ad.backward(losses.total)
             optimizer.step()
             sums += np.array(losses.as_floats())

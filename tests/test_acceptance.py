@@ -28,7 +28,7 @@ from selfaug.training import EarlyStopper, TrainConfig, train
 from conftest import fd_grad, rel_err
 from test_metrics import indicator, oracle_bundle, random_task
 from test_model import make_batch, model_loss, randomize_parameters, \
-    small_config
+    small_config, small_model
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +237,7 @@ def test_01_gradients_match_finite_differences():
                 assert err < 1e-4, f"{name}/{pname} instance {i}: {err}"
 
     for i in range(instances):
-        model = EncoderModel(small_config(), seed=100 + i)
+        model = small_model(100 + i)
         randomize_parameters(model, np.random.default_rng(200 + i))
         batch = make_batch(seed=300 + i)
         logits, _ = model.forward(batch)
@@ -295,7 +295,7 @@ def test_03_injection_identities_and_gradient_stop():
     b, s, d = batch.token_ids.shape[0], batch.token_ids.shape[1], cfg.d_model
 
     # zero injection at every depth leaves the forward pass bitwise intact
-    model = EncoderModel(cfg, seed=31)
+    model = small_model(31, n_layers=2)
     randomize_parameters(model, np.random.default_rng(32))
     base_logits, base_hidden = model.forward(batch)
     for j in range(cfg.n_layers + 1):
@@ -307,9 +307,9 @@ def test_03_injection_identities_and_gradient_stop():
 
     # tied copies, tap and inject both at the embedding layer: the injected
     # stream sees exactly x + x = 2x
-    model_f = EncoderModel(cfg, seed=33)
+    model_f = small_model(33, n_layers=2)
     randomize_parameters(model_f, np.random.default_rng(34))
-    model_c = EncoderModel(cfg, seed=33)
+    model_c = small_model(33, n_layers=2)
     randomize_parameters(model_c, np.random.default_rng(34))
     dual = DualStreamConfig(tap_layer=0, inject_layer=0, alpha=0.2,
                             projection_dims=(8, 8, 4))
@@ -321,9 +321,9 @@ def test_03_injection_identities_and_gradient_stop():
     stop = DualStreamConfig(tap_layer=1, inject_layer=1, alpha=0.2,
                             augment_gradient="stop",
                             projection_dims=(8, 8, 4))
-    model_f = EncoderModel(cfg, seed=35)
+    model_f = small_model(35, n_layers=2)
     randomize_parameters(model_f, np.random.default_rng(36))
-    model_c = EncoderModel(cfg, seed=37)
+    model_c = small_model(37, n_layers=2)
     randomize_parameters(model_c, np.random.default_rng(38))
     _, logits_c, _, _ = dual_forward(model_f, model_c, batch, stop)
     ad.backward(ad.cross_entropy(logits_c, batch.targets))
@@ -356,9 +356,9 @@ def test_03_injection_identities_and_gradient_stop():
     flow = DualStreamConfig(tap_layer=1, inject_layer=1, alpha=0.2,
                             augment_gradient="flow",
                             projection_dims=(8, 8, 4))
-    model_f = EncoderModel(cfg, seed=35)
+    model_f = small_model(35, n_layers=2)
     randomize_parameters(model_f, np.random.default_rng(36))
-    model_c = EncoderModel(cfg, seed=37)
+    model_c = small_model(37, n_layers=2)
     randomize_parameters(model_c, np.random.default_rng(38))
     _, logits_c, _, _ = dual_forward(model_f, model_c, batch, flow)
     ad.backward(ad.cross_entropy(logits_c, batch.targets))
@@ -453,7 +453,7 @@ def _reference_single_stream(model, train_split, val_split, space, cfg):
         for batch in batches(val_split, cfg.batch_size, train=False):
             with ad.no_grad():
                 logits, _ = model.forward(batch)
-            preds.append(predict(logits.data, model.config.head_kind, 0.5))
+            preds.append(predict(logits.data, not space.single_label, 0.5))
             golds.extend(int(t) for t in batch.targets)
         bundle = evaluate_predictions(np.concatenate(preds),
                                       indicator(golds, len(space.labels)),
@@ -469,19 +469,18 @@ def test_05_baseline_mode_matches_reference_trainer():
     splits = make_splits(examples, (0.75, 0.25, 0.0), seed=5)
     vocab = build_vocab(splits.train)
     space = spec.label_space()
-    model_cfg = ModelConfig(vocab_size=len(vocab), d_model=8, n_heads=2,
-                            n_layers=2, d_ff=16, max_seq_len=16,
-                            head_kind="binary", n_outputs=2)
+    model_cfg = ModelConfig(d_model=8, n_heads=2, n_layers=2, d_ff=16,
+                            max_seq_len=16)
     train_cfg = TrainConfig(learning_rate=1e-3, max_epochs=5, patience=5,
                             batch_size=8, seed=3, mode="baseline")
 
     train_split, val_split = (encode_split(part, vocab, space, 16)
                               for part in (splits.train, splits.val))
-    result = train(EncoderModel(model_cfg, seed=7), None, None,
-                   train_split, val_split, space, None, train_cfg)
+    result = train(EncoderModel(model_cfg, len(vocab), 2, seed=7), None,
+                   None, train_split, val_split, space, None, train_cfg)
     reference = _reference_single_stream(
-        EncoderModel(model_cfg, seed=7), train_split, val_split, space,
-        train_cfg)
+        EncoderModel(model_cfg, len(vocab), 2, seed=7), train_split,
+        val_split, space, train_cfg)
 
     assert len(result.records) == len(reference) == 5
     for rec, (ce, prec, recall, f1) in zip(result.records, reference):

@@ -20,7 +20,6 @@ from selfaug.cli import main
 from selfaug.config import ExperimentConfig
 from selfaug.data import batches, encode_split, load_jsonl, load_label_space
 from selfaug.harness import (EXPORT_BATCH_SIZE, EXPORT_LAYERS,
-                             _model_config,
                              _principal_components, _restored_model,
                              prepare_data, run_ablation, run_grid, run_kfold,
                              run_training)
@@ -196,6 +195,17 @@ class TestTrainCommand:
         for name, blob in first.items():
             assert (out / name).read_bytes() == blob, name
 
+    def test_checkpoint_bytes_do_not_depend_on_the_run_directory(
+            self, tmp_path):
+        cfg = write_config(tmp_path, small_config(str(tmp_path / "unused"),
+                                                  max_epochs=1))
+        blobs = []
+        for name in ("one", "two"):
+            assert invoke("--config", str(cfg), "--out",
+                          str(tmp_path / name), "train").exit_code == 0
+            blobs.append((tmp_path / name / "checkpoint.bin").read_bytes())
+        assert blobs[0] == blobs[1]
+
     def test_missing_dataset_exits_2_without_debris(self, tmp_path):
         out = tmp_path / "run"
         payload = small_config(str(out))
@@ -226,10 +236,15 @@ class TestTrainCommand:
         ("", {"labels": ["ailment", "ailment"]},
          "labels.json: label space contains duplicate labels"),
         ("", {"labels": ["ailment", "banter", "other"]},
-         "labels.json: binary task needs exactly 2 labels, got 3")],
+         "labels.json: binary task needs exactly 2 labels, got 3"),
+        # the export would write the gold column as ailment|ailment
+        ('{"id": "b", "text": "x", "labels": ["ailment", "ailment"]}',
+         {"task_kind": "multilabel"},
+         "corpus.jsonl:2: label 'ailment' is listed twice")],
         ids=["number line", "null text", "labels string", "numeric label",
              "task_kind list", "null id", "list id", "bool id",
-             "unknown task kind", "duplicate labels", "binary with 3"])
+             "unknown task kind", "duplicate labels", "binary with 3",
+             "label listed twice"])
     def test_malformed_data_file_exits_2(self, tmp_path, line, space,
                                          message):
         dataset = tmp_path / "corpus.jsonl"
@@ -576,6 +591,25 @@ class TestOutPath:
         assert result.exit_code == 2, result.output
         assert str(blocker) in result.output
 
+    @pytest.mark.parametrize("command, target", [
+        (("export-embeddings", "--checkpoint", "run.bin"), "embeddings.csv"),
+        (("gen-synth", "--spec", "spec.json"), "corpus.jsonl"),
+        (("gen-synth", "--spec", "spec.json"), "corpus.labels.json")],
+        ids=["export", "gen-synth corpus", "gen-synth labels"])
+    def test_output_file_that_is_a_directory_exits_2_before_any_work(
+            self, tmp_path, monkeypatch, command, target):
+        ran = []
+        for name in ("load_checkpoint", "prepare_data", "load_synth_spec",
+                     "gen_synthetic"):
+            monkeypatch.setattr(harness, name,
+                                lambda *a, name=name, **k: ran.append(name))
+        (tmp_path / target).mkdir()
+        result = invoke("--out", str(tmp_path), *command)
+        assert result.exit_code == 2, result.output
+        assert f"{str(tmp_path / target)!r} is a directory" in result.output
+        assert ran == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == [target]
+
 
 class TestSweepFailure:
     @pytest.mark.parametrize("workers", ["1", "2"])
@@ -741,8 +775,7 @@ class TestExportCommand:
         _, arrays = load_checkpoint(out / "checkpoint.bin")
         config = ExperimentConfig.from_dict(payload)
         prepared = prepare_data(config)
-        model_cfg = _model_config(config, prepared)
-        model = _restored_model(model_cfg, arrays)
+        model = _restored_model(config, prepared, arrays)
         for layer in EXPORT_LAYERS:
             result = invoke("--out", str(tmp_path / layer),
                             "export-embeddings", "--checkpoint",
@@ -753,7 +786,7 @@ class TestExportCommand:
             source = 2 if layer == "pooled_final" else tap_layer
             for batch in batches(encode_split(
                     prepared.test, prepared.vocab, prepared.label_space,
-                    model_cfg.max_seq_len), 32, train=False):
+                    config.model.max_seq_len), 32, train=False):
                 _, hidden = model.forward(batch)
                 want = pool(hidden[source], batch.attention_mask,
                             pooling).data
@@ -780,13 +813,12 @@ class TestExportCommand:
         _, arrays = load_checkpoint(out / "checkpoint.bin")
         config = ExperimentConfig.from_dict(payload)
         prepared = prepare_data(config)
-        model_cfg = _model_config(config, prepared)
-        model = _restored_model(model_cfg, arrays)
+        model = _restored_model(config, prepared, arrays)
         n = len(prepared.test)
         assert n > 300 and n % EXPORT_BATCH_SIZE != 0
         reference = list(batches(encode_split(
             prepared.test, prepared.vocab, prepared.label_space,
-            model_cfg.max_seq_len), 32, train=False))
+            config.model.max_seq_len), 32, train=False))
         assert len({b.token_ids.shape[1] for b in reference}) > 1
         for layer in EXPORT_LAYERS:
             result = invoke("--out", str(tmp_path / layer),
@@ -895,18 +927,23 @@ class TestExportCommand:
             self, tmp_path):
         # earlier checkpoints also held the copy stream, the projection,
         # both Adam moment sets and the run summary, and later ones a key
-        # bias per layer and a model_config meta key; export reads only
-        # the f. arrays other than key biases, and three meta keys
+        # bias per layer, a model_config meta key and the run's out_dir;
+        # export reads only the f. arrays other than key biases, and three
+        # meta keys
         ckpt = self._trained_checkpoint(tmp_path)
         meta, arrays = load_checkpoint(ckpt)
         rng = np.random.default_rng(0)
         keyed = dict(arrays)
         for i in range(2):
             keyed[f"f.layer{i}.attn_k_b"] = rng.normal(size=8)
-        config = ExperimentConfig.from_dict(meta["experiment"])
-        model_cfg = _model_config(config, prepare_data(config))
+        model_config = {"vocab_size": len(meta["vocab"]), "d_model": 8,
+                        "n_heads": 2, "n_layers": 2, "d_ff": 16,
+                        "max_seq_len": 16, "dropout_rate": 0.0,
+                        "head_kind": "binary", "n_outputs": 2}
+        experiment = {**meta["experiment"], "out_dir": str(ckpt.parent)}
         save_checkpoint(tmp_path / "keyed.bin",
-                        {**meta, "model_config": model_cfg.to_dict()}, keyed)
+                        {**meta, "experiment": experiment,
+                         "model_config": model_config}, keyed)
         full = dict(arrays)
         for name, arr in arrays.items():
             full[f"c.{name[2:]}"] = rng.normal(size=arr.shape)

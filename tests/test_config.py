@@ -6,9 +6,11 @@ import json
 from importlib import resources
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
+from selfaug.cli import main
 from selfaug.config import DataConfig, ExperimentConfig, GridSpec
 from selfaug.data import SynthSpec
 from selfaug.errors import ConfigError
@@ -86,10 +88,18 @@ class TestModelSettings:
     @pytest.mark.parametrize("key, value", [("vocab_size", 100),
                                             ("head_kind", "binary"),
                                             ("n_outputs", 2)])
-    def test_data_derived_fields_rejected_by_name(self, key, value):
-        with pytest.raises(ConfigError, match=f"model.{key}"):
-            ExperimentConfig.from_dict({**minimal_config_dict(),
-                                        "model": {key: value}})
+    def test_data_derived_fields_rejected_by_name(self, tmp_path, key,
+                                                  value):
+        # the prepared data sizes the encoder, so a config cannot
+        out = tmp_path / "run"
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({**minimal_config_dict(),
+                                    "model": {key: value},
+                                    "out_dir": str(out)}), encoding="utf-8")
+        result = CliRunner().invoke(main, ["--config", str(path), "train"])
+        assert result.exit_code == 2, result.output
+        assert f"model.{key}: unknown key" in result.output
+        assert not out.exists()
 
 
 class TestGridSpec:

@@ -111,22 +111,22 @@ class TestVocabulary:
     def test_frequency_then_lexicographic(self):
         examples = [Example("a", "hello world hello", ("ailment",))]
         vocab = build_vocab(examples)
-        assert vocab.id_of("hello") == 3  # first content id
-        assert vocab.id_of("world") == 4
-        assert vocab.id_of("absent") == UNK
+        assert vocab.token_to_id["hello"] == 3  # first content id
+        assert vocab.token_to_id["world"] == 4
+        assert vocab.token_to_id.get("absent", UNK) == UNK
 
     def test_min_freq_drops_rare_tokens(self):
         examples = [Example("a", "hello world hello", ("ailment",))]
         vocab = build_vocab(examples, min_freq=2)
-        assert vocab.id_of("world") == UNK
-        assert vocab.id_of("hello") == 3
+        assert vocab.token_to_id.get("world", UNK) == UNK
+        assert vocab.token_to_id["hello"] == 3
 
     def test_max_size_caps_including_reserved(self):
         examples = [Example("a", "x y z x y x", ("ailment",))]
         vocab = build_vocab(examples, max_size=4)
         assert len(vocab) == 4
-        assert vocab.id_of("x") == 3
-        assert vocab.id_of("y") == UNK
+        assert vocab.token_to_id["x"] == 3
+        assert vocab.token_to_id.get("y", UNK) == UNK
 
     def test_ids_are_dense(self):
         vocab = build_vocab(make_examples(10))
@@ -135,18 +135,18 @@ class TestVocabulary:
     def test_tokenize_splits_punctuation(self):
         assert tokenize("Hello, world!") == ["hello", ",", "world", "!"]
 
-    def test_decode_recovers_kept_tokens_modulo_unk(self):
+    def test_encode_maps_unknown_tokens_to_unk(self):
         vocab = build_vocab([Example("a", "alpha beta gamma", ("ailment",))])
-        text = "alpha delta beta"
-        ids, _ = encode(text, vocab, max_seq_len=8)
-        assert vocab.decode(ids) == ["alpha", "<unk>", "beta"]
+        ids, _ = encode("alpha delta beta", vocab, max_seq_len=8)
+        assert ids.tolist() == [CLS, vocab.token_to_id["alpha"], UNK,
+                                vocab.token_to_id["beta"], PAD, PAD, PAD, PAD]
 
 
 class TestEncode:
     def test_cls_prefix_and_padding(self):
         vocab = build_vocab([Example("a", "hello", ("ailment",))])
         ids, mask = encode("hello", vocab, max_seq_len=4)
-        assert ids.tolist() == [CLS, vocab.id_of("hello"), PAD, PAD]
+        assert ids.tolist() == [CLS, vocab.token_to_id["hello"], PAD, PAD]
         assert mask.tolist() == [1.0, 1.0, 0.0, 0.0]
 
     def test_truncation(self):

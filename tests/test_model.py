@@ -17,10 +17,14 @@ RNG = np.random.default_rng(90125)
 
 
 def small_config(**overrides):
-    base = dict(vocab_size=11, d_model=8, n_heads=2, n_layers=1, d_ff=16,
-                max_seq_len=8, head_kind="multiclass", n_outputs=3)
+    base = dict(d_model=8, n_heads=2, n_layers=1, d_ff=16, max_seq_len=8)
     base.update(overrides)
     return ModelConfig(**base)
+
+
+def small_model(seed, **overrides):
+    """An encoder over make_batch's 11 token ids and 3 classes."""
+    return EncoderModel(small_config(**overrides), 11, 3, seed=seed)
 
 
 def make_batch(b=2, s=5, vocab=11, seed=0, n_classes=3):
@@ -40,16 +44,16 @@ def make_batch(b=2, s=5, vocab=11, seed=0, n_classes=3):
 
 class TestInit:
     def test_same_seed_bitwise_identical(self):
-        a = EncoderModel(small_config(), seed=3)
-        b = EncoderModel(small_config(), seed=3)
+        a = small_model(3)
+        b = small_model(3)
         for (_, ta), (_, tb) in zip(a.parameters(), b.parameters()):
             np.testing.assert_array_equal(ta.data, tb.data)
-        c = EncoderModel(small_config(), seed=4)
+        c = small_model(4)
         assert any(not np.array_equal(ta.data, tc.data)
                    for (_, ta), (_, tc) in zip(a.parameters(), c.parameters()))
 
     def test_biases_zero_gains_one(self):
-        model = EncoderModel(small_config(), seed=1)
+        model = small_model(1)
         params = dict(model.parameters())
         np.testing.assert_array_equal(params["layer0.attn_q_b"].data, 0.0)
         np.testing.assert_array_equal(params["layer0.ln1_gain"].data, 1.0)
@@ -62,7 +66,7 @@ class TestInit:
 
 class TestForward:
     def test_shapes_and_tap_count(self):
-        model = EncoderModel(small_config(n_layers=3), seed=2)
+        model = small_model(2, n_layers=3)
         batch = make_batch()
         logits, hidden = model.forward(batch)
         assert logits.shape == (2, 3)
@@ -70,7 +74,7 @@ class TestForward:
         assert all(h.shape == (2, 5, 8) for h in hidden)
 
     def test_zero_injection_is_bitwise_identity(self):
-        model = EncoderModel(small_config(n_layers=2), seed=5)
+        model = small_model(5, n_layers=2)
         batch = make_batch()
         plain, _ = model.forward(batch)
         zeros = ad.tensor(np.zeros((2, 5, 8)))
@@ -81,8 +85,7 @@ class TestForward:
     def test_injection_matches_manual_recompute(self):
         # forward with (j, T) must equal: run plain, replace H_j by H_j + T,
         # push through the remaining layers and head by hand
-        config = small_config(n_layers=2)
-        model = EncoderModel(config, seed=6)
+        model = small_model(6, n_layers=2)
         batch = make_batch()
         _, hidden = model.forward(batch)
         tap = ad.tensor(RNG.normal(0, 0.1, (2, 5, 8)))
@@ -97,7 +100,7 @@ class TestForward:
             np.testing.assert_array_equal(logits_inj.data, manual_logits.data)
 
     def test_pad_content_cannot_influence_logits(self):
-        model = EncoderModel(small_config(), seed=7)
+        model = small_model(7)
         batch = make_batch(b=3, s=5)
         plain, _ = model.forward(batch)
         scrambled = Batch(token_ids=batch.token_ids.copy(),
@@ -110,7 +113,7 @@ class TestForward:
         np.testing.assert_array_equal(plain.data, perturbed.data)
 
     def test_injection_validation(self):
-        model = EncoderModel(small_config(), seed=8)
+        model = small_model(8)
         batch = make_batch()
         with pytest.raises(ConfigError):
             model.forward(batch, injection=(5, ad.tensor(np.zeros((2, 5, 8)))))
@@ -118,7 +121,7 @@ class TestForward:
             model.forward(batch, injection=(0, ad.tensor(np.zeros((2, 4, 8)))))
 
     def test_batch_wider_than_positions_rejected(self):
-        model = EncoderModel(small_config(max_seq_len=4), seed=9)
+        model = small_model(9, max_seq_len=4)
         with pytest.raises(ShapeError):
             model.forward(make_batch(s=5))
 
@@ -132,8 +135,7 @@ class TestClsOnly:
     def test_matches_the_full_forward(self, train):
         # with dropout on, every mask the CLS row sees is the one the full
         # forward draws, and the rng ends in the same state
-        model = EncoderModel(small_config(n_layers=2, dropout_rate=0.2),
-                             seed=5)
+        model = small_model(5, n_layers=2, dropout_rate=0.2)
         batch = make_batch(b=3)
         runs = []
         for cls_only in (False, True):
@@ -164,7 +166,7 @@ class TestClsOnly:
     def test_injection_matches_the_full_forward(self, j):
         # at j = n_layers only the tap's CLS row is added, and a tap whose
         # gradient flows gets the full forward's gradient back
-        model = EncoderModel(small_config(n_layers=2), seed=6)
+        model = small_model(6, n_layers=2)
         batch = make_batch()
         value = RNG.normal(0, 0.1, (2, 5, 8))
         runs = []
@@ -205,19 +207,19 @@ class TestPooling:
 class TestPredict:
     def test_argmax_tie_takes_lower_index(self):
         np.testing.assert_array_equal(
-            predict(np.array([[1.0, 1.0, 0.5]]), "multiclass"),
+            predict(np.array([[1.0, 1.0, 0.5]]), multilabel=False),
             [[True, False, False]])
 
     def test_multilabel_threshold(self):
         logits = np.array([[2.0, -2.0, 0.1]])
         np.testing.assert_array_equal(
-            predict(logits, "multilabel", threshold=0.5),
+            predict(logits, multilabel=True, threshold=0.5),
             [[True, False, True]])
 
     def test_multilabel_fallback_to_best_class(self):
         logits = np.array([[-1.0, -2.0, -3.0]])
         np.testing.assert_array_equal(
-            predict(logits, "multilabel", threshold=0.5),
+            predict(logits, multilabel=True, threshold=0.5),
             [[True, False, False]])
 
     def test_multilabel_fallback_reads_the_probabilities(self):
@@ -225,7 +227,7 @@ class TestPredict:
         # lower index wins, where the logits' argmax would take column 1
         logits = np.array([[-900.0, -800.0], [3.0, -1.0]])
         with np.errstate(over="ignore"):
-            chosen = predict(logits, "multilabel", threshold=0.5)
+            chosen = predict(logits, multilabel=True, threshold=0.5)
         np.testing.assert_array_equal(chosen, [[True, False],
                                                [True, False]])
         assert chosen.dtype == bool
@@ -249,7 +251,7 @@ def model_loss(model, batch):
 
 class TestWholeModelGradient:
     def test_one_layer_encoder_against_finite_differences(self):
-        model = EncoderModel(small_config(), seed=11)
+        model = small_model(11)
         randomize_parameters(model, np.random.default_rng(12))
         batch = make_batch()
 
@@ -266,8 +268,7 @@ class TestTrainingGraph:
     def test_nodes_hold_arrays_not_tensors(self):
         # a backward closure that held a Tensor would keep op outputs
         # alive that no backward reads, and their gradients with them
-        model = EncoderModel(small_config(n_layers=2, dropout_rate=0.2),
-                             seed=5)
+        model = small_model(5, n_layers=2, dropout_rate=0.2)
         batch = make_batch()
         logits, _ = model.forward(batch, train=True,
                                   rng=np.random.default_rng(6))
@@ -299,11 +300,12 @@ class TestCheckpoint:
             np.testing.assert_array_equal(arrays[name], arrays2[name])
 
     def test_model_state_round_trip(self, tmp_path):
-        model = EncoderModel(small_config(), seed=13)
+        model = small_model(13)
         p = tmp_path / "model.bin"
         save_checkpoint(p, {"config": model.config.to_dict()}, model.state())
         meta, arrays = load_checkpoint(p)
-        restored = EncoderModel(ModelConfig.from_dict(meta["config"]), seed=99)
+        restored = EncoderModel(ModelConfig.from_dict(meta["config"]), 11, 3,
+                                seed=99)
         restored.load_state(arrays)
         batch = make_batch()
         a, _ = model.forward(batch)
@@ -317,7 +319,7 @@ class TestCheckpoint:
             load_checkpoint(p)
 
     def test_state_mismatch_is_named(self):
-        model = EncoderModel(small_config(), seed=14)
+        model = small_model(14)
         state = model.state()
         del state["head_w"]
         with pytest.raises(ConfigError, match="head_w"):

@@ -33,10 +33,10 @@ def tiny_batch(batch: int = 2, seq: int = 4, vocab: int = 12,
                  ids=[f"x{i}" for i in range(batch)])
 
 
-def tiny_config(vocab: int = 12, n_layers: int = 2) -> ModelConfig:
-    return ModelConfig(vocab_size=vocab, d_model=8, n_heads=2,
-                       n_layers=n_layers, d_ff=16, max_seq_len=8,
-                       head_kind="multiclass", n_outputs=2)
+def tiny_model(seed: int, n_layers: int = 2) -> EncoderModel:
+    """An encoder over 12 token ids with 2 outputs."""
+    return EncoderModel(ModelConfig(d_model=8, n_heads=2, n_layers=n_layers,
+                                    d_ff=16, max_seq_len=8), 12, 2, seed=seed)
 
 
 class TestDualStreamConfig:
@@ -288,8 +288,8 @@ class TestDualForward:
         # tap = inject = 0 with identical models: the copy's layer-0 state
         # becomes exactly twice the embedding output, and cls pooling is
         # linear, so the pooled pair differs by an exact factor of two
-        model_f = EncoderModel(tiny_config(), seed=0)
-        model_c = EncoderModel(tiny_config(), seed=0)
+        model_f = tiny_model(0)
+        model_c = tiny_model(0)
         cfg = DualStreamConfig(tap_layer=0, inject_layer=0, alpha=0.5,
                                projection_dims=(8, 8, 4))
         _, _, pooled_i, pooled_j = dual_forward(model_f, model_c,
@@ -297,8 +297,8 @@ class TestDualForward:
         assert np.array_equal(pooled_j.data, 2.0 * pooled_i.data)
 
     def test_stop_policy_blocks_classification_gradient(self):
-        model_f = EncoderModel(tiny_config(), seed=0)
-        model_c = EncoderModel(tiny_config(), seed=1)
+        model_f = tiny_model(0)
+        model_c = tiny_model(1)
         batch = tiny_batch()
         cfg = DualStreamConfig(tap_layer=1, inject_layer=1, alpha=0.5,
                                augment_gradient="stop",
@@ -313,8 +313,8 @@ class TestDualForward:
         assert grads_c
 
     def test_flow_policy_reaches_first_stream(self):
-        model_f = EncoderModel(tiny_config(), seed=0)
-        model_c = EncoderModel(tiny_config(), seed=1)
+        model_f = tiny_model(0)
+        model_c = tiny_model(1)
         batch = tiny_batch()
         cfg = DualStreamConfig(tap_layer=1, inject_layer=1, alpha=0.5,
                                augment_gradient="flow",
@@ -326,8 +326,8 @@ class TestDualForward:
         assert emb.grad is not None and np.any(emb.grad)
 
     def test_contrastive_path_reaches_both_streams_under_stop(self):
-        model_f = EncoderModel(tiny_config(), seed=0)
-        model_c = EncoderModel(tiny_config(), seed=1)
+        model_f = tiny_model(0)
+        model_c = tiny_model(1)
         batch = tiny_batch(batch=4)
         cfg = DualStreamConfig(tap_layer=1, inject_layer=1, alpha=0.5,
                                augment_gradient="stop",
@@ -345,8 +345,8 @@ class TestDualForward:
         assert emb_c.grad is not None and np.any(emb_c.grad)
 
     def test_pooled_tap_matches_direct_forward(self):
-        model_f = EncoderModel(tiny_config(), seed=0)
-        model_c = EncoderModel(tiny_config(), seed=1)
+        model_f = tiny_model(0)
+        model_c = tiny_model(1)
         batch = tiny_batch()
         cfg = DualStreamConfig(tap_layer=2, inject_layer=0, alpha=0.5,
                                projection_dims=(8, 8, 4))
@@ -368,8 +368,8 @@ class TestDualForward:
         # contrastive view, comes from a full-width forward; otherwise the
         # top layer runs for the CLS row alone.  Either way the four
         # outputs match full forwards
-        model_f = EncoderModel(tiny_config(), seed=0)
-        model_c = EncoderModel(tiny_config(), seed=1)
+        model_f = tiny_model(0)
+        model_c = tiny_model(1)
         batch = tiny_batch(batch=3)
         mask = batch.attention_mask
         cfg = DualStreamConfig(tap_layer=tap, inject_layer=inject,
@@ -397,15 +397,15 @@ class TestDualForward:
             np.testing.assert_allclose(g.data, w.data, rtol=0, atol=1e-12)
 
     def test_depth_mismatch_rejected(self):
-        model_f = EncoderModel(tiny_config(n_layers=2), seed=0)
-        model_c = EncoderModel(tiny_config(n_layers=3), seed=0)
+        model_f = tiny_model(0, n_layers=2)
+        model_c = tiny_model(0, n_layers=3)
         cfg = DualStreamConfig(tap_layer=0, inject_layer=0, alpha=0.5)
         with pytest.raises(ConfigError):
             dual_forward(model_f, model_c, tiny_batch(), cfg)
 
     def test_layer_out_of_range_rejected(self):
-        model_f = EncoderModel(tiny_config(), seed=0)
-        model_c = EncoderModel(tiny_config(), seed=1)
+        model_f = tiny_model(0)
+        model_c = tiny_model(1)
         cfg = DualStreamConfig(tap_layer=3, inject_layer=0, alpha=0.5)
         with pytest.raises(ConfigError):
             dual_forward(model_f, model_c, tiny_batch(), cfg)

@@ -25,7 +25,7 @@ from selfaug.config import ExperimentConfig
 from selfaug.data import (LabelSpace, SynthSpec, Vocabulary, batches,
                           build_vocab, encode_split, gen_synthetic)
 from selfaug.errors import ConfigError, DataError, DomainError
-from selfaug.harness import _build_components, _model_config, prepare_data
+from selfaug.harness import _build_components, prepare_data
 from selfaug.model import EncoderModel, ModelConfig
 from selfaug.objective import DualStreamConfig, ProjectionNetwork
 from selfaug.seeding import rng_for
@@ -48,16 +48,21 @@ def synth_examples(count: int = 64, seed: int = 0):
     return examples, spec.label_space()
 
 
+def binary_model(vocab: Vocabulary, seed: int,
+                 n_layers: int = 2) -> EncoderModel:
+    """A two-output encoder over `vocab` that reads up to 16 tokens."""
+    return EncoderModel(ModelConfig(d_model=8, n_heads=2, n_layers=n_layers,
+                                    d_ff=16, max_seq_len=16),
+                        len(vocab), 2, seed=seed)
+
+
 def small_setup(mode: str, seed: int = 0, n_examples: int = 64):
     examples, label_space = synth_examples(n_examples)
     split = int(0.75 * len(examples))
     train_ex, val_ex = examples[:split], examples[split:]
     vocab = build_vocab(train_ex)
-    cfg = ModelConfig(vocab_size=len(vocab), d_model=8, n_heads=2,
-                      n_layers=2, d_ff=16, max_seq_len=16,
-                      head_kind="binary", n_outputs=2)
-    model_f = EncoderModel(cfg, seed=seed)
-    model_c = EncoderModel(cfg, seed=seed + 1) if mode != "baseline" \
+    model_f = binary_model(vocab, seed)
+    model_c = binary_model(vocab, seed + 1) if mode != "baseline" \
         else None
     projection = ProjectionNetwork(8, (8, 8, 4), seed=seed + 2) \
         if mode == "proposed" else None
@@ -65,8 +70,8 @@ def small_setup(mode: str, seed: int = 0, n_examples: int = 64):
                             projection_dims=(8, 8, 4)) \
         if mode != "baseline" else None
     return model_f, model_c, projection, \
-        encode_split(train_ex, vocab, label_space, cfg.max_seq_len), \
-        encode_split(val_ex, vocab, label_space, cfg.max_seq_len), \
+        encode_split(train_ex, vocab, label_space, 16), \
+        encode_split(val_ex, vocab, label_space, 16), \
         label_space, dual
 
 
@@ -506,10 +511,9 @@ def test_every_optimized_parameter_gets_a_gradient():
     config = ExperimentConfig.from_file(
         resources.files("selfaug") / "presets" / "desk_binary.json")
     prepared = prepare_data(config)
-    model_cfg = _model_config(config, prepared)
-    model_f, model_c, projection = _build_components(config, model_cfg)
+    model_f, model_c, projection = _build_components(config, prepared)
     split = encode_split(prepared.train, prepared.vocab,
-                         prepared.label_space, model_cfg.max_seq_len)
+                         prepared.label_space, config.model.max_seq_len)
     seed = config.train.seed
     batch = next(iter(batches(split, config.train.batch_size, train=True,
                               seed=seed + 1)))
@@ -519,7 +523,8 @@ def test_every_optimized_parameter_gets_a_gradient():
     Adam(named, config.train.learning_rate)  # zeroed gradient views
     losses = _step_losses("proposed", model_f, model_c, projection, batch,
                           config.dual, rng_for(seed, "dropout_f", 1),
-                          rng_for(seed, "dropout_c", 1))
+                          rng_for(seed, "dropout_c", 1),
+                          multilabel=False)
     ad.backward(losses.total)
     largest = {name: float(np.abs(t.grad).max()) for name, t in named}
     assert {name: g for name, g in largest.items() if g <= 1e-9} == {}
@@ -531,10 +536,7 @@ class TestEvaluate:
         # the predicted class scores F1 = 2/3, the other 0, macro 1/3
         examples, label_space = synth_examples(40)
         vocab = build_vocab(examples)
-        cfg = ModelConfig(vocab_size=len(vocab), d_model=8, n_heads=2,
-                          n_layers=1, d_ff=16, max_seq_len=16,
-                          head_kind="binary", n_outputs=2)
-        model = EncoderModel(cfg, seed=0)
+        model = binary_model(vocab, 0, n_layers=1)
         # force a constant predictor: zero head weights, biased logits
         model.head_w.data = np.zeros_like(model.head_w.data)
         model.head_b.data = np.array([5.0, 0.0])
@@ -545,10 +547,7 @@ class TestEvaluate:
     def test_deterministic(self):
         examples, label_space = synth_examples(30)
         vocab = build_vocab(examples)
-        cfg = ModelConfig(vocab_size=len(vocab), d_model=8, n_heads=2,
-                          n_layers=1, d_ff=16, max_seq_len=16,
-                          head_kind="binary", n_outputs=2)
-        model = EncoderModel(cfg, seed=1)
+        model = binary_model(vocab, 1, n_layers=1)
         split = encode_split(examples, vocab, label_space, 16)
         a = evaluate(model, split, label_space)
         b = evaluate(model, split, label_space)
@@ -557,9 +556,6 @@ class TestEvaluate:
     def test_empty_split_rejected(self):
         examples, label_space = synth_examples(10)
         vocab = build_vocab(examples)
-        cfg = ModelConfig(vocab_size=len(vocab), d_model=8, n_heads=2,
-                          n_layers=1, d_ff=16, max_seq_len=16,
-                          head_kind="binary", n_outputs=2)
         with pytest.raises(DataError):
-            evaluate(EncoderModel(cfg, seed=0),
+            evaluate(binary_model(vocab, 0, n_layers=1),
                      encode_split([], vocab, label_space, 16), label_space)
