@@ -21,12 +21,19 @@ with its output projection (split heads, scores, key mask, softmax,
 dropout, context, merge heads, context @ wo + bo) is one node,
 ``self_attention``, that keeps q, k, v, the probabilities and the boolean
 keep-mask and rebuilds the dropped-out probabilities and the context.
-Its queries may cover only the first rows of the sequence while keys and
-values cover all of it: the encoder's last layer passes the [CLS] row
-alone when nothing reads the others, and then that layer's output, the
-final hidden state, is [batch, 1, d].  That node and ``dropout`` (through
-``draw_shape``) draw their masks at full width and cut them, so the rng
-and the rows kept see what a full-width call would.
+The encoder carries a batch's real tokens alone, packed as [n, d] rows,
+so every per-row op (``linear``, ``layer_norm``, ``feed_forward``,
+``dropout``) does no work for padding.  ``self_attention`` takes packed
+q, k and v with the flat grid position of each row, scatters them into
+the padded [batch, seq, d] grid for the scores, the key mask and the
+softmax, and gathers the context rows back before its projection.  Its
+queries may be fewer than its keys: the encoder's last layer passes each
+sequence's [CLS] row alone when nothing reads the others, and then the
+final hidden state is [batch, d].  That node and ``dropout`` (through
+``draw_shape`` and ``rows``) draw their masks at the padded grid's size
+and keep the rows they use, so the rng and every real row see what a
+padded call would.  ``gather_rows`` moves rows between layouts, and
+``segment_mean`` mean-pools each sequence's rows.
 The feed-forward block (linear, gelu, linear) is one node,
 ``feed_forward``, that keeps its input and the pre-activation and
 rebuilds the activation from the one tanh its derivative needs; ``gelu``
@@ -34,9 +41,9 @@ on its own keeps only its input and takes the tanh again.  On the
 benchmark's ``wide`` workload the attention node cut peak RSS by about a
 sixth, to about 360 MB, and the two rebuilt arrays, with the optimizer's
 block-sized scratch, took it to about 300 MB.  The CLS-only top layer
-took it to about 265 MB, and the training loop's dropping each step's
-graph before the next forward (with glibc told to keep freed memory) to
-about 185 MB.
+took it to about 265 MB, the training loop's dropping each step's graph
+before the next forward (with glibc told to keep freed memory) to about
+185 MB, and carrying the real rows alone to about 173 MB.
 
 Everything is float64.  This library exists for verification work and the
 finite-difference checks in the test-suite need the headroom.
@@ -459,14 +466,65 @@ def take_index(a: Tensor, index: int, axis: int) -> Tensor:
     return _attach(out, "take_index", (a,), apply)
 
 
-def sum_axis(a: Tensor, axis: int) -> Tensor:
+def _row_sums(index: Array, rows: Array, n: int) -> Array:
+    """Row r of the result sums the rows i of `rows` with index[i] == r,
+    added in order of i onto zero, as np.add.at adds them; one flat
+    bincount makes the same additions several times faster."""
+    width = math.prod(rows.shape[1:])
+    flat = (index.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+    sums = np.bincount(flat, weights=rows.reshape(-1), minlength=n * width)
+    return sums.reshape(n, *rows.shape[1:])
+
+
+def _packed_rows(index: Array, n: int) -> bool:
+    """Whether `index` is a non-empty 1-D integer array of strictly
+    increasing row indices in [0, n), as rows packed in row-major order
+    are."""
+    return index.ndim == 1 and index.dtype.kind in "iu" and \
+        index.size > 0 and index[0] >= 0 and index[-1] < n and \
+        bool((index[1:] > index[:-1]).all())
+
+
+def gather_rows(a: Tensor, index: Array) -> Tensor:
+    """Rows `index` (increasing) of `a` along axis 0; the gradient is
+    scattered back to those rows."""
+    index = np.asarray(index)
+    if not _packed_rows(index, a.shape[0]):
+        raise ShapeError(f"gather_rows: index must be 1-D, increasing "
+                         f"and within [0, {a.shape[0]})")
     in_shape = a.shape
-    out = Tensor(a.data.sum(axis=axis))
+    out = Tensor(a.data[index])
 
     def apply(g: Array, ta: Target) -> None:
-        _accum(ta, np.broadcast_to(np.expand_dims(g, axis), in_shape))
+        full = np.zeros(in_shape)
+        full[index] = g
+        _accum(ta, full)
 
-    return _attach(out, "sum_axis", (a,), apply)
+    return _attach(out, "gather_rows", (a,), apply)
+
+
+def segment_mean(a: Tensor, lengths: Array) -> Tensor:
+    """Means of consecutive row segments: row i of the output averages
+    the next `lengths[i]` rows of `a`.
+
+    Each row is weighted by 1 / length and the weighted rows are summed
+    in order, which rounds as a weighted sum over a zero-padded segment
+    does.
+    """
+    lengths = np.asarray(lengths)
+    if lengths.ndim != 1 or np.any(lengths < 1) or \
+            lengths.sum() != a.shape[0]:
+        raise ShapeError(f"segment_mean: positive segment lengths must "
+                         f"cover the {a.shape[0]} rows of {a.shape}")
+    segment = np.repeat(np.arange(len(lengths)), lengths)
+    weights = np.repeat(1.0 / lengths, lengths).reshape(
+        (-1,) + (1,) * (a.ndim - 1))
+    out = _row_sums(segment, a.data * weights, len(lengths))
+
+    def apply(g: Array, ta: Target) -> None:
+        _accum(ta, g[segment] * weights)
+
+    return _attach(Tensor(out), "segment_mean", (a,), apply)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -482,31 +540,30 @@ def sum_all(a: Tensor) -> Tensor:
 def embedding_lookup(table: Tensor, ids: Array) -> Tensor:
     """Rows of `table` at integer `ids`; scatter-add on the way back."""
     ids = np.asarray(ids)
-    if np.any(ids < 0) or np.any(ids >= table.shape[0]):
+    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise DomainError(f"embedding_lookup: id out of range "
                           f"[0, {table.shape[0]})")
-    table_shape = table.shape
+    n, d = table.shape
     out = Tensor(table.data[ids])
-    d = table.shape[1]
 
     def apply(g: Array, tt: Target) -> None:
-        full = np.zeros(table_shape)
-        np.add.at(full, ids.reshape(-1), g.reshape(-1, d))
-        _accum(tt, full)
+        _accum(tt, _row_sums(ids, g.reshape(-1, d), n))
 
     return _attach(out, "embedding_lookup", (table,), apply)
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator,
-            draw_shape: tuple[int, ...] | None = None) -> Tensor:
+            draw_shape: tuple[int, ...] | None = None,
+            rows: Array | None = None) -> Tensor:
     """Inverted dropout; identity (and no node) at rate 0.
 
     The node keeps the boolean keep-mask (1 byte per element) and scales
     it again on the way back, which gives the same floats as the scaled
-    mask the forward used.  With `draw_shape`, `a` stands for the leading
-    corner of a tensor of that shape: the mask is drawn at `draw_shape`
-    and cut to `a`'s, so the rng advances as it would for the whole
-    tensor and `a` sees the whole tensor's mask entries.
+    mask the forward used.  With `draw_shape` and `rows`, `a` holds the
+    rows `rows` (increasing, along axis 0) of a tensor of shape
+    `draw_shape`: the mask is drawn at `draw_shape` and its rows `rows`
+    kept, so the rng advances as it would for the whole tensor and each
+    of `a`'s rows sees that row's entries of the whole tensor's mask.
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout: rate must lie in [0, 1), got {rate}")
@@ -515,11 +572,12 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator,
     if draw_shape is None:
         keep = rng.random(a.shape) >= rate
     else:
-        if len(draw_shape) != a.ndim or \
-                any(n > m for n, m in zip(a.shape, draw_shape)):
-            raise ShapeError(f"dropout: shape {a.shape} is not a corner "
-                             f"of draw shape {tuple(draw_shape)}")
-        keep = rng.random(draw_shape)[tuple(map(slice, a.shape))] >= rate
+        rows = np.asarray(rows)
+        if not _packed_rows(rows, draw_shape[0]) or \
+                (len(rows), *draw_shape[1:]) != a.shape:
+            raise ShapeError(f"dropout: shape {a.shape} is not a set of "
+                             f"rows of draw shape {tuple(draw_shape)}")
+        keep = (rng.random(draw_shape) >= rate)[rows]
     out = Tensor(a.data * (keep / (1.0 - rate)))
 
     def apply(g: Array, ta: Target) -> None:
@@ -554,68 +612,96 @@ def softmax_rows(a: Tensor) -> Tensor:
 
 
 def self_attention(q: Tensor, k: Tensor, v: Tensor, wo: Tensor, bo: Tensor,
-                   key_bias: Array, n_heads: int, scale: float,
-                   rate: float = 0.0,
+                   key_bias: Array, rows: Array, q_rows: Array,
+                   n_heads: int, scale: float, rate: float = 0.0,
                    rng: np.random.Generator | None = None) -> Tensor:
-    """Multi-head scaled dot-product attention over [batch, seq, d] inputs,
-    with its output projection.
+    """Multi-head scaled dot-product attention over packed rows, with its
+    output projection.
 
-    Splits d into `n_heads` heads, takes softmax(q k^T * scale + key_bias)
-    row-wise, applies inverted dropout at `rate` to those probabilities,
-    merges the heads of probs @ v back into a [batch, seq_q, d] context
-    and returns context @ wo + bo.  `key_bias` is [batch, seq], added to
-    every score of that key.
+    `key_bias` is [batch, seq] and sets the padded grid: it is added to
+    every score of its key.  k and v are [n, d], and row i of each is the
+    token at flat position `rows[i]` of the grid (index b * seq + t),
+    with `rows` increasing.  q's rows are the queries at the increasing
+    flat positions `q_rows`; the queries of one call need not be all of
+    the keys, as when only each sequence's [CLS] row is read.  Returns
+    [len(q_rows), d], row i for query i.
 
-    q may hold fewer rows than k and v: its seq_q rows are the queries of
-    the first seq_q positions, as when only the [CLS] row of a layer's
-    output is read.  The keep-mask is still drawn for the whole
-    [batch, heads, seq, seq] score matrix and cut to q's rows, so the rng
-    advances as a full call's would and every row gets the full call's
-    mask.
+    Inside the node, q, k and v are scattered into zero-filled
+    [batch, seq_q, d] and [batch, seq, d] grids, where seq_q is one past
+    the largest query position.  d is split into `n_heads` heads,
+    softmax(q k^T * scale + key_bias) is taken row-wise, inverted
+    dropout at `rate` is applied to those probabilities, and the heads
+    of probs @ v are merged back.  The context rows of the queries are
+    gathered before context @ wo + bo.  So the scores, the key mask, the
+    softmax and the dropout see the padded grid, and every product of a
+    row with a weight sees that row alone.  The keep-mask is drawn for
+    the whole [batch, heads, seq, seq] score matrix and cut to the first
+    seq_q query rows, so the rng advances as a full call's would and
+    every row gets the full call's mask.
 
-    One node stands for the chain reshape, swap_axes, matmul, scale, add,
-    softmax_rows, dropout, matmul, swap_axes, reshape, linear.  It keeps
-    q, k, v, the probabilities and the boolean keep-mask, and computes the
-    dropped-out probabilities and the context again in backward.  Every
-    product sees the operands, in the memory layouts, that the chain's
-    would, so outputs and gradients are bitwise equal to the chain's; the
-    key gradient, for one, leaves as a transposed view, as the chain's
-    does.
+    One node stands for the chain, over padded inputs, reshape,
+    swap_axes, matmul, scale, add, softmax_rows, dropout, matmul,
+    swap_axes, reshape, gather_rows, linear, and gives its floats on every
+    real row.  It keeps the padded q, k and v, the probabilities and the
+    boolean keep-mask, and computes the dropped-out probabilities and the
+    context again in backward.
     """
-    if k.ndim != 3 or v.shape != k.shape or q.ndim != 3 or \
-            (q.shape[0], q.shape[2]) != (k.shape[0], k.shape[2]) or \
-            q.shape[1] > k.shape[1]:
-        raise ShapeError(f"self_attention: k and v must share one "
-                         f"[batch, seq, d] shape and q be [batch, seq_q, d] "
-                         f"with seq_q <= seq, got {q.shape}, {k.shape} "
-                         f"and {v.shape}")
-    b, s, d = k.shape
-    sq = q.shape[1]
+    rows, q_rows = np.asarray(rows), np.asarray(q_rows)
+    if key_bias.ndim != 2:
+        raise ShapeError(f"self_attention: key bias must be [batch, seq], "
+                         f"got {key_bias.shape}")
+    b, s = key_bias.shape
+    if k.ndim != 2 or v.shape != k.shape or q.ndim != 2 or \
+            q.shape[1] != k.shape[1] or rows.shape != k.shape[:1] or \
+            q_rows.shape != q.shape[:1] or \
+            not (_packed_rows(rows, b * s) and _packed_rows(q_rows, b * s)):
+        raise ShapeError(f"self_attention: k and v must share one [n, d] "
+                         f"shape and q be [n_q, d], with n and n_q (>= 1) "
+                         f"increasing row indices in the [{b}, {s}] grid, "
+                         f"got {q.shape}, {k.shape} and {v.shape} with "
+                         f"{rows.shape} and {q_rows.shape} indices")
+    d = k.shape[1]
     if d % n_heads != 0:
         raise ShapeError(f"self_attention: width {d} not divisible by "
                          f"{n_heads} heads")
     _check_affine("self_attention", q.shape, wo, bo)
-    if key_bias.shape != (b, s):
-        raise ShapeError(f"self_attention: key bias shape {key_bias.shape} "
-                         f"does not match [batch, seq] {(b, s)}")
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"self_attention: rate must lie in [0, 1), "
                           f"got {rate}")
+    def grid_at(flat: Array, width: int) -> tuple[Array, Array] | None:
+        """(sequence, position) of each increasing flat index into a
+        [batch, width] grid, or None when the indices fill that grid (a
+        batch without padding), where scatter and gather are reshapes."""
+        return None if len(flat) == b * width else np.divmod(flat, width)
 
-    def split(x: Array) -> Array:
-        return np.swapaxes(x.reshape(b, -1, n_heads, d // n_heads), 1, 2)
+    q_pos = q_rows % s
+    sq = int(q_pos.max()) + 1
+    key_at = grid_at(rows, s)
+    query_at = grid_at(q_rows // s * sq + q_pos, sq)
 
-    def merge(x: Array) -> Array:
-        return np.swapaxes(x, 1, 2).reshape(b, -1, d)
+    def split(x: Array, at: tuple[Array, Array] | None,
+              width: int) -> Array:
+        """Rows -> [batch, heads, width, d_head], zero where no row is."""
+        full = x if at is None else np.zeros((b, width, d))
+        if at is not None:
+            full[at] = x
+        return np.swapaxes(full.reshape(b, width, n_heads, d // n_heads),
+                           1, 2)
 
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    def gather(x: Array, at: tuple[Array, Array] | None) -> Array:
+        """[batch, heads, width, d_head] -> the merged rows at `at`."""
+        x = np.swapaxes(x, 1, 2)
+        return (x if at is None else x[at]).reshape(-1, d)
+
+    qh, kh, vh = (split(q.data, query_at, sq), split(k.data, key_at, s),
+                  split(v.data, key_at, s))
     wod = wo.data
     y = _softmax(np.matmul(qh, _swap_last(kh)) * scale
                  + key_bias[:, None, None, :])
     keep = None if rate == 0.0 else \
         rng.random((b, n_heads, s, s))[:, :, :sq] >= rate
     p = y if keep is None else y * (keep / (1.0 - rate))
-    out = Tensor(_affine(merge(np.matmul(p, vh)), wod, bo.data))
+    out = Tensor(_affine(gather(np.matmul(p, vh), query_at), wod, bo.data))
 
     def apply(g: Array, tq: Target | None, tk: Target | None,
               tv: Target | None, two: Target | None,
@@ -623,14 +709,16 @@ def self_attention(q: Tensor, k: Tensor, v: Tensor, wo: Tensor, bo: Tensor,
         # x * 1.0 is x bit for bit, so no dropout needs no branch
         drop = 1.0 if keep is None else keep / (1.0 - rate)
         p = y * drop
-        g = split(_linear_grads(g, merge(np.matmul(p, vh)), wod, two, tbo))
+        g = split(_linear_grads(g, gather(np.matmul(p, vh), query_at), wod,
+                                two, tbo), query_at, sq)
         if tv is not None:
-            _accum(tv, merge(np.matmul(_swap_last(p), g)))
+            _accum(tv, gather(np.matmul(_swap_last(p), g), key_at))
         gs = _softmax_grad(y, np.matmul(g, _swap_last(vh)) * drop) * scale
         if tq is not None:
-            _accum(tq, merge(np.matmul(gs, kh)))
+            _accum(tq, gather(np.matmul(gs, kh), query_at))
         if tk is not None:
-            _accum(tk, merge(_swap_last(np.matmul(_swap_last(qh), gs))))
+            _accum(tk, gather(_swap_last(np.matmul(_swap_last(qh), gs)),
+                              key_at))
 
     return _attach(out, "self_attention", (q, k, v, wo, bo), apply)
 

@@ -13,12 +13,13 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, ShapeError
 from .schema import Schema
 from .seeding import rng_for
 
@@ -344,6 +345,44 @@ def k_folds(examples: Sequence[Example], k: int, seed: int) -> Folds:
 # batching
 
 
+@dataclass(frozen=True)
+class RowLayout:
+    """Where a batch's real tokens sit in its padded [batch, seq] grid.
+
+    The encoder carries the real tokens alone, as [n, d] rows packed in
+    row-major order: sequence 0's tokens, then sequence 1's.  Row i is
+    the token at flat grid position `slots[i]` (b * seq + t), which is
+    position `positions[i]` of its sequence; sequence b's rows run from
+    `starts[b]`, its [CLS] row, for `lengths[b]` rows.
+    """
+
+    mask: np.ndarray
+    slots: np.ndarray
+    positions: np.ndarray
+    lengths: np.ndarray
+    starts: np.ndarray
+
+    @classmethod
+    def of(cls, mask: np.ndarray) -> RowLayout:
+        """The layout of a [batch, seq] attention mask, which must hold a
+        prefix of ones, at least one long, and then zeros in every row."""
+        mask = np.asarray(mask)
+        if mask.ndim != 2 or not mask.size:
+            raise ShapeError(f"attention mask must be a non-empty "
+                             f"[batch, seq] array, got shape {mask.shape}")
+        lengths = np.count_nonzero(mask, axis=1)
+        if lengths.min() < 1:
+            raise ShapeError("a sequence with no real tokens cannot be "
+                             "encoded")
+        if not (mask == (np.arange(mask.shape[1])
+                         < lengths[:, None])).all():
+            raise ShapeError("attention mask must be a prefix of ones in "
+                             "every row, then zeros")
+        slots = np.flatnonzero(mask)
+        return cls(mask=mask, slots=slots, positions=slots % mask.shape[1],
+                   lengths=lengths, starts=np.cumsum(lengths) - lengths)
+
+
 @dataclass
 class Batch:
     token_ids: np.ndarray      # int64 [batch, seq]
@@ -358,6 +397,12 @@ class Batch:
     @property
     def size(self) -> int:
         return self.token_ids.shape[0]
+
+    @cached_property
+    def layout(self) -> RowLayout:
+        """The row layout of the attention mask, derived once and shared
+        by every forward and pooling of the batch."""
+        return RowLayout.of(self.attention_mask)
 
 
 def _targets_for(examples: Sequence[Example],
@@ -415,7 +460,8 @@ def batches(split: EncodedSplit, batch_size: int, train: bool,
     Training mode shuffles under the seed and drops a final partial batch
     (batch statistics in the objective need full batches); eval mode keeps
     the corpus order and the final partial batch.  Each batch is trimmed
-    to its longest row (at least 2 columns).
+    to its longest row (at least 2 columns), and its mask holds a prefix
+    of ones per row, the layout `RowLayout` requires.
     """
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")

@@ -197,6 +197,18 @@ def _check_out_file(path: Path) -> None:
     _check_out_dir(path.parent)
 
 
+def _check_sweep_out(out_dir: Path, run_dirs: list[Path],
+                     table: str) -> None:
+    """Raise a ConfigError, before any cell runs, if the sweep's output
+    directory, a cell's run directory or one of its two table files
+    could not be written."""
+    _check_out_dir(out_dir)
+    for run_dir in run_dirs:
+        _check_out_dir(run_dir)
+    for suffix in (".json", ".csv"):
+        _check_out_file(out_dir / f"{table}{suffix}")
+
+
 def _check_splits(prepared: PreparedData, where: str = "") -> None:
     """Raise a DataError naming the first empty split of `prepared`."""
     for name in SPLIT_NAMES:
@@ -303,11 +315,11 @@ def run_grid(config: ExperimentConfig, workers: int = 1) -> dict:
     if config.grid is None:
         raise ConfigError("grid command needs a grid section")
     out_dir = Path(config.out_dir)
-    _check_out_dir(out_dir)
-    # cells vary no data setting, so they share one preparation
-    prepared = prepare_data(config)
     cells = config.grid.cells(config.train, config.dual)
     run_dirs = [out_dir / f"cell{i:03d}" for i in range(len(cells))]
+    _check_sweep_out(out_dir, run_dirs, "grid")
+    # cells vary no data setting, so they share one preparation
+    prepared = prepare_data(config)
     jobs = [(replace(config.with_cell(cell), out_dir=str(run_dir)),
              prepared, run_dir) for cell, run_dir in zip(cells, run_dirs)]
     rows = []
@@ -360,12 +372,13 @@ def run_kfold(config: ExperimentConfig, k: int, val_fraction: float = 0.2,
         raise ConfigError("k-fold needs a splittable data source, not "
                           "pre-split files")
     out_dir = Path(config.out_dir)
-    _check_out_dir(out_dir)
+    run_dirs = [out_dir / f"fold{i}" for i in range(k)]
+    _check_sweep_out(out_dir, run_dirs, "kfold")
     examples, label_space = _corpus(config)
     folds = k_folds(examples, k, config.train.seed)
     # every fold's config keeps the sweep's out_dir
     jobs = [(config, _fold_data(config, folds, i, val_fraction, label_space),
-             out_dir / f"fold{i}") for i in range(k)]
+             run_dir) for i, run_dir in enumerate(run_dirs)]
     for i, (_, prepared, _) in enumerate(jobs):  # before any fold runs
         _check_splits(prepared, f"fold {i}: ")
     rows = [{"fold": i, **result} for i, result in
@@ -393,10 +406,12 @@ def run_ablation(config: ExperimentConfig, workers: int = 1) -> dict:
     if config.dual is None:
         raise ConfigError("ablation needs a dual section")
     out_dir = Path(config.out_dir)
-    _check_out_dir(out_dir)
+    run_dirs = [out_dir / mode for _, mode in ABLATION_ROWS]
+    _check_sweep_out(out_dir, run_dirs, "ablation")
     prepared = prepare_data(config)  # the modes share one preparation
-    jobs = [(config.with_overrides(mode=mode, out_dir=str(out_dir / mode)),
-             prepared, out_dir / mode) for _, mode in ABLATION_ROWS]
+    jobs = [(config.with_overrides(mode=mode, out_dir=str(run_dir)),
+             prepared, run_dir)
+            for (_, mode), run_dir in zip(ABLATION_ROWS, run_dirs)]
     rows = [{"row": row_name, "mode": mode, **result}
             for (row_name, mode), result in
             zip(ABLATION_ROWS, _all_ok(_run_cells(jobs, workers)))]
@@ -477,8 +492,10 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
     # evaluation batches keep the split's order, so row i is examples[i].
     # Only the batch stream holds the encoded split, so it is freed before
     # the PCA.  A row's values depend on its batch only through the
-    # batch's padded width: the per-row products do not see the batch,
-    # and only the sums over the key axis see the padding
+    # batch's padded width, which the attention's sums over the key axis
+    # see, and through a batch of one example, whose CLS-only top layer
+    # numpy multiplies as a single row: every other product and sum sees
+    # one row at a time
     for batch in batches(encode_split(examples, prepared.vocab,
                                       prepared.label_space,
                                       config.model.max_seq_len),
@@ -486,8 +503,7 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
         with ad.no_grad():
             logits, hidden = model.forward(batch, train=False,
                                            cls_only=cls_only)
-            pooled = pool(hidden[source_layer], batch.attention_mask,
-                          pooling)
+            pooled = pool(hidden[source_layer], batch.layout, pooling)
         rows = slice(start, start + batch.size)
         predicted[rows] = predict(logits.data,
                                   not prepared.label_space.single_label,

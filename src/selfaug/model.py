@@ -1,18 +1,27 @@
 """Micro transformer encoder with per-layer hidden-state taps and additive
 injection.
 
+A batch arrives padded to its longest row, [batch, seq] token ids with a
+prefix mask of ones per row.  The encoder carries the real tokens alone:
+every hidden state is [n, d], the n real positions packed in row-major
+order (sequence 0's tokens, then sequence 1's), and the batch's
+`RowLayout` holds where each packed row sits in the padded grid.
+Per-token work (embeddings, projections, feed-forward blocks, layer
+norms and dropout) runs on real rows only; attention alone sees the
+padded grid, inside its node (see autodiff).
+
 The forward pass returns every intermediate hidden state H_0..H_L (H_0 is
 the embedding output), and an optional injection (j, T) replaces H_j with
 H_j + T before layer j+1 consumes it; j = n_layers sums into the final state
 just before pooling.  That additive hook is the entire coupling surface the
 dual-stream objective needs.  A forward with `cls_only` runs the last layer
-for the [CLS] position alone, so its H_L is [batch, 1, d]: the baseline
-step, evaluation, each stream of a dual step whose tap or pooled view does
-not need the rest of H_L, and export unless it mean-pools H_L.
+for each sequence's [CLS] row alone, so its H_L is [batch, d]: the
+baseline step, evaluation, each stream of a dual step whose tap or pooled
+view does not need the rest of H_L, and export unless it mean-pools H_L.
 
 Layout is post-layer-norm: attention -> add & norm -> feed-forward ->
-add & norm.  Padding positions are masked out of every attention row, so
-pad content can never influence a real position.
+add & norm.  Padding positions are masked out of every attention row and
+hold no hidden state, so pad content can never influence a real position.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import Batch
+from .data import Batch, RowLayout
 from .errors import ConfigError, ShapeError
 from .schema import Schema
 
@@ -107,33 +116,39 @@ class EncoderLayer:
                 ("ln1_gain", self.ln1_gain), ("ln1_bias", self.ln1_bias),
                 ("ln2_gain", self.ln2_gain), ("ln2_bias", self.ln2_bias)]
 
-    def apply(self, h: Tensor, mask: np.ndarray, train: bool,
+    def apply(self, h: Tensor, layout: RowLayout, train: bool,
               rng: np.random.Generator | None,
               cls_only: bool = False) -> Tensor:
-        """The layer's output for every position, or with `cls_only` for
-        position 0 alone, as [batch, 1, d].  Keys and values always come
-        from every position of `h`, and every dropout mask is drawn at
-        full width and cut to the rows kept, so the CLS row and the rng
-        end up as they would after a full-width call."""
+        """The layer's output for every packed row of `h`, or with
+        `cls_only` for each sequence's [CLS] row alone, as [batch, d].
+        Keys and values always come from every row of `h`, and every
+        dropout mask is drawn at the padded grid's size and cut to the
+        rows kept, so each row and the rng end up as they would after a
+        padded full-width call."""
         cfg = self.config
         rate = cfg.dropout_rate if train else 0.0
-        full = h.shape
-        rows = ad.reshape(ad.take_index(h, 0, axis=1),
-                          (full[0], 1, full[2])) if cls_only else h
+        b, s = layout.mask.shape
+        draw = (b * s, cfg.d_model)
+        if cls_only:
+            rows, slots = ad.gather_rows(h, layout.starts), \
+                layout.slots[layout.starts]
+        else:
+            rows, slots = h, layout.slots
         # keys at pad positions get -1e9 before softmax
         attn = ad.self_attention(ad.linear(rows, self.wq, self.bq),
                                  ad.linear(h, self.wk),
                                  ad.linear(h, self.wv, self.bv),
                                  self.wo, self.bo,
-                                 (mask - 1.0) * MASK_OFFSET, cfg.n_heads,
+                                 (layout.mask - 1.0) * MASK_OFFSET,
+                                 layout.slots, slots, cfg.n_heads,
                                  1.0 / math.sqrt(cfg.d_head), rate, rng)
         if rate > 0.0:
-            attn = ad.dropout(attn, rate, rng, full)
+            attn = ad.dropout(attn, rate, rng, draw, slots)
         h = ad.layer_norm(ad.add(rows, attn), self.ln1_gain, self.ln1_bias,
                           eps=LN_EPS)
         ffn = ad.feed_forward(h, self.w1, self.b1, self.w2, self.b2)
         if rate > 0.0:
-            ffn = ad.dropout(ffn, rate, rng, full)
+            ffn = ad.dropout(ffn, rate, rng, draw, slots)
         return ad.layer_norm(ad.add(h, ffn), self.ln2_gain, self.ln2_bias,
                              eps=LN_EPS)
 
@@ -188,79 +203,83 @@ class EncoderModel:
                 rng: np.random.Generator | None = None,
                 cls_only: bool = False,
                 ) -> tuple[Tensor, list[Tensor]]:
-        """Logits plus the full list of hidden states H_0..H_L.
+        """Logits plus the full list of hidden states H_0..H_L, each
+        packed [n, d] over the batch's n real tokens (see `RowLayout`).
 
-        With injection (j, T), H_j becomes H_j + T before the next layer
-        (or, at j = n_layers, before pooling); the returned list holds the
-        post-injection state, which is what downstream consumers see.
+        With injection (j, T), T is packed [n, d] as well and H_j becomes
+        H_j + T before the next layer (or, at j = n_layers, before
+        pooling); the returned list holds the post-injection state, which
+        is what downstream consumers see.
 
-        With `cls_only`, the last layer computes position 0 alone, the
-        only row the classifier head reads, and H_L is [batch, 1, d]; an
-        injection at j = n_layers then adds T's position-0 row.  The
-        logits, H_L's one row and the rng's state equal a full forward's
-        up to rounding.
+        With `cls_only`, the last layer computes each sequence's [CLS]
+        row alone, the only row the classifier head reads, and H_L is
+        [batch, d]; an injection at j = n_layers then adds T's [CLS]
+        rows.  The logits, H_L's rows and the rng's state equal a full
+        forward's up to rounding.
         """
         cfg = self.config
-        ids, mask = batch.token_ids, batch.attention_mask
+        ids = batch.token_ids
         b, s = ids.shape
         if s > cfg.max_seq_len:
             raise ShapeError(f"batch width {s} exceeds max_seq_len "
                              f"{cfg.max_seq_len}")
-        if np.any(mask.sum(axis=1) < 1):
-            raise ShapeError("a sequence with no real tokens cannot be "
-                             "encoded")
+        layout = batch.layout
+        n = len(layout.slots)
         if injection is not None:
             j, tap = injection
             if not 0 <= j <= cfg.n_layers:
                 raise ConfigError(f"injection layer {j} outside "
                                   f"[0, {cfg.n_layers}]")
-            if tap.shape != (b, s, cfg.d_model):
+            if tap.shape != (n, cfg.d_model):
                 raise ShapeError(f"injection tensor shape {tap.shape} does "
-                                 f"not match hidden shape "
-                                 f"{(b, s, cfg.d_model)}")
+                                 f"not match packed hidden shape "
+                                 f"{(n, cfg.d_model)}")
         if train and cfg.dropout_rate > 0.0 and rng is None:
             raise ConfigError("training forward with dropout needs an rng")
-        tok = ad.embedding_lookup(self.token_embedding, ids)
-        pos = ad.broadcast_to(ad.reshape(
-            ad.slice_front(self.position_embedding, s),
-            (1, s, cfg.d_model)), (b, s, cfg.d_model))
-        h = ad.add(tok, pos)
+        h = ad.add(ad.embedding_lookup(self.token_embedding,
+                                       ids.reshape(-1)[layout.slots]),
+                   ad.embedding_lookup(self.position_embedding,
+                                       layout.positions))
         if train and cfg.dropout_rate > 0.0:
-            h = ad.dropout(h, cfg.dropout_rate, rng)
+            h = ad.dropout(h, cfg.dropout_rate, rng, (b * s, cfg.d_model),
+                           layout.slots)
         if injection is not None and injection[0] == 0:
             h = ad.add(h, injection[1])
         hidden = [h]
         for depth, layer in enumerate(self.layers, start=1):
             last = cls_only and depth == cfg.n_layers
-            h = layer.apply(h, mask, train, rng, cls_only=last)
+            h = layer.apply(h, layout, train, rng, cls_only=last)
             if injection is not None and injection[0] == depth:
                 tap = injection[1]
                 if last:
-                    tap = ad.reshape(ad.take_index(tap, 0, axis=1),
-                                     (b, 1, cfg.d_model))
+                    tap = ad.gather_rows(tap, layout.starts)
                 h = ad.add(h, tap)
             hidden.append(h)
-        pooled = pool(hidden[-1], mask, "cls")
+        pooled = pool(hidden[-1], layout, "cls")
         logits = ad.linear(pooled, self.head_w, self.head_b)
         return logits, hidden
 
 
-def pool(hidden: Tensor, mask: np.ndarray, kind: str) -> Tensor:
-    """Collapse [batch, seq, d] to [batch, d].
+def pool(hidden: Tensor, layout: RowLayout, kind: str) -> Tensor:
+    """Collapse a packed hidden state of a batch with `layout` to
+    [batch, d].
 
-    cls takes position 0 (always a real token); mean averages over real
-    positions only, weighted by the attention mask.
+    cls takes each sequence's position 0 (always a real token); mean
+    averages each sequence's real rows.  A state with one row per
+    sequence holds [CLS] rows alone (a CLS-only top layer's, or that of a
+    batch of one-token sequences), and cls pooling returns it as it is.
     """
-    if kind == "cls":
-        return ad.take_index(hidden, 0, axis=1)
+    batch, n = len(layout.lengths), len(layout.slots)
+    if kind not in ("cls", "mean"):
+        raise ConfigError(f"unknown pooling kind {kind!r}")
+    if hidden.shape[0] not in ((batch, n) if kind == "cls" else (n,)):
+        raise ShapeError(f"{kind} pooling: hidden state {hidden.shape} has "
+                         f"neither {n} packed rows nor one row per "
+                         f"sequence")
     if kind == "mean":
-        counts = mask.sum(axis=1, keepdims=True)
-        if np.any(counts < 1):
-            raise ShapeError("mean pooling over a fully padded sequence")
-        b, s, d = hidden.shape
-        weights = np.broadcast_to((mask / counts)[:, :, None], (b, s, d))
-        return ad.sum_axis(ad.mul(hidden, ad.tensor(weights)), 1)
-    raise ConfigError(f"unknown pooling kind {kind!r}")
+        return ad.segment_mean(hidden, layout.lengths)
+    return hidden if hidden.shape[0] == batch else \
+        ad.gather_rows(hidden, layout.starts)
 
 
 def predict(logits: np.ndarray, multilabel: bool,

@@ -209,7 +209,7 @@ def dual_forward(model_f: EncoderModel, model_c: EncoderModel, batch: Batch,
         batch, train=train, injection=(config.inject_layer, injected),
         rng=rng_c, cls_only=not (config.pooling == "mean"
                                  and config.inject_layer == n_layers))
-    pooled_tap = pool(tap, batch.attention_mask, config.pooling)
-    pooled_injected = pool(hidden_c[config.inject_layer],
-                           batch.attention_mask, config.pooling)
+    pooled_tap = pool(tap, batch.layout, config.pooling)
+    pooled_injected = pool(hidden_c[config.inject_layer], batch.layout,
+                           config.pooling)
     return logits_f, logits_c, pooled_tap, pooled_injected

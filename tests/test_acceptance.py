@@ -134,13 +134,20 @@ def _op_cases(rng: np.random.Generator) -> list:
                   lambda a=a, idx=idx, w=w:
                   _wsum(ad.take_index(a, idx, axis=1), w)))
 
-    a = ad.parameter(n(0.0, 1.0, (2, 3, 4)))
-    axis = int(rng.integers(0, 3))
-    w_shape = tuple(s for i, s in enumerate((2, 3, 4)) if i != axis)
-    w = n(0.0, 1.0, w_shape)
-    cases.append(("sum_axis", [("a", a)],
-                  lambda a=a, axis=axis, w=w:
-                  _wsum(ad.sum_axis(a, axis), w)))
+    a = ad.parameter(n(0.0, 1.0, (5, 3)))
+    index = np.sort(rng.choice(5, 3, replace=False))
+    w = n(0.0, 1.0, (3, 3))
+    cases.append(("gather_rows", [("a", a)],
+                  lambda a=a, index=index, w=w:
+                  _wsum(ad.gather_rows(a, index), w)))
+
+    a = ad.parameter(n(0.0, 1.0, (6, 3)))
+    lengths = np.array([1, int(rng.integers(1, 5))])
+    lengths = np.append(lengths, 6 - lengths.sum())
+    w = n(0.0, 1.0, (3, 3))
+    cases.append(("segment_mean", [("a", a)],
+                  lambda a=a, lengths=lengths, w=w:
+                  _wsum(ad.segment_mean(a, lengths), w)))
 
     a = ad.parameter(n(0.0, 1.0, (2, 3)))
     cases.append(("sum_all", [("a", a)],
@@ -162,6 +169,12 @@ def _op_cases(rng: np.random.Generator) -> list:
                   lambda a=a, w=w, mask_seed=mask_seed:
                   _wsum(ad.dropout(a, 0.5,
                                    np.random.default_rng(mask_seed)), w)))
+    a = ad.parameter(n(0.0, 1.0, (3, 6)))
+    w = n(0.0, 1.0, (3, 6))
+    cases.append(("dropout_rows", [("a", a)],
+                  lambda a=a, w=w, mask_seed=mask_seed:
+                  _wsum(ad.dropout(a, 0.5, np.random.default_rng(mask_seed),
+                                   (8, 6), np.array([0, 4, 5])), w)))
 
     a = ad.parameter(n(0.0, 1.0, (2, 4, 6)))
     gain = ad.parameter(rng.uniform(0.5, 1.5, 6))
@@ -191,20 +204,27 @@ def _op_cases(rng: np.random.Generator) -> list:
                   ad.scale(ad.binary_cross_entropy_with_logits(
                       logits, onehot), 1.7)))
 
-    q, k, v = (ad.parameter(n(0.0, 1.0, (2, 4, 6))) for _ in range(3))
+    # packed rows of a [2, 4] grid whose first sequence is padded
+    real = int(rng.integers(1, 4))
+    rows = np.concatenate([np.arange(real), np.arange(4, 8)])
     key_bias = np.zeros((2, 4))
-    key_bias[0, int(rng.integers(1, 4)):] = -1e9  # padded keys
+    key_bias[0, real:] = -1e9
     mask_seed = int(rng.integers(0, 2 ** 31))
-    w = n(0.0, 1.0, (2, 4, 6))
-    wo = ad.parameter(n(0.0, 1.0, (6, 6)))
-    bo = ad.parameter(n(0.0, 1.0, 6))
-    cases.append(("self_attention", [("q", q), ("k", k), ("v", v),
-                                     ("wo", wo), ("bo", bo)],
-                  lambda q=q, k=k, v=v, wo=wo, bo=bo, key_bias=key_bias,
-                  mask_seed=mask_seed, w=w:
-                  _wsum(ad.self_attention(
-                      q, k, v, wo, bo, key_bias, 2, 0.5, 0.3,
-                      np.random.default_rng(mask_seed)), w)))
+    for name, q_rows in (("self_attention", rows),
+                         ("self_attention_cls", np.array([0, 4]))):
+        wo = ad.parameter(n(0.0, 1.0, (6, 6)))
+        bo = ad.parameter(n(0.0, 1.0, 6))
+        q = ad.parameter(n(0.0, 1.0, (len(q_rows), 6)))
+        k, v = (ad.parameter(n(0.0, 1.0, (len(rows), 6))) for _ in range(2))
+        w = n(0.0, 1.0, (len(q_rows), 6))
+        cases.append((name, [("q", q), ("k", k), ("v", v),
+                             ("wo", wo), ("bo", bo)],
+                      lambda q=q, k=k, v=v, wo=wo, bo=bo, q_rows=q_rows,
+                      rows=rows, key_bias=key_bias, mask_seed=mask_seed,
+                      w=w:
+                      _wsum(ad.self_attention(
+                          q, k, v, wo, bo, key_bias, rows, q_rows, 2, 0.5,
+                          0.3, np.random.default_rng(mask_seed)), w)))
 
     h = ad.parameter(n(0.0, 1.0, (2, 3, 4)))
     w1, b1 = ad.parameter(n(0.0, 1.0, (4, 5))), ad.parameter(n(0.0, 1.0, 5))
@@ -298,8 +318,9 @@ def test_03_injection_identities_and_gradient_stop():
     model = small_model(31, n_layers=2)
     randomize_parameters(model, np.random.default_rng(32))
     base_logits, base_hidden = model.forward(batch)
+    n = int(batch.attention_mask.sum())  # real tokens, the packed rows
     for j in range(cfg.n_layers + 1):
-        zeros = ad.tensor(np.zeros((b, s, d)))
+        zeros = ad.tensor(np.zeros((n, d)))
         logits, hidden = model.forward(batch, injection=(j, zeros))
         assert logits.data.tobytes() == base_logits.data.tobytes(), j
         for k, (got, want) in enumerate(zip(hidden, base_hidden)):

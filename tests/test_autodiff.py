@@ -154,8 +154,17 @@ class TestSoftmax:
                    RNG.uniform(-2, 2, (3, 5)))
 
 
+def _grid_rows(mask, sq=None):
+    """Flat grid positions (b * seq + t) of the real tokens of `mask`,
+    and of those among the first `sq` positions of each sequence."""
+    s = mask.shape[1]
+    rows = np.flatnonzero(mask)
+    return rows, rows[rows % s < (s if sq is None else sq)]
+
+
 def _attention_chain(q, k, v, wo, bo, mask, n_heads, rate, rng):
-    """The encoder's attention as unfused ops plus its output linear: the
+    """The encoder's attention as unfused ops over padded [b, s, d]
+    inputs, then the real rows of the context and the output linear: the
     reference that self_attention must reproduce bit for bit."""
     b, s, d = q.shape
     dh = d // n_heads
@@ -171,14 +180,37 @@ def _attention_chain(q, k, v, wo, bo, mask, n_heads, rate, rng):
     probs = ad.softmax_rows(ad.add(scores, ad.tensor(bias)))
     if rate > 0.0:
         probs = ad.dropout(probs, rate, rng)
-    ctx = ad.reshape(ad.swap_axes(ad.matmul(probs, vh), 1, 2), (b, s, d))
-    return ad.linear(ctx, wo, bo)
+    ctx = ad.reshape(ad.swap_axes(ad.matmul(probs, vh), 1, 2), (b * s, d))
+    return ad.linear(ad.gather_rows(ctx, _grid_rows(mask)[0]), wo, bo)
 
 
 def _attention(q, k, v, wo, bo, mask, n_heads, rate, rng):
-    dh = q.shape[-1] // n_heads
-    return ad.self_attention(q, k, v, wo, bo, (mask - 1.0) * 1e9, n_heads,
-                             1.0 / math.sqrt(dh), rate, rng)
+    """self_attention over the real rows of padded inputs: k and v are
+    [b, s, d], q is [b, sq, d] for the first sq positions.  Returns one
+    output row per real query."""
+    b, s = mask.shape
+    sq, d = q.shape[1:]
+    rows, q_rows = _grid_rows(mask, sq)
+
+    def packed(x, width, at):
+        return ad.gather_rows(ad.reshape(x, (b * width, d)),
+                              (at // s) * width + at % s)
+
+    return ad.self_attention(packed(q, sq, q_rows), packed(k, s, rows),
+                             packed(v, s, rows), wo, bo,
+                             (mask - 1.0) * 1e9, rows, q_rows, n_heads,
+                             1.0 / math.sqrt(d // n_heads), rate, rng)
+
+
+def _packed_attention(q, k, v, wo, bo, mask, n_heads, rate, rng,
+                      sq=None):
+    """self_attention over packed [n, d] inputs of `mask`'s real rows;
+    q holds the real rows among the first `sq` positions."""
+    rows, q_rows = _grid_rows(mask, sq)
+    return ad.self_attention(q, k, v, wo, bo, (mask - 1.0) * 1e9, rows,
+                             q_rows, n_heads,
+                             1.0 / math.sqrt(q.shape[1] // n_heads), rate,
+                             rng)
 
 
 def _padded_mask(b, s, rng):
@@ -202,56 +234,71 @@ class TestSelfAttention:
     @pytest.mark.parametrize("rate", [0.0, 0.2])
     @pytest.mark.parametrize("b,s,d,n_heads", [(16, 8, 32, 4), (4, 16, 64, 4)])
     def test_bitwise_equal_to_the_unfused_chain(self, b, s, d, n_heads, rate):
+        # pad rows hold values in the chain and zeros in the node: both
+        # meet a probability of exactly 0, so every real row agrees.  The
+        # node's q, k and v gradients leave as gathered rows, contiguous,
+        # so only their values are compared
         arrays = [RNG.normal(0.0, 1.0, (b, s, d)) for _ in range(3)]
         arrays += [RNG.normal(0.0, 0.1, (d, d)), RNG.normal(0.0, 0.1, d)]
         mask = _padded_mask(b, s, RNG)
-        weights = ad.tensor(RNG.normal(0.0, 1.0, (b, s, d)))
+        weights = ad.tensor(RNG.normal(0.0, 1.0,
+                                       (int(mask.sum()), d)))
         results = []
         for op in (_attention_chain, _attention):
             params = [ad.parameter(a.copy()) for a in arrays]
             out = op(*params, mask, n_heads, rate, np.random.default_rng(7))
             ad.backward(ad.sum_all(ad.mul(out, weights)))
             results.append((out.data, [t.grad for t in params]))
-        _assert_same_results(results, ("q", "k", "v", "wo", "bo"))
-        key_grad = results[1][1][1]
-        assert key_grad.strides == (s * d * 8, 8, s * 8)  # transposed
+        (want, want_grads), (got, got_grads) = results
+        np.testing.assert_array_equal(got, want)
+        for name, g, w in zip(("q", "k", "v", "wo", "bo"), got_grads,
+                              want_grads):
+            np.testing.assert_array_equal(g, w, err_msg=name)
+        pad = mask == 0.0
+        for g in got_grads[:3]:
+            assert not np.any(g[pad])
 
     @pytest.mark.parametrize("rate", [0.0, 0.2])
     def test_gradients(self, rate):
         mask = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
-        weights = ad.tensor(RNG.uniform(-1, 1, (2, 4, 6)))
+        weights = ad.tensor(RNG.uniform(-1, 1, (7, 6)))
         check_grad(lambda q, k, v, wo, bo: ad.mul(
-            _attention(q, k, v, wo, bo, mask, 2, rate,
-                       np.random.default_rng(3)), weights),
-            *(RNG.uniform(-1, 1, (2, 4, 6)) for _ in range(3)),
+            _packed_attention(q, k, v, wo, bo, mask, 2, rate,
+                              np.random.default_rng(3)), weights),
+            *(RNG.uniform(-1, 1, (7, 6)) for _ in range(3)),
             RNG.uniform(-1, 1, (6, 6)), RNG.uniform(-1, 1, 6))
 
     @pytest.mark.parametrize("rate", [0.0, 0.2])
     @pytest.mark.parametrize("sq", [1, 3])
     def test_fewer_query_rows_match_the_full_call(self, sq, rate):
-        # q holding the first sq positions gives the full call's first sq
-        # output rows, the gradients a loss on those rows alone sends back,
-        # and leaves the rng where the full call leaves it
+        # q holding the real rows among the first sq positions gives the
+        # full call's rows there, the gradients a loss on those rows
+        # alone sends back, and leaves the rng where the full call leaves
+        # it
         b, s, d, n_heads = 4, 8, 16, 4
-        arrays = [RNG.normal(0.0, 1.0, (b, s, d)) for _ in range(3)]
-        arrays += [RNG.normal(0.0, 0.1, (d, d)), RNG.normal(0.0, 0.1, d)]
         mask = _padded_mask(b, s, RNG)
-        weights = np.zeros((b, s, d))
-        weights[:, :sq] = RNG.normal(0.0, 1.0, (b, sq, d))
+        rows, q_rows = _grid_rows(mask, sq)
+        few = np.isin(rows, q_rows)
+        arrays = [RNG.normal(0.0, 1.0, (len(rows), d)) for _ in range(3)]
+        arrays += [RNG.normal(0.0, 0.1, (d, d)), RNG.normal(0.0, 0.1, d)]
+        weights = np.zeros((len(rows), d))
+        weights[few] = RNG.normal(0.0, 1.0, (len(q_rows), d))
         results = []
-        for rows in (s, sq):
+        for cut in (None, sq):
             params = [ad.parameter(a.copy()) for a in arrays]
-            params[0] = ad.parameter(arrays[0][:, :rows].copy())
+            if cut is not None:
+                params[0] = ad.parameter(arrays[0][few].copy())
             rng = np.random.default_rng(7)
-            out = _attention(*params, mask, n_heads, rate, rng)
-            ad.backward(ad.sum_all(ad.mul(out,
-                                          ad.tensor(weights[:, :rows]))))
-            results.append((out.data[:, :sq], params[0].grad[:, :sq],
+            out = _packed_attention(*params, mask, n_heads, rate, rng, cut)
+            w = weights if cut is None else weights[few]
+            ad.backward(ad.sum_all(ad.mul(out, ad.tensor(w))))
+            keep = slice(None) if cut is not None else few
+            results.append((out.data[keep], params[0].grad[keep],
                             [t.grad for t in params[1:]],
                             rng.bit_generator.state))
         (want, want_q, want_grads, want_rng), (got, got_q, got_grads,
                                                got_rng) = results
-        assert got.shape == (b, sq, d)
+        assert got.shape == (len(q_rows), d)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got_q, want_q, rtol=0, atol=1e-12)
         for name, g, w in zip(("k", "v", "wo", "bo"), got_grads, want_grads):
@@ -262,36 +309,46 @@ class TestSelfAttention:
     @pytest.mark.parametrize("rate", [0.0, 0.2])
     def test_gradients_with_fewer_query_rows(self, rate):
         mask = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
-        weights = ad.tensor(RNG.uniform(-1, 1, (2, 1, 6)))
+        weights = ad.tensor(RNG.uniform(-1, 1, (2, 6)))
         check_grad(lambda q, k, v, wo, bo: ad.mul(
-            _attention(q, k, v, wo, bo, mask, 2, rate,
-                       np.random.default_rng(3)), weights),
-            RNG.uniform(-1, 1, (2, 1, 6)),
-            *(RNG.uniform(-1, 1, (2, 4, 6)) for _ in range(2)),
+            _packed_attention(q, k, v, wo, bo, mask, 2, rate,
+                              np.random.default_rng(3), sq=1), weights),
+            RNG.uniform(-1, 1, (2, 6)),
+            *(RNG.uniform(-1, 1, (7, 6)) for _ in range(2)),
             RNG.uniform(-1, 1, (6, 6)), RNG.uniform(-1, 1, 6))
 
     def test_rejects_bad_shapes(self):
-        x = ad.tensor(np.zeros((2, 3, 4)))
+        x = ad.tensor(np.zeros((5, 4)))
         wo, bo = ad.tensor(np.zeros((4, 4))), ad.tensor(np.zeros(4))
-        with pytest.raises(ShapeError, match="seq_q <= seq"):
-            ad.self_attention(ad.tensor(np.zeros((2, 4, 4))), x, x, wo, bo,
-                              np.zeros((2, 3)), 2, 1.0)
-        with pytest.raises(ShapeError, match="seq_q <= seq"):
-            ad.self_attention(ad.tensor(np.zeros((1, 3, 4))), x, x, wo, bo,
-                              np.zeros((2, 3)), 2, 1.0)
+        bias = np.zeros((2, 3))
+        rows = np.array([0, 1, 2, 3, 4])
+
+        def call(q=x, k=x, v=x, wo=wo, bo=bo, bias=bias, rows=rows,
+                 q_rows=rows, heads=2):
+            ad.self_attention(q, k, v, wo, bo, bias, rows, q_rows, heads,
+                              1.0)
+
+        for bad in (dict(v=ad.tensor(np.zeros((5, 2)))),
+                    dict(k=ad.tensor(np.zeros((4, 4)))),
+                    dict(q=ad.tensor(np.zeros((5, 2)))),
+                    dict(q=ad.tensor(np.zeros((2, 5, 4)))),
+                    dict(rows=rows[:4]),
+                    dict(rows=np.array([0, 1, 2, 3, 6])),
+                    dict(q_rows=np.array([0, -1, 2, 3, 4])),
+                    dict(rows=np.array([1, 0, 2, 3, 4])),
+                    dict(q_rows=np.array([0, 1, 1, 3, 4])),
+                    dict(q=ad.tensor(np.zeros((0, 4))),
+                         q_rows=rows[:0])):
+            with pytest.raises(ShapeError, match="row indices"):
+                call(**bad)
+        with pytest.raises(ShapeError, match=r"\(3,\)"):
+            call(bias=np.zeros(3))
         with pytest.raises(ShapeError, match="divisible"):
-            ad.self_attention(x, x, x, wo, bo, np.zeros((2, 3)), 3, 1.0)
-        with pytest.raises(ShapeError, match=r"\(2, 4\)"):
-            ad.self_attention(x, x, x, wo, bo, np.zeros((2, 4)), 2, 1.0)
-        with pytest.raises(ShapeError):
-            ad.self_attention(x, x, ad.tensor(np.zeros((2, 3, 2))), wo, bo,
-                              np.zeros((2, 3)), 2, 1.0)
+            call(heads=3)
         with pytest.raises(ShapeError, match="weight shape"):
-            ad.self_attention(x, x, x, ad.tensor(np.zeros((3, 4))), bo,
-                              np.zeros((2, 3)), 2, 1.0)
+            call(wo=ad.tensor(np.zeros((3, 4))))
         with pytest.raises(ShapeError, match="bias shape"):
-            ad.self_attention(x, x, x, wo, ad.tensor(np.zeros(3)),
-                              np.zeros((2, 3)), 2, 1.0)
+            call(bo=ad.tensor(np.zeros(3)))
 
 
 def _feed_forward_chain(h, w1, b1, w2, b2):
@@ -470,7 +527,38 @@ class TestStructuralOps:
         check_grad(lambda t: ad.broadcast_to(t, (5, 3, 4)), x)
         check_grad(lambda t: ad.slice_front(t, 2), x)
         check_grad(lambda t: ad.take_index(t, 0, axis=1), x)
-        check_grad(lambda t: ad.sum_axis(t, 1), x)
+        check_grad(lambda t: ad.gather_rows(t, np.array([0, 2])), x)
+        check_grad(lambda t: ad.segment_mean(t, np.array([2, 1])), x)
+        check_grad(lambda t: ad.dropout(t, 0.4, np.random.default_rng(5),
+                                        (7, 4), np.array([0, 3, 6])), x)
+
+    def test_gather_rows_scatters_back_and_checks_its_index(self):
+        x = ad.parameter(RNG.uniform(-1, 1, (4, 3)))
+        out = ad.gather_rows(x, np.array([1, 3]))
+        np.testing.assert_array_equal(out.data, x.data[[1, 3]])
+        g = RNG.uniform(-1, 1, (2, 3))
+        ad.backward(ad.sum_all(ad.mul(out, ad.tensor(g))))
+        np.testing.assert_array_equal(x.grad, [np.zeros(3), g[0],
+                                               np.zeros(3), g[1]])
+        for bad in (np.array([4]), np.array([-1]), np.array([[0]]),
+                    np.array([3, 1]), np.array([1, 1]), np.array([], int)):
+            with pytest.raises(ShapeError, match="gather_rows"):
+                ad.gather_rows(x, bad)
+
+    def test_segment_mean_weights_each_row_then_sums_in_order(self):
+        x = ad.parameter(RNG.uniform(-1, 1, (5, 3)))
+        lengths = np.array([3, 2])
+        out = ad.segment_mean(x, lengths)
+        w = x.data * np.array([1 / 3] * 3 + [1 / 2] * 2)[:, None]
+        np.testing.assert_array_equal(out.data, [w[0] + w[1] + w[2],
+                                                 w[3] + w[4]])
+        g = RNG.uniform(-1, 1, (2, 3))
+        ad.backward(ad.sum_all(ad.mul(out, ad.tensor(g))))
+        np.testing.assert_array_equal(x.grad[:3], g[[0, 0, 0]] * (1 / 3))
+        np.testing.assert_array_equal(x.grad[3:], g[[1, 1]] * (1 / 2))
+        for bad in (np.array([3, 3]), np.array([5, 0]), np.array([[5]])):
+            with pytest.raises(ShapeError, match="segment_mean"):
+                ad.segment_mean(x, bad)
 
     def test_embedding_lookup_accumulates_repeated_ids(self):
         table = ad.parameter(RNG.uniform(-1, 1, (5, 3)))
@@ -479,6 +567,19 @@ class TestStructuralOps:
         want = np.zeros((5, 3))
         want[0] = 2.0  # row 0 used twice
         want[2] = 1.0
+        np.testing.assert_array_equal(table.grad, want)
+
+    def test_embedding_lookup_gradient_adds_rows_in_order(self):
+        # repeated ids sum their rows in order onto zero, bit for bit as
+        # np.add.at does, over magnitudes where the order shows
+        table = ad.parameter(np.zeros((7, 5)))
+        ids = RNG.integers(0, 7, (6, 9))
+        g = RNG.normal(0.0, 1.0, (6, 9, 5)) * 10.0 ** RNG.uniform(-8, 8,
+                                                                 (6, 9, 1))
+        ad.backward(ad.sum_all(ad.mul(ad.embedding_lookup(table, ids),
+                                      ad.tensor(g))))
+        want = np.zeros((7, 5))
+        np.add.at(want, ids.reshape(-1), g.reshape(-1, 5))
         np.testing.assert_array_equal(table.grad, want)
 
     def test_embedding_lookup_rejects_out_of_range(self):
@@ -495,18 +596,19 @@ class TestStructuralOps:
         np.testing.assert_allclose(a[kept], 2.0 * x.data[kept], rtol=1e-15)
 
     def test_dropout_draw_shape_cuts_the_whole_tensors_mask(self):
-        x = ad.parameter(RNG.uniform(-1, 1, (4, 5, 6)))
-        corner = ad.reshape(ad.take_index(x, 0, axis=1), (4, 1, 6))
-        rng_full, rng_corner = (np.random.default_rng(2) for _ in range(2))
+        x = ad.parameter(RNG.uniform(-1, 1, (20, 6)))
+        rows = np.array([0, 5, 10, 15])
+        some = ad.gather_rows(x, rows)
+        rng_full, rng_rows = (np.random.default_rng(2) for _ in range(2))
         full = ad.dropout(x, 0.3, rng_full)
-        cut = ad.dropout(corner, 0.3, rng_corner, draw_shape=(4, 5, 6))
-        np.testing.assert_array_equal(cut.data, full.data[:, :1])
-        assert rng_corner.bit_generator.state == \
-            rng_full.bit_generator.state
-        with pytest.raises(ShapeError, match="corner"):
-            ad.dropout(x, 0.3, rng_full, draw_shape=(4, 4, 6))
-        with pytest.raises(ShapeError, match="corner"):
-            ad.dropout(x, 0.3, rng_full, draw_shape=(4, 30))
+        cut = ad.dropout(some, 0.3, rng_rows, draw_shape=(20, 6), rows=rows)
+        np.testing.assert_array_equal(cut.data, full.data[rows])
+        assert rng_rows.bit_generator.state == rng_full.bit_generator.state
+        for draw_shape, bad in (((20, 6), rows[:3]), ((20, 5), rows),
+                                ((15, 6), rows), ((20, 6), None),
+                                ((20, 6), rows[::-1])):
+            with pytest.raises(ShapeError, match="rows of draw shape"):
+                ad.dropout(some, 0.3, rng_full, draw_shape, bad)
 
     def test_dropout_backward_rescales_the_boolean_mask_bitwise(self):
         x = ad.parameter(RNG.uniform(-1, 1, (50, 4)))
@@ -628,23 +730,27 @@ class TestGraphRetention:
 
     def test_attention_keeps_one_probability_array_and_the_mask(self):
         b, s, d, heads = 3, 5, 8, 2
+        mask = np.ones((b, s))
+        mask[0, 3:] = 0.0
+        n = int(mask.sum())
         params = [ad.parameter(RNG.normal(0.0, 1.0, shape))
-                  for shape in ((b, s, d),) * 3 + ((d, d), (d,))]
-        out = _attention(*params, np.ones((b, s)), heads, 0.2,
-                         np.random.default_rng(0))
+                  for shape in ((n, d),) * 3 + ((d, d), (d,))]
+        out = _packed_attention(*params, mask, heads, 0.2,
+                                np.random.default_rng(0))
         saved = self._saved_arrays(out)
         square = [a for a in saved
                   if a.dtype == np.float64 and a.shape == (b, heads, s, s)]
         assert len(square) == 1  # the dropped-out copy is recomputed
         assert [a.shape for a in saved if a.dtype == bool] \
             == [(b, heads, s, s)]
-        # the projection keeps its weight, not its input: no [B,S,d]
-        # context array, only views of q, k and v
+        # the projection keeps its weight, not its input: no context
+        # array, only q, k and v laid out on the padded grid
         assert any(a is params[3].data for a in saved)
         assert not any(a is params[4].data for a in saved)
-        wide = [a for a in saved if a.size == b * s * d]
+        wide = [np.swapaxes(a, 1, 2).reshape(-1, d)[np.flatnonzero(mask)]
+                for a in saved if a.size == b * s * d]
         assert len(wide) == 3
-        assert all(any(np.shares_memory(a, t.data) for t in params[:3])
+        assert all(any(np.array_equal(a, t.data) for t in params[:3])
                    for a in wide)
 
     def test_feed_forward_keeps_its_input_and_pre_activation(self):

@@ -583,6 +583,41 @@ class TestOutPath:
             ["exp.json", "taken"]
         assert blocker.read_text(encoding="utf-8") == "not a directory"
 
+    @pytest.mark.parametrize("command, blocker, is_dir", [
+        (("grid",), "grid.csv", True), (("grid",), "grid.json", True),
+        (("grid",), "cell001", False),
+        (("kfold", "-k", "2"), "kfold.csv", True),
+        (("kfold", "-k", "2"), "fold1", False),
+        (("ablate",), "ablation.json", True),
+        (("ablate",), "baseline", False)],
+        ids=["grid csv", "grid json", "grid cell", "kfold csv", "kfold fold",
+             "ablate json", "ablate mode"])
+    def test_sweep_output_path_taken_exits_2_before_any_cell(
+            self, tmp_path, monkeypatch, command, blocker, is_dir):
+        # a table file that is a directory, or a cell's run directory
+        # that is a file, stops the sweep before its data is prepared
+        trained = []
+        for name in ("prepare_data", "_corpus", "train"):
+            monkeypatch.setattr(harness, name,
+                                lambda *a, name=name: trained.append(name))
+        out = tmp_path / "out"
+        out.mkdir()
+        taken = out / blocker
+        if is_dir:
+            taken.mkdir()
+        else:
+            taken.write_text("taken", encoding="utf-8")
+        payload = small_config(str(out))
+        payload["grid"] = {"alpha": [0.1, 0.2]}
+        result = invoke("--config", str(write_config(tmp_path, payload)),
+                        *command)
+        assert result.exit_code == 2, result.output
+        assert repr(str(taken)) in result.output
+        assert ("is a directory" if is_dir else "not a directory") \
+            in result.output
+        assert trained == []
+        assert [p.name for p in out.iterdir()] == [blocker]
+
     def test_export_below_a_file_exits_2(self, tmp_path):
         blocker = tmp_path / "taken"
         blocker.write_text("", encoding="utf-8")
@@ -788,8 +823,7 @@ class TestExportCommand:
                     prepared.test, prepared.vocab, prepared.label_space,
                     config.model.max_seq_len), 32, train=False):
                 _, hidden = model.forward(batch)
-                want = pool(hidden[source], batch.attention_mask,
-                            pooling).data
+                want = pool(hidden[source], batch.layout, pooling).data
                 for row_id, vec in zip(batch.ids, want):
                     got = [float(rows[row_id][f"e{i}"])
                            for i in range(len(vec))]
@@ -833,8 +867,7 @@ class TestExportCommand:
             start = 0
             for batch in reference:
                 _, hidden = model.forward(batch)
-                want = pool(hidden[source], batch.attention_mask,
-                            "cls").data
+                want = pool(hidden[source], batch.layout, "cls").data
                 got = [[float(row[f"e{i}"]) for i in range(want.shape[1])]
                        for row in rows[start:start + len(want)]]
                 np.testing.assert_allclose(got, want, rtol=0, atol=5.1e-7)

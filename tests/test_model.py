@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from selfaug import autodiff as ad
-from selfaug.data import Batch
+from selfaug.data import Batch, RowLayout
 from selfaug.errors import ConfigError, ShapeError
 from selfaug.model import (EncoderModel, ModelConfig, load_checkpoint, pool,
                            predict, save_checkpoint)
 
 from conftest import fd_grad, rel_err
+from reference_encoder import reference
 
 RNG = np.random.default_rng(90125)
 
@@ -68,16 +69,17 @@ class TestForward:
     def test_shapes_and_tap_count(self):
         model = small_model(2, n_layers=3)
         batch = make_batch()
+        n = int(batch.attention_mask.sum())  # 5 + 4 real tokens
         logits, hidden = model.forward(batch)
         assert logits.shape == (2, 3)
         assert len(hidden) == 4  # H_0 .. H_3
-        assert all(h.shape == (2, 5, 8) for h in hidden)
+        assert all(h.shape == (n, 8) for h in hidden)
 
     def test_zero_injection_is_bitwise_identity(self):
         model = small_model(5, n_layers=2)
         batch = make_batch()
         plain, _ = model.forward(batch)
-        zeros = ad.tensor(np.zeros((2, 5, 8)))
+        zeros = ad.tensor(np.zeros((int(batch.attention_mask.sum()), 8)))
         for j in range(3):
             injected, _ = model.forward(batch, injection=(j, zeros))
             np.testing.assert_array_equal(plain.data, injected.data)
@@ -87,15 +89,16 @@ class TestForward:
         # push through the remaining layers and head by hand
         model = small_model(6, n_layers=2)
         batch = make_batch()
+        layout = batch.layout
         _, hidden = model.forward(batch)
-        tap = ad.tensor(RNG.normal(0, 0.1, (2, 5, 8)))
+        tap = ad.tensor(RNG.normal(0, 0.1, (len(layout.slots), 8)))
         for j in (0, 1, 2):
             logits_inj, hidden_inj = model.forward(batch, injection=(j, tap))
             h = ad.add(hidden[j], tap)
             np.testing.assert_array_equal(hidden_inj[j].data, h.data)
             for layer in model.layers[j:]:
-                h = layer.apply(h, batch.attention_mask, train=False, rng=None)
-            manual_logits = ad.linear(pool(h, batch.attention_mask, "cls"),
+                h = layer.apply(h, layout, train=False, rng=None)
+            manual_logits = ad.linear(pool(h, layout, "cls"),
                                       model.head_w, model.head_b)
             np.testing.assert_array_equal(logits_inj.data, manual_logits.data)
 
@@ -115,10 +118,15 @@ class TestForward:
     def test_injection_validation(self):
         model = small_model(8)
         batch = make_batch()
+        n = int(batch.attention_mask.sum())
         with pytest.raises(ConfigError):
-            model.forward(batch, injection=(5, ad.tensor(np.zeros((2, 5, 8)))))
-        with pytest.raises(ShapeError):
-            model.forward(batch, injection=(0, ad.tensor(np.zeros((2, 4, 8)))))
+            model.forward(batch, injection=(5, ad.tensor(np.zeros((n, 8)))))
+        with pytest.raises(ShapeError, match="packed"):
+            model.forward(batch, injection=(0, ad.tensor(np.zeros((n - 1,
+                                                                   8)))))
+        with pytest.raises(ShapeError, match="packed"):
+            model.forward(batch, injection=(0, ad.tensor(np.zeros((2, 5,
+                                                                   8)))))
 
     def test_batch_wider_than_positions_rejected(self):
         model = small_model(9, max_seq_len=4)
@@ -137,6 +145,7 @@ class TestClsOnly:
         # forward draws, and the rng ends in the same state
         model = small_model(5, n_layers=2, dropout_rate=0.2)
         batch = make_batch(b=3)
+        starts = batch.layout.starts
         runs = []
         for cls_only in (False, True):
             rng = np.random.default_rng(6)
@@ -152,8 +161,8 @@ class TestClsOnly:
         (want, full, want_grads, want_rng), (got, cls, got_grads,
                                              got_rng) = runs
         _close(got, want)
-        assert cls[-1].shape == (3, 1, 8)
-        _close(cls[-1].data, full[-1].data[:, :1])
+        assert cls[-1].shape == (3, 8)
+        _close(cls[-1].data, full[-1].data[starts])
         for a, b in zip(cls[:-1], full[:-1]):
             np.testing.assert_array_equal(a.data, b.data)
         for (name, _), g, w in zip(model.parameters(), got_grads,
@@ -164,11 +173,12 @@ class TestClsOnly:
 
     @pytest.mark.parametrize("j", [0, 1, 2])
     def test_injection_matches_the_full_forward(self, j):
-        # at j = n_layers only the tap's CLS row is added, and a tap whose
-        # gradient flows gets the full forward's gradient back
+        # at j = n_layers only the tap's CLS rows are added, and a tap
+        # whose gradient flows gets the full forward's gradient back
         model = small_model(6, n_layers=2)
         batch = make_batch()
-        value = RNG.normal(0, 0.1, (2, 5, 8))
+        starts = batch.layout.starts
+        value = RNG.normal(0, 0.1, (int(batch.attention_mask.sum()), 8))
         runs = []
         for cls_only in (False, True):
             tap = ad.parameter(value.copy())
@@ -178,30 +188,164 @@ class TestClsOnly:
             runs.append((logits.data, hidden[-1].data, tap.grad))
         (want, full, want_grad), (got, cls, got_grad) = runs
         _close(got, want)
-        _close(cls, full[:, :1])
+        _close(cls, full[starts])
         _close(got_grad, want_grad)
         if j == 2:
-            np.testing.assert_array_equal(got_grad[:, 1:], 0.0)
+            np.testing.assert_array_equal(
+                np.delete(got_grad, starts, axis=0), 0.0)
+
+
+def _padded_tap(layout, value):
+    """A packed [n, d] tap laid out on the padded grid's rows."""
+    b, s = layout.mask.shape
+    full = np.zeros((b * s, value.shape[1]))
+    full[layout.slots] = value
+    return full
+
+
+def _padded_pool(state, mask, kind):
+    """The padded encoder's pooling of a [batch * seq, d] state."""
+    b, s = mask.shape
+    state = state.reshape(b, s, -1)
+    if kind == "cls":
+        return state[:, 0]
+    weights = np.broadcast_to((mask / mask.sum(axis=1, keepdims=True))
+                              [:, :, None], state.shape)
+    return (state * weights).sum(axis=1)
+
+
+class TestPacking:
+    """The packed encoder against the padded plain-numpy reference in
+    reference_encoder.py: every real row, both poolings, the rng and the
+    gradients, over dropout, CLS-only top layers and injection depths."""
+
+    @pytest.mark.parametrize("padded", [True, False])
+    @pytest.mark.parametrize("j", [None, 0, 1, 2])
+    @pytest.mark.parametrize("cls_only", [False, True])
+    @pytest.mark.parametrize("rate", [0.0, 0.2])
+    def test_matches_the_padded_reference(self, rate, cls_only, j, padded):
+        # a batch without padding takes attention's reshape path
+        model = small_model(13, n_layers=2, dropout_rate=rate)
+        randomize_parameters(model, np.random.default_rng(14))
+        batch = make_batch(b=3, s=5)
+        if not padded:
+            ids = np.random.default_rng(1).integers(3, 11, (3, 5))
+            ids[:, 0] = 2  # CLS
+            batch = Batch(token_ids=ids, attention_mask=np.ones((3, 5)),
+                          targets=batch.targets, ids=batch.ids)
+        mask = batch.attention_mask
+        layout = batch.layout
+        gen = np.random.default_rng(15)
+        value = gen.normal(0.0, 0.5, (len(layout.slots), 8))
+        dlogits = gen.normal(0.0, 1.0, (3, 3))
+        tap = ad.parameter(value.copy())
+        rng, ref_rng = np.random.default_rng(16), np.random.default_rng(16)
+        logits, hidden = model.forward(
+            batch, train=True, rng=rng, cls_only=cls_only,
+            injection=None if j is None else (j, tap))
+        ad.backward(ad.sum_all(ad.mul(logits, ad.tensor(dlogits))))
+        want_logits, want_hidden, want_grads, want_tap = reference(
+            model, batch, ref_rng, train=True, cls_only=cls_only,
+            injection=None if j is None else (j, _padded_tap(layout,
+                                                             value)),
+            dlogits=dlogits)
+
+        np.testing.assert_array_equal(logits.data, want_logits)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        for depth, (got, want) in enumerate(zip(hidden, want_hidden)):
+            if cls_only and depth == 2:
+                np.testing.assert_array_equal(got.data, want)
+                np.testing.assert_array_equal(pool(got, layout, "cls").data,
+                                              want)
+                continue
+            np.testing.assert_array_equal(got.data, want[layout.slots])
+            for kind in ("cls", "mean"):
+                np.testing.assert_array_equal(
+                    pool(got, layout, kind).data,
+                    _padded_pool(want, mask, kind), err_msg=kind)
+        for name, param in model.parameters():
+            if name.endswith("_w"):  # x.T @ g sums over other rows
+                np.testing.assert_allclose(param.grad, want_grads[name],
+                                           rtol=0, atol=1e-12,
+                                           err_msg=name)
+            else:
+                np.testing.assert_array_equal(param.grad, want_grads[name],
+                                              err_msg=name)
+        if j is not None:
+            np.testing.assert_array_equal(tap.grad,
+                                          want_tap[layout.slots])
+
+    def test_pad_content_cannot_influence_gradients(self):
+        model = small_model(7, n_layers=2, dropout_rate=0.2)
+        batch = make_batch(b=3, s=5)
+        pad = batch.attention_mask == 0.0
+        runs = []
+        for scramble in (False, True):
+            ids = batch.token_ids.copy()
+            if scramble:
+                ids[pad] = RNG.integers(3, 11, int(pad.sum()))
+            logits, _ = model.forward(
+                Batch(token_ids=ids, attention_mask=batch.attention_mask,
+                      targets=batch.targets, ids=batch.ids),
+                train=True, rng=np.random.default_rng(3))
+            ad.backward(ad.cross_entropy(logits, batch.targets))
+            runs.append((logits.data, [t.grad for _, t in
+                                       model.parameters()]))
+            for _, t in model.parameters():
+                t.grad = None
+        (want, want_grads), (got, got_grads) = runs
+        np.testing.assert_array_equal(got, want)
+        for (name, _), g, w in zip(model.parameters(), got_grads,
+                                   want_grads):
+            np.testing.assert_array_equal(g, w, err_msg=name)
+
+    @pytest.mark.parametrize("row", [[1, 0, 1, 0, 0], [0, 1, 1, 0, 0],
+                                     [1, 1, 0.5, 0, 0], [1, 1, 2, 0, 0]])
+    def test_mask_must_be_a_prefix_of_ones(self, row):
+        batch = make_batch()
+        mask = np.array([row, [1.0] * 5])
+        with pytest.raises(ShapeError, match="prefix"):
+            small_model(4).forward(Batch(
+                token_ids=batch.token_ids, attention_mask=mask,
+                targets=batch.targets, ids=batch.ids))
+        with pytest.raises(ShapeError, match="prefix"):
+            RowLayout.of(mask)
+
+    def test_layout_packs_rows_in_row_major_order(self):
+        mask = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0],
+                         [1.0, 0.0, 0.0, 0.0]])
+        layout = RowLayout.of(mask)
+        np.testing.assert_array_equal(layout.slots, [0, 1, 4, 5, 6, 7, 8])
+        np.testing.assert_array_equal(layout.positions,
+                                      [0, 1, 0, 1, 2, 3, 0])
+        np.testing.assert_array_equal(layout.lengths, [2, 4, 1])
+        np.testing.assert_array_equal(layout.starts, [0, 2, 6])
 
 
 class TestPooling:
+    MASK = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
+
     def test_cls_takes_position_zero(self):
-        h = ad.tensor(RNG.normal(0, 1, (2, 4, 3)))
-        mask = np.ones((2, 4))
-        np.testing.assert_array_equal(pool(h, mask, "cls").data,
-                                      h.data[:, 0, :])
+        layout = RowLayout.of(self.MASK)
+        h = ad.tensor(RNG.normal(0, 1, (6, 3)))
+        np.testing.assert_array_equal(pool(h, layout, "cls").data,
+                                      h.data[[0, 2]])
+        # a state with one row per sequence holds only [CLS] rows
+        cls = ad.tensor(h.data[[0, 2]])
+        assert pool(cls, layout, "cls") is cls
 
     def test_mean_ignores_padding(self):
-        h = ad.tensor(np.arange(24, dtype=float).reshape(2, 4, 3))
-        mask = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
-        got = pool(h, mask, "mean").data
-        np.testing.assert_allclose(got[0], h.data[0, :2].mean(axis=0))
-        np.testing.assert_allclose(got[1], h.data[1].mean(axis=0))
+        layout = RowLayout.of(self.MASK)
+        h = ad.tensor(np.arange(18, dtype=float).reshape(6, 3))
+        got = pool(h, layout, "mean").data
+        np.testing.assert_allclose(got[0], h.data[:2].mean(axis=0))
+        np.testing.assert_allclose(got[1], h.data[2:].mean(axis=0))
+        with pytest.raises(ShapeError, match="packed rows"):
+            pool(ad.tensor(h.data[[0, 2]]), layout, "mean")
 
     def test_fully_padded_row_rejected(self):
-        h = ad.tensor(np.zeros((1, 3, 2)))
         with pytest.raises(ShapeError):
-            pool(h, np.zeros((1, 3)), "mean")
+            RowLayout.of(np.zeros((1, 3)))
 
 
 class TestPredict:

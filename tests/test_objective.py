@@ -352,7 +352,8 @@ class TestDualForward:
                                projection_dims=(8, 8, 4))
         _, _, pooled_i, _ = dual_forward(model_f, model_c, batch, cfg)
         _, hidden = model_f.forward(batch)
-        assert np.array_equal(pooled_i.data, hidden[2].data[:, 0, :])
+        starts = batch.layout.starts
+        assert np.array_equal(pooled_i.data, hidden[2].data[starts])
 
     @pytest.mark.parametrize("tap,inject,pooling,full_f,full_c", [
         (1, 2, "cls", False, False),
@@ -375,24 +376,25 @@ class TestDualForward:
         cfg = DualStreamConfig(tap_layer=tap, inject_layer=inject,
                                alpha=0.5, pooling=pooling,
                                projection_dims=(8, 8, 4))
-        widths = []
+        rows = []
         forward = EncoderModel.forward
 
         def spy(model, *args, **kwargs):
             logits, hidden = forward(model, *args, **kwargs)
-            widths.append(hidden[-1].shape[1])
+            rows.append(hidden[-1].shape[0])
             return logits, hidden
 
         monkeypatch.setattr(EncoderModel, "forward", spy)
         got = dual_forward(model_f, model_c, batch, cfg)
-        seq = batch.token_ids.shape[1]
-        assert widths == [seq if full_f else 1, seq if full_c else 1]
+        n, b = int(mask.sum()), batch.size  # packed rows, [CLS] rows
+        assert rows == [n if full_f else b, n if full_c else b]
         monkeypatch.undo()
         logits_f, hidden_f = model_f.forward(batch)
         logits_c, hidden_c = model_c.forward(
             batch, injection=(inject, hidden_f[tap]))
-        want = (logits_f, logits_c, pool(hidden_f[tap], mask, pooling),
-                pool(hidden_c[inject], mask, pooling))
+        want = (logits_f, logits_c,
+                pool(hidden_f[tap], batch.layout, pooling),
+                pool(hidden_c[inject], batch.layout, pooling))
         for g, w in zip(got, want):
             np.testing.assert_allclose(g.data, w.data, rtol=0, atol=1e-12)
 
