@@ -752,20 +752,17 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor,
     return _attach(out, "layer_norm", (a, gain, bias), apply)
 
 
-def batch_norm_features(a: Tensor, eps: float = 1e-5,
-                        train: bool = True) -> Tensor:
+def batch_norm_features(a: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize each feature column to mean 0, std 1 across the batch.
 
     Population (biased) variance; no learnable affine.  A single-row batch
-    is a configuration error in training mode because the statistics are
-    undefined; in eval mode it degenerates to zeros.
+    is a configuration error because the statistics are undefined.
     """
     if a.ndim != 2:
         raise ShapeError(f"batch_norm_features: expected [batch, features], "
                          f"got {a.shape}")
-    if train and a.shape[0] < 2:
-        raise ConfigError("batch_norm_features: batch size must be >= 2 in "
-                          "training mode")
+    if a.shape[0] < 2:
+        raise ConfigError("batch_norm_features: batch size must be >= 2")
     x = a.data
     n = x.shape[0]
     xhat = x - x.sum(axis=0) / n

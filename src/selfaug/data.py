@@ -2,9 +2,10 @@
 deterministic splits, and a seeded synthetic corpus generator.
 
 Three task kinds flow through the same types: binary and multiclass examples
-carry exactly one label, multilabel examples carry one or more.  Everything
-that shuffles or samples takes an explicit seed and is reproducible bit for
-bit.
+carry exactly one label, multilabel examples carry one or more.  A batch is
+padded to its longest row, and its rows' lengths alone say where the padding
+starts.  Everything that shuffles or samples takes an explicit seed and is
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -110,23 +111,13 @@ def build_vocab(examples: Sequence[Example], min_freq: int = 1,
     return Vocabulary(kept)
 
 
-def encode(text: str, vocab: Vocabulary,
-           max_seq_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """[CLS] + token ids, truncated to max_seq_len and padded with PAD.
-
-    Returns (ids, mask) as int64/float64 arrays of length max_seq_len; the
-    mask is 1 over CLS and real tokens, 0 over padding.
-    """
+def encode(text: str, vocab: Vocabulary, max_seq_len: int) -> list[int]:
+    """[CLS] + token ids, truncated to max_seq_len: the real ids alone,
+    whose count is the row's length."""
     if max_seq_len < 2:
         raise ConfigError(f"max_seq_len must be >= 2, got {max_seq_len}")
     token_id = vocab.token_to_id.get
-    ids = [CLS, *[token_id(t, UNK) for t in tokenize(text)]][:max_seq_len]
-    n = len(ids)
-    out = np.zeros(max_seq_len, dtype=np.int64)  # PAD is 0
-    out[:n] = ids
-    mask = np.zeros(max_seq_len, dtype=np.float64)
-    mask[:n] = 1.0
-    return out, mask
+    return [CLS, *[token_id(t, UNK) for t in tokenize(text)]][:max_seq_len]
 
 
 # ---------------------------------------------------------------------------
@@ -347,52 +338,48 @@ def k_folds(examples: Sequence[Example], k: int, seed: int) -> Folds:
 
 @dataclass(frozen=True)
 class RowLayout:
-    """Where a batch's real tokens sit in its padded [batch, seq] grid.
+    """Where a batch's real tokens sit in its padded [batch, width] grid.
 
-    The encoder carries the real tokens alone, as [n, d] rows packed in
-    row-major order: sequence 0's tokens, then sequence 1's.  Row i is
-    the token at flat grid position `slots[i]` (b * seq + t), which is
-    position `positions[i]` of its sequence; sequence b's rows run from
-    `starts[b]`, its [CLS] row, for `lengths[b]` rows.
+    Sequence b holds `lengths[b]` real tokens, [CLS] first, and then
+    padding.  The encoder carries the real tokens alone, as [n, d] rows
+    packed in row-major order: sequence 0's tokens, then sequence 1's.
+    Row i is the token at flat grid position `slots[i]` (b * width + t),
+    which is position `positions[i]` of its sequence; sequence b's rows
+    run from `starts[b]`, its [CLS] row, for `lengths[b]` rows.
     """
 
-    mask: np.ndarray
+    lengths: np.ndarray
+    width: int
     slots: np.ndarray
     positions: np.ndarray
-    lengths: np.ndarray
     starts: np.ndarray
 
     @classmethod
-    def of(cls, mask: np.ndarray) -> RowLayout:
-        """The layout of a [batch, seq] attention mask, which must hold a
-        prefix of ones, at least one long, and then zeros in every row."""
-        mask = np.asarray(mask)
-        if mask.ndim != 2 or not mask.size:
-            raise ShapeError(f"attention mask must be a non-empty "
-                             f"[batch, seq] array, got shape {mask.shape}")
-        lengths = np.count_nonzero(mask, axis=1)
-        if lengths.min() < 1:
-            raise ShapeError("a sequence with no real tokens cannot be "
-                             "encoded")
-        if not (mask == (np.arange(mask.shape[1])
-                         < lengths[:, None])).all():
-            raise ShapeError("attention mask must be a prefix of ones in "
-                             "every row, then zeros")
-        slots = np.flatnonzero(mask)
-        return cls(mask=mask, slots=slots, positions=slots % mask.shape[1],
-                   lengths=lengths, starts=np.cumsum(lengths) - lengths)
+    def of(cls, lengths: np.ndarray, width: int) -> RowLayout:
+        """The layout of sequences of `lengths` real tokens, each padded
+        to `width`; every length must lie in [1, width]."""
+        lengths = np.asarray(lengths)
+        if lengths.ndim != 1 or not lengths.size:
+            raise ShapeError(f"sequence lengths must be a non-empty 1-D "
+                             f"array, got shape {lengths.shape}")
+        if lengths.min() < 1 or lengths.max() > width:
+            raise ShapeError(f"sequence lengths must lie in [1, {width}], "
+                             f"got {lengths.min()} to {lengths.max()}")
+        ends = np.cumsum(lengths)
+        starts = ends - lengths
+        positions = np.arange(ends[-1]) - np.repeat(starts, lengths)
+        slots = np.repeat(np.arange(len(lengths)) * width, lengths) \
+            + positions
+        return cls(lengths=lengths, width=width, slots=slots,
+                   positions=positions, starts=starts)
 
 
 @dataclass
 class Batch:
-    token_ids: np.ndarray      # int64 [batch, seq]
-    attention_mask: np.ndarray  # float64 [batch, seq], 1 = real token
-    targets: np.ndarray        # int64 [batch] or float64 [batch, k]
+    token_ids: np.ndarray  # int64 [batch, width], PAD after each length
+    lengths: np.ndarray    # int64 [batch], real tokens per row
+    targets: np.ndarray    # int64 [batch] or float64 [batch, k]
     ids: list[str]
-
-    def __post_init__(self) -> None:
-        if self.token_ids.shape != self.attention_mask.shape:
-            raise ConfigError("token ids and mask shapes differ")
 
     @property
     def size(self) -> int:
@@ -400,9 +387,9 @@ class Batch:
 
     @cached_property
     def layout(self) -> RowLayout:
-        """The row layout of the attention mask, derived once and shared
-        by every forward and pooling of the batch."""
-        return RowLayout.of(self.attention_mask)
+        """The row layout of the batch, derived once and shared by every
+        forward and pooling of it."""
+        return RowLayout.of(self.lengths, self.token_ids.shape[1])
 
 
 def _targets_for(examples: Sequence[Example],
@@ -420,9 +407,9 @@ def _targets_for(examples: Sequence[Example],
 
 @dataclass
 class EncodedSplit:
-    """A split tokenized once: `encode` ids trimmed to the longest row
-    (at least 2 columns), each row's real length (CLS included), the
-    targets and the example ids, all in corpus order."""
+    """A split tokenized once: `encode` ids, PAD after each row's length
+    (CLS included) up to the longest row (at least 2 columns), those
+    lengths, the targets and the example ids, all in corpus order."""
 
     token_ids: np.ndarray  # int64 [n, width]
     lengths: np.ndarray    # int64 [n]
@@ -442,12 +429,12 @@ def encode_split(examples: Sequence[Example], vocab: Vocabulary,
     lengths = np.zeros(len(examples), dtype=np.int64)
     for i, ex in enumerate(examples):
         # looked up at call time, so a wrapped encode sees every call
-        ids, mask = encode(ex.text, vocab, max_seq_len)
-        n = lengths[i] = np.count_nonzero(mask)
+        ids = encode(ex.text, vocab, max_seq_len)
+        n = lengths[i] = len(ids)
         if n > token_ids.shape[1]:
             token_ids = np.pad(token_ids,
                                ((0, 0), (0, n - token_ids.shape[1])))
-        token_ids[i, :n] = ids[:n]
+        token_ids[i, :n] = ids
     return EncodedSplit(token_ids=token_ids, lengths=lengths,
                         targets=_targets_for(examples, label_space),
                         ids=[ex.id for ex in examples])
@@ -460,8 +447,8 @@ def batches(split: EncodedSplit, batch_size: int, train: bool,
     Training mode shuffles under the seed and drops a final partial batch
     (batch statistics in the objective need full batches); eval mode keeps
     the corpus order and the final partial batch.  Each batch is trimmed
-    to its longest row (at least 2 columns), and its mask holds a prefix
-    of ones per row, the layout `RowLayout` requires.
+    to its longest row (at least 2 columns, which sets dropout's draw
+    shape) and carries its rows' lengths.
     """
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
@@ -473,10 +460,8 @@ def batches(split: EncodedSplit, batch_size: int, train: bool,
         rows = order[start:start + batch_size]
         lengths = split.lengths[rows]
         width = max(2, int(lengths.max()))
-        mask = (np.arange(width) < lengths[:, None]).astype(np.float64)
         yield Batch(token_ids=split.token_ids[rows, :width],
-                    attention_mask=mask,
-                    targets=split.targets[rows],
+                    lengths=lengths, targets=split.targets[rows],
                     ids=[split.ids[i] for i in rows])
 
 

@@ -67,7 +67,6 @@ class PreparedData:
     test: list[Example]
     vocab: Vocabulary
     label_space: LabelSpace
-    stratified: bool | None  # None when splits came pre-made
 
 
 def _corpus(config: ExperimentConfig) -> tuple[list[Example], LabelSpace]:
@@ -89,19 +88,16 @@ def prepare_data(config: ExperimentConfig) -> PreparedData:
         parts = [load_jsonl(p, label_space)
                  for p in (data.train_path, data.val_path, data.test_path)]
         train_ex, val_ex, test_ex = parts
-        stratified = None
     else:
         examples, label_space = _corpus(config)
         splits = make_splits(examples, data.ratios, config.train.seed)
         train_ex, val_ex, test_ex = splits.train, splits.val, splits.test
-        stratified = splits.stratified
     if not train_ex:
         raise DataError("prepared training split is empty")
     vocab = build_vocab(train_ex, min_freq=data.min_freq,
                         max_size=data.max_vocab)
     return PreparedData(train=train_ex, val=val_ex, test=test_ex,
-                        vocab=vocab, label_space=label_space,
-                        stratified=stratified)
+                        vocab=vocab, label_space=label_space)
 
 
 def _encoder(config: ExperimentConfig, prepared: PreparedData,
@@ -356,7 +352,7 @@ def _fold_data(config: ExperimentConfig, folds: Folds, index: int,
         train=inner.train, val=inner.val, test=test_ex,
         vocab=build_vocab(inner.train, min_freq=config.data.min_freq,
                           max_size=config.data.max_vocab),
-        label_space=label_space, stratified=folds.stratified)
+        label_space=label_space)
 
 
 def run_kfold(config: ExperimentConfig, k: int, val_fraction: float = 0.2,

@@ -1,13 +1,13 @@
 """Micro transformer encoder with per-layer hidden-state taps and additive
 injection.
 
-A batch arrives padded to its longest row, [batch, seq] token ids with a
-prefix mask of ones per row.  The encoder carries the real tokens alone:
-every hidden state is [n, d], the n real positions packed in row-major
-order (sequence 0's tokens, then sequence 1's), and the batch's
-`RowLayout` holds where each packed row sits in the padded grid.
-Per-token work (embeddings, projections, feed-forward blocks, layer
-norms and dropout) runs on real rows only; attention alone sees the
+A batch arrives padded to its longest row: [batch, seq] token ids and
+each row's length, the count of its real tokens.  The encoder carries the
+real tokens alone: every hidden state is [n, d], the n real positions
+packed in row-major order (sequence 0's tokens, then sequence 1's), and
+the batch's `RowLayout` holds where each packed row sits in the padded
+grid.  Per-token work (embeddings, projections, feed-forward blocks,
+layer norms and dropout) runs on real rows only; attention alone sees the
 padded grid, inside its node (see autodiff).
 
 The forward pass returns every intermediate hidden state H_0..H_L (H_0 is
@@ -42,8 +42,8 @@ from .errors import ConfigError, ShapeError
 from .schema import Schema
 
 LN_EPS = 1e-5
-# additive mask: pushes pad-key scores far enough down that exp() underflows
-# to exactly zero after max-subtraction
+# additive key bias: pushes pad-key scores far enough down that exp()
+# underflows to exactly zero after max-subtraction
 MASK_OFFSET = 1e9
 
 INIT_STD = 0.02
@@ -127,7 +127,7 @@ class EncoderLayer:
         padded full-width call."""
         cfg = self.config
         rate = cfg.dropout_rate if train else 0.0
-        b, s = layout.mask.shape
+        b, s = len(layout.lengths), layout.width
         draw = (b * s, cfg.d_model)
         if cls_only:
             rows, slots = ad.gather_rows(h, layout.starts), \
@@ -135,11 +135,12 @@ class EncoderLayer:
         else:
             rows, slots = h, layout.slots
         # keys at pad positions get -1e9 before softmax
+        key_bias = np.where(np.arange(s) < layout.lengths[:, None], 0.0,
+                            -MASK_OFFSET)
         attn = ad.self_attention(ad.linear(rows, self.wq, self.bq),
                                  ad.linear(h, self.wk),
                                  ad.linear(h, self.wv, self.bv),
-                                 self.wo, self.bo,
-                                 (layout.mask - 1.0) * MASK_OFFSET,
+                                 self.wo, self.bo, key_bias,
                                  layout.slots, slots, cfg.n_heads,
                                  1.0 / math.sqrt(cfg.d_head), rate, rng)
         if rate > 0.0:

@@ -100,20 +100,16 @@ class ProjectionNetwork:
         return [(f"proj{i}_w", w) for i, w in enumerate(self.weights)]
 
 
-def project(net: ProjectionNetwork, pooled: Tensor,
-            train: bool = True) -> Tensor:
-    """Pooled states [batch, d_in] -> embeddings [batch, dims[-1]]."""
+def project(net: ProjectionNetwork, pooled: Tensor) -> Tensor:
+    """Pooled states [batch, d_in] -> embeddings [batch, dims[-1]].  Each
+    layer's batch norm needs batch >= 2."""
     if pooled.ndim != 2 or pooled.shape[1] != net.d_in:
         raise ShapeError(f"project: expected [batch, {net.d_in}], "
                          f"got {pooled.shape}")
-    if train and pooled.shape[0] < 2:
-        raise ConfigError("projection batch norm needs batch >= 2 in "
-                          "training mode")
     h = pooled
     last = len(net.weights) - 1
     for i, w in enumerate(net.weights):
-        h = ad.batch_norm_features(ad.linear(h, w),
-                                   eps=PROJECTION_BN_EPS, train=train)
+        h = ad.batch_norm_features(ad.linear(h, w), eps=PROJECTION_BN_EPS)
         if i < last:
             h = ad.relu(h)
     return h

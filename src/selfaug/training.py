@@ -283,8 +283,8 @@ def _step_losses(mode: str, model_f: EncoderModel,
         # alpha = 0 zeroes the contrastive weight; the term is skipped
         # rather than computed and multiplied by zero
         return composite_loss(ce_f, ce_c, ad.tensor(0.0), 0.0)
-    z_a = project(projection, pooled_i, train=True)
-    z_b = project(projection, pooled_j, train=True)
+    z_a = project(projection, pooled_i)
+    z_b = project(projection, pooled_j)
     lc, _ = contrastive_loss(z_a, z_b, dual_cfg.lambda_offdiag)
     return composite_loss(ce_f, ce_c, lc, dual_cfg.alpha)
 

@@ -175,6 +175,12 @@ def _cls_scatter(g, b, s):
     return full.reshape(-1, g.shape[1])
 
 
+def padding_mask(lengths, width):
+    """The float [batch, width] mask of rows of `lengths` real tokens:
+    1 over each row's first `lengths[b]` positions, 0 over its padding."""
+    return (np.arange(width) < lengths[:, None]).astype(np.float64)
+
+
 def reference(model, batch, rng=None, train=False, cls_only=False,
               injection=None, dlogits=None):
     """The padded encoder on `batch`, with the model's parameters.
@@ -188,8 +194,9 @@ def reference(model, batch, rng=None, train=False, cls_only=False,
     """
     params = {name: t.data for name, t in model.parameters()}
     cfg = model.config
-    ids, mask = batch.token_ids, batch.attention_mask
+    ids = batch.token_ids
     b, s = ids.shape
+    mask = padding_mask(batch.lengths, s)
     d, n_layers = cfg.d_model, cfg.n_layers
     rate = cfg.dropout_rate if train else 0.0
     key_bias = (mask - 1.0) * MASK_OFFSET

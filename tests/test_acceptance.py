@@ -188,7 +188,7 @@ def _op_cases(rng: np.random.Generator) -> list:
     w = n(0.0, 1.0, (6, 4))
     cases.append(("batch_norm_features", [("a", a)],
                   lambda a=a, w=w:
-                  _wsum(ad.batch_norm_features(a, train=True), w)))
+                  _wsum(ad.batch_norm_features(a), w)))
 
     logits = ad.parameter(n(0.0, 1.5, (4, 5)))
     targets = rng.integers(0, 5, 4)
@@ -318,7 +318,7 @@ def test_03_injection_identities_and_gradient_stop():
     model = small_model(31, n_layers=2)
     randomize_parameters(model, np.random.default_rng(32))
     base_logits, base_hidden = model.forward(batch)
-    n = int(batch.attention_mask.sum())  # real tokens, the packed rows
+    n = int(batch.lengths.sum())  # real tokens, the packed rows
     for j in range(cfg.n_layers + 1):
         zeros = ad.tensor(np.zeros((n, d)))
         logits, hidden = model.forward(batch, injection=(j, zeros))

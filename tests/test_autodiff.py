@@ -429,9 +429,6 @@ class TestNormalizations:
     def test_batch_norm_rejects_single_row_in_training(self):
         with pytest.raises(ConfigError):
             ad.batch_norm_features(ad.tensor(np.ones((1, 4))))
-        # eval mode degenerates to zeros instead
-        out = ad.batch_norm_features(ad.tensor(np.ones((1, 4))), train=False)
-        np.testing.assert_array_equal(out.data, np.zeros((1, 4)))
 
     @pytest.mark.parametrize("shape", [(16, 12, 32), (16, 64, 128)])
     def test_sums_bitwise_equal_numpy_mean_and_var(self, shape):

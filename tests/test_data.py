@@ -137,24 +137,29 @@ class TestVocabulary:
 
     def test_encode_maps_unknown_tokens_to_unk(self):
         vocab = build_vocab([Example("a", "alpha beta gamma", ("ailment",))])
-        ids, _ = encode("alpha delta beta", vocab, max_seq_len=8)
-        assert ids.tolist() == [CLS, vocab.token_to_id["alpha"], UNK,
-                                vocab.token_to_id["beta"], PAD, PAD, PAD, PAD]
+        ids = encode("alpha delta beta", vocab, max_seq_len=8)
+        assert ids == [CLS, vocab.token_to_id["alpha"], UNK,
+                       vocab.token_to_id["beta"]]
 
 
 class TestEncode:
     def test_cls_prefix_and_padding(self):
         vocab = build_vocab([Example("a", "hello", ("ailment",))])
-        ids, mask = encode("hello", vocab, max_seq_len=4)
-        assert ids.tolist() == [CLS, vocab.token_to_id["hello"], PAD, PAD]
-        assert mask.tolist() == [1.0, 1.0, 0.0, 0.0]
+        # encode returns the real ids alone; the padding comes with a
+        # split's matrix, PAD after each row's length
+        ids = encode("hello", vocab, max_seq_len=4)
+        assert ids == [CLS, vocab.token_to_id["hello"]]
+        split = encode_split([Example("a", "hello", ("ailment",)),
+                              Example("b", "hello hello hello", ("ailment",))],
+                             vocab, BINARY, max_seq_len=4)
+        assert split.lengths.tolist() == [len(ids), 4]
+        assert split.token_ids[0].tolist() == [*ids, PAD, PAD]
 
     def test_truncation(self):
         vocab = build_vocab([Example("a", "a b c d e", ("ailment",))])
-        ids, mask = encode("a b c d e", vocab, max_seq_len=3)
+        ids = encode("a b c d e", vocab, max_seq_len=3)
         assert len(ids) == 3
         assert ids[0] == CLS
-        assert mask.sum() == 3
 
 
 class TestSplits:
@@ -261,9 +266,8 @@ class TestBatches:
         (batch,) = batches(encoded(examples, vocab, max_seq_len=16), 2,
                            train=False)
         assert batch.token_ids.shape[1] == 5  # CLS + 4 tokens
-        assert batch.attention_mask[0].sum() == 2
-        np.testing.assert_array_equal(
-            batch.token_ids[0][batch.attention_mask[0] == 0], PAD)
+        assert batch.lengths.tolist() == [2, 5]
+        np.testing.assert_array_equal(batch.token_ids[0][2:], PAD)
 
     def test_multilabel_targets_are_indicator_rows(self):
         space = LabelSpace("multilabel", ("a", "b", "c"))
@@ -300,17 +304,17 @@ class TestBatches:
         for batch in out:
             chunk = [next(ex for ex in examples if ex.id == row)
                      for row in batch.ids]
-            ids = np.stack([encode(ex.text, vocab, max_seq_len)[0]
-                            for ex in chunk])
-            mask = np.stack([encode(ex.text, vocab, max_seq_len)[1]
-                             for ex in chunk])
-            width = max(2, int(mask.sum(axis=1).max()))
+            real = [encode(ex.text, vocab, max_seq_len) for ex in chunk]
+            lengths = [len(row) for row in real]
+            ids = np.zeros((len(chunk), max_seq_len), dtype=np.int64)
+            for row, row_ids in zip(ids, real):
+                row[:len(row_ids)] = row_ids  # PAD after each length
+            width = max(2, max(lengths))
             widths.append(width)
             assert batch.token_ids.dtype == np.int64
-            assert batch.attention_mask.dtype == np.float64
+            assert batch.lengths.dtype == np.int64
             np.testing.assert_array_equal(batch.token_ids, ids[:, :width])
-            np.testing.assert_array_equal(batch.attention_mask,
-                                          mask[:, :width])
+            np.testing.assert_array_equal(batch.lengths, lengths)
             if task_kind == "binary":
                 want = [space.index_of(ex.labels[0]) for ex in chunk]
             else:

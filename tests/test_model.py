@@ -12,7 +12,7 @@ from selfaug.model import (EncoderModel, ModelConfig, load_checkpoint, pool,
                            predict, save_checkpoint)
 
 from conftest import fd_grad, rel_err
-from reference_encoder import reference
+from reference_encoder import padding_mask, reference
 
 RNG = np.random.default_rng(90125)
 
@@ -32,15 +32,18 @@ def make_batch(b=2, s=5, vocab=11, seed=0, n_classes=3):
     rng = np.random.default_rng(seed)
     ids = rng.integers(3, vocab, (b, s))
     ids[:, 0] = 2  # CLS
-    mask = np.ones((b, s))
     # stagger padding: row i loses its last i columns
+    lengths = s - np.arange(b)
     for i in range(b):
-        if i > 0:
-            ids[i, -i:] = 0
-            mask[i, -i:] = 0.0
+        ids[i, lengths[i]:] = 0
     targets = rng.integers(0, n_classes, b)
-    return Batch(token_ids=ids, attention_mask=mask, targets=targets,
+    return Batch(token_ids=ids, lengths=lengths, targets=targets,
                  ids=[f"x{i}" for i in range(b)])
+
+
+def pad_positions(batch):
+    """True at each padded [batch, seq] position of `batch`."""
+    return padding_mask(batch.lengths, batch.token_ids.shape[1]) == 0.0
 
 
 class TestInit:
@@ -69,7 +72,7 @@ class TestForward:
     def test_shapes_and_tap_count(self):
         model = small_model(2, n_layers=3)
         batch = make_batch()
-        n = int(batch.attention_mask.sum())  # 5 + 4 real tokens
+        n = int(batch.lengths.sum())  # 5 + 4 real tokens
         logits, hidden = model.forward(batch)
         assert logits.shape == (2, 3)
         assert len(hidden) == 4  # H_0 .. H_3
@@ -79,7 +82,7 @@ class TestForward:
         model = small_model(5, n_layers=2)
         batch = make_batch()
         plain, _ = model.forward(batch)
-        zeros = ad.tensor(np.zeros((int(batch.attention_mask.sum()), 8)))
+        zeros = ad.tensor(np.zeros((int(batch.lengths.sum()), 8)))
         for j in range(3):
             injected, _ = model.forward(batch, injection=(j, zeros))
             np.testing.assert_array_equal(plain.data, injected.data)
@@ -107,9 +110,9 @@ class TestForward:
         batch = make_batch(b=3, s=5)
         plain, _ = model.forward(batch)
         scrambled = Batch(token_ids=batch.token_ids.copy(),
-                          attention_mask=batch.attention_mask,
+                          lengths=batch.lengths,
                           targets=batch.targets, ids=batch.ids)
-        pad = scrambled.attention_mask == 0.0
+        pad = pad_positions(scrambled)
         assert pad.any()
         scrambled.token_ids[pad] = RNG.integers(3, 11, int(pad.sum()))
         perturbed, _ = model.forward(scrambled)
@@ -118,7 +121,7 @@ class TestForward:
     def test_injection_validation(self):
         model = small_model(8)
         batch = make_batch()
-        n = int(batch.attention_mask.sum())
+        n = int(batch.lengths.sum())
         with pytest.raises(ConfigError):
             model.forward(batch, injection=(5, ad.tensor(np.zeros((n, 8)))))
         with pytest.raises(ShapeError, match="packed"):
@@ -178,7 +181,7 @@ class TestClsOnly:
         model = small_model(6, n_layers=2)
         batch = make_batch()
         starts = batch.layout.starts
-        value = RNG.normal(0, 0.1, (int(batch.attention_mask.sum()), 8))
+        value = RNG.normal(0, 0.1, (int(batch.lengths.sum()), 8))
         runs = []
         for cls_only in (False, True):
             tap = ad.parameter(value.copy())
@@ -197,16 +200,15 @@ class TestClsOnly:
 
 def _padded_tap(layout, value):
     """A packed [n, d] tap laid out on the padded grid's rows."""
-    b, s = layout.mask.shape
-    full = np.zeros((b * s, value.shape[1]))
+    full = np.zeros((len(layout.lengths) * layout.width, value.shape[1]))
     full[layout.slots] = value
     return full
 
 
-def _padded_pool(state, mask, kind):
+def _padded_pool(state, layout, kind):
     """The padded encoder's pooling of a [batch * seq, d] state."""
-    b, s = mask.shape
-    state = state.reshape(b, s, -1)
+    mask = padding_mask(layout.lengths, layout.width)
+    state = state.reshape(*mask.shape, -1)
     if kind == "cls":
         return state[:, 0]
     weights = np.broadcast_to((mask / mask.sum(axis=1, keepdims=True))
@@ -231,9 +233,8 @@ class TestPacking:
         if not padded:
             ids = np.random.default_rng(1).integers(3, 11, (3, 5))
             ids[:, 0] = 2  # CLS
-            batch = Batch(token_ids=ids, attention_mask=np.ones((3, 5)),
+            batch = Batch(token_ids=ids, lengths=np.full(3, 5),
                           targets=batch.targets, ids=batch.ids)
-        mask = batch.attention_mask
         layout = batch.layout
         gen = np.random.default_rng(15)
         value = gen.normal(0.0, 0.5, (len(layout.slots), 8))
@@ -262,7 +263,7 @@ class TestPacking:
             for kind in ("cls", "mean"):
                 np.testing.assert_array_equal(
                     pool(got, layout, kind).data,
-                    _padded_pool(want, mask, kind), err_msg=kind)
+                    _padded_pool(want, layout, kind), err_msg=kind)
         for name, param in model.parameters():
             if name.endswith("_w"):  # x.T @ g sums over other rows
                 np.testing.assert_allclose(param.grad, want_grads[name],
@@ -278,14 +279,14 @@ class TestPacking:
     def test_pad_content_cannot_influence_gradients(self):
         model = small_model(7, n_layers=2, dropout_rate=0.2)
         batch = make_batch(b=3, s=5)
-        pad = batch.attention_mask == 0.0
+        pad = pad_positions(batch)
         runs = []
         for scramble in (False, True):
             ids = batch.token_ids.copy()
             if scramble:
                 ids[pad] = RNG.integers(3, 11, int(pad.sum()))
             logits, _ = model.forward(
-                Batch(token_ids=ids, attention_mask=batch.attention_mask,
+                Batch(token_ids=ids, lengths=batch.lengths,
                       targets=batch.targets, ids=batch.ids),
                 train=True, rng=np.random.default_rng(3))
             ad.backward(ad.cross_entropy(logits, batch.targets))
@@ -299,22 +300,20 @@ class TestPacking:
                                    want_grads):
             np.testing.assert_array_equal(g, w, err_msg=name)
 
-    @pytest.mark.parametrize("row", [[1, 0, 1, 0, 0], [0, 1, 1, 0, 0],
-                                     [1, 1, 0.5, 0, 0], [1, 1, 2, 0, 0]])
-    def test_mask_must_be_a_prefix_of_ones(self, row):
+    @pytest.mark.parametrize("lengths", [[], [[5, 4]], [5, 0], [6, 4]],
+                             ids=["empty", "2-D", "zero", "wider"])
+    def test_layout_rejects_lengths_outside_the_grid(self, lengths):
         batch = make_batch()
-        mask = np.array([row, [1.0] * 5])
-        with pytest.raises(ShapeError, match="prefix"):
+        with pytest.raises(ShapeError, match="lengths"):
+            RowLayout.of(np.array(lengths, dtype=np.int64), 5)
+        with pytest.raises(ShapeError, match="lengths"):
             small_model(4).forward(Batch(
-                token_ids=batch.token_ids, attention_mask=mask,
+                token_ids=batch.token_ids,
+                lengths=np.array(lengths, dtype=np.int64),
                 targets=batch.targets, ids=batch.ids))
-        with pytest.raises(ShapeError, match="prefix"):
-            RowLayout.of(mask)
 
     def test_layout_packs_rows_in_row_major_order(self):
-        mask = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0],
-                         [1.0, 0.0, 0.0, 0.0]])
-        layout = RowLayout.of(mask)
+        layout = RowLayout.of(np.array([2, 4, 1]), 4)
         np.testing.assert_array_equal(layout.slots, [0, 1, 4, 5, 6, 7, 8])
         np.testing.assert_array_equal(layout.positions,
                                       [0, 1, 0, 1, 2, 3, 0])
@@ -323,10 +322,10 @@ class TestPacking:
 
 
 class TestPooling:
-    MASK = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
+    LENGTHS = np.array([2, 4])
 
     def test_cls_takes_position_zero(self):
-        layout = RowLayout.of(self.MASK)
+        layout = RowLayout.of(self.LENGTHS, 4)
         h = ad.tensor(RNG.normal(0, 1, (6, 3)))
         np.testing.assert_array_equal(pool(h, layout, "cls").data,
                                       h.data[[0, 2]])
@@ -335,7 +334,7 @@ class TestPooling:
         assert pool(cls, layout, "cls") is cls
 
     def test_mean_ignores_padding(self):
-        layout = RowLayout.of(self.MASK)
+        layout = RowLayout.of(self.LENGTHS, 4)
         h = ad.tensor(np.arange(18, dtype=float).reshape(6, 3))
         got = pool(h, layout, "mean").data
         np.testing.assert_allclose(got[0], h.data[:2].mean(axis=0))
@@ -345,7 +344,7 @@ class TestPooling:
 
     def test_fully_padded_row_rejected(self):
         with pytest.raises(ShapeError):
-            RowLayout.of(np.zeros((1, 3)))
+            RowLayout.of(np.zeros(1, dtype=np.int64), 3)
 
 
 class TestPredict:

@@ -25,11 +25,11 @@ def tiny_batch(batch: int = 2, seq: int = 4, vocab: int = 12,
     rng = np.random.default_rng(seed)
     ids = rng.integers(3, vocab, (batch, seq)).astype(np.int64)
     ids[:, 0] = 2
-    mask = np.ones((batch, seq))
-    mask[-1, -1] = 0.0
+    lengths = np.full(batch, seq)
+    lengths[-1] -= 1
     ids[-1, -1] = 0
     targets = rng.integers(0, 2, batch).astype(np.int64)
-    return Batch(token_ids=ids, attention_mask=mask, targets=targets,
+    return Batch(token_ids=ids, lengths=lengths, targets=targets,
                  ids=[f"x{i}" for i in range(batch)])
 
 
@@ -118,7 +118,7 @@ class TestProjection:
     def test_train_needs_batch_of_two(self):
         net = ProjectionNetwork(4, (4, 4, 2), seed=0)
         with pytest.raises(ConfigError):
-            project(net, ad.tensor(np.zeros((1, 4))), train=True)
+            project(net, ad.tensor(np.zeros((1, 4))))
 
     def test_gradients_match_finite_differences(self):
         net = ProjectionNetwork(6, (5, 4, 3), seed=7)
@@ -372,7 +372,6 @@ class TestDualForward:
         model_f = tiny_model(0)
         model_c = tiny_model(1)
         batch = tiny_batch(batch=3)
-        mask = batch.attention_mask
         cfg = DualStreamConfig(tap_layer=tap, inject_layer=inject,
                                alpha=0.5, pooling=pooling,
                                projection_dims=(8, 8, 4))
@@ -386,7 +385,7 @@ class TestDualForward:
 
         monkeypatch.setattr(EncoderModel, "forward", spy)
         got = dual_forward(model_f, model_c, batch, cfg)
-        n, b = int(mask.sum()), batch.size  # packed rows, [CLS] rows
+        n, b = int(batch.lengths.sum()), batch.size  # packed, [CLS] rows
         assert rows == [n if full_f else b, n if full_c else b]
         monkeypatch.undo()
         logits_f, hidden_f = model_f.forward(batch)
