@@ -23,16 +23,16 @@ dropout, context, merge heads, context @ wo + bo) is one node,
 keep-mask and rebuilds the dropped-out probabilities and the context.
 The encoder carries a batch's real tokens alone, packed as [n, d] rows,
 so every per-row op (``linear``, ``layer_norm``, ``feed_forward``,
-``dropout``) does no work for padding.  ``self_attention`` takes packed
-q, k and v with the flat grid position of each row, scatters them into
-the padded [batch, seq, d] grid for the scores, the key mask and the
-softmax, and gathers the context rows back before its projection.  Its
-queries may be fewer than its keys: the encoder's last layer passes each
-sequence's [CLS] row alone when nothing reads the others, and then the
-final hidden state is [batch, d].  That node and ``dropout`` (through
-``draw_shape`` and ``rows``) draw their masks at the padded grid's size
+``dropout``) does no work for padding.  The ops that need the padded
+grid take the batch's `RowLayout` (see data), built and checked once,
+and trust its indices.  ``self_attention`` scatters packed q, k and v
+into the grid for the scores, the key mask (from the layout's lengths)
+and the softmax, and gathers the context rows back before its
+projection.  Its queries are every packed row or each sequence's [CLS]
+row alone, which the encoder's last layer passes when nothing reads the
+others.  That node and ``dropout`` draw their masks at the grid's size
 and keep the rows they use, so the rng and every real row see what a
-padded call would.  ``gather_rows`` moves rows between layouts, and
+padded call would.  ``gather_rows`` takes each sequence's [CLS] row, and
 ``segment_mean`` mean-pools each sequence's rows.
 The feed-forward block (linear, gelu, linear) is one node,
 ``feed_forward``, that keeps its input and the pre-activation and
@@ -53,11 +53,14 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError
+
+if TYPE_CHECKING:
+    from .data import RowLayout
 
 Array = np.ndarray
 
@@ -476,23 +479,25 @@ def _row_sums(index: Array, rows: Array, n: int) -> Array:
     return sums.reshape(n, *rows.shape[1:])
 
 
-def _packed_rows(index: Array, n: int) -> bool:
-    """Whether `index` is a non-empty 1-D integer array of strictly
-    increasing row indices in [0, n), as rows packed in row-major order
-    are."""
-    return index.ndim == 1 and index.dtype.kind in "iu" and \
-        index.size > 0 and index[0] >= 0 and index[-1] < n and \
-        bool((index[1:] > index[:-1]).all())
+def _layout_rows(op: str, a: Tensor, layout: RowLayout,
+                 cls: bool = False) -> Array:
+    """The flat grid positions of `a`'s rows: every packed row of
+    `layout`, or with `cls` each sequence's [CLS] row, told apart by
+    `a`'s row count (the two agree when every length is 1)."""
+    if a.shape[0] == len(layout.slots):
+        return layout.slots
+    if not (cls and a.shape[0] == len(layout.lengths)):
+        raise ShapeError(f"{op}: {a.shape[0]} rows do not fit a layout of "
+                         f"{len(layout.slots)} packed rows in "
+                         f"{len(layout.lengths)} sequences")
+    return layout.slots[layout.starts]
 
 
-def gather_rows(a: Tensor, index: Array) -> Tensor:
-    """Rows `index` (increasing) of `a` along axis 0; the gradient is
-    scattered back to those rows."""
-    index = np.asarray(index)
-    if not _packed_rows(index, a.shape[0]):
-        raise ShapeError(f"gather_rows: index must be 1-D, increasing "
-                         f"and within [0, {a.shape[0]})")
-    in_shape = a.shape
+def gather_rows(a: Tensor, layout: RowLayout) -> Tensor:
+    """Each sequence's [CLS] row of the packed rows `a` of `layout`, as
+    [batch, ...]; the gradient is scattered back to those rows."""
+    _layout_rows("gather_rows", a, layout)
+    in_shape, index = a.shape, layout.starts
     out = Tensor(a.data[index])
 
     def apply(g: Array, ta: Target) -> None:
@@ -503,23 +508,19 @@ def gather_rows(a: Tensor, index: Array) -> Tensor:
     return _attach(out, "gather_rows", (a,), apply)
 
 
-def segment_mean(a: Tensor, lengths: Array) -> Tensor:
-    """Means of consecutive row segments: row i of the output averages
-    the next `lengths[i]` rows of `a`.
+def segment_mean(a: Tensor, layout: RowLayout) -> Tensor:
+    """Each sequence's mean over its packed rows `a` of `layout`, as
+    [batch, ...].
 
     Each row is weighted by 1 / length and the weighted rows are summed
     in order, which rounds as a weighted sum over a zero-padded segment
     does.
     """
-    lengths = np.asarray(lengths)
-    if lengths.ndim != 1 or np.any(lengths < 1) or \
-            lengths.sum() != a.shape[0]:
-        raise ShapeError(f"segment_mean: positive segment lengths must "
-                         f"cover the {a.shape[0]} rows of {a.shape}")
-    segment = np.repeat(np.arange(len(lengths)), lengths)
-    weights = np.repeat(1.0 / lengths, lengths).reshape(
+    _layout_rows("segment_mean", a, layout)
+    segment = layout.sequences
+    weights = (1.0 / layout.lengths)[segment].reshape(
         (-1,) + (1,) * (a.ndim - 1))
-    out = _row_sums(segment, a.data * weights, len(lengths))
+    out = _row_sums(segment, a.data * weights, len(layout.lengths))
 
     def apply(g: Array, ta: Target) -> None:
         _accum(ta, g[segment] * weights)
@@ -553,31 +554,26 @@ def embedding_lookup(table: Tensor, ids: Array) -> Tensor:
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator,
-            draw_shape: tuple[int, ...] | None = None,
-            rows: Array | None = None) -> Tensor:
+            layout: RowLayout | None = None) -> Tensor:
     """Inverted dropout; identity (and no node) at rate 0.
 
     The node keeps the boolean keep-mask (1 byte per element) and scales
     it again on the way back, which gives the same floats as the scaled
-    mask the forward used.  With `draw_shape` and `rows`, `a` holds the
-    rows `rows` (increasing, along axis 0) of a tensor of shape
-    `draw_shape`: the mask is drawn at `draw_shape` and its rows `rows`
-    kept, so the rng advances as it would for the whole tensor and each
-    of `a`'s rows sees that row's entries of the whole tensor's mask.
+    mask the forward used.  With `layout`, `a` holds its packed rows or
+    its [CLS] rows: the mask is drawn for the whole padded grid and `a`'s
+    rows kept, so the rng advances as it would for the padded tensor and
+    each row sees that row's entries of the padded mask.
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout: rate must lie in [0, 1), got {rate}")
     if rate == 0.0:
         return a
-    if draw_shape is None:
+    if layout is None:
         keep = rng.random(a.shape) >= rate
     else:
-        rows = np.asarray(rows)
-        if not _packed_rows(rows, draw_shape[0]) or \
-                (len(rows), *draw_shape[1:]) != a.shape:
-            raise ShapeError(f"dropout: shape {a.shape} is not a set of "
-                             f"rows of draw shape {tuple(draw_shape)}")
-        keep = (rng.random(draw_shape) >= rate)[rows]
+        rows = _layout_rows("dropout", a, layout, cls=True)
+        grid = (len(layout.lengths) * layout.width, *a.shape[1:])
+        keep = (rng.random(grid) >= rate)[rows]
     out = Tensor(a.data * (keep / (1.0 - rate)))
 
     def apply(g: Array, ta: Target) -> None:
@@ -611,33 +607,33 @@ def softmax_rows(a: Tensor) -> Tensor:
     return _attach(out, "softmax_rows", (a,), apply)
 
 
+# additive key bias: pushes pad-key scores far enough down that exp()
+# underflows to exactly zero after max-subtraction
+MASK_OFFSET = 1e9
+
+
 def self_attention(q: Tensor, k: Tensor, v: Tensor, wo: Tensor, bo: Tensor,
-                   key_bias: Array, rows: Array, q_rows: Array,
-                   n_heads: int, scale: float, rate: float = 0.0,
+                   layout: RowLayout, n_heads: int, scale: float,
+                   rate: float = 0.0,
                    rng: np.random.Generator | None = None) -> Tensor:
     """Multi-head scaled dot-product attention over packed rows, with its
     output projection.
 
-    `key_bias` is [batch, seq] and sets the padded grid: it is added to
-    every score of its key.  k and v are [n, d], and row i of each is the
-    token at flat position `rows[i]` of the grid (index b * seq + t),
-    with `rows` increasing.  q's rows are the queries at the increasing
-    flat positions `q_rows`; the queries of one call need not be all of
-    the keys, as when only each sequence's [CLS] row is read.  Returns
-    [len(q_rows), d], row i for query i.
+    k and v are the [n, d] packed rows of `layout`; q is those n rows or
+    each sequence's [CLS] row alone ([batch, d]), one output row each.
 
     Inside the node, q, k and v are scattered into zero-filled
-    [batch, seq_q, d] and [batch, seq, d] grids, where seq_q is one past
-    the largest query position.  d is split into `n_heads` heads,
-    softmax(q k^T * scale + key_bias) is taken row-wise, inverted
-    dropout at `rate` is applied to those probabilities, and the heads
-    of probs @ v are merged back.  The context rows of the queries are
-    gathered before context @ wo + bo.  So the scores, the key mask, the
-    softmax and the dropout see the padded grid, and every product of a
-    row with a weight sees that row alone.  The keep-mask is drawn for
-    the whole [batch, heads, seq, seq] score matrix and cut to the first
-    seq_q query rows, so the rng advances as a full call's would and
-    every row gets the full call's mask.
+    [batch, seq_q, d] and [batch, width, d] grids (seq_q is 1 for [CLS]
+    queries, else the longest length).  d is split into `n_heads` heads,
+    softmax(q k^T * scale + key bias) is taken row-wise, the bias being
+    -MASK_OFFSET at every pad key, inverted dropout at `rate` is applied
+    to those probabilities, and the heads of probs @ v are merged back.  The context rows of the queries are gathered before
+    context @ wo + bo.  So the scores, the key mask, the softmax and the
+    dropout see the padded grid, and every product of a row with a weight
+    sees that row alone.  The keep-mask is drawn for the whole
+    [batch, heads, width, width] score matrix and cut to the first seq_q
+    query rows, so the rng advances as a full call's would and every row
+    gets the full call's mask.
 
     One node stands for the chain, over padded inputs, reshape,
     swap_axes, matmul, scale, add, softmax_rows, dropout, matmul,
@@ -646,20 +642,13 @@ def self_attention(q: Tensor, k: Tensor, v: Tensor, wo: Tensor, bo: Tensor,
     boolean keep-mask, and computes the dropped-out probabilities and the
     context again in backward.
     """
-    rows, q_rows = np.asarray(rows), np.asarray(q_rows)
-    if key_bias.ndim != 2:
-        raise ShapeError(f"self_attention: key bias must be [batch, seq], "
-                         f"got {key_bias.shape}")
-    b, s = key_bias.shape
-    if k.ndim != 2 or v.shape != k.shape or q.ndim != 2 or \
-            q.shape[1] != k.shape[1] or rows.shape != k.shape[:1] or \
-            q_rows.shape != q.shape[:1] or \
-            not (_packed_rows(rows, b * s) and _packed_rows(q_rows, b * s)):
-        raise ShapeError(f"self_attention: k and v must share one [n, d] "
-                         f"shape and q be [n_q, d], with n and n_q (>= 1) "
-                         f"increasing row indices in the [{b}, {s}] grid, "
-                         f"got {q.shape}, {k.shape} and {v.shape} with "
-                         f"{rows.shape} and {q_rows.shape} indices")
+    _layout_rows("self_attention", k, layout)
+    _layout_rows("self_attention", q, layout, cls=True)
+    if k.ndim != 2 or v.shape != k.shape or q.shape[1:] != k.shape[1:]:
+        raise ShapeError(f"self_attention: q, k and v must be packed rows "
+                         f"of one width, got {q.shape}, {k.shape} and "
+                         f"{v.shape}")
+    b, s, n = len(layout.lengths), layout.width, len(layout.slots)
     d = k.shape[1]
     if d % n_heads != 0:
         raise ShapeError(f"self_attention: width {d} not divisible by "
@@ -668,16 +657,12 @@ def self_attention(q: Tensor, k: Tensor, v: Tensor, wo: Tensor, bo: Tensor,
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"self_attention: rate must lie in [0, 1), "
                           f"got {rate}")
-    def grid_at(flat: Array, width: int) -> tuple[Array, Array] | None:
-        """(sequence, position) of each increasing flat index into a
-        [batch, width] grid, or None when the indices fill that grid (a
-        batch without padding), where scatter and gather are reshapes."""
-        return None if len(flat) == b * width else np.divmod(flat, width)
-
-    q_pos = q_rows % s
-    sq = int(q_pos.max()) + 1
-    key_at = grid_at(rows, s)
-    query_at = grid_at(q_rows // s * sq + q_pos, sq)
+    sq = 1 if q.shape[0] == b else int(layout.lengths.max())
+    # (sequence, position) of every packed row, or None for rows that
+    # fill their grid, where scatter and gather are reshapes
+    rows_at = (layout.sequences, layout.positions)
+    key_at = None if n == b * s else rows_at
+    query_at = None if q.shape[0] == b * sq else rows_at
 
     def split(x: Array, at: tuple[Array, Array] | None,
               width: int) -> Array:
@@ -696,6 +681,8 @@ def self_attention(q: Tensor, k: Tensor, v: Tensor, wo: Tensor, bo: Tensor,
     qh, kh, vh = (split(q.data, query_at, sq), split(k.data, key_at, s),
                   split(v.data, key_at, s))
     wod = wo.data
+    key_bias = np.where(np.arange(s) < layout.lengths[:, None], 0.0,
+                        -MASK_OFFSET)
     y = _softmax(np.matmul(qh, _swap_last(kh)) * scale
                  + key_bias[:, None, None, :])
     keep = None if rate == 0.0 else \

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -343,15 +343,18 @@ class RowLayout:
     Sequence b holds `lengths[b]` real tokens, [CLS] first, and then
     padding.  The encoder carries the real tokens alone, as [n, d] rows
     packed in row-major order: sequence 0's tokens, then sequence 1's.
-    Row i is the token at flat grid position `slots[i]` (b * width + t),
-    which is position `positions[i]` of its sequence; sequence b's rows
-    run from `starts[b]`, its [CLS] row, for `lengths[b]` rows.
+    Row i is token `positions[i]` of sequence `sequences[i]`, at flat
+    grid position `slots[i]` (sequence * width + position); sequence b's
+    rows run from `starts[b]`, its [CLS] row, for `lengths[b]` rows.
+    `of` alone builds and checks them; the ops that take a layout trust
+    them.
     """
 
     lengths: np.ndarray
     width: int
     slots: np.ndarray
     positions: np.ndarray
+    sequences: np.ndarray
     starts: np.ndarray
 
     @classmethod
@@ -367,11 +370,11 @@ class RowLayout:
                              f"got {lengths.min()} to {lengths.max()}")
         ends = np.cumsum(lengths)
         starts = ends - lengths
-        positions = np.arange(ends[-1]) - np.repeat(starts, lengths)
-        slots = np.repeat(np.arange(len(lengths)) * width, lengths) \
-            + positions
-        return cls(lengths=lengths, width=width, slots=slots,
-                   positions=positions, starts=starts)
+        sequences = np.repeat(np.arange(len(lengths)), lengths)
+        positions = np.arange(ends[-1]) - starts[sequences]
+        return cls(lengths=lengths, width=width,
+                   slots=sequences * width + positions, positions=positions,
+                   sequences=sequences, starts=starts)
 
 
 @dataclass

@@ -39,6 +39,7 @@ from .metrics import MetricsBundle
 from .model import (EncoderModel, load_checkpoint, pool, predict,
                     save_checkpoint)
 from .objective import ProjectionNetwork
+from .schema import Schema
 from .training import TrainResult, evaluate, train
 
 EXPORT_LAYERS = ("pooled_final", "tapped")
@@ -60,6 +61,25 @@ CSV_FLOAT_COLUMNS = frozenset({"alpha", "best_val_f1", "test_precision",
 CHECKPOINT_META = {"experiment": dict, "label_space": dict, "vocab": list}
 
 
+@dataclass(frozen=True)
+class FoldCell(Schema):
+    """One k-fold cell: fold `index` of `k` is its test split, and
+    `val_fraction` of the other folds its validation split."""
+
+    k: int
+    index: int
+    val_fraction: float
+
+    def __post_init__(self) -> None:
+        if self.k < 2:
+            raise ConfigError("k must be at least 2")
+        if not 0.0 < self.val_fraction < 1.0:
+            raise ConfigError("val_fraction must lie in (0, 1)")
+        if not 0 <= self.index < self.k:
+            raise ConfigError(f"fold index {self.index} outside "
+                              f"[0, {self.k})")
+
+
 @dataclass
 class PreparedData:
     train: list[Example]
@@ -67,10 +87,14 @@ class PreparedData:
     test: list[Example]
     vocab: Vocabulary
     label_space: LabelSpace
+    fold: FoldCell | None = None  # the k-fold cell it was made for
 
 
 def _corpus(config: ExperimentConfig) -> tuple[list[Example], LabelSpace]:
     data = config.data
+    if data.presplit:
+        raise ConfigError("k-fold needs a splittable data source, not "
+                          "pre-split files")
     if data.synth_spec is not None or data.synth_spec_path is not None:
         spec = data.synth_spec if data.synth_spec is not None \
             else load_synth_spec(data.synth_spec_path)
@@ -80,9 +104,16 @@ def _corpus(config: ExperimentConfig) -> tuple[list[Example], LabelSpace]:
     return load_jsonl(data.dataset_path, label_space), label_space
 
 
-def prepare_data(config: ExperimentConfig) -> PreparedData:
-    """Materialize splits and vocabulary for one experiment."""
+def prepare_data(config: ExperimentConfig,
+                 fold: FoldCell | None = None) -> PreparedData:
+    """Materialize splits and vocabulary for one experiment, or for its
+    k-fold cell `fold`."""
     data = config.data
+    if fold is not None:
+        examples, label_space = _corpus(config)
+        return _fold_data(config, k_folds(examples, fold.k,
+                                          config.train.seed),
+                          fold, label_space)
     if data.presplit:
         label_space = load_label_space(data.label_space_path)
         parts = [load_jsonl(p, label_space)
@@ -143,8 +174,7 @@ def _json_text(payload: dict) -> str:
 
 
 def _write_run_artifacts(run_dir: Path, config: ExperimentConfig,
-                         prepared: PreparedData,
-                         result: TrainResult, arrays: dict[str, np.ndarray],
+                         prepared: PreparedData, result: TrainResult,
                          test: MetricsBundle) -> dict:
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "config.json").write_text(_json_text(config.to_dict()),
@@ -170,7 +200,10 @@ def _write_run_artifacts(run_dir: Path, config: ExperimentConfig,
     meta = {"experiment": experiment,
             "label_space": _label_space_meta(prepared.label_space),
             "vocab": prepared.vocab.id_to_token}
-    save_checkpoint(run_dir / "checkpoint.bin", meta, arrays)
+    if prepared.fold is not None:
+        meta["fold"] = prepared.fold.to_dict()
+    save_checkpoint(run_dir / "checkpoint.bin", meta,
+                    {f"f.{name}": arr for name, arr in result.state.items()})
     return metrics
 
 
@@ -225,14 +258,12 @@ def _execute(config: ExperimentConfig, prepared: PreparedData,
     result = train(model_f, model_c, projection, train_split, val_split,
                    prepared.label_space, config.dual, config.train,
                    config.threshold)
-    arrays = {f"f.{name}": arr for name, arr in result.state.items()}
     # validation metrics come from training's own best-epoch evaluation,
     # which saw the same parameters; only the test split is new to them
-    test = evaluate(_restored_model(config, prepared, arrays), test_split,
-                    prepared.label_space, config.train.batch_size,
-                    config.threshold)
-    metrics = _write_run_artifacts(run_dir, config, prepared, result,
-                                   arrays, test)
+    model_f.load_state(result.state)
+    test = evaluate(model_f, test_split, prepared.label_space,
+                    config.train.batch_size, config.threshold)
+    metrics = _write_run_artifacts(run_dir, config, prepared, result, test)
     metrics["run_dir"] = str(run_dir)
     return metrics
 
@@ -341,40 +372,36 @@ def run_grid(config: ExperimentConfig, workers: int = 1) -> dict:
     return summary
 
 
-def _fold_data(config: ExperimentConfig, folds: Folds, index: int,
-               val_fraction: float, label_space: LabelSpace) -> PreparedData:
-    test_ex = folds.folds[index]
-    rest = [ex for j, fold in enumerate(folds.folds) if j != index
+def _fold_data(config: ExperimentConfig, folds: Folds, cell: FoldCell,
+               label_space: LabelSpace) -> PreparedData:
+    rest = [ex for j, fold in enumerate(folds.folds) if j != cell.index
             for ex in fold]
-    inner = make_splits(rest, (1.0 - val_fraction, val_fraction, 0.0),
-                        config.train.seed)
+    inner = make_splits(rest, (1.0 - cell.val_fraction, cell.val_fraction,
+                               0.0), config.train.seed)
     return PreparedData(
-        train=inner.train, val=inner.val, test=test_ex,
+        train=inner.train, val=inner.val, test=folds.folds[cell.index],
         vocab=build_vocab(inner.train, min_freq=config.data.min_freq,
                           max_size=config.data.max_vocab),
-        label_space=label_space)
+        label_space=label_space, fold=cell)
 
 
 def run_kfold(config: ExperimentConfig, k: int, val_fraction: float = 0.2,
               workers: int = 1) -> dict:
     """Cross-validation: each fold is held out once as the test set, and
     the validation slice is carved from the remaining folds.  A failing
-    fold is raised once every fold has run, and no table is written."""
-    if k < 2:
-        raise ConfigError("k must be at least 2")
-    if not 0.0 < val_fraction < 1.0:
-        raise ConfigError("val_fraction must lie in (0, 1)")
-    if config.data.presplit:
-        raise ConfigError("k-fold needs a splittable data source, not "
-                          "pre-split files")
+    fold is raised once every fold has run, and no table is written.
+    Each fold's checkpoint records its cell, so that it exports from the
+    data it was trained and tested on."""
+    # at k < 2 the one cell made is refused
+    cells = [FoldCell(k, i, val_fraction) for i in range(max(k, 1))]
     out_dir = Path(config.out_dir)
     run_dirs = [out_dir / f"fold{i}" for i in range(k)]
     _check_sweep_out(out_dir, run_dirs, "kfold")
     examples, label_space = _corpus(config)
     folds = k_folds(examples, k, config.train.seed)
     # every fold's config keeps the sweep's out_dir
-    jobs = [(config, _fold_data(config, folds, i, val_fraction, label_space),
-             run_dir) for i, run_dir in enumerate(run_dirs)]
+    jobs = [(config, _fold_data(config, folds, cell, label_space), run_dir)
+            for cell, run_dir in zip(cells, run_dirs)]
     for i, (_, prepared, _) in enumerate(jobs):  # before any fold runs
         _check_splits(prepared, f"fold {i}: ")
     rows = [{"fold": i, **result} for i, result in
@@ -454,13 +481,15 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
                               f"{key!r} or holds the wrong type there")
     try:
         config = ExperimentConfig.from_dict(meta["experiment"])
+        fold = FoldCell.from_dict(meta["fold"], "fold") \
+            if "fold" in meta else None
     except ConfigError as err:
         raise ConfigError(f"{checkpoint_path}: checkpoint meta: "
                           f"{err}") from None
     if layer == "tapped" and config.dual is None:
         raise ConfigError("tapped export needs a run with a dual section")
 
-    prepared = prepare_data(config)
+    prepared = prepare_data(config, fold)
     if prepared.vocab.id_to_token != meta["vocab"]:
         raise ConfigError("checkpoint vocabulary does not match the "
                           "re-prepared data; the data source changed")

@@ -29,9 +29,8 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -42,10 +41,6 @@ from .errors import ConfigError, ShapeError
 from .schema import Schema
 
 LN_EPS = 1e-5
-# additive key bias: pushes pad-key scores far enough down that exp()
-# underflows to exactly zero after max-subtraction
-MASK_OFFSET = 1e9
-
 INIT_STD = 0.02
 
 Injection = tuple[int, Tensor]
@@ -120,36 +115,23 @@ class EncoderLayer:
               rng: np.random.Generator | None,
               cls_only: bool = False) -> Tensor:
         """The layer's output for every packed row of `h`, or with
-        `cls_only` for each sequence's [CLS] row alone, as [batch, d].
-        Keys and values always come from every row of `h`, and every
-        dropout mask is drawn at the padded grid's size and cut to the
-        rows kept, so each row and the rng end up as they would after a
-        padded full-width call."""
+        `cls_only` for each sequence's [CLS] row alone, as [batch, d];
+        keys and values always come from every row of `h`."""
         cfg = self.config
         rate = cfg.dropout_rate if train else 0.0
-        b, s = len(layout.lengths), layout.width
-        draw = (b * s, cfg.d_model)
-        if cls_only:
-            rows, slots = ad.gather_rows(h, layout.starts), \
-                layout.slots[layout.starts]
-        else:
-            rows, slots = h, layout.slots
-        # keys at pad positions get -1e9 before softmax
-        key_bias = np.where(np.arange(s) < layout.lengths[:, None], 0.0,
-                            -MASK_OFFSET)
+        rows = ad.gather_rows(h, layout) if cls_only else h
         attn = ad.self_attention(ad.linear(rows, self.wq, self.bq),
                                  ad.linear(h, self.wk),
                                  ad.linear(h, self.wv, self.bv),
-                                 self.wo, self.bo, key_bias,
-                                 layout.slots, slots, cfg.n_heads,
+                                 self.wo, self.bo, layout, cfg.n_heads,
                                  1.0 / math.sqrt(cfg.d_head), rate, rng)
         if rate > 0.0:
-            attn = ad.dropout(attn, rate, rng, draw, slots)
+            attn = ad.dropout(attn, rate, rng, layout)
         h = ad.layer_norm(ad.add(rows, attn), self.ln1_gain, self.ln1_bias,
                           eps=LN_EPS)
         ffn = ad.feed_forward(h, self.w1, self.b1, self.w2, self.b2)
         if rate > 0.0:
-            ffn = ad.dropout(ffn, rate, rng, draw, slots)
+            ffn = ad.dropout(ffn, rate, rng, layout)
         return ad.layer_norm(ad.add(h, ffn), self.ln2_gain, self.ln2_bias,
                              eps=LN_EPS)
 
@@ -219,31 +201,27 @@ class EncoderModel:
         forward's up to rounding.
         """
         cfg = self.config
-        ids = batch.token_ids
-        b, s = ids.shape
-        if s > cfg.max_seq_len:
-            raise ShapeError(f"batch width {s} exceeds max_seq_len "
-                             f"{cfg.max_seq_len}")
         layout = batch.layout
-        n = len(layout.slots)
+        if layout.width > cfg.max_seq_len:
+            raise ShapeError(f"batch width {layout.width} exceeds "
+                             f"max_seq_len {cfg.max_seq_len}")
         if injection is not None:
             j, tap = injection
             if not 0 <= j <= cfg.n_layers:
                 raise ConfigError(f"injection layer {j} outside "
                                   f"[0, {cfg.n_layers}]")
-            if tap.shape != (n, cfg.d_model):
+            packed = (len(layout.slots), cfg.d_model)
+            if tap.shape != packed:
                 raise ShapeError(f"injection tensor shape {tap.shape} does "
-                                 f"not match packed hidden shape "
-                                 f"{(n, cfg.d_model)}")
+                                 f"not match packed hidden shape {packed}")
         if train and cfg.dropout_rate > 0.0 and rng is None:
             raise ConfigError("training forward with dropout needs an rng")
-        h = ad.add(ad.embedding_lookup(self.token_embedding,
-                                       ids.reshape(-1)[layout.slots]),
+        ids = batch.token_ids.reshape(-1)[layout.slots]
+        h = ad.add(ad.embedding_lookup(self.token_embedding, ids),
                    ad.embedding_lookup(self.position_embedding,
                                        layout.positions))
         if train and cfg.dropout_rate > 0.0:
-            h = ad.dropout(h, cfg.dropout_rate, rng, (b * s, cfg.d_model),
-                           layout.slots)
+            h = ad.dropout(h, cfg.dropout_rate, rng, layout)
         if injection is not None and injection[0] == 0:
             h = ad.add(h, injection[1])
         hidden = [h]
@@ -253,7 +231,7 @@ class EncoderModel:
             if injection is not None and injection[0] == depth:
                 tap = injection[1]
                 if last:
-                    tap = ad.gather_rows(tap, layout.starts)
+                    tap = ad.gather_rows(tap, layout)
                 h = ad.add(h, tap)
             hidden.append(h)
         pooled = pool(hidden[-1], layout, "cls")
@@ -270,17 +248,12 @@ def pool(hidden: Tensor, layout: RowLayout, kind: str) -> Tensor:
     sequence holds [CLS] rows alone (a CLS-only top layer's, or that of a
     batch of one-token sequences), and cls pooling returns it as it is.
     """
-    batch, n = len(layout.lengths), len(layout.slots)
     if kind not in ("cls", "mean"):
         raise ConfigError(f"unknown pooling kind {kind!r}")
-    if hidden.shape[0] not in ((batch, n) if kind == "cls" else (n,)):
-        raise ShapeError(f"{kind} pooling: hidden state {hidden.shape} has "
-                         f"neither {n} packed rows nor one row per "
-                         f"sequence")
     if kind == "mean":
-        return ad.segment_mean(hidden, layout.lengths)
-    return hidden if hidden.shape[0] == batch else \
-        ad.gather_rows(hidden, layout.starts)
+        return ad.segment_mean(hidden, layout)
+    return hidden if hidden.shape[0] == len(layout.lengths) else \
+        ad.gather_rows(hidden, layout)
 
 
 def predict(logits: np.ndarray, multilabel: bool,
@@ -340,8 +313,8 @@ def save_checkpoint(path: str | Path, meta: dict,
 
 def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a checkpoint, refusing a file that cannot be read, or one
-    whose header or array table does not fit the file (a truncated or
-    foreign file), with a ConfigError."""
+    whose header or array table does not fit the file exactly (a
+    truncated, extended or foreign file), with a ConfigError."""
     try:
         raw = Path(path).read_bytes()
     except OSError as err:
@@ -368,20 +341,24 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         raise ConfigError(f"{path}: checkpoint header lacks its meta "
                           f"object or arrays list")
     size = len(raw) - base
+    entries = [_array_entry(path, index, entry)
+               for index, entry in enumerate(header["arrays"])]
+    spans = sorted((offset, 8 * math.prod(shape))
+                   for _, shape, offset in entries)
+    # the arrays tile the data region: each starts where the one before
+    # it ends, and the last ends with the file
+    if [offset for offset, _ in spans] + [size] != \
+            [0] + [offset + nbytes for offset, nbytes in spans]:
+        raise ConfigError(f"{path}: its {size}-byte data region does not "
+                          f"hold exactly its listed arrays (a truncated, "
+                          f"extended or damaged file)")
     arrays: dict[str, np.ndarray] = {}
-    for index, entry in enumerate(header["arrays"]):
-        name, shape, offset = _array_entry(path, index, entry)
+    for name, shape, offset in entries:
         if name in arrays:
             raise ConfigError(f"{path}: checkpoint array {name} is listed "
                               f"twice")
-        count = math.prod(shape)
-        if offset + 8 * count > size:
-            raise ConfigError(f"{path} is truncated: array "
-                              f"{name} needs bytes {offset} to "
-                              f"{offset + 8 * count} of a {size}-byte data "
-                              f"region")
         arrays[name] = np.frombuffer(
-            raw, dtype="<f8", count=count,
+            raw, dtype="<f8", count=math.prod(shape),
             offset=base + offset).reshape(shape).copy()
     return header["meta"], arrays
 

@@ -123,5 +123,6 @@ class Schema:
         return _write_object(self)
 
     @classmethod
-    def from_dict(cls, raw: dict) -> Any:
-        return _read_object(cls, raw)
+    def from_dict(cls, raw: dict, path: str = "") -> Any:
+        """Read `raw`; errors name the key path from `path`."""
+        return _read_object(cls, raw, path)

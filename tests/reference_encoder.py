@@ -17,7 +17,8 @@ import math
 
 import numpy as np
 
-from selfaug.model import LN_EPS, MASK_OFFSET
+from selfaug.autodiff import MASK_OFFSET
+from selfaug.model import LN_EPS
 
 GELU_C = math.sqrt(2.0 / math.pi)
 GELU_K = 0.044715

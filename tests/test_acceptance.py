@@ -16,8 +16,8 @@ import numpy as np
 
 import selfaug.autodiff as ad
 from selfaug.config import ExperimentConfig
-from selfaug.data import SynthSpec, batches, build_vocab, encode_split, \
-    gen_synthetic, make_splits
+from selfaug.data import RowLayout, SynthSpec, batches, build_vocab, \
+    encode_split, gen_synthetic, make_splits
 from selfaug.harness import prepare_data, run_grid, run_training
 from selfaug.metrics import evaluate_predictions
 from selfaug.model import EncoderModel, ModelConfig, predict
@@ -134,20 +134,19 @@ def _op_cases(rng: np.random.Generator) -> list:
                   lambda a=a, idx=idx, w=w:
                   _wsum(ad.take_index(a, idx, axis=1), w)))
 
-    a = ad.parameter(n(0.0, 1.0, (5, 3)))
-    index = np.sort(rng.choice(5, 3, replace=False))
+    # three sequences packed into 6 rows of a [3, 4] grid
+    lengths = np.array([1, int(rng.integers(1, 5))])
+    layout = RowLayout.of(np.append(lengths, 6 - lengths.sum()), 4)
+    a = ad.parameter(n(0.0, 1.0, (6, 3)))
     w = n(0.0, 1.0, (3, 3))
     cases.append(("gather_rows", [("a", a)],
-                  lambda a=a, index=index, w=w:
-                  _wsum(ad.gather_rows(a, index), w)))
+                  lambda a=a, layout=layout, w=w:
+                  _wsum(ad.gather_rows(a, layout), w)))
 
     a = ad.parameter(n(0.0, 1.0, (6, 3)))
-    lengths = np.array([1, int(rng.integers(1, 5))])
-    lengths = np.append(lengths, 6 - lengths.sum())
-    w = n(0.0, 1.0, (3, 3))
     cases.append(("segment_mean", [("a", a)],
-                  lambda a=a, lengths=lengths, w=w:
-                  _wsum(ad.segment_mean(a, lengths), w)))
+                  lambda a=a, layout=layout, w=w:
+                  _wsum(ad.segment_mean(a, layout), w)))
 
     a = ad.parameter(n(0.0, 1.0, (2, 3)))
     cases.append(("sum_all", [("a", a)],
@@ -174,7 +173,7 @@ def _op_cases(rng: np.random.Generator) -> list:
     cases.append(("dropout_rows", [("a", a)],
                   lambda a=a, w=w, mask_seed=mask_seed:
                   _wsum(ad.dropout(a, 0.5, np.random.default_rng(mask_seed),
-                                   (8, 6), np.array([0, 4, 5])), w)))
+                                   RowLayout.of(np.array([1, 2]), 4)), w)))
 
     a = ad.parameter(n(0.0, 1.0, (2, 4, 6)))
     gain = ad.parameter(rng.uniform(0.5, 1.5, 6))
@@ -205,26 +204,23 @@ def _op_cases(rng: np.random.Generator) -> list:
                       logits, onehot), 1.7)))
 
     # packed rows of a [2, 4] grid whose first sequence is padded
-    real = int(rng.integers(1, 4))
-    rows = np.concatenate([np.arange(real), np.arange(4, 8)])
-    key_bias = np.zeros((2, 4))
-    key_bias[0, real:] = -1e9
+    layout = RowLayout.of(np.array([int(rng.integers(1, 4)), 4]), 4)
+    n_rows = len(layout.slots)
     mask_seed = int(rng.integers(0, 2 ** 31))
-    for name, q_rows in (("self_attention", rows),
-                         ("self_attention_cls", np.array([0, 4]))):
+    for name, n_queries in (("self_attention", n_rows),
+                            ("self_attention_cls", 2)):
         wo = ad.parameter(n(0.0, 1.0, (6, 6)))
         bo = ad.parameter(n(0.0, 1.0, 6))
-        q = ad.parameter(n(0.0, 1.0, (len(q_rows), 6)))
-        k, v = (ad.parameter(n(0.0, 1.0, (len(rows), 6))) for _ in range(2))
-        w = n(0.0, 1.0, (len(q_rows), 6))
+        q = ad.parameter(n(0.0, 1.0, (n_queries, 6)))
+        k, v = (ad.parameter(n(0.0, 1.0, (n_rows, 6))) for _ in range(2))
+        w = n(0.0, 1.0, (n_queries, 6))
         cases.append((name, [("q", q), ("k", k), ("v", v),
                              ("wo", wo), ("bo", bo)],
-                      lambda q=q, k=k, v=v, wo=wo, bo=bo, q_rows=q_rows,
-                      rows=rows, key_bias=key_bias, mask_seed=mask_seed,
-                      w=w:
+                      lambda q=q, k=k, v=v, wo=wo, bo=bo, layout=layout,
+                      mask_seed=mask_seed, w=w:
                       _wsum(ad.self_attention(
-                          q, k, v, wo, bo, key_bias, rows, q_rows, 2, 0.5,
-                          0.3, np.random.default_rng(mask_seed)), w)))
+                          q, k, v, wo, bo, layout, 2, 0.5, 0.3,
+                          np.random.default_rng(mask_seed)), w)))
 
     h = ad.parameter(n(0.0, 1.0, (2, 3, 4)))
     w1, b1 = ad.parameter(n(0.0, 1.0, (4, 5))), ad.parameter(n(0.0, 1.0, 5))

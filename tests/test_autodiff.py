@@ -1,6 +1,7 @@
 """Tensor-core tests: values against hand/stdlib oracles, every gradient
 against the central finite-difference oracle in conftest."""
 
+import itertools
 import math
 import weakref
 
@@ -10,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from selfaug import autodiff as ad
+from selfaug.data import RowLayout
 from selfaug.errors import ConfigError, DomainError, ShapeError
 
 from conftest import fd_grad, rel_err
@@ -154,69 +156,61 @@ class TestSoftmax:
                    RNG.uniform(-2, 2, (3, 5)))
 
 
-def _grid_rows(mask, sq=None):
-    """Flat grid positions (b * seq + t) of the real tokens of `mask`,
-    and of those among the first `sq` positions of each sequence."""
-    s = mask.shape[1]
-    rows = np.flatnonzero(mask)
-    return rows, rows[rows % s < (s if sq is None else sq)]
+def _take_rows(a, index):
+    """Rows `index` of `a`, the gradient scattered back to them: the row
+    gather of the unfused chain, which no encoder op needs."""
+    shape = a.shape
+
+    def apply(g, ta):
+        full = np.zeros(shape)
+        full[index] = g
+        ad._accum(ta, full)
+
+    return ad._attach(ad.Tensor(a.data[index]), "take_rows", (a,), apply)
 
 
-def _attention_chain(q, k, v, wo, bo, mask, n_heads, rate, rng):
-    """The encoder's attention as unfused ops over padded [b, s, d]
-    inputs, then the real rows of the context and the output linear: the
-    reference that self_attention must reproduce bit for bit."""
-    b, s, d = q.shape
+def _lengths(b, s, rng, padded=True):
+    """Sequence lengths in [1, s]: at least one padded row, or none."""
+    if not padded:
+        return np.full(b, s)
+    lengths = rng.integers(1, s + 1, b)
+    lengths[0] = s - 1
+    return lengths
+
+
+def _attention_chain(q, k, v, wo, bo, lengths, n_heads, rate, rng):
+    """The encoder's attention as unfused ops over padded inputs, then the
+    context rows of the real queries and the output linear: the reference
+    that self_attention must reproduce bit for bit.  k and v are
+    [b, s, d]; q is [b, sq, d], every position (sq = s) or the [CLS]
+    position alone (sq = 1)."""
+    b, s, d = k.shape
+    sq = q.shape[1]
     dh = d // n_heads
 
-    def split(x):
-        return ad.swap_axes(ad.reshape(x, (b, s, n_heads, dh)), 1, 2)
+    def split(x, width):
+        return ad.swap_axes(ad.reshape(x, (b, width, n_heads, dh)), 1, 2)
 
-    qh, kh, vh = split(q), split(k), split(v)
+    qh, kh, vh = split(q, sq), split(k, s), split(v, s)
     scores = ad.scale(ad.matmul(qh, ad.swap_axes(kh, 2, 3)),
                       1.0 / math.sqrt(dh))
-    bias = np.broadcast_to((mask - 1.0)[:, None, None, :] * 1e9,
-                           scores.shape)
-    probs = ad.softmax_rows(ad.add(scores, ad.tensor(bias)))
+    bias = np.where(np.arange(s) < lengths[:, None], 0.0, -1e9)
+    probs = ad.softmax_rows(ad.add(scores, ad.tensor(np.broadcast_to(
+        bias[:, None, None, :], scores.shape))))
     if rate > 0.0:
-        probs = ad.dropout(probs, rate, rng)
-    ctx = ad.reshape(ad.swap_axes(ad.matmul(probs, vh), 1, 2), (b * s, d))
-    return ad.linear(ad.gather_rows(ctx, _grid_rows(mask)[0]), wo, bo)
+        # the whole [b, heads, s, s] score matrix's mask, cut to the
+        # query rows
+        keep = rng.random((b, n_heads, s, s))[:, :, :sq] >= rate
+        probs = ad.mul(probs, ad.tensor(keep / (1.0 - rate)))
+    ctx = ad.reshape(ad.swap_axes(ad.matmul(probs, vh), 1, 2), (b * sq, d))
+    queries = RowLayout.of(np.minimum(lengths, sq), sq)
+    return ad.linear(_take_rows(ctx, queries.slots), wo, bo)
 
 
-def _attention(q, k, v, wo, bo, mask, n_heads, rate, rng):
-    """self_attention over the real rows of padded inputs: k and v are
-    [b, s, d], q is [b, sq, d] for the first sq positions.  Returns one
-    output row per real query."""
-    b, s = mask.shape
-    sq, d = q.shape[1:]
-    rows, q_rows = _grid_rows(mask, sq)
-
-    def packed(x, width, at):
-        return ad.gather_rows(ad.reshape(x, (b * width, d)),
-                              (at // s) * width + at % s)
-
-    return ad.self_attention(packed(q, sq, q_rows), packed(k, s, rows),
-                             packed(v, s, rows), wo, bo,
-                             (mask - 1.0) * 1e9, rows, q_rows, n_heads,
-                             1.0 / math.sqrt(d // n_heads), rate, rng)
-
-
-def _packed_attention(q, k, v, wo, bo, mask, n_heads, rate, rng,
-                      sq=None):
-    """self_attention over packed [n, d] inputs of `mask`'s real rows;
-    q holds the real rows among the first `sq` positions."""
-    rows, q_rows = _grid_rows(mask, sq)
-    return ad.self_attention(q, k, v, wo, bo, (mask - 1.0) * 1e9, rows,
-                             q_rows, n_heads,
+def _attend(q, k, v, wo, bo, layout, n_heads, rate, rng):
+    return ad.self_attention(q, k, v, wo, bo, layout, n_heads,
                              1.0 / math.sqrt(q.shape[1] // n_heads), rate,
                              rng)
-
-
-def _padded_mask(b, s, rng):
-    lengths = rng.integers(1, s + 1, b)
-    lengths[0] = s - 1  # at least one padded row
-    return (np.arange(s) < lengths[:, None]).astype(np.float64)
 
 
 def _assert_same_results(results, names):
@@ -234,71 +228,80 @@ class TestSelfAttention:
     @pytest.mark.parametrize("rate", [0.0, 0.2])
     @pytest.mark.parametrize("b,s,d,n_heads", [(16, 8, 32, 4), (4, 16, 64, 4)])
     def test_bitwise_equal_to_the_unfused_chain(self, b, s, d, n_heads, rate):
-        # pad rows hold values in the chain and zeros in the node: both
-        # meet a probability of exactly 0, so every real row agrees.  The
-        # node's q, k and v gradients leave as gathered rows, contiguous,
-        # so only their values are compared
-        arrays = [RNG.normal(0.0, 1.0, (b, s, d)) for _ in range(3)]
-        arrays += [RNG.normal(0.0, 0.1, (d, d)), RNG.normal(0.0, 0.1, d)]
-        mask = _padded_mask(b, s, RNG)
-        weights = ad.tensor(RNG.normal(0.0, 1.0,
-                                       (int(mask.sum()), d)))
-        results = []
-        for op in (_attention_chain, _attention):
-            params = [ad.parameter(a.copy()) for a in arrays]
-            out = op(*params, mask, n_heads, rate, np.random.default_rng(7))
-            ad.backward(ad.sum_all(ad.mul(out, weights)))
-            results.append((out.data, [t.grad for t in params]))
-        (want, want_grads), (got, got_grads) = results
-        np.testing.assert_array_equal(got, want)
-        for name, g, w in zip(("q", "k", "v", "wo", "bo"), got_grads,
-                              want_grads):
-            np.testing.assert_array_equal(g, w, err_msg=name)
-        pad = mask == 0.0
-        for g in got_grads[:3]:
-            assert not np.any(g[pad])
+        # every query row or the [CLS] rows alone, over padded and
+        # unpadded batches.  Pad rows hold values in the chain and are
+        # absent from the node: both meet a probability of exactly 0, so
+        # every real row agrees.  The node's q, k and v gradients leave
+        # as gathered rows, contiguous, so only their values are compared
+        for cls, padded in itertools.product((False, True), repeat=2):
+            layout = RowLayout.of(_lengths(b, s, RNG, padded), s)
+            rows = layout.sequences, layout.positions
+            q_rows = (np.arange(b), 0) if cls else rows
+            arrays = [RNG.normal(0.0, 1.0, (b, 1 if cls else s, d))]
+            arrays += [RNG.normal(0.0, 1.0, (b, s, d)) for _ in range(2)]
+            arrays += [RNG.normal(0.0, 0.1, (d, d)), RNG.normal(0.0, 0.1, d)]
+            weights = ad.tensor(RNG.normal(0.0, 1.0, (len(q_rows[0]), d)))
+            packed = [arrays[0][q_rows], arrays[1][rows], arrays[2][rows],
+                      *arrays[3:]]
+            results = []
+            for op, inputs in ((_attention_chain, arrays), (_attend, packed)):
+                params = [ad.parameter(a.copy()) for a in inputs]
+                rng = np.random.default_rng(7)
+                out = op(*params, layout.lengths if op is _attention_chain
+                         else layout, n_heads, rate, rng)
+                ad.backward(ad.sum_all(ad.mul(out, weights)))
+                results.append((out.data, [t.grad for t in params],
+                                rng.bit_generator.state))
+            (want, want_grads, want_rng), (got, got_grads, got_rng) = results
+            np.testing.assert_array_equal(got, want)
+            want_grads[:3] = [want_grads[0][q_rows], want_grads[1][rows],
+                              want_grads[2][rows]]
+            for name, g, w in zip(("q", "k", "v", "wo", "bo"), got_grads,
+                                  want_grads):
+                np.testing.assert_array_equal(g, w, err_msg=name)
+            assert got_rng == want_rng
 
     @pytest.mark.parametrize("rate", [0.0, 0.2])
     def test_gradients(self, rate):
-        mask = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
+        layout = RowLayout.of(np.array([3, 4]), 4)
         weights = ad.tensor(RNG.uniform(-1, 1, (7, 6)))
         check_grad(lambda q, k, v, wo, bo: ad.mul(
-            _packed_attention(q, k, v, wo, bo, mask, 2, rate,
-                              np.random.default_rng(3)), weights),
+            _attend(q, k, v, wo, bo, layout, 2, rate,
+                    np.random.default_rng(3)), weights),
             *(RNG.uniform(-1, 1, (7, 6)) for _ in range(3)),
             RNG.uniform(-1, 1, (6, 6)), RNG.uniform(-1, 1, 6))
 
+    # the [CLS] position is the one query subset a layout describes
     @pytest.mark.parametrize("rate", [0.0, 0.2])
-    @pytest.mark.parametrize("sq", [1, 3])
+    @pytest.mark.parametrize("sq", [1])
     def test_fewer_query_rows_match_the_full_call(self, sq, rate):
-        # q holding the real rows among the first sq positions gives the
-        # full call's rows there, the gradients a loss on those rows
-        # alone sends back, and leaves the rng where the full call leaves
-        # it
+        # q holding each sequence's [CLS] row gives the full call's rows
+        # there, the gradients a loss on those rows alone sends back, and
+        # leaves the rng where the full call leaves it
         b, s, d, n_heads = 4, 8, 16, 4
-        mask = _padded_mask(b, s, RNG)
-        rows, q_rows = _grid_rows(mask, sq)
-        few = np.isin(rows, q_rows)
-        arrays = [RNG.normal(0.0, 1.0, (len(rows), d)) for _ in range(3)]
+        layout = RowLayout.of(_lengths(b, s, RNG), s)
+        n = len(layout.slots)
+        few = layout.positions < sq
+        arrays = [RNG.normal(0.0, 1.0, (n, d)) for _ in range(3)]
         arrays += [RNG.normal(0.0, 0.1, (d, d)), RNG.normal(0.0, 0.1, d)]
-        weights = np.zeros((len(rows), d))
-        weights[few] = RNG.normal(0.0, 1.0, (len(q_rows), d))
+        weights = np.zeros((n, d))
+        weights[few] = RNG.normal(0.0, 1.0, (b, d))
         results = []
-        for cut in (None, sq):
+        for cut in (False, True):
             params = [ad.parameter(a.copy()) for a in arrays]
-            if cut is not None:
+            if cut:
                 params[0] = ad.parameter(arrays[0][few].copy())
             rng = np.random.default_rng(7)
-            out = _packed_attention(*params, mask, n_heads, rate, rng, cut)
-            w = weights if cut is None else weights[few]
+            out = _attend(*params, layout, n_heads, rate, rng)
+            w = weights[few] if cut else weights
             ad.backward(ad.sum_all(ad.mul(out, ad.tensor(w))))
-            keep = slice(None) if cut is not None else few
+            keep = slice(None) if cut else few
             results.append((out.data[keep], params[0].grad[keep],
                             [t.grad for t in params[1:]],
                             rng.bit_generator.state))
         (want, want_q, want_grads, want_rng), (got, got_q, got_grads,
                                                got_rng) = results
-        assert got.shape == (len(q_rows), d)
+        assert got.shape == (b, d)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got_q, want_q, rtol=0, atol=1e-12)
         for name, g, w in zip(("k", "v", "wo", "bo"), got_grads, want_grads):
@@ -308,41 +311,33 @@ class TestSelfAttention:
 
     @pytest.mark.parametrize("rate", [0.0, 0.2])
     def test_gradients_with_fewer_query_rows(self, rate):
-        mask = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
+        layout = RowLayout.of(np.array([3, 4]), 4)
         weights = ad.tensor(RNG.uniform(-1, 1, (2, 6)))
         check_grad(lambda q, k, v, wo, bo: ad.mul(
-            _packed_attention(q, k, v, wo, bo, mask, 2, rate,
-                              np.random.default_rng(3), sq=1), weights),
+            _attend(q, k, v, wo, bo, layout, 2, rate,
+                    np.random.default_rng(3)), weights),
             RNG.uniform(-1, 1, (2, 6)),
             *(RNG.uniform(-1, 1, (7, 6)) for _ in range(2)),
             RNG.uniform(-1, 1, (6, 6)), RNG.uniform(-1, 1, 6))
 
     def test_rejects_bad_shapes(self):
+        layout = RowLayout.of(np.array([2, 3]), 3)
         x = ad.tensor(np.zeros((5, 4)))
         wo, bo = ad.tensor(np.zeros((4, 4))), ad.tensor(np.zeros(4))
-        bias = np.zeros((2, 3))
-        rows = np.array([0, 1, 2, 3, 4])
 
-        def call(q=x, k=x, v=x, wo=wo, bo=bo, bias=bias, rows=rows,
-                 q_rows=rows, heads=2):
-            ad.self_attention(q, k, v, wo, bo, bias, rows, q_rows, heads,
-                              1.0)
+        def call(q=x, k=x, v=x, wo=wo, bo=bo, heads=2):
+            ad.self_attention(q, k, v, wo, bo, layout, heads, 1.0)
 
         for bad in (dict(v=ad.tensor(np.zeros((5, 2)))),
                     dict(k=ad.tensor(np.zeros((4, 4)))),
+                    dict(k=ad.tensor(np.zeros((4, 4))),
+                         v=ad.tensor(np.zeros((4, 4)))),
                     dict(q=ad.tensor(np.zeros((5, 2)))),
+                    dict(q=ad.tensor(np.zeros((3, 4)))),
                     dict(q=ad.tensor(np.zeros((2, 5, 4)))),
-                    dict(rows=rows[:4]),
-                    dict(rows=np.array([0, 1, 2, 3, 6])),
-                    dict(q_rows=np.array([0, -1, 2, 3, 4])),
-                    dict(rows=np.array([1, 0, 2, 3, 4])),
-                    dict(q_rows=np.array([0, 1, 1, 3, 4])),
-                    dict(q=ad.tensor(np.zeros((0, 4))),
-                         q_rows=rows[:0])):
-            with pytest.raises(ShapeError, match="row indices"):
+                    dict(q=ad.tensor(np.zeros((0, 4))))):
+            with pytest.raises(ShapeError, match="packed rows"):
                 call(**bad)
-        with pytest.raises(ShapeError, match=r"\(3,\)"):
-            call(bias=np.zeros(3))
         with pytest.raises(ShapeError, match="divisible"):
             call(heads=3)
         with pytest.raises(ShapeError, match="weight shape"):
@@ -524,28 +519,28 @@ class TestStructuralOps:
         check_grad(lambda t: ad.broadcast_to(t, (5, 3, 4)), x)
         check_grad(lambda t: ad.slice_front(t, 2), x)
         check_grad(lambda t: ad.take_index(t, 0, axis=1), x)
-        check_grad(lambda t: ad.gather_rows(t, np.array([0, 2])), x)
-        check_grad(lambda t: ad.segment_mean(t, np.array([2, 1])), x)
+        layout = RowLayout.of(np.array([2, 1]), 3)
+        check_grad(lambda t: ad.gather_rows(t, layout), x)
+        check_grad(lambda t: ad.segment_mean(t, layout), x)
         check_grad(lambda t: ad.dropout(t, 0.4, np.random.default_rng(5),
-                                        (7, 4), np.array([0, 3, 6])), x)
+                                        layout), x)
 
     def test_gather_rows_scatters_back_and_checks_its_index(self):
+        # the [CLS] rows of sequences of lengths 1 and 3
         x = ad.parameter(RNG.uniform(-1, 1, (4, 3)))
-        out = ad.gather_rows(x, np.array([1, 3]))
-        np.testing.assert_array_equal(out.data, x.data[[1, 3]])
+        out = ad.gather_rows(x, RowLayout.of(np.array([1, 3]), 3))
+        np.testing.assert_array_equal(out.data, x.data[[0, 1]])
         g = RNG.uniform(-1, 1, (2, 3))
         ad.backward(ad.sum_all(ad.mul(out, ad.tensor(g))))
-        np.testing.assert_array_equal(x.grad, [np.zeros(3), g[0],
-                                               np.zeros(3), g[1]])
-        for bad in (np.array([4]), np.array([-1]), np.array([[0]]),
-                    np.array([3, 1]), np.array([1, 1]), np.array([], int)):
+        np.testing.assert_array_equal(x.grad, [g[0], g[1], np.zeros(3),
+                                               np.zeros(3)])
+        for bad in ([1, 2], [2, 3], [5]):
             with pytest.raises(ShapeError, match="gather_rows"):
-                ad.gather_rows(x, bad)
+                ad.gather_rows(x, RowLayout.of(np.array(bad), 5))
 
     def test_segment_mean_weights_each_row_then_sums_in_order(self):
         x = ad.parameter(RNG.uniform(-1, 1, (5, 3)))
-        lengths = np.array([3, 2])
-        out = ad.segment_mean(x, lengths)
+        out = ad.segment_mean(x, RowLayout.of(np.array([3, 2]), 3))
         w = x.data * np.array([1 / 3] * 3 + [1 / 2] * 2)[:, None]
         np.testing.assert_array_equal(out.data, [w[0] + w[1] + w[2],
                                                  w[3] + w[4]])
@@ -553,9 +548,9 @@ class TestStructuralOps:
         ad.backward(ad.sum_all(ad.mul(out, ad.tensor(g))))
         np.testing.assert_array_equal(x.grad[:3], g[[0, 0, 0]] * (1 / 3))
         np.testing.assert_array_equal(x.grad[3:], g[[1, 1]] * (1 / 2))
-        for bad in (np.array([3, 3]), np.array([5, 0]), np.array([[5]])):
+        for bad in ([3, 3], [4], [1, 1, 1, 1, 2]):
             with pytest.raises(ShapeError, match="segment_mean"):
-                ad.segment_mean(x, bad)
+                ad.segment_mean(x, RowLayout.of(np.array(bad), 5))
 
     def test_embedding_lookup_accumulates_repeated_ids(self):
         table = ad.parameter(RNG.uniform(-1, 1, (5, 3)))
@@ -593,19 +588,22 @@ class TestStructuralOps:
         np.testing.assert_allclose(a[kept], 2.0 * x.data[kept], rtol=1e-15)
 
     def test_dropout_draw_shape_cuts_the_whole_tensors_mask(self):
+        # with a layout, the mask is drawn for the padded [4 * 5, 6] grid
+        # and cut to the packed rows, or to the [CLS] rows
         x = ad.parameter(RNG.uniform(-1, 1, (20, 6)))
-        rows = np.array([0, 5, 10, 15])
-        some = ad.gather_rows(x, rows)
-        rng_full, rng_rows = (np.random.default_rng(2) for _ in range(2))
-        full = ad.dropout(x, 0.3, rng_full)
-        cut = ad.dropout(some, 0.3, rng_rows, draw_shape=(20, 6), rows=rows)
-        np.testing.assert_array_equal(cut.data, full.data[rows])
-        assert rng_rows.bit_generator.state == rng_full.bit_generator.state
-        for draw_shape, bad in (((20, 6), rows[:3]), ((20, 5), rows),
-                                ((15, 6), rows), ((20, 6), None),
-                                ((20, 6), rows[::-1])):
-            with pytest.raises(ShapeError, match="rows of draw shape"):
-                ad.dropout(some, 0.3, rng_full, draw_shape, bad)
+        layout = RowLayout.of(np.array([1, 3, 5, 2]), 5)
+        cls_slots = layout.slots[layout.starts]
+        for slots in (layout.slots, cls_slots):
+            rng_full, rng_rows = (np.random.default_rng(2) for _ in range(2))
+            full = ad.dropout(x, 0.3, rng_full)
+            cut = ad.dropout(ad.tensor(x.data[slots]), 0.3, rng_rows, layout)
+            np.testing.assert_array_equal(cut.data, full.data[slots])
+            assert rng_rows.bit_generator.state == \
+                rng_full.bit_generator.state
+        for rows in (3, 10, 20):
+            with pytest.raises(ShapeError, match="dropout"):
+                ad.dropout(ad.tensor(np.zeros((rows, 6))), 0.3, rng_full,
+                           layout)
 
     def test_dropout_backward_rescales_the_boolean_mask_bitwise(self):
         x = ad.parameter(RNG.uniform(-1, 1, (50, 4)))
@@ -727,13 +725,11 @@ class TestGraphRetention:
 
     def test_attention_keeps_one_probability_array_and_the_mask(self):
         b, s, d, heads = 3, 5, 8, 2
-        mask = np.ones((b, s))
-        mask[0, 3:] = 0.0
-        n = int(mask.sum())
+        layout = RowLayout.of(np.array([3, 5, 5]), s)
+        n = len(layout.slots)
         params = [ad.parameter(RNG.normal(0.0, 1.0, shape))
                   for shape in ((n, d),) * 3 + ((d, d), (d,))]
-        out = _packed_attention(*params, mask, heads, 0.2,
-                                np.random.default_rng(0))
+        out = _attend(*params, layout, heads, 0.2, np.random.default_rng(0))
         saved = self._saved_arrays(out)
         square = [a for a in saved
                   if a.dtype == np.float64 and a.shape == (b, heads, s, s)]
@@ -744,7 +740,7 @@ class TestGraphRetention:
         # array, only q, k and v laid out on the padded grid
         assert any(a is params[3].data for a in saved)
         assert not any(a is params[4].data for a in saved)
-        wide = [np.swapaxes(a, 1, 2).reshape(-1, d)[np.flatnonzero(mask)]
+        wide = [np.swapaxes(a, 1, 2).reshape(-1, d)[layout.slots]
                 for a in saved if a.size == b * s * d]
         assert len(wide) == 3
         assert all(any(np.array_equal(a, t.data) for t in params[:3])

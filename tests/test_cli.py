@@ -18,7 +18,8 @@ from click.testing import CliRunner
 from selfaug import harness
 from selfaug.cli import main
 from selfaug.config import ExperimentConfig
-from selfaug.data import batches, encode_split, load_jsonl, load_label_space
+from selfaug.data import (batches, encode_split, gen_synthetic, k_folds,
+                          load_jsonl, load_label_space)
 from selfaug.harness import (EXPORT_BATCH_SIZE, EXPORT_LAYERS,
                              _principal_components, _restored_model,
                              prepare_data, run_ablation, run_grid, run_kfold,
@@ -120,6 +121,7 @@ CHECKPOINT_DAMAGE = {
     "cut in the header": lambda blob, n: blob[:16 + n // 2],
     "cut in the data": lambda blob, n: blob[:(16 + n + len(blob)) // 2],
     "one byte short": lambda blob, n: blob[:-1],
+    "17 bytes appended": lambda blob, n: blob + bytes(range(17)),
     "header without arrays": lambda blob, n:
         blob[:8] + struct.pack("<Q", 12) + b'{"meta": {}}',
     "empty meta and arrays": lambda blob, n:
@@ -159,6 +161,13 @@ CHECKPOINT_DAMAGE = {
     "f. array entry removed": _edited_header(
         lambda h: h["arrays"].remove(next(
             a for a in h["arrays"] if a["name"].startswith("f.")))),
+    "arrays overlap": _edited_header(
+        lambda h: h["arrays"][1].update(offset=h["arrays"][0]["offset"])),
+    "fold index past k": _edited_header(
+        lambda h: h["meta"].update(
+            fold={"k": 3, "index": 3, "val_fraction": 0.2})),
+    "fold not an object": _edited_header(
+        lambda h: h["meta"].update(fold=[3, 1, 0.2])),
 }
 
 
@@ -505,6 +514,28 @@ class TestKfoldCommand:
         with (out / "kfold.csv").open() as fh:
             rows = list(csv.DictReader(fh))
         assert [r["fold"] for r in rows] == ["0", "1", "mean", "std"]
+
+    def test_fold_checkpoint_exports_its_folds_test_split(self, tmp_path):
+        # a fold's checkpoint records the fold, so export prepares that
+        # fold's splits again rather than the corpus's plain split
+        out = tmp_path / "kf"
+        payload = small_config(str(out), max_epochs=1)
+        cfg = write_config(tmp_path, payload)
+        assert invoke("--config", str(cfg), "kfold", "-k", "3").exit_code \
+            == 0
+        ckpt = out / "fold1" / "checkpoint.bin"
+        assert load_checkpoint(ckpt)[0]["fold"] == \
+            {"k": 3, "index": 1, "val_fraction": 0.2}
+        result = invoke("--out", str(tmp_path / "exp"), "export-embeddings",
+                        "--checkpoint", str(ckpt), "--split", "test")
+        assert result.exit_code == 0, result.output
+        with (tmp_path / "exp" / "embeddings.csv").open() as fh:
+            ids = [row["id"] for row in csv.DictReader(fh)]
+        config = ExperimentConfig.from_dict(payload)
+        folds = k_folds(gen_synthetic(config.data.synth_spec,
+                                      seed=config.train.seed),
+                        3, config.train.seed)
+        assert ids == [ex.id for ex in folds.folds[1]]
 
     def test_k_must_be_at_least_2(self, tmp_path):
         cfg = write_config(tmp_path,

@@ -4,6 +4,8 @@ container."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from selfaug import autodiff as ad
 from selfaug.data import Batch, RowLayout
@@ -317,8 +319,32 @@ class TestPacking:
         np.testing.assert_array_equal(layout.slots, [0, 1, 4, 5, 6, 7, 8])
         np.testing.assert_array_equal(layout.positions,
                                       [0, 1, 0, 1, 2, 3, 0])
+        np.testing.assert_array_equal(layout.sequences,
+                                      [0, 0, 1, 1, 1, 1, 2])
         np.testing.assert_array_equal(layout.lengths, [2, 4, 1])
         np.testing.assert_array_equal(layout.starts, [0, 2, 6])
+
+
+    @given(st.data())
+    def test_layout_indices_hold_for_any_lengths(self, data):
+        # the ops that take a layout trust these without checking them
+        width = data.draw(st.integers(1, 12), label="width")
+        lengths = np.array(data.draw(st.lists(st.integers(1, width),
+                                              min_size=1, max_size=10),
+                                     label="lengths"))
+        layout = RowLayout.of(lengths, width)
+        n = int(lengths.sum())
+        np.testing.assert_array_equal(
+            layout.slots, layout.sequences * width + layout.positions)
+        assert np.all(np.diff(layout.slots) > 0)
+        np.testing.assert_array_equal(
+            layout.starts[layout.sequences] + layout.positions, np.arange(n))
+        assert np.all(layout.positions < lengths[layout.sequences])
+        bad = lengths.copy()
+        bad[data.draw(st.integers(0, len(bad) - 1), label="at")] = \
+            data.draw(st.sampled_from([0, width + 1]), label="bad length")
+        with pytest.raises(ShapeError, match="lengths"):
+            RowLayout.of(bad, width)
 
 
 class TestPooling:
