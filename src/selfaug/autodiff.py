@@ -13,7 +13,25 @@ their gradient with ``+=``.  A node's gradient lives only until the sweep
 has applied it, so after ``backward`` only leaves hold a `.grad`.  Leaf
 gradients are cleared explicitly by the caller, never by the engine, which
 is what lets a parameter collect contributions from several losses in one
-step.
+step.  The graph survives the sweep unless the caller asks for a freeing
+sweep (``backward(loss, free=True)``, or any sweep inside
+``single_use_graphs``, as in the training loop): then each node drops
+its closure, and the arrays it keeps, as soon as it has run, so the
+memory of the graph's lower layers is given back while the sweep is
+still under way.
+
+A node also records which stream built it.  Inside a ``stream(k)``
+block a thread tags its nodes k (1 or 2); elsewhere they are 0, the
+head.  The dual objective records its two encoders as streams 1 and 2 on
+two threads (``beside``) and its losses as the head.  ``backward``
+sweeps such a graph's head first and then the two streams side by side,
+each in its own order, when no stream reads the head or the other
+stream, no leaf is read by both, and in the one sweep's order the head
+reads each target before any stream does: then every gradient sums the
+same terms in the same order as the one sweep, and the results are
+bitwise equal.  Otherwise
+(a copy whose loss reaches stream one through the injection, say) it
+sweeps as one.
 
 Where an intermediate is cheap to compute again from what a node keeps
 anyway, backward recomputes it instead of holding it.  The attention core
@@ -43,7 +61,10 @@ sixth, to about 360 MB, and the two rebuilt arrays, with the optimizer's
 block-sized scratch, took it to about 300 MB.  The CLS-only top layer
 took it to about 265 MB, the training loop's dropping each step's graph
 before the next forward (with glibc told to keep freed memory) to about
-185 MB, and carrying the real rows alone to about 173 MB.
+185 MB, and carrying the real rows alone to about 173 MB.  Running the
+two streams side by side, whose sweeps each hold a layer's gradients and
+scratch at once, read about 188 MB with a sweep that keeps the graph and
+about 175-179 MB with the freeing sweep.
 
 Everything is float64.  This library exists for verification work and the
 finite-difference checks in the test-suite need the headroom.
@@ -52,8 +73,9 @@ finite-difference checks in the test-suite need the headroom.
 from __future__ import annotations
 
 import math
+import threading
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -63,14 +85,23 @@ if TYPE_CHECKING:
     from .data import RowLayout
 
 Array = np.ndarray
+T = TypeVar("T")
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_K = 0.044715
 
 
+class _Recording(threading.local):
+    stream = 0  # the tag `stream` gives the nodes this thread records
+
+
+_recording = _Recording()
+
+
 class Node:
     """One recorded operation: where its inputs' gradients go, a gradient
-    routine, and the gradient of its output while a sweep is under way.
+    routine, the gradient of its output while a sweep is under way, and
+    the stream that recorded it (0 outside any `stream` block).
 
     `inputs` lines up with the op's tensor operands; each entry is the
     operand's node, the operand itself when it is a `requires_grad` leaf,
@@ -78,7 +109,7 @@ class Node:
     gradient `g` into the targets.
     """
 
-    __slots__ = ("op", "inputs", "apply", "grad")
+    __slots__ = ("op", "inputs", "apply", "grad", "stream")
 
     def __init__(self, op: str, inputs: tuple[Target | None, ...],
                  apply: Callable[..., None]) -> None:
@@ -86,6 +117,7 @@ class Node:
         self.inputs = inputs
         self.apply = apply
         self.grad: Array | None = None
+        self.stream = _recording.stream
 
 
 class Tensor:
@@ -153,6 +185,30 @@ def no_grad() -> Iterator[None]:
         yield
     finally:
         _grad_enabled = prev
+
+
+@contextmanager
+def stream(tag: int) -> Iterator[None]:
+    """Tag the nodes this thread records inside the block as stream `tag`
+    (1 or 2), so that `backward` may sweep the two streams side by side."""
+    prev = _recording.stream
+    _recording.stream = tag
+    try:
+        yield
+    finally:
+        _recording.stream = prev
+
+
+@contextmanager
+def beside(fn: Callable[[], T]) -> Iterator[Callable[[], T]]:
+    """Run fn() on a thread of its own while the block runs.  The block
+    gets a function that waits for fn and returns its value or raises its
+    exception; the thread is joined when the block exits, also on error."""
+    # imported here: processes that never start a thread skip its import
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        yield pool.submit(fn).result
 
 
 def _target(t: Tensor) -> Target | None:
@@ -840,7 +896,64 @@ def _postorder(root: Tensor) -> list[Node]:
     return order
 
 
-def backward(loss: Tensor) -> None:
+def _spent(*_) -> None:
+    raise ValueError("backward: this graph was freed by an earlier sweep")
+
+
+def _sweep(order: list[Node], free: bool) -> None:
+    for node in order:
+        g, node.grad = node.grad, None
+        if g is not None:
+            node.apply(g, *node.inputs)
+        if free:
+            node.apply = _spent
+
+
+def _stream_parts(order: list[Node]) -> list[list[Node]] | None:
+    """`order` cut into the head (stream 0) and streams 1 and 2, each in
+    its order, when sweeping the head and then the two streams side by
+    side sums every gradient in the order `order` does; else None.
+
+    That holds when no stream node reads a node of the head or of the
+    other stream, no gradient target is read by both streams, and every
+    head node that reads a target comes before every stream node that
+    reads it.
+    """
+    parts: list[list[Node]] = [[], [], []]
+    reader: dict[Target, int] = {}  # target -> the stream that reads it
+    for node in order:
+        tag = node.stream
+        parts[tag].append(node)
+        for t in node.inputs:
+            if t is None:
+                continue
+            if tag == 0:
+                if t in reader:
+                    return None
+            elif (type(t) is Node and t.stream != tag) or \
+                    reader.setdefault(t, tag) != tag:
+                return None
+    return parts if parts[1] and parts[2] else None
+
+
+_free_sweeps = False
+
+
+@contextmanager
+def single_use_graphs() -> Iterator[None]:
+    """Inside the block every `backward` frees its graph as it goes, as
+    `backward(loss, free=True)` does (a training loop's one sweep per
+    graph)."""
+    global _free_sweeps
+    prev = _free_sweeps
+    _free_sweeps = True
+    try:
+        yield
+    finally:
+        _free_sweeps = prev
+
+
+def backward(loss: Tensor, free: bool = False) -> None:
     """Reverse-mode sweep from a scalar loss.
 
     Seeds d(loss)/d(loss) = 1 and visits every recorded node exactly once in
@@ -849,7 +962,15 @@ def backward(loss: Tensor) -> None:
     itself accumulates the seed in its `.grad`; intermediate tensors never
     get one.  Each node's gradient is dropped as soon as the node has
     routed it onward, so the graph survives the sweep (a second loss may
-    share it) but none of its intermediate gradients do.
+    share it) but none of its intermediate gradients do.  With `free`, or
+    inside `single_use_graphs`, each node also drops its backward routine,
+    and the arrays it keeps, once it has run; the graph cannot be swept
+    again.
+
+    A graph recorded by two `stream`s sweeps its head first, then the two
+    streams side by side, each stream's nodes in their order, when that
+    sums every gradient in the order of the one sweep (see
+    `_stream_parts`); the results are bitwise those of the one sweep.
     """
     if loss.size != 1:
         raise ShapeError(f"backward: loss must be a scalar, "
@@ -858,8 +979,16 @@ def backward(loss: Tensor) -> None:
     loss.grad = seed if loss.grad is None else loss.grad + seed
     if loss.node is None:
         return
+    free = free or _free_sweeps
     loss.node.grad = np.ones_like(loss.data)
-    for node in reversed(_postorder(loss)):
-        g, node.grad = node.grad, None
-        if g is not None:
-            node.apply(g, *node.inputs)
+    order = _postorder(loss)
+    order.reverse()
+    parts = _stream_parts(order) if any(n.stream for n in order) else None
+    if parts is None:
+        _sweep(order, free)
+        return
+    head, first, second = parts
+    _sweep(head, free)
+    with beside(lambda: _sweep(first, free)) as first_done:
+        _sweep(second, free)
+        first_done()

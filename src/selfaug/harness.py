@@ -40,7 +40,7 @@ from .model import (EncoderModel, load_checkpoint, pool, predict,
                     save_checkpoint)
 from .objective import ProjectionNetwork
 from .schema import Schema
-from .training import TrainResult, evaluate, train
+from .training import TrainResult, evaluate, one_blas_thread, train
 
 EXPORT_LAYERS = ("pooled_final", "tapped")
 # the export forward's time per row stops falling at about 128 rows
@@ -474,6 +474,7 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
                           f"got {layer!r}")
     out_csv = Path(out_csv)
     _check_out_file(out_csv)
+    one_blas_thread()
     meta, arrays = load_checkpoint(checkpoint_path)
     for key, kind in CHECKPOINT_META.items():
         if not isinstance(meta.get(key), kind):

@@ -31,6 +31,7 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -43,7 +44,9 @@ from .schema import Schema
 LN_EPS = 1e-5
 INIT_STD = 0.02
 
-Injection = tuple[int, Tensor]
+# (layer j, tensor T), or T as a function the forward calls when it
+# reaches layer j
+Injection = tuple[int, Tensor | Callable[[], Tensor]]
 
 
 @dataclass(frozen=True)
@@ -192,7 +195,10 @@ class EncoderModel:
         With injection (j, T), T is packed [n, d] as well and H_j becomes
         H_j + T before the next layer (or, at j = n_layers, before
         pooling); the returned list holds the post-injection state, which
-        is what downstream consumers see.
+        is what downstream consumers see.  T may be a function returning
+        the tensor: it is called, and its result checked, only once the
+        forward has computed H_j, so the layers below j can run while
+        another thread is still computing T.
 
         With `cls_only`, the last layer computes each sequence's [CLS]
         row alone, the only row the classifier head reads, and H_L is
@@ -205,15 +211,10 @@ class EncoderModel:
         if layout.width > cfg.max_seq_len:
             raise ShapeError(f"batch width {layout.width} exceeds "
                              f"max_seq_len {cfg.max_seq_len}")
-        if injection is not None:
-            j, tap = injection
-            if not 0 <= j <= cfg.n_layers:
-                raise ConfigError(f"injection layer {j} outside "
-                                  f"[0, {cfg.n_layers}]")
-            packed = (len(layout.slots), cfg.d_model)
-            if tap.shape != packed:
-                raise ShapeError(f"injection tensor shape {tap.shape} does "
-                                 f"not match packed hidden shape {packed}")
+        j, tap = injection if injection is not None else (None, None)
+        if j is not None and not 0 <= j <= cfg.n_layers:
+            raise ConfigError(f"injection layer {j} outside "
+                              f"[0, {cfg.n_layers}]")
         if train and cfg.dropout_rate > 0.0 and rng is None:
             raise ConfigError("training forward with dropout needs an rng")
         ids = batch.token_ids.reshape(-1)[layout.slots]
@@ -222,21 +223,31 @@ class EncoderModel:
                                        layout.positions))
         if train and cfg.dropout_rate > 0.0:
             h = ad.dropout(h, cfg.dropout_rate, rng, layout)
-        if injection is not None and injection[0] == 0:
-            h = ad.add(h, injection[1])
-        hidden = [h]
-        for depth, layer in enumerate(self.layers, start=1):
+        hidden = []
+        for depth in range(cfg.n_layers + 1):
             last = cls_only and depth == cfg.n_layers
-            h = layer.apply(h, layout, train, rng, cls_only=last)
-            if injection is not None and injection[0] == depth:
-                tap = injection[1]
-                if last:
-                    tap = ad.gather_rows(tap, layout)
-                h = ad.add(h, tap)
+            if depth > 0:
+                h = self.layers[depth - 1].apply(h, layout, train, rng,
+                                                 cls_only=last)
+            if depth == j:
+                h = ad.add(h, _injected(tap, layout, cfg.d_model, last))
             hidden.append(h)
         pooled = pool(hidden[-1], layout, "cls")
         logits = ad.linear(pooled, self.head_w, self.head_b)
         return logits, hidden
+
+
+def _injected(tap: Tensor | Callable[[], Tensor], layout: RowLayout,
+              d_model: int, cls_rows: bool) -> Tensor:
+    """The injection tensor, asked for now when `tap` is a function, as
+    the packed rows of `layout`, or with `cls_rows` their [CLS] rows."""
+    if callable(tap):
+        tap = tap()
+    packed = (len(layout.slots), d_model)
+    if tap.shape != packed:
+        raise ShapeError(f"injection tensor shape {tap.shape} does "
+                         f"not match packed hidden shape {packed}")
+    return ad.gather_rows(tap, layout) if cls_rows else tap
 
 
 def pool(hidden: Tensor, layout: RowLayout, kind: str) -> Tensor:

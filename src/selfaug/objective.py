@@ -21,7 +21,9 @@ pooled states either way.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -38,6 +40,19 @@ from .schema import Schema
 # every diagonal entry.  The projection's batch norm keeps the usual 1e-5.
 CONTRASTIVE_EPS = 1e-15
 PROJECTION_BN_EPS = 1e-5
+
+T = TypeVar("T")
+
+# packed rows x d_model from which a dual step runs its two streams side
+# by side (see dual_forward).  One dual step's time side by side over its
+# time on one thread, on a 2-core host at one BLAS thread, medians of 15
+# interleaved steps in two sets of runs: at d_model 128 (wide's width,
+# 16 sequences of 8 to 64 tokens) 0.70-1.13 at 16,384, 0.58-0.99 at
+# 32,768 and 0.55-0.59 at 65,536 and 131,072; at d_model 32 (desk's)
+# 1.11-1.16 at 4,096 and 8,192.  Below the cut-off the second thread
+# costs more than it saves.  Narrow models cross over later: d_model 32
+# read 0.56-1.10 at 32,768 and 1.10-1.11 at 65,536.
+SIDE_BY_SIDE_MIN = 32_768
 
 GRADIENT_POLICIES = ("stop", "flow")
 POOLING_KINDS = ("cls", "mean")
@@ -175,12 +190,24 @@ def composite_loss(ce_f: Tensor, ce_c: Tensor, contrastive: Tensor,
                       total=total)
 
 
+@contextmanager
+def _at_once(fn: Callable[[], T]) -> Iterator[Callable[[], T]]:
+    """`ad.beside` with fn run at once, on this thread."""
+    value = fn()
+    yield lambda: value
+
+
 def dual_forward(model_f: EncoderModel, model_c: EncoderModel, batch: Batch,
                  config: DualStreamConfig, train: bool = False,
                  rng_f: np.random.Generator | None = None,
                  rng_c: np.random.Generator | None = None,
                  ) -> tuple[Tensor, Tensor, Tensor, Tensor]:
     """Run both streams with injection.
+
+    From SIDE_BY_SIDE_MIN packed rows x d_model, stream one runs on a
+    thread of its own, recording its nodes as stream 1 and the copy's as
+    stream 2, so that `backward` can sweep them side by side too; every
+    value and rng draw is that of running them one after the other.
 
     Returns (logits_f, logits_c, pooled_tap, pooled_injected): stream one's
     logits and tapped pooled state, the copy's logits, and the copy's pooled
@@ -193,19 +220,34 @@ def dual_forward(model_f: EncoderModel, model_c: EncoderModel, batch: Batch,
         raise ConfigError("both streams must share the encoder depth")
     n_layers = model_f.config.n_layers
     config.validate_for(n_layers)
+
+    side_by_side = len(batch.layout.slots) * model_f.config.d_model \
+        >= SIDE_BY_SIDE_MIN
+
     # a stream's last layer runs for the CLS row alone unless the rest of
     # its top state is read: stream one's as the tap (injected whole),
     # the copy's when it is mean-pooled for the contrastive view
-    logits_f, hidden_f = model_f.forward(
-        batch, train=train, rng=rng_f,
-        cls_only=config.tap_layer != n_layers)
-    tap = hidden_f[config.tap_layer]
-    injected = tap.detach() if config.augment_gradient == "stop" else tap
-    logits_c, hidden_c = model_c.forward(
-        batch, train=train, injection=(config.inject_layer, injected),
-        rng=rng_c, cls_only=not (config.pooling == "mean"
-                                 and config.inject_layer == n_layers))
-    pooled_tap = pool(tap, batch.layout, config.pooling)
+    def forward_f() -> tuple[Tensor, list[Tensor]]:
+        with ad.stream(1 if side_by_side else 0):
+            return model_f.forward(batch, train=train, rng=rng_f,
+                                   cls_only=config.tap_layer != n_layers)
+
+    def injected() -> Tensor:
+        tap = outputs_f()[1][config.tap_layer]
+        return tap.detach() if config.augment_gradient == "stop" else tap
+
+    # side by side, the copy runs its layers below inject_layer while
+    # stream one runs on another thread, and waits for stream one's
+    # forward when it reaches inject_layer
+    start = ad.beside if side_by_side else _at_once
+    with start(forward_f) as outputs_f, ad.stream(2 if side_by_side else 0):
+        logits_c, hidden_c = model_c.forward(
+            batch, train=train, injection=(config.inject_layer, injected),
+            rng=rng_c, cls_only=not (config.pooling == "mean"
+                                     and config.inject_layer == n_layers))
+        logits_f, hidden_f = outputs_f()
+    pooled_tap = pool(hidden_f[config.tap_layer], batch.layout,
+                      config.pooling)
     pooled_injected = pool(hidden_c[config.inject_layer], batch.layout,
                            config.pooling)
     return logits_f, logits_c, pooled_tap, pooled_injected

@@ -19,6 +19,7 @@ import functools
 import platform
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -46,12 +47,16 @@ ADAM_BLOCK = 32_768
 # glibc's mallopt parameters (malloc.h) and the values `train` gives them
 M_TRIM_THRESHOLD = -1
 M_MMAP_THRESHOLD = -3
+M_ARENA_MAX = -8
 # glibc's ceiling for the mmap threshold on 64-bit: activations up to
 # this size come from the heap, whose freed blocks the next step reuses
 MMAP_THRESHOLD_BYTES = 32 * 2**20
 # far above one step's graph (about 80 MB on the benchmark's wide model),
 # so the heap a step frees stays in the process for the next forward
 TRIM_THRESHOLD_BYTES = 2**30
+# one heap for every thread: a dual step's second stream then frees into,
+# and allocates from, the heap the rest of the step uses
+ARENA_MAX = 1
 
 
 @dataclass(frozen=True)
@@ -240,7 +245,8 @@ def classification_loss(logits: Tensor, batch: Batch,
 
 @functools.cache  # the settings hold for the whole process
 def _keep_freed_memory() -> None:
-    """Have glibc keep the memory a training step frees, once per process.
+    """Have glibc keep the memory a training step frees, in one heap, once
+    per process.
 
     By default glibc serves large arrays from fresh mmaps and returns the
     top of the heap to the kernel once enough of it is free, so every
@@ -248,8 +254,13 @@ def _keep_freed_memory() -> None:
     back.  Setting either value turns off glibc's dynamic thresholds, and
     on the benchmark's wide workload either one alone faulted in more
     pages than neither, so the trim threshold is set only once the mmap
-    threshold is accepted.  Off glibc, or when libc or `mallopt` cannot be
-    loaded, nothing changes.
+    threshold is accepted.  So is the cap of one malloc arena: without it
+    the thread that runs a dual step's second stream (see dual_forward)
+    gets an arena of its own, whose freed blocks only a thread on that
+    arena reuses.  Each stream allocates and frees on one thread, so on
+    the wide workload the cap saved only 1-2 MB of peak RSS (three runs
+    each); it keeps one heap should that ever change.  Off glibc, or
+    when libc or `mallopt` cannot be loaded, nothing changes.
     """
     if platform.libc_ver()[0] != "glibc":
         return
@@ -259,6 +270,32 @@ def _keep_freed_memory() -> None:
         return
     if mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES) == 1:
         mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
+        mallopt(M_ARENA_MAX, ARENA_MAX)
+
+
+@functools.cache  # the setting holds for the whole process
+def one_blas_thread() -> None:
+    """Run numpy's bundled OpenBLAS on one thread, once per process.
+
+    A GEMM's last bits depend on how many threads OpenBLAS splits it
+    over, which it takes from the host's core count unless
+    OPENBLAS_NUM_THREADS says otherwise, so without this a checkpoint
+    would depend on the host.  One thread also leaves the second core to
+    a dual step's second stream, or to a second sweep worker.  The
+    library is numpy's `numpy.libs/libscipy_openblas64_*.so`, set through
+    the function threadpoolctl uses for it; where no such library loads
+    (another BLAS, or none), nothing changes.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            set_threads = ctypes.CDLL(str(path)).\
+                scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
+        return
 
 
 def _step_losses(mode: str, model_f: EncoderModel,
@@ -354,6 +391,7 @@ def train(model_f: EncoderModel, model_c: EncoderModel | None,
         named += [(f"proj.{n}", t) for n, t in projection.parameters()]
     optimizer = Adam(named, train_cfg.learning_rate)
     _keep_freed_memory()
+    one_blas_thread()
     stopper = EarlyStopper(train_cfg.patience)
 
     records: list[EpochRecord] = []
@@ -374,7 +412,11 @@ def train(model_f: EncoderModel, model_c: EncoderModel | None,
             losses = _step_losses(mode, model_f, model_c, projection,
                                   batch, dual_cfg, rng_f, rng_c,
                                   not label_space.single_label)
-            ad.backward(losses.total)
+            # one sweep per graph, which frees the graph as it goes; the
+            # flag comes from a block because bench/tracing.py wraps
+            # backward as a function of the loss alone
+            with ad.single_use_graphs():
+                ad.backward(losses.total)
             optimizer.step()
             sums += np.array(losses.as_floats())
             # the graph goes before the next forward builds another, so

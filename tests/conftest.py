@@ -4,7 +4,10 @@ every analytic gradient in the package."""
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, settings
+
+from selfaug import autodiff as ad
 
 settings.register_profile(
     "default",
@@ -13,6 +16,21 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")
+
+
+@pytest.fixture
+def threads_started(monkeypatch) -> list:
+    """The functions `ad.beside` has run on a thread of their own, in
+    order, while the test runs."""
+    started = []
+    beside = ad.beside
+
+    def spy(fn):
+        started.append(fn)
+        return beside(fn)
+
+    monkeypatch.setattr(ad, "beside", spy)
+    return started
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -3,6 +3,7 @@ against the central finite-difference oracle in conftest."""
 
 import itertools
 import math
+import threading
 import weakref
 
 import numpy as np
@@ -772,6 +773,91 @@ class TestGraphRetention:
         x = ad.tensor(xv)
         ad.backward(ad.sum_all(ad.mul(ad.mul(x, w), x)))
         np.testing.assert_array_equal(w.grad, xv + xv * xv)
+
+    def test_freeing_sweep_drops_saved_arrays(self):
+        w = ad.parameter(np.array([0.5, -1.5]))
+        x = np.array([1.0, 2.0])
+        saved = weakref.ref(x)
+        loss = ad.sum_all(ad.mul(w, ad.tensor(x)))
+        del x
+        assert saved() is not None  # mul keeps x for w's gradient
+        ad.backward(loss, free=True)
+        assert saved() is None
+        np.testing.assert_array_equal(w.grad, [1.0, 2.0])
+        with pytest.raises(ValueError, match="freed"):
+            ad.backward(loss)
+
+    def test_single_use_block_frees_and_default_keeps(self):
+        w = ad.parameter(np.array([0.5, -1.5]))
+        x = np.array([1.0, 2.0])
+        saved = weakref.ref(x)
+        kept = ad.sum_all(ad.mul(w, ad.tensor(x)))
+        freed = ad.sum_all(ad.mul(w, ad.tensor(x)))
+        del x
+        ad.backward(kept)
+        with ad.single_use_graphs():
+            ad.backward(freed)
+        assert saved() is not None  # `kept` still holds its graph
+        ad.backward(kept)
+        del kept
+        assert saved() is None
+        np.testing.assert_array_equal(w.grad, [3.0, 6.0])
+
+
+class TestStreams:
+    """A graph recorded as two streams and a head sweeps the streams side
+    by side only when that keeps every gradient's order of summation."""
+
+    def build(self, shared: bool):
+        rng = np.random.default_rng(7)
+        w1, w2, w3 = (ad.parameter(rng.uniform(-1, 1, (4, 4)))
+                      for _ in range(3))
+        x = ad.tensor(rng.uniform(-1, 1, (4, 4)))
+        with ad.stream(1):
+            a = ad.gelu(ad.matmul(ad.gelu(ad.matmul(x, w1)), w2))
+        with ad.stream(2):
+            b = ad.gelu(ad.matmul(ad.gelu(ad.matmul(x, w3)),
+                                  w2 if shared else w3))
+        loss = ad.sum_all(ad.add(ad.mul(a, b), ad.scale(a, 0.3)))
+        return loss, (w1, w2, w3)
+
+    def sweep(self, shared: bool, untag: bool) -> list[bytes]:
+        loss, params = self.build(shared)
+        if untag:
+            for node in ad._postorder(loss):
+                node.stream = 0
+        ad.backward(loss)
+        return [p.grad.tobytes() for p in params]
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_split_only_when_streams_are_disjoint(self, threads_started,
+                                                  shared):
+        serial = self.sweep(shared, untag=True)
+        assert threads_started == []
+        assert self.sweep(shared, untag=False) == serial
+        # a leaf both streams read would take gradients from two threads
+        assert len(threads_started) == (0 if shared else 1)
+
+    def test_stream_reading_the_other_sweeps_serially(self,
+                                                      threads_started):
+        w = ad.parameter(np.array([0.5, -1.5]))
+        with ad.stream(1):
+            a = ad.mul(w, w)
+        with ad.stream(2):
+            b = ad.scale(a, 2.0)
+        ad.backward(ad.sum_all(ad.add(a, b)))
+        assert threads_started == []
+        np.testing.assert_array_equal(w.grad, 6.0 * w.data)
+
+    def test_error_in_a_stream_reaches_the_caller(self):
+        before = threading.active_count()
+        with pytest.raises(ZeroDivisionError):
+            with ad.beside(lambda: 1 / 0) as done:
+                done()
+        with pytest.raises(KeyError):
+            with ad.beside(lambda: None):
+                raise KeyError("main")
+        assert threading.active_count() == before
 
 
 class TestNumericGuards:

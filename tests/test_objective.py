@@ -6,16 +6,22 @@ expression; gradient routing under the stop/flow policies is probed by
 running backward from each loss term separately.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from selfaug import autodiff as ad
+from selfaug import objective
 from selfaug.data import Batch
 from selfaug.errors import ConfigError, ShapeError
 from selfaug.model import EncoderModel, ModelConfig, pool
 from selfaug.objective import (DualStreamConfig, ProjectionNetwork,
                                composite_loss, contrastive_loss,
                                dual_forward, project)
+
+from selfaug.training import _step_losses
 
 from conftest import fd_grad, rel_err
 
@@ -410,3 +416,95 @@ class TestDualForward:
         cfg = DualStreamConfig(tap_layer=3, inject_layer=0, alpha=0.5)
         with pytest.raises(ConfigError):
             dual_forward(model_f, model_c, tiny_batch(), cfg)
+
+
+class Boom(Exception):
+    pass
+
+
+class TestSideBySide:
+    """A dual step whose two streams run on two threads (the cut-off
+    patched to 0) against the same step on one thread, bit for bit."""
+
+    def step(self, mode, policy, pooling, tap, inject):
+        config = ModelConfig(d_model=8, n_heads=2, n_layers=2, d_ff=16,
+                             max_seq_len=8, dropout_rate=0.1)
+        model_f, model_c = (EncoderModel(config, 12, 2, seed=s)
+                            for s in (0, 1))
+        net = ProjectionNetwork(8, (8, 8, 4), seed=2)
+        cfg = DualStreamConfig(tap_layer=tap, inject_layer=inject,
+                               alpha=0.5, augment_gradient=policy,
+                               pooling=pooling, projection_dims=(8, 8, 4))
+        rng_f, rng_c = np.random.default_rng(3), np.random.default_rng(4)
+        losses = _step_losses(mode, model_f, model_c, net,
+                              tiny_batch(batch=4, seq=5), cfg, rng_f, rng_c,
+                              multilabel=False)
+        ad.backward(losses.total)
+        grads = {f"{owner}.{name}": None if t.grad is None
+                 else t.grad.tobytes()
+                 for owner, part in (("f", model_f), ("c", model_c),
+                                     ("proj", net))
+                 for name, t in part.parameters()}
+        return (grads, losses.as_floats(), rng_f.bit_generator.state,
+                rng_c.bit_generator.state)
+
+    @pytest.mark.parametrize("mode,policy,pooling,tap,inject", [
+        ("proposed", policy, pooling, tap, 2)
+        for policy in ("stop", "flow") for pooling in ("cls", "mean")
+        for tap in (1, 2)] + [("sa_only", "stop", "cls", 1, 2),
+                              ("sa_only", "flow", "mean", 2, 2)])
+    def test_two_threads_match_one(self, monkeypatch, threads_started,
+                                   mode, policy, pooling, tap, inject):
+        serial = self.step(mode, policy, pooling, tap, inject)
+        assert threads_started == []
+        monkeypatch.setattr(objective, "SIDE_BY_SIDE_MIN", 0)
+        side_by_side = self.step(mode, policy, pooling, tap, inject)
+        assert side_by_side[0] == serial[0]
+        assert side_by_side[1:] == serial[1:]
+        # the forward always; the backward too unless "flow" joins the
+        # streams
+        assert len(threads_started) == (2 if policy == "stop" else 1)
+
+    def test_two_threads_match_one_under_rapid_switching(self,
+                                                          monkeypatch):
+        # a switch every microsecond interleaves the two streams' ops as
+        # finely as the interpreter can; every step must still match
+        serial = self.step("proposed", "stop", "mean", 1, 2)
+        monkeypatch.setattr(objective, "SIDE_BY_SIDE_MIN", 0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                assert self.step("proposed", "stop", "mean", 1, 2) == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+
+    @pytest.mark.parametrize("failing", ["f", "c"])
+    def test_error_in_a_stream_reaches_the_caller(self, monkeypatch,
+                                                  failing):
+        monkeypatch.setattr(objective, "SIDE_BY_SIDE_MIN", 0)
+        models = {"f": tiny_model(0), "c": tiny_model(1)}
+
+        def boom(*args, **kwargs):
+            raise Boom
+
+        monkeypatch.setattr(models[failing].layers[0], "apply", boom)
+        cfg = DualStreamConfig(tap_layer=1, inject_layer=2, alpha=0.5,
+                               projection_dims=(8, 8, 4))
+        before = threading.active_count()
+        with pytest.raises(Boom):
+            dual_forward(models["f"], models["c"], tiny_batch(), cfg)
+        assert threading.active_count() == before
+
+    def test_bad_injection_shape_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(objective, "SIDE_BY_SIDE_MIN", 0)
+        wider = EncoderModel(ModelConfig(d_model=16, n_heads=2, n_layers=2,
+                                         d_ff=16, max_seq_len=8), 12, 2,
+                             seed=1)
+        cfg = DualStreamConfig(tap_layer=1, inject_layer=1, alpha=0.5,
+                               projection_dims=(8, 8, 4))
+        before = threading.active_count()
+        with pytest.raises(ShapeError, match="injection"):
+            dual_forward(tiny_model(0), wider, tiny_batch(), cfg)
+        assert threading.active_count() == before

@@ -9,8 +9,10 @@ import json
 import os
 import platform
 import shutil
+import signal
 import subprocess
 import sys
+import threading
 from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
@@ -20,7 +22,7 @@ import pytest
 
 import selfaug
 from selfaug import autodiff as ad
-from selfaug import training
+from selfaug import objective, training
 from selfaug.config import ExperimentConfig
 from selfaug.data import (LabelSpace, SynthSpec, Vocabulary, batches,
                           build_vocab, encode_split, gen_synthetic)
@@ -29,8 +31,9 @@ from selfaug.harness import _build_components, prepare_data
 from selfaug.model import EncoderModel, ModelConfig
 from selfaug.objective import DualStreamConfig, ProjectionNetwork
 from selfaug.seeding import rng_for
-from selfaug.training import (ADAM_BLOCK, M_MMAP_THRESHOLD,
-                              M_TRIM_THRESHOLD, MMAP_THRESHOLD_BYTES,
+from selfaug.training import (ADAM_BLOCK, ARENA_MAX, M_ARENA_MAX,
+                              M_MMAP_THRESHOLD, M_TRIM_THRESHOLD,
+                              MMAP_THRESHOLD_BYTES,
                               TRIM_THRESHOLD_BYTES, Adam, EarlyStopper,
                               TrainConfig, _keep_freed_memory, _step_losses,
                               evaluate, train)
@@ -395,6 +398,73 @@ def test_step_graph_is_gone_before_the_next_forward(mode, monkeypatch):
     assert len(calls) == 12  # 48 training examples, 6 batches, 2 epochs
 
 
+class TestStreamThreads:
+    """Training with the dual step's streams side by side (the cut-off
+    patched to 0) leaves no thread behind, whether it returns or raises."""
+
+    @pytest.fixture(autouse=True)
+    def side_by_side(self, monkeypatch):
+        monkeypatch.setattr(objective, "SIDE_BY_SIDE_MIN", 0)
+
+    def test_no_thread_outlives_a_run(self, threads_started):
+        before = threading.active_count()
+        train(*small_setup("proposed"),
+              TrainConfig(max_epochs=1, patience=1, batch_size=8, seed=0,
+                          mode="proposed"))
+        assert threading.active_count() == before
+        # 6 steps, each a forward and a backward
+        assert len(threads_started) == 12
+
+    def test_no_thread_outlives_a_failed_run(self, monkeypatch):
+        parts = small_setup("proposed")
+        layer = parts[1].layers[0]
+        apply, calls = layer.apply, []
+
+        def fails_third(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise DomainError("third step")
+            return apply(*args, **kwargs)
+
+        monkeypatch.setattr(layer, "apply", fails_third)
+        before = threading.active_count()
+        with pytest.raises(DomainError, match="third step"):
+            train(*parts, TrainConfig(max_epochs=1, patience=1,
+                                      batch_size=8, seed=0,
+                                      mode="proposed"))
+        assert threading.active_count() == before
+
+
+# a run with its streams side by side, then a 2-worker sweep that forks:
+# a thread alive at the fork would leave the workers' locks held
+FORK_RUN = """
+import sys
+from dataclasses import replace
+from selfaug import harness, objective
+from selfaug.config import ExperimentConfig
+objective.SIDE_BY_SIDE_MIN = 0
+config = ExperimentConfig.from_file(sys.argv[1])
+config = replace(config, train=replace(config.train, max_epochs=1,
+                                       patience=1))
+harness.run_training(replace(config, out_dir=sys.argv[2] + "/one"))
+harness.run_ablation(replace(config, out_dir=sys.argv[2] + "/sweep"),
+                     workers=2)
+"""
+
+
+def test_training_then_a_forked_sweep_finishes(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(selfaug.__file__).parents[1])}
+    preset = resources.files("selfaug") / "presets" / "desk_binary.json"
+    run = subprocess.Popen([sys.executable, "-c", FORK_RUN, str(preset),
+                            str(tmp_path)], env=env, start_new_session=True)
+    try:
+        assert run.wait(timeout=120) == 0
+    except subprocess.TimeoutExpired:
+        os.killpg(run.pid, signal.SIGKILL)  # and the hung workers with it
+        raise
+    assert (tmp_path / "sweep" / "proposed" / "checkpoint.bin").is_file()
+
+
 class FakeLibc:
     """A libc whose mallopt records its calls and returns `answer`."""
 
@@ -450,7 +520,8 @@ class TestKeepFreedMemory:
                   TrainConfig(max_epochs=1, patience=1, batch_size=8,
                               seed=0, mode="baseline"))
         assert libc.calls == [(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES),
-                              (M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)]
+                              (M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES),
+                              (M_ARENA_MAX, ARENA_MAX)]
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="mallopt is glibc's")
@@ -458,6 +529,11 @@ class TestKeepFreedMemory:
         mallopt = ctypes.CDLL(None).mallopt
         assert mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES) == 1
         assert mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES) == 1
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="mallopt is glibc's")
+    def test_glibc_accepts_one_arena(self):
+        assert ctypes.CDLL(None).mallopt(M_ARENA_MAX, ARENA_MAX) == 1
 
 
 # one dropout-on proposed epoch whose [16, 32, 64] activations (256 KiB)
@@ -502,6 +578,55 @@ def test_allocator_settings_do_not_move_bytes(tmp_path):
         shutil.rmtree(out)
     assert json.loads(runs["shipped"]["metrics.json"])["epochs_run"] == 1
     assert runs["shipped"] == runs["default"]
+
+
+# one epoch of d_model 128 multilabel posts that fill 64 tokens in
+# batches of 16 ([1024, 128] activations): GEMMs large enough for
+# OpenBLAS to split over threads, where the last bits of a split GEMM
+# depend on the thread count
+BLAS_RUN = """
+import sys
+import numpy as np
+from selfaug import harness
+from selfaug.config import ExperimentConfig
+rng = np.random.default_rng(0)
+def template():
+    words = [f"w{i}" for i in rng.integers(64, size=22)]
+    words[0:16:2] = ["{kw}"] * 8
+    return " ".join(words)
+classes = ["flu", "migraine", "allergy", "asthma"]
+harness.run_training(ExperimentConfig.from_dict({
+    "data": {"synth_spec": {
+        "task_kind": "multilabel", "classes": classes,
+        "keywords": {c: [c + "x"] for c in classes},
+        "literal_templates": [template() for _ in range(4)],
+        "figurative_templates": [template() for _ in range(2)],
+        "ambiguity": 0.0, "count": 64},
+        "ratios": [0.5, 0.25, 0.25]},
+    "model": {"d_model": 128, "n_heads": 4, "n_layers": 4, "d_ff": 256,
+              "max_seq_len": 64, "dropout_rate": 0.1},
+    "dual": {"tap_layer": 2, "inject_layer": 3, "alpha": 0.2,
+             "projection_dims": [128, 128, 64]},
+    "train": {"max_epochs": 1, "patience": 1, "batch_size": 16,
+              "mode": "proposed"},
+    "out_dir": sys.argv[1]}))
+"""
+
+
+def test_checkpoint_does_not_depend_on_blas_threads(tmp_path):
+    env = {k: v for k, v in os.environ.items()
+           if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(selfaug.__file__).parents[1])
+    checkpoints = {}
+    # one output path for all: the checkpoint stores the config
+    out = tmp_path / "run"
+    for threads in (None, "1", "2"):
+        extra = {} if threads is None else {"OPENBLAS_NUM_THREADS": threads}
+        subprocess.run([sys.executable, "-c", BLAS_RUN, str(out)],
+                       check=True, env={**env, **extra}, timeout=60)
+        checkpoints[threads] = (out / "checkpoint.bin").read_bytes()
+        shutil.rmtree(out)
+    assert checkpoints["1"] == checkpoints[None] == checkpoints["2"]
 
 
 def test_every_optimized_parameter_gets_a_gradient():
