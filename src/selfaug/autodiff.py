@@ -31,7 +31,11 @@ reads each target before any stream does: then every gradient sums the
 same terms in the same order as the one sweep, and the results are
 bitwise equal.  Otherwise
 (a copy whose loss reaches stream one through the injection, say) it
-sweeps as one.
+sweeps as one.  ``two_lanes`` runs a loop's independent items
+(evaluation batches, an optimizer's blocks) on the calling thread and
+one ``beside`` thread.  Recording, its stream tag and ``no_grad`` are
+each thread's own, so a lane that leaves ``no_grad`` does not switch
+recording back on under the other.
 
 Where an intermediate is cheap to compute again from what a node keeps
 anyway, backward recomputes it instead of holding it.  The attention core
@@ -75,7 +79,8 @@ from __future__ import annotations
 import math
 import threading
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence, TypeVar
+from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, Sequence,
+                    TypeVar)
 
 import numpy as np
 
@@ -87,12 +92,15 @@ if TYPE_CHECKING:
 Array = np.ndarray
 T = TypeVar("T")
 
+_DONE = object()  # what an exhausted iterator gives `two_lanes`
+
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_K = 0.044715
 
 
 class _Recording(threading.local):
     stream = 0  # the tag `stream` gives the nodes this thread records
+    grad_enabled = True  # False inside this thread's `no_grad` blocks
 
 
 _recording = _Recording()
@@ -172,19 +180,16 @@ def parameter(data) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
-_grad_enabled = True
-
-
 @contextmanager
 def no_grad() -> Iterator[None]:
-    """Suspend graph recording (evaluation forwards)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Suspend graph recording on this thread (evaluation forwards);
+    other threads go on recording."""
+    prev = _recording.grad_enabled
+    _recording.grad_enabled = False
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _recording.grad_enabled = prev
 
 
 @contextmanager
@@ -211,6 +216,43 @@ def beside(fn: Callable[[], T]) -> Iterator[Callable[[], T]]:
         yield pool.submit(fn).result
 
 
+def two_lanes(items: Iterable[T], fn: Callable[[T, int], object]) -> None:
+    """Call fn(item, lane) for every item in two lanes: lane 0 on this
+    thread and lane 1 on a `beside` thread, each taking the next item
+    from the one iterator, under a lock, as it finishes the last.  Which
+    lane gets an item varies from run to run, so fn must give an item
+    the same result in either.  The thread is joined before this
+    returns.  An exception from either lane reaches the caller with its
+    own type, and neither lane takes another item after it."""
+    pending = iter(items)
+    lock = threading.Lock()
+
+    def run(lane: int) -> None:
+        nonlocal pending
+        while True:
+            with lock:
+                item = next(pending, _DONE)
+            if item is _DONE:
+                return
+            try:
+                fn(item, lane)
+            except BaseException:
+                with lock:
+                    pending = iter(())
+                raise
+
+    with beside(lambda: run(1)) as lane_1:
+        run(0)
+        lane_1()
+
+
+def one_lane(items: Iterable[T], fn: Callable[[T, int], object]) -> None:
+    """`two_lanes` on this thread alone: fn(item, 0) for every item, in
+    order."""
+    for item in items:
+        fn(item, 0)
+
+
 def _target(t: Tensor) -> Target | None:
     if t.node is not None:
         return t.node
@@ -219,7 +261,7 @@ def _target(t: Tensor) -> Target | None:
 
 def _attach(out: Tensor, op: str, inputs: Sequence[Tensor],
             apply: Callable[..., None]) -> Tensor:
-    if _grad_enabled:
+    if _recording.grad_enabled:
         targets = tuple([_target(t) for t in inputs])
         if targets.count(None) < len(targets):
             out.node = Node(op, targets, apply)

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import GRID_AXES, ExperimentConfig
-from .data import (Example, Folds, LabelSpace, Vocabulary, batches,
+from .data import (Batch, Example, Folds, LabelSpace, Vocabulary, batches,
                    build_vocab, encode_split, gen_synthetic, k_folds,
                    load_jsonl, load_label_space, load_synth_spec,
                    make_splits, write_jsonl)
@@ -40,7 +40,8 @@ from .model import (EncoderModel, load_checkpoint, pool, predict,
                     save_checkpoint)
 from .objective import ProjectionNetwork
 from .schema import Schema
-from .training import TrainResult, evaluate, one_blas_thread, train
+from .training import (TrainResult, evaluate, forward_lanes, one_blas_thread,
+                       train)
 
 EXPORT_LAYERS = ("pooled_final", "tapped")
 # the export forward's time per row stops falling at about 128 rows
@@ -514,28 +515,31 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
     labels = prepared.label_space.labels
     predicted = np.empty((len(examples), len(labels)), dtype=bool)
     embeddings = np.empty((len(examples), config.model.d_model))
-    start = 0
-    # evaluation batches keep the split's order, so row i is examples[i].
-    # Only the batch stream holds the encoded split, so it is freed before
-    # the PCA.  A row's values depend on its batch only through the
-    # batch's padded width, which the attention's sums over the key axis
-    # see, and through a batch of one example, whose CLS-only top layer
-    # numpy multiplies as a single row: every other product and sum sees
-    # one row at a time
-    for batch in batches(encode_split(examples, prepared.vocab,
-                                      prepared.label_space,
-                                      config.model.max_seq_len),
-                         EXPORT_BATCH_SIZE, train=False):
+    # evaluation batches keep the split's order, so batch i holds
+    # examples[i * EXPORT_BATCH_SIZE] onward, and either lane writes its
+    # rows.  A row's values depend on its batch only through the batch's
+    # padded width, which the attention's sums over the key axis see,
+    # and through a batch of one example, whose CLS-only top layer numpy
+    # multiplies as a single row: every other product and sum sees one
+    # row at a time
+    def run(item: tuple[int, Batch], lane: int) -> None:
+        i, batch = item
         with ad.no_grad():
             logits, hidden = model.forward(batch, train=False,
                                            cls_only=cls_only)
             pooled = pool(hidden[source_layer], batch.layout, pooling)
+        start = i * EXPORT_BATCH_SIZE
         rows = slice(start, start + batch.size)
         predicted[rows] = predict(logits.data,
                                   not prepared.label_space.single_label,
                                   config.threshold)
         embeddings[rows] = pooled.data
-        start += batch.size
+
+    encoded = encode_split(examples, prepared.vocab, prepared.label_space,
+                           config.model.max_seq_len)
+    forward_lanes(encoded, EXPORT_BATCH_SIZE, config.model.d_model)(
+        enumerate(batches(encoded, EXPORT_BATCH_SIZE, train=False)), run)
+    del encoded  # freed before the PCA
     pcs = _principal_components(embeddings)
 
     out_csv.parent.mkdir(parents=True, exist_ok=True)

@@ -43,16 +43,23 @@ PROJECTION_BN_EPS = 1e-5
 
 T = TypeVar("T")
 
-# packed rows x d_model from which a dual step runs its two streams side
-# by side (see dual_forward).  One dual step's time side by side over its
-# time on one thread, on a 2-core host at one BLAS thread, medians of 15
-# interleaved steps in two sets of runs: at d_model 128 (wide's width,
-# 16 sequences of 8 to 64 tokens) 0.70-1.13 at 16,384, 0.58-0.99 at
-# 32,768 and 0.55-0.59 at 65,536 and 131,072; at d_model 32 (desk's)
-# 1.11-1.16 at 4,096 and 8,192.  Below the cut-off the second thread
-# costs more than it saves.  Narrow models cross over later: d_model 32
-# read 0.56-1.10 at 32,768 and 1.10-1.11 at 65,536.
-SIDE_BY_SIDE_MIN = 32_768
+# packed rows x d_model^2 from which a batch's encoder work runs on two
+# threads: a dual step's two streams side by side (see dual_forward), and
+# evaluation and export batches in two lanes (training.forward_lanes).  A
+# row's GEMMs grow as d_model^2 while its per-op Python work does not, so
+# a narrow model needs more rows to pay for the second thread.  Time on
+# two threads over time on one, on a 2-core host at one BLAS thread,
+# medians of 15 interleaved repeats, each range over separate runs (the
+# ratio moves with the host's load): a dual step at d_model 128 (wide's
+# width) read 0.70-1.13 at 128 rows, 0.58-0.99 at 256 and 0.55-0.67 at
+# 512 and 1,024; at d_model 32 (desk's) 1.11-1.16 at 128 and 256 rows,
+# 0.56-1.10 at 1,024, 0.75-1.11 at 2,048, 0.55-1.01 at 4,096 and
+# 0.51-0.66 at 8,192.  Eight evaluation batches read 0.62-0.64 at
+# d_model 128 and 256 rows; at d_model 32 0.95 at 1,024 rows, 0.70-0.99
+# at 2,048, 0.54-0.62 at 4,096 and 0.58-0.65 at 8,192.  The cut-off keeps
+# 256 rows at d_model 128 and takes 4,096 at d_model 32, which leaves
+# desk's batches and screen's 1,152-row export batches on one thread.
+SIDE_BY_SIDE_MIN = 32_768 * 128
 
 GRADIENT_POLICIES = ("stop", "flow")
 POOLING_KINDS = ("cls", "mean")
@@ -190,6 +197,12 @@ def composite_loss(ce_f: Tensor, ce_c: Tensor, contrastive: Tensor,
                       total=total)
 
 
+def worth_two_threads(rows: float, d_model: int) -> bool:
+    """Whether an encoder forward over `rows` packed rows at `d_model`
+    pays for a second thread: from SIDE_BY_SIDE_MIN rows x d_model^2."""
+    return rows * d_model * d_model >= SIDE_BY_SIDE_MIN
+
+
 @contextmanager
 def _at_once(fn: Callable[[], T]) -> Iterator[Callable[[], T]]:
     """`ad.beside` with fn run at once, on this thread."""
@@ -204,10 +217,11 @@ def dual_forward(model_f: EncoderModel, model_c: EncoderModel, batch: Batch,
                  ) -> tuple[Tensor, Tensor, Tensor, Tensor]:
     """Run both streams with injection.
 
-    From SIDE_BY_SIDE_MIN packed rows x d_model, stream one runs on a
-    thread of its own, recording its nodes as stream 1 and the copy's as
-    stream 2, so that `backward` can sweep them side by side too; every
-    value and rng draw is that of running them one after the other.
+    When the batch is worth two threads (`worth_two_threads`), stream
+    one runs on a thread of its own, recording its nodes as stream 1 and
+    the copy's as stream 2, so that `backward` can sweep them side by
+    side too; every value and rng draw is that of running them one after
+    the other.
 
     Returns (logits_f, logits_c, pooled_tap, pooled_injected): stream one's
     logits and tapped pooled state, the copy's logits, and the copy's pooled
@@ -221,8 +235,8 @@ def dual_forward(model_f: EncoderModel, model_c: EncoderModel, batch: Batch,
     n_layers = model_f.config.n_layers
     config.validate_for(n_layers)
 
-    side_by_side = len(batch.layout.slots) * model_f.config.d_model \
-        >= SIDE_BY_SIDE_MIN
+    side_by_side = worth_two_threads(len(batch.layout.slots),
+                                     model_f.config.d_model)
 
     # a stream's last layer runs for the CLS row alone unless the rest of
     # its top state is read: stream one's as the tap (injected whole),

@@ -20,6 +20,7 @@ import platform
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .metrics import MetricsBundle, evaluate_predictions
 from .model import EncoderModel, predict
 from .objective import (DualStreamConfig, ProjectionNetwork, StepLosses,
                         composite_loss, contrastive_loss, dual_forward,
-                        project)
+                        project, worth_two_threads)
 from .schema import Schema
 from .seeding import rng_for
 
@@ -43,6 +44,13 @@ ADAM_EPS = 1e-8
 # elements per block of an Adam step: six 256 KiB operands stay in a
 # 2 MiB L2 cache
 ADAM_BLOCK = 32_768
+# blocks from which an Adam step updates its blocks in two lanes (see
+# Adam.step).  Two lanes' time over one lane's, medians of 30 interleaved
+# steps on a 2-core host at one BLAS thread: 1.23-1.35 at 2 blocks (the
+# desk and screen arenas), 1.03-1.06 at 4, 0.88-0.89 at 8 and 0.69-0.73
+# at 35 (wide's) while the second core was free; 1.13-1.16 at 8 and
+# 1.05-1.07 at 35 in runs where the host kept it busy
+ADAM_LANES_MIN = 8
 
 # glibc's mallopt parameters (malloc.h) and the values `train` gives them
 M_TRIM_THRESHOLD = -1
@@ -110,10 +118,15 @@ class Adam:
         self.step_count = 0
         sizes = [t.size for _, t in params]
         self.offsets = np.cumsum([0] + sizes[:-1])
+        total = sum(sizes)
         self.data, self.grad, self.m, self.v = \
-            (np.zeros(sum(sizes)) for _ in range(4))
-        self._num, self._den = \
-            (np.empty(min(sum(sizes), ADAM_BLOCK)) for _ in range(2))
+            (np.zeros(total) for _ in range(4))
+        # from ADAM_LANES_MIN blocks a step updates them in two lanes,
+        # each with its own num and den scratch (see step)
+        lanes = 2 if -(-total // ADAM_BLOCK) >= ADAM_LANES_MIN else 1
+        self._lanes = ad.two_lanes if lanes == 2 else ad.one_lane
+        self._scratch = [[np.empty(min(total, ADAM_BLOCK)) for _ in range(2)]
+                         for _ in range(lanes)]
         self._views = []
         for (_, t), start in zip(params, self.offsets):
             span = slice(start, start + t.size)
@@ -151,13 +164,14 @@ class Adam:
         #   p = p - lr*(m/bias1) / (sqrt(v/bias2) + eps)
         # so results are bitwise those of a loop over tensors.  The arena
         # goes through in blocks, so each block's operands stay in cache
-        # across the 13 passes; num and den are block-sized scratch, so the
-        # update allocates nothing
-        for start in range(0, g.size, ADAM_BLOCK):
+        # across the 13 passes; num and den are block-sized scratch, one
+        # pair per lane, so the update allocates nothing.  Blocks share no
+        # element, so two lanes update them with the same bits
+        def update(start: int, lane: int) -> None:
             span = slice(start, start + ADAM_BLOCK)
             gb, m, v, w = g[span], self.m[span], self.v[span], \
                 self.data[span]
-            num, den = self._num[:gb.size], self._den[:gb.size]
+            num, den = (a[:gb.size] for a in self._scratch[lane])
             m *= ADAM_BETA1
             np.multiply(gb, 1.0 - ADAM_BETA1, out=num)
             m += num
@@ -172,6 +186,8 @@ class Adam:
             den += ADAM_EPS
             num /= den
             w -= num
+
+        self._lanes(range(0, g.size, ADAM_BLOCK), update)
 
 
 class EarlyStopper:
@@ -326,6 +342,17 @@ def _step_losses(mode: str, model_f: EncoderModel,
     return composite_loss(ce_f, ce_c, lc, dual_cfg.alpha)
 
 
+def forward_lanes(split: EncodedSplit, batch_size: int,
+                  d_model: int) -> Callable:
+    """`ad.two_lanes` when the split's evaluation batches, at the mean
+    packed rows of a full one, are worth a second thread (see
+    worth_two_threads), else `ad.one_lane`.  A batch_size below 1 is
+    left for `batches` to reject."""
+    rows = split.lengths.mean() * min(batch_size, len(split))
+    return ad.two_lanes if worth_two_threads(rows, d_model) \
+        else ad.one_lane
+
+
 def evaluate(model: EncoderModel, split: EncodedSplit,
              label_space: LabelSpace, batch_size: int = 32,
              threshold: float = 0.5) -> MetricsBundle:
@@ -334,14 +361,18 @@ def evaluate(model: EncoderModel, split: EncodedSplit,
         raise DataError("cannot evaluate an empty split")
     k = len(label_space.labels)
     predicted = np.empty((len(split), k), dtype=bool)
-    start = 0
-    # evaluation batches keep the split's order, so row i is example i
-    for batch in batches(split, batch_size, train=False):
+
+    # evaluation batches keep the split's order, so batch i holds
+    # examples i * batch_size onward, and either lane writes its rows
+    def run(item: tuple[int, Batch], lane: int) -> None:
+        i, batch = item
         with ad.no_grad():
             logits, _ = model.forward(batch, train=False, cls_only=True)
-        predicted[start:start + batch.size] = \
+        predicted[i * batch_size:i * batch_size + batch.size] = \
             predict(logits.data, not label_space.single_label, threshold)
-        start += batch.size
+
+    forward_lanes(split, batch_size, model.config.d_model)(
+        enumerate(batches(split, batch_size, train=False)), run)
     gold = np.eye(k, dtype=bool)[split.targets] \
         if label_space.single_label else split.targets > 0.5
     return evaluate_predictions(predicted, gold, list(label_space.labels))

@@ -1,7 +1,10 @@
 """Shared test helpers: the central finite-difference oracle used to verify
-every analytic gradient in the package."""
+every analytic gradient in the package, and what the two-lane tests use
+to see and steer threads."""
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 import pytest
@@ -31,6 +34,25 @@ def threads_started(monkeypatch) -> list:
 
     monkeypatch.setattr(ad, "beside", spy)
     return started
+
+
+def lanes_meet():
+    """A call that blocks each thread's first call until a second thread
+    has made its first (for up to 10 s), so that each of `ad.two_lanes`'s
+    two lanes takes an item before either goes on."""
+    barrier = threading.Barrier(2, timeout=10)
+    seen = set()
+
+    def meet() -> None:
+        if threading.get_ident() not in seen:
+            seen.add(threading.get_ident())
+            barrier.wait()
+    return meet
+
+
+def on_lane_zero() -> bool:
+    """Whether the caller runs on lane 0: the thread a test runs on."""
+    return threading.current_thread() is threading.main_thread()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -4,6 +4,7 @@ against the central finite-difference oracle in conftest."""
 import itertools
 import math
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -15,7 +16,7 @@ from selfaug import autodiff as ad
 from selfaug.data import RowLayout
 from selfaug.errors import ConfigError, DomainError, ShapeError
 
-from conftest import fd_grad, rel_err
+from conftest import fd_grad, lanes_meet, on_lane_zero, rel_err
 
 RNG = np.random.default_rng(20240817)
 
@@ -688,6 +689,34 @@ class TestBackward:
             y = ad.mul(x, x)
         assert y.node is None
 
+    def test_no_grad_holds_for_its_own_thread_alone(self):
+        x = ad.parameter(np.ones(2))
+        entered, leave = threading.Event(), threading.Event()
+        nodes = {}
+
+        def other() -> None:
+            with ad.no_grad():
+                nodes["inside"] = ad.mul(x, x).node
+                entered.set()
+                leave.wait(timeout=10)
+            nodes["after"] = ad.mul(x, x).node
+
+        thread = threading.Thread(target=other)
+        thread.start()
+        assert entered.wait(timeout=10)
+        # the other thread is inside no_grad: this one still records
+        recorded = ad.mul(x, x)
+        with ad.no_grad():
+            leave.set()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+            # the other thread has left no_grad: this one still does not
+            unrecorded = ad.mul(x, x)
+        assert recorded.node is not None
+        assert unrecorded.node is None
+        assert nodes["inside"] is None
+        assert nodes["after"] is not None  # recorded under our no_grad
+
 
 class TestGraphRetention:
     def test_output_no_backward_reads_is_freed_after_forward(self):
@@ -858,6 +887,64 @@ class TestStreams:
             with ad.beside(lambda: None):
                 raise KeyError("main")
         assert threading.active_count() == before
+
+
+class TestLanes:
+    """`two_lanes` runs every item once, on two threads, and leaves no
+    thread behind."""
+
+    def test_every_item_runs_once_in_one_of_two_lanes(self,
+                                                      threads_started):
+        meet, done = lanes_meet(), []
+
+        def fn(item: int, lane: int) -> None:
+            meet()
+            done.append((item, lane, on_lane_zero()))
+
+        before = threading.active_count()
+        ad.two_lanes(range(25), fn)
+        assert threading.active_count() == before
+        assert len(threads_started) == 1
+        assert sorted(item for item, _, _ in done) == list(range(25))
+        # lane 0 is the caller's thread, lane 1 the other one
+        assert {(lane, main) for _, lane, main in done} == \
+            {(0, True), (1, False)}
+
+    def test_one_lane_runs_in_order_on_this_thread(self, threads_started):
+        done = []
+        ad.one_lane(range(5), lambda item, lane: done.append((item, lane)))
+        assert done == [(i, 0) for i in range(5)]
+        assert threads_started == []
+
+    def test_no_items_and_a_failing_iterator(self):
+        before = threading.active_count()
+        ad.two_lanes([], lambda item, lane: 1 / 0)
+
+        def items():
+            yield 1
+            raise KeyError("iterator")
+
+        with pytest.raises(KeyError, match="iterator"):
+            ad.two_lanes(items(), lambda item, lane: None)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_error_in_either_lane_reaches_the_caller(self, failing):
+        meet, done = lanes_meet(), []
+
+        def fn(item: int, lane: int) -> None:
+            meet()
+            if lane == failing:
+                raise KeyError(f"lane {lane}")
+            time.sleep(0.001)  # lets the failing lane in
+            done.append(item)
+
+        before = threading.active_count()
+        with pytest.raises(KeyError, match=f"lane {failing}"):
+            ad.two_lanes(range(1000), fn)
+        assert threading.active_count() == before
+        # neither lane takes an item once one has raised
+        assert len(done) < 500
 
 
 class TestNumericGuards:

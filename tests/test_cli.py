@@ -8,6 +8,7 @@ import json
 import multiprocessing
 import re
 import struct
+import threading
 from importlib import resources
 from pathlib import Path
 
@@ -15,17 +16,19 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from selfaug import harness
+from selfaug import harness, objective
 from selfaug.cli import main
 from selfaug.config import ExperimentConfig
 from selfaug.data import (batches, encode_split, gen_synthetic, k_folds,
                           load_jsonl, load_label_space)
+from selfaug.errors import ShapeError
 from selfaug.harness import (EXPORT_BATCH_SIZE, EXPORT_LAYERS,
                              _principal_components, _restored_model,
                              prepare_data, run_ablation, run_grid, run_kfold,
                              run_training)
 from selfaug.model import load_checkpoint, pool, save_checkpoint
 
+from conftest import lanes_meet, on_lane_zero
 from test_metrics import oracle_bundle
 
 RUN_ARTIFACTS = ("config.json", "checkpoint.bin", "epochs.jsonl",
@@ -1032,6 +1035,76 @@ class TestExportCommand:
                 assert (tmp_path / "slim" / layer / "embeddings.csv")\
                     .read_bytes() == \
                     (tmp_path / name / layer / "embeddings.csv").read_bytes()
+
+
+class TestExportLanes:
+    """An export's batches in two lanes (the cut-off patched to 0) write
+    the bytes the one-lane export writes."""
+
+    def _checkpoint(self, tmp_path, pooling: str) -> Path:
+        payload = small_config(str(tmp_path / "run"), max_epochs=1)
+        payload["dual"]["pooling"] = pooling
+        run_training(ExperimentConfig.from_dict(payload))
+        return tmp_path / "run" / "checkpoint.bin"
+
+    @pytest.mark.parametrize("layer, pooling", [
+        ("pooled_final", "cls"), ("tapped", "cls"), ("pooled_final", "mean")])
+    def test_two_lanes_write_the_one_lane_bytes(self, tmp_path, monkeypatch,
+                                               threads_started, layer,
+                                               pooling):
+        ckpt = self._checkpoint(tmp_path, pooling)
+        # the 15 test rows in batches of 4: three full and one of 3
+        monkeypatch.setattr(harness, "EXPORT_BATCH_SIZE", 4)
+        before = threading.active_count()
+        written = []
+        for value in (10**18, 0):
+            monkeypatch.setattr(objective, "SIDE_BY_SIDE_MIN", value)
+            out = tmp_path / f"{value}.csv"
+            assert harness.export_embeddings(ckpt, "test", layer, out) == 15
+            written.append(out.read_bytes())
+        assert threading.active_count() == before
+        assert written[0] == written[1]
+        assert len(threads_started) == 1  # the two-lane export's alone
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_error_in_an_export_lane_reaches_the_caller(self, tmp_path,
+                                                        monkeypatch,
+                                                        failing):
+        ckpt = self._checkpoint(tmp_path, "cls")
+        monkeypatch.setattr(harness, "EXPORT_BATCH_SIZE", 4)
+        monkeypatch.setattr(objective, "SIDE_BY_SIDE_MIN", 0)
+        meet, pooled = lanes_meet(), harness.pool
+
+        def fails(*args):
+            meet()
+            if on_lane_zero() == (failing == 0):
+                raise ShapeError(f"lane {failing}")
+            return pooled(*args)
+
+        monkeypatch.setattr(harness, "pool", fails)
+        before = threading.active_count()
+        with pytest.raises(ShapeError, match=f"lane {failing}"):
+            harness.export_embeddings(ckpt, "test", "pooled_final",
+                                      tmp_path / "out.csv")
+        assert threading.active_count() == before
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_screen_sized_export_starts_no_thread(self, tmp_path,
+                                                 threads_started):
+        # the desk model (d_model 32) exporting 840 posts of up to 8
+        # tokens in batches of 128, as the benchmark's screen workload
+        # exports its posts
+        preset = resources.files("selfaug") / "presets" / "desk_binary.json"
+        payload = json.loads(preset.read_text(encoding="utf-8"))
+        payload["data"]["synth_spec"]["count"] = 1200
+        payload["data"]["ratios"] = [0.2, 0.1, 0.7]
+        payload["train"].update(max_epochs=1, patience=1)
+        payload["out_dir"] = str(tmp_path / "run")
+        run_training(ExperimentConfig.from_dict(payload))
+        assert harness.export_embeddings(
+            tmp_path / "run" / "checkpoint.bin", "test", "pooled_final",
+            tmp_path / "out.csv") == 840
+        assert threads_started == []
 
 
 class TestGenSynthCommand:

@@ -13,6 +13,7 @@ import signal
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
@@ -22,10 +23,10 @@ import pytest
 
 import selfaug
 from selfaug import autodiff as ad
-from selfaug import objective, training
+from selfaug import harness, objective, training
 from selfaug.config import ExperimentConfig
-from selfaug.data import (LabelSpace, SynthSpec, Vocabulary, batches,
-                          build_vocab, encode_split, gen_synthetic)
+from selfaug.data import (EncodedSplit, LabelSpace, SynthSpec, Vocabulary,
+                          batches, build_vocab, encode_split, gen_synthetic)
 from selfaug.errors import ConfigError, DataError, DomainError
 from selfaug.harness import _build_components, prepare_data
 from selfaug.model import EncoderModel, ModelConfig
@@ -37,6 +38,8 @@ from selfaug.training import (ADAM_BLOCK, ARENA_MAX, M_ARENA_MAX,
                               TRIM_THRESHOLD_BYTES, Adam, EarlyStopper,
                               TrainConfig, _keep_freed_memory, _step_losses,
                               evaluate, train)
+
+from conftest import lanes_meet, on_lane_zero
 
 
 def synth_examples(count: int = 64, seed: int = 0):
@@ -399,8 +402,9 @@ def test_step_graph_is_gone_before_the_next_forward(mode, monkeypatch):
 
 
 class TestStreamThreads:
-    """Training with the dual step's streams side by side (the cut-off
-    patched to 0) leaves no thread behind, whether it returns or raises."""
+    """Training with the dual step's streams side by side and evaluation
+    in two lanes (the cut-off patched to 0) leaves no thread behind,
+    whether it returns or raises."""
 
     @pytest.fixture(autouse=True)
     def side_by_side(self, monkeypatch):
@@ -412,8 +416,8 @@ class TestStreamThreads:
               TrainConfig(max_epochs=1, patience=1, batch_size=8, seed=0,
                           mode="proposed"))
         assert threading.active_count() == before
-        # 6 steps, each a forward and a backward
-        assert len(threads_started) == 12
+        # 6 steps, each a forward and a backward, and the validation pass
+        assert len(threads_started) == 13
 
     def test_no_thread_outlives_a_failed_run(self, monkeypatch):
         parts = small_setup("proposed")
@@ -435,18 +439,33 @@ class TestStreamThreads:
         assert threading.active_count() == before
 
 
-# a run with its streams side by side, then a 2-worker sweep that forks:
-# a thread alive at the fork would leave the workers' locks held
+# a run with its streams side by side and its evaluations and Adam steps
+# in two lanes, then a 2-worker sweep that forks: a thread alive at the
+# fork would leave the workers' locks held.  No thread may outlive an
+# evaluate or an Adam step either
 FORK_RUN = """
 import sys
+import threading
 from dataclasses import replace
-from selfaug import harness, objective
+from selfaug import harness, objective, training
 from selfaug.config import ExperimentConfig
 objective.SIDE_BY_SIDE_MIN = 0
+training.ADAM_LANES_MIN = 0
+checked = set()
+def alone(fn):
+    def wrapper(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        assert threading.active_count() == 1, fn.__qualname__
+        checked.add(fn.__qualname__)
+        return out
+    return wrapper
+training.evaluate = harness.evaluate = alone(training.evaluate)
+training.Adam.step = alone(training.Adam.step)
 config = ExperimentConfig.from_file(sys.argv[1])
 config = replace(config, train=replace(config.train, max_epochs=1,
                                        patience=1))
 harness.run_training(replace(config, out_dir=sys.argv[2] + "/one"))
+assert checked == {"evaluate", "Adam.step"}, checked
 harness.run_ablation(replace(config, out_dir=sys.argv[2] + "/sweep"),
                      workers=2)
 """
@@ -678,9 +697,198 @@ class TestEvaluate:
         b = evaluate(model, split, label_space)
         assert a.to_dict() == b.to_dict()
 
+    def test_batch_size_below_one_rejected(self):
+        examples, label_space = synth_examples(10)
+        vocab = build_vocab(examples)
+        with pytest.raises(ConfigError, match="batch_size must be >= 1"):
+            evaluate(binary_model(vocab, 0, n_layers=1),
+                     encode_split(examples, vocab, label_space, 16),
+                     label_space, batch_size=0)
+
     def test_empty_split_rejected(self):
         examples, label_space = synth_examples(10)
         vocab = build_vocab(examples)
         with pytest.raises(DataError):
             evaluate(binary_model(vocab, 0, n_layers=1),
                      encode_split([], vocab, label_space, 16), label_space)
+
+
+def lane_split(lengths: list[int], labels: int) -> EncodedSplit:
+    """An encoded split of random ids with the given row lengths: PAD
+    after each length, targets for a binary or a `labels`-wide
+    multilabel space."""
+    rng = np.random.default_rng(0)
+    lengths = np.array(lengths)
+    width = int(lengths.max())
+    ids = rng.integers(1, 40, size=(len(lengths), width))
+    ids[np.arange(width) >= lengths[:, None]] = 0
+    targets = rng.integers(0, 2, len(lengths)) if labels == 2 else \
+        rng.integers(0, 2, (len(lengths), labels)).astype(float)
+    return EncodedSplit(token_ids=ids, lengths=lengths, targets=targets,
+                        ids=[f"r{i}" for i in range(len(lengths))])
+
+
+def lane_model(labels: int, d_model: int = 8,
+               max_seq_len: int = 16) -> EncoderModel:
+    return EncoderModel(ModelConfig(d_model=d_model, n_heads=2, n_layers=2,
+                                    d_ff=2 * d_model,
+                                    max_seq_len=max_seq_len),
+                        40, labels, seed=5)
+
+
+def recording_forward(model: EncoderModel, before=None) -> dict:
+    """Each forward's logits, by its batch's first id; `before` runs
+    ahead of every forward."""
+    forward, logits_of = model.forward, {}
+
+    def spy(batch, **kwargs):
+        if before is not None:
+            before()
+        logits, hidden = forward(batch, **kwargs)
+        logits_of[batch.ids[0]] = logits.data.tobytes()
+        return logits, hidden
+
+    model.forward = spy
+    return logits_of
+
+
+MIXED = [2] * 8 + [16] * 8 + [5] * 8 + [9] * 3
+
+
+class TestLanes:
+    """Evaluation batches and Adam's blocks in two lanes (the cut-offs
+    patched to 0) give every bit the one-lane path gives, with the
+    threads switching as finely as the interpreter can."""
+
+    @pytest.fixture(autouse=True)
+    def fast_switching(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.fixture
+    def cut_off(self, monkeypatch):
+        def set_to(value: int) -> None:
+            monkeypatch.setattr(objective, "SIDE_BY_SIDE_MIN", value)
+            monkeypatch.setattr(training, "ADAM_LANES_MIN", value)
+        return set_to
+
+    @pytest.mark.parametrize("lengths, batch_size", [
+        ([3, 16, 7, 1, 12, 9], 8),               # a single batch
+        (list(range(1, 17)) + [4] * 8, 8),       # three batches
+        ([5, 11, 2, 16, 8, 1, 3] * 4 + [6], 4),  # ends in a batch of one
+        (MIXED, 8),                               # widths 2, 16, 5, 9
+    ], ids=["single", "odd", "partial", "mixed"])
+    @pytest.mark.parametrize("labels", [2, 3], ids=["binary", "multilabel"])
+    def test_evaluate_in_two_lanes_matches_one(self, monkeypatch, cut_off,
+                                               threads_started, lengths,
+                                               batch_size, labels):
+        split = lane_split(lengths, labels)
+        space = LabelSpace("binary" if labels == 2 else "multilabel",
+                           tuple("abc"[:labels]))
+        scored = training.evaluate_predictions
+        predicted = []
+
+        def spy(pred, gold, names):
+            predicted.append(pred.tobytes())
+            return scored(pred, gold, names)
+
+        monkeypatch.setattr(training, "evaluate_predictions", spy)
+        before = threading.active_count()
+        runs = []
+        for value in (10**18, 0):
+            cut_off(value)
+            model = lane_model(labels)
+            logits = recording_forward(model)
+            bundle = evaluate(model, split, space, batch_size)
+            runs.append((logits, bundle.to_dict()))
+        assert threading.active_count() == before
+        assert len(threads_started) == 1  # the two-lane call's alone
+        assert runs[0] == runs[1]
+        assert predicted[0] == predicted[1]
+        assert len(runs[0][0]) == -(-len(lengths) // batch_size)
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_error_in_an_evaluate_lane_reaches_the_caller(self, cut_off,
+                                                          failing):
+        cut_off(0)
+        meet = lanes_meet()
+
+        def fails() -> None:
+            meet()
+            if on_lane_zero() == (failing == 0):
+                raise DomainError(f"lane {failing}")
+
+        model = lane_model(2)
+        recording_forward(model, before=fails)
+        before = threading.active_count()
+        with pytest.raises(DomainError, match=f"lane {failing}"):
+            evaluate(model, lane_split(MIXED, 2), LabelSpace(
+                "binary", ("a", "b")), 4)
+        assert threading.active_count() == before
+
+    def test_adam_in_two_lanes_matches_one(self, monkeypatch, cut_off,
+                                          threads_started):
+        # 61 values in blocks of 7: nine blocks, the last one partial,
+        # and block boundaries inside parameters
+        monkeypatch.setattr(training, "ADAM_BLOCK", 7)
+        shapes = [(3, 4), (9,), (2, 2, 5), (1,), (19,)]
+
+        def run(value: int) -> Adam:
+            cut_off(value)
+            rng = np.random.default_rng(2)
+            opt = Adam([(f"p{i}", ad.parameter(rng.normal(size=shape)))
+                        for i, shape in enumerate(shapes)], 0.01)
+            for _ in range(4):
+                opt.zero_grad()
+                opt.grad[:] = rng.normal(size=opt.grad.size) * \
+                    10.0 ** rng.integers(-4, 3, size=opt.grad.size)
+                opt.step()
+            return opt
+
+        one = run(10**18)
+        assert threads_started == []
+        two = run(0)
+        assert len(threads_started) == 4  # one per step
+        for name in ("data", "m", "v"):
+            assert getattr(one, name).tobytes() == \
+                getattr(two, name).tobytes(), name
+
+        # a non-finite gradient in the last block stops the step before
+        # either lane has moved a parameter or a moment
+        kept = [a.copy() for a in (two.data, two.m, two.v)]
+        two.grad[-1] = np.inf
+        before = threading.active_count()
+        with pytest.raises(DomainError, match="for p4 at step 5"):
+            two.step()
+        assert threading.active_count() == before
+        assert len(threads_started) == 4
+        for old, new in zip(kept, (two.data, two.m, two.v)):
+            assert old.tobytes() == new.tobytes()
+
+
+class TestLaneCutOff:
+    """Small work stays on one thread; wide work takes a second."""
+
+    def test_desk_training_starts_no_thread(self, tmp_path,
+                                            threads_started):
+        config = ExperimentConfig.from_file(
+            resources.files("selfaug") / "presets" / "desk_binary.json")
+        harness.run_training(replace(
+            config, out_dir=str(tmp_path / "run"),
+            train=replace(config.train, max_epochs=2, patience=2)))
+        assert threads_started == []
+
+    def test_wide_evaluate_starts_one_thread_per_call(self,
+                                                      threads_started):
+        # two batches of 16 posts of 64 tokens at d_model 128, the
+        # benchmark's wide model
+        model = lane_model(2, d_model=128, max_seq_len=64)
+        split = lane_split([64] * 32, 2)
+        space = LabelSpace("binary", ("a", "b"))
+        for calls in (1, 2):
+            evaluate(model, split, space, 16)
+            assert len(threads_started) == calls
