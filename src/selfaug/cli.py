@@ -39,12 +39,13 @@ def _guarded(body):
               help="Override the config's training seed.")
 @click.option("--out", "out_dir", type=str, default=None,
               help="Override the config's output directory.")
-@click.option("--workers", type=click.IntRange(min=1), default=1,
-              show_default=True,
-              help="Parallel workers for grid, k-fold and ablation cells.")
+@click.option("--workers", type=click.IntRange(min=1), default=None,
+              help="Worker processes for grid, k-fold and ablation cells "
+                   "[default: one per CPU this process may use; 1 runs "
+                   "every cell in this process].")
 @click.pass_context
 def main(ctx: click.Context, config_path: str | None, seed: int | None,
-         out_dir: str | None, workers: int) -> None:
+         out_dir: str | None, workers: int | None) -> None:
     """Dual-stream self-augmentation trainer and experiment harness."""
     ctx.obj = {"config_path": config_path, "seed": seed,
                "out_dir": out_dir, "workers": workers}

@@ -9,8 +9,10 @@ import multiprocessing
 import re
 import struct
 import threading
+from concurrent.futures import Future
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -474,30 +476,149 @@ class TestGridCommand:
         assert not (tmp_path / "g").exists()
 
     @pytest.mark.parametrize("sweep", ["grid", "kfold", "ablation"])
-    def test_workers_match_serial(self, tmp_path, sweep):
-        def run(name: str, workers: int) -> dict:
+    def test_workers_match_serial(self, tmp_path, monkeypatch, sweep):
+        def run(name: str, workers: int | None) -> dict:
             payload["out_dir"] = str(tmp_path / name)
             config = ExperimentConfig.from_dict(payload)
+            threads = threading.active_count()
             if sweep == "grid":
-                return run_grid(config, workers)
-            if sweep == "kfold":
-                return run_kfold(config, 3, workers=workers)
-            return run_ablation(config, workers)
+                summary = run_grid(config, workers)
+            elif sweep == "kfold":
+                summary = run_kfold(config, 3, workers=workers)
+            else:
+                summary = run_ablation(config, workers)
+            assert multiprocessing.active_children() == []
+            assert threading.active_count() == threads
+            return summary
 
         payload = small_config("", max_epochs=2)
+        # a rate at which proposed scores apart from the other modes, so
+        # that an ablation row given another cell's result shows
+        payload["train"]["learning_rate"] = 0.03
         if sweep == "grid":
             # 80 train examples: the batch-512 cells fail
             payload["grid"] = {"batch_size": [8, 512],
                                "alpha": [0.1, 0.3]}
         serial = run("serial", 1)
         parallel = run("parallel", 2)
-        assert multiprocessing.active_children() == []
-        assert serial["rows"] == parallel["rows"]
+        # the default is one worker per CPU this process may use, so a
+        # 1-CPU host runs the same pool
+        monkeypatch.setattr(harness.os, "sched_getaffinity",
+                            lambda pid: {0, 1}, raising=False)
+        default = run("default", None)
+        assert serial["rows"] == parallel["rows"] == default["rows"]
         if sweep == "grid":
             assert parallel["n_failed"] == 2
-        table = f"{sweep}.csv"
-        assert (tmp_path / "serial" / table).read_bytes() == \
-            (tmp_path / "parallel" / table).read_bytes()
+        for name in ("parallel", "default"):
+            assert_same_sweep(tmp_path / "serial", tmp_path / name)
+
+
+class FakePool:
+    """A ProcessPoolExecutor stand-in that runs each submitted call at
+    once, in this process, and records its pools and their submissions."""
+
+    made: list["FakePool"] = []
+
+    def __init__(self, max_workers: int) -> None:
+        self.max_workers = max_workers
+        self.submitted: list[str] = []
+        FakePool.made.append(self)
+
+    def __enter__(self) -> "FakePool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        return None
+
+    def submit(self, fn, job) -> Future:
+        self.submitted.append(job[2])
+        done = Future()
+        done.set_result(fn(job))
+        return done
+
+
+class TestCellScheduling:
+    """`_run_cells` with a fake pool: what it starts, in which order it
+    submits, and in which order it returns."""
+
+    @pytest.fixture(autouse=True)
+    def fake_pool(self, monkeypatch):
+        FakePool.made = []
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(harness, "_cell", lambda job: job[2])
+        monkeypatch.setattr(harness.os, "sched_getaffinity",
+                            lambda pid: {0, 1}, raising=False)
+
+    @staticmethod
+    def jobs(*modes: str) -> list[tuple]:
+        return [(SimpleNamespace(train=SimpleNamespace(mode=mode)), None,
+                 f"{i}:{mode}") for i, mode in enumerate(modes)]
+
+    def test_costliest_mode_first_and_results_in_job_order(self):
+        jobs = self.jobs("baseline", "sa_only", "proposed", "baseline",
+                         "proposed", "sa_only")
+        assert harness._run_cells(jobs) == [job[2] for job in jobs]
+        (made,) = FakePool.made
+        assert made.max_workers == 2
+        assert made.submitted == ["2:proposed", "4:proposed", "1:sa_only",
+                                  "5:sa_only", "0:baseline", "3:baseline"]
+
+    def test_never_more_workers_than_cells(self):
+        jobs = self.jobs("baseline", "proposed", "sa_only")
+        harness._run_cells(jobs, workers=8)
+        assert [pool_.max_workers for pool_ in FakePool.made] == [3]
+
+    @pytest.mark.parametrize("modes, workers", [
+        (("proposed",), None), (("proposed",), 4),
+        (("baseline", "sa_only", "proposed"), 1)],
+        ids=["one cell", "one cell at 4 workers", "one worker"])
+    def test_one_cell_or_one_worker_starts_no_pool(self, modes, workers):
+        jobs = self.jobs(*modes)
+        assert harness._run_cells(jobs, workers) == [job[2] for job in jobs]
+        assert FakePool.made == []
+
+    def test_one_cpu_runs_the_cells_here(self, monkeypatch):
+        monkeypatch.setattr(harness.os, "sched_getaffinity",
+                            lambda pid: {0}, raising=False)
+        harness._run_cells(self.jobs("baseline", "proposed"))
+        assert FakePool.made == []
+
+    def test_without_affinity_the_cpu_count_sizes_the_pool(
+            self, monkeypatch):
+        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+        harness._run_cells(self.jobs(*["baseline"] * 5))
+        assert [pool_.max_workers for pool_ in FakePool.made] == [3]
+
+
+def assert_same_sweep(a: Path, b: Path) -> None:
+    """Sweep directory b holds the files a does, with the same bytes, but
+    for epochs.jsonl's wall-clock seconds and config.json's out_dir."""
+    def files(root: Path) -> list[Path]:
+        return sorted(p.relative_to(root) for p in root.rglob("*")
+                      if p.is_file())
+
+    def without(record: dict, key: str) -> dict:
+        return {k: v for k, v in record.items() if k != key}
+
+    names = files(a)
+    assert names == files(b)
+    assert {"checkpoint.bin", "epochs.jsonl", "config.json"} <= \
+        {name.name for name in names}
+    for name in names:
+        left, right = (root / name for root in (a, b))
+        if name.name == "epochs.jsonl":
+            assert [without(json.loads(line), "seconds") for line in
+                    left.read_text(encoding="utf-8").splitlines()] == \
+                [without(json.loads(line), "seconds") for line in
+                 right.read_text(encoding="utf-8").splitlines()], name
+        elif name.name == "config.json":
+            assert without(json.loads(left.read_text(encoding="utf-8")),
+                           "out_dir") == \
+                without(json.loads(right.read_text(encoding="utf-8")),
+                        "out_dir"), name
+        else:
+            assert left.read_bytes() == right.read_bytes(), name
 
 
 class TestKfoldCommand:
@@ -607,7 +728,9 @@ class TestOutPath:
         out = blocker / "run" if below else blocker
         payload = small_config(str(tmp_path / "unused"))
         payload["grid"] = {"alpha": [0.1, 0.2]}
-        result = invoke("--config", str(write_config(tmp_path, payload)),
+        # one worker: a cell's training would reach the spy in this process
+        result = invoke("--workers", "1", "--config",
+                        str(write_config(tmp_path, payload)),
                         "--out", str(out), *command)
         assert result.exit_code == 2, result.output
         assert str(out) in result.output
@@ -643,8 +766,9 @@ class TestOutPath:
             taken.write_text("taken", encoding="utf-8")
         payload = small_config(str(out))
         payload["grid"] = {"alpha": [0.1, 0.2]}
-        result = invoke("--config", str(write_config(tmp_path, payload)),
-                        *command)
+        # one worker: a cell's training would reach the spy in this process
+        result = invoke("--workers", "1", "--config",
+                        str(write_config(tmp_path, payload)), *command)
         assert result.exit_code == 2, result.output
         assert repr(str(taken)) in result.output
         assert ("is a directory" if is_dir else "not a directory") \
