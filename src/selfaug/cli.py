@@ -40,9 +40,10 @@ def _guarded(body):
 @click.option("--out", "out_dir", type=str, default=None,
               help="Override the config's output directory.")
 @click.option("--workers", type=click.IntRange(min=1), default=None,
-              help="Worker processes for grid, k-fold and ablation cells "
-                   "[default: one per CPU this process may use; 1 runs "
-                   "every cell in this process].")
+              help="Worker processes for grid, k-fold and ablation cells, "
+                   "and for export-embeddings batches [default: one per "
+                   "CPU this process may use; 1 runs everything in this "
+                   "process].")
 @click.pass_context
 def main(ctx: click.Context, config_path: str | None, seed: int | None,
          out_dir: str | None, workers: int | None) -> None:
@@ -141,7 +142,8 @@ def export_embeddings_cmd(ctx: click.Context, checkpoint: str,
     """Export per-example embeddings with PCA coordinates to CSV."""
     def body():
         out_csv = Path(ctx.obj["out_dir"] or ".") / "embeddings.csv"
-        n = export_embeddings(checkpoint, split, layer, out_csv)
+        n = export_embeddings(checkpoint, split, layer, out_csv,
+                              workers=ctx.obj["workers"])
         click.echo(f"{n} rows written to {out_csv}")
     _guarded(body)
 

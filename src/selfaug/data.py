@@ -422,6 +422,13 @@ class EncodedSplit:
     def __len__(self) -> int:
         return len(self.ids)
 
+    def __getitem__(self, rows: slice) -> EncodedSplit:
+        """The examples at `rows`, still at the whole split's width
+        (`batches` trims each batch to its longest row)."""
+        return EncodedSplit(token_ids=self.token_ids[rows],
+                            lengths=self.lengths[rows],
+                            targets=self.targets[rows], ids=self.ids[rows])
+
 
 def encode_split(examples: Sequence[Example], vocab: Vocabulary,
                  label_space: LabelSpace,

@@ -7,7 +7,12 @@ cell, and `_run_cells` runs the jobs in a process pool, one worker per
 CPU this process may use (or in this process, at one worker), returning
 each cell's metric columns or the exception it raised.
 Grid records a failure as a row; k-fold and ablation raise the first one
-after every cell has run, and then write no table.
+after every cell has run, and then write no table.  The export shares
+its batches out the same way, in contiguous runs of whole batches, unless
+they are worth two threads; its workers inherit the model and the encoded
+split through the fork and hand their rows back through shared memory
+and their text through temporary files.  Both build their pools with
+`_process_pool`, which names the fork start method.
 
 Every run directory holds the same four artifacts (config.json as the
 resolved snapshot, checkpoint.bin, epochs.jsonl, metrics.json), and every
@@ -21,12 +26,19 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import mmap
+import multiprocessing
 import os
+import shutil
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from itertools import compress
 from pathlib import Path
 from types import SimpleNamespace
+from typing import IO, Callable
 
 import numpy as np
 
@@ -305,6 +317,24 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+# every pool's start method.  A forked worker starts with its parent's
+# state, which an export's workers read instead of having it pickled to
+# them; Python 3.14 makes forkserver the default on Linux.  None where
+# the platform cannot fork: a sweep's pool then takes the platform's
+# default, and an export runs in the calling process
+FORK = multiprocessing.get_context("fork") \
+    if "fork" in multiprocessing.get_all_start_methods() else None
+
+
+def _process_pool(workers: int, initializer: Callable | None = None,
+                  initargs: tuple = ()) -> ProcessPoolExecutor:
+    """A pool of `workers` processes, forked where the platform can
+    fork, that each call `initializer(*initargs)` first; a forked worker
+    inherits the arguments instead of unpickling them."""
+    return ProcessPoolExecutor(workers, mp_context=FORK,
+                               initializer=initializer, initargs=initargs)
+
+
 def _run_cells(jobs: list[Job],
                workers: int | None = None) -> list[dict | Exception]:
     """Every cell's result, in job order.  `workers` (default: the
@@ -321,7 +351,7 @@ def _run_cells(jobs: list[Job],
         return [_cell(job) for job in jobs]
     order = sorted(range(len(jobs)),
                    key=lambda i: -TRAIN_MODES.index(jobs[i][0].train.mode))
-    with ProcessPoolExecutor(workers) as pool_:
+    with _process_pool(workers) as pool_:
         futures = {i: pool_.submit(_cell, jobs[i]) for i in order}
         return [futures[i].result() for i in range(len(jobs))]
 
@@ -483,14 +513,46 @@ def _principal_components(embeddings: np.ndarray) -> np.ndarray | None:
     return centered @ (top * signs * (values > 1e-12))
 
 
+def _shared(*shape: int, dtype=np.float64) -> np.ndarray:
+    """A zeroed array in anonymous shared memory: what a process forked
+    after this call writes to it, its parent reads, and the other way
+    round."""
+    dtype = np.dtype(dtype)
+    count = math.prod(shape)
+    buffer = mmap.mmap(-1, max(count * dtype.itemsize, 1))
+    return np.frombuffer(buffer, dtype, count).reshape(shape)
+
+
+# a forked export worker's phases by name, which the pool's initializer,
+# `_inherited.update`, fills in each worker from what it inherited
+_inherited: dict[str, Callable] = {}
+
+
+def _run_inherited(phase: str, *args) -> None:
+    _inherited[phase](*args)
+
+
 def export_embeddings(checkpoint_path: str | Path, split: str,
-                      layer: str, out_csv: str | Path) -> int:
+                      layer: str, out_csv: str | Path,
+                      workers: int | None = None) -> int:
     """Write one CSV row per example: id, gold and predicted labels,
     embedding components, and two PCA coordinates.
 
     `pooled_final` exports the representation the classifier head sees;
     `tapped` exports the pooled tap-layer state that feeds the projection
     network during training.
+
+    Batches worth two threads (see `training.forward_lanes`) run in two
+    lanes in this process.  Otherwise `workers` processes (default: the
+    available CPUs, and never more than there are batches; at one, or
+    where the platform cannot fork, this process alone) each take a
+    contiguous run of whole batches: this process the first, workers
+    forked from it the others.  Each runs its batches' forward, and,
+    once this process has computed the PCA over every row, formats its
+    rows; this process writes its own rows and then the workers' text in
+    run order.  The CSV is written to a temporary file beside `out_csv`
+    and put in place once every worker has joined, so a failure leaves
+    neither.
     """
     if split not in SPLIT_NAMES:
         raise ConfigError(f"split must be one of {SPLIT_NAMES}, "
@@ -538,40 +600,53 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
     # the top layer runs for the CLS row alone unless it is mean-pooled
     cls_only = pooling == "cls" or source_layer != config.model.n_layers
     labels = prepared.label_space.labels
-    predicted = np.empty((len(examples), len(labels)), dtype=bool)
-    embeddings = np.empty((len(examples), config.model.d_model))
-    # evaluation batches keep the split's order, so batch i holds
-    # examples[i * EXPORT_BATCH_SIZE] onward, and either lane writes its
-    # rows.  A row's values depend on its batch only through the batch's
-    # padded width, which the attention's sums over the key axis see,
-    # and through a batch of one example, whose CLS-only top layer numpy
-    # multiplies as a single row: every other product and sum sees one
-    # row at a time
-    def run(item: tuple[int, Batch], lane: int) -> None:
-        i, batch = item
-        with ad.no_grad():
-            logits, hidden = model.forward(batch, train=False,
-                                           cls_only=cls_only)
-            pooled = pool(hidden[source_layer], batch.layout, pooling)
-        start = i * EXPORT_BATCH_SIZE
-        rows = slice(start, start + batch.size)
-        predicted[rows] = predict(logits.data,
-                                  not prepared.label_space.single_label,
-                                  config.threshold)
-        embeddings[rows] = pooled.data
-
+    n, width = len(examples), config.model.d_model
     encoded = encode_split(examples, prepared.vocab, prepared.label_space,
                            config.model.max_seq_len)
-    forward_lanes(encoded, EXPORT_BATCH_SIZE, config.model.d_model)(
-        enumerate(batches(encoded, EXPORT_BATCH_SIZE, train=False)), run)
-    del encoded  # freed before the PCA
-    pcs = _principal_components(embeddings)
+    # one level of parallelism: batches worth two threads keep their
+    # lanes, since a worker forked from a process with a large heap (a
+    # training's, say) pays a page fault for every page it rewrites
+    lanes = forward_lanes(encoded, EXPORT_BATCH_SIZE, width)
+    if lanes is not ad.one_lane or FORK is None:
+        workers = 1
+    n_batches = -(-n // EXPORT_BATCH_SIZE)
+    n_runs = max(1, min(_available_cpus() if workers is None else workers,
+                        n_batches))
+    starts = [n_batches * r // n_runs * EXPORT_BATCH_SIZE
+              for r in range(n_runs)]
+    runs = [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+    # what the workers write, their parent reads: the rows, and each
+    # worker run's text (run r's in texts[r - 1])
+    predicted = _shared(n, len(labels), dtype=bool)
+    embeddings, pcs = _shared(n, width), _shared(n, 2)
+    texts = [tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
+             for _ in runs[1:]]
 
-    out_csv.parent.mkdir(parents=True, exist_ok=True)
-    width = embeddings.shape[1]
-    header = ["id", "gold", "predicted"] + \
-        [f"e{i}" for i in range(width)] + \
-        (["pc1", "pc2"] if pcs is not None else [])
+    # a row's values depend on its batch only through the batch's padded
+    # width, which the attention's sums over the key axis see, and
+    # through a batch of one example, whose CLS-only top layer numpy
+    # multiplies as a single row: every other product and sum sees one
+    # row at a time.  Runs hold whole batches of the split's own, so
+    # every batch is the one a single run would make
+    def embed(run: int, lanes: Callable = ad.one_lane) -> None:
+        rows = runs[run]
+
+        def forward(item: tuple[int, Batch], lane: int) -> None:
+            i, batch = item
+            with ad.no_grad():
+                logits, hidden = model.forward(batch, train=False,
+                                               cls_only=cls_only)
+                pooled = pool(hidden[source_layer], batch.layout, pooling)
+            start = rows.start + i * EXPORT_BATCH_SIZE
+            batch_rows = slice(start, start + batch.size)
+            predicted[batch_rows] = predict(
+                logits.data, not prepared.label_space.single_label,
+                config.threshold)
+            embeddings[batch_rows] = pooled.data
+
+        lanes(enumerate(batches(encoded[rows], EXPORT_BATCH_SIZE,
+                                train=False)), forward)
+
     # each row takes two writes.  The text fields go through csv into
     # `heads` with a "\r\n" terminator that is cut off again: csv's
     # minimal quoting covers the terminator's characters, so a bare "\r"
@@ -580,22 +655,60 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
     # tolist(): the floats of a whole matrix would outweigh the matrix.
     # pcs get wider precision: the zero-mean property of the projections
     # should survive the round trip through text
-    numbers = ",%.6f" * width + (",%.12g" * 2 if pcs is not None else "") \
-        + "\n"
-    pc_rows = pcs if pcs is not None else np.empty((len(examples), 0))
-    heads: list[str] = []
-    text_fields = csv.writer(SimpleNamespace(write=heads.append),
-                             lineterminator="\r\n")
-    with out_csv.open("w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for ex, chosen, vec, pc in zip(examples, predicted, embeddings,
-                                       pc_rows):
+    def write(run: int, with_pcs: bool, fh: IO[str] | None = None) -> None:
+        fh = texts[run - 1] if fh is None else fh
+        rows = runs[run]
+        numbers = ",%.6f" * width + (",%.12g" * 2 if with_pcs else "") \
+            + "\n"
+        heads: list[str] = []
+        text_fields = csv.writer(SimpleNamespace(write=heads.append),
+                                 lineterminator="\r\n")
+        for ex, chosen, vec, pc in zip(examples[rows], predicted[rows],
+                                       embeddings[rows],
+                                       pcs[rows, :2 if with_pcs else 0]):
             text_fields.writerow((ex.id, "|".join(ex.labels),
                                   "|".join(compress(labels,
                                                     chosen.tolist()))))
             fh.write(heads.pop()[:-2])
             fh.write(numbers % (*vec.tolist(), *pc.tolist()))
-    return len(examples)
+        fh.flush()
+
+    tmp_csv = out_csv.with_name(f".{out_csv.name}.{os.getpid()}.tmp")
+    try:
+        with _process_pool(n_runs - 1, _inherited.update,
+                           ({"embed": embed, "write": write},)) \
+                if n_runs > 1 else nullcontext() as pool_:
+            embedding = [pool_.submit(_run_inherited, "embed", run)
+                         for run in range(1, n_runs)]
+            embed(0, lanes)
+            for future in embedding:
+                future.result()
+            del encoded  # freed before the PCA
+            found = _principal_components(embeddings)
+            with_pcs = found is not None
+            if with_pcs:
+                pcs[:] = found
+            writing = [pool_.submit(_run_inherited, "write", run, with_pcs)
+                       for run in range(1, n_runs)]
+            out_csv.parent.mkdir(parents=True, exist_ok=True)
+            header = ["id", "gold", "predicted"] + \
+                [f"e{i}" for i in range(width)] + \
+                (["pc1", "pc2"] if with_pcs else [])
+            with tmp_csv.open("w", encoding="utf-8", newline="") as fh:
+                fh.write(",".join(header) + "\n")
+                write(0, with_pcs, fh)
+                for future, text in zip(writing, texts):
+                    future.result()
+                    text.seek(0)
+                    shutil.copyfileobj(text, fh)
+        os.replace(tmp_csv, out_csv)
+    except BaseException:
+        tmp_csv.unlink(missing_ok=True)
+        raise
+    finally:
+        for text in texts:
+            text.close()
+    return n
 
 
 def generate_corpus(spec_path: str | Path, seed: int,

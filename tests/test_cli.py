@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import multiprocessing
+import os
 import re
 import struct
 import threading
@@ -23,7 +24,7 @@ from selfaug.cli import main
 from selfaug.config import ExperimentConfig
 from selfaug.data import (batches, encode_split, gen_synthetic, k_folds,
                           load_jsonl, load_label_space)
-from selfaug.errors import ShapeError
+from selfaug.errors import DataError, ShapeError
 from selfaug.harness import (EXPORT_BATCH_SIZE, EXPORT_LAYERS,
                              _principal_components, _restored_model,
                              prepare_data, run_ablation, run_grid, run_kfold,
@@ -184,6 +185,21 @@ def write_config(tmp_path: Path, payload: dict) -> Path:
 
 def invoke(*args) -> "Result":
     return CliRunner().invoke(main, list(args))
+
+
+@pytest.fixture
+def pools_made(monkeypatch) -> list:
+    """The worker count of every pool `harness._process_pool` builds
+    while the test runs, in order."""
+    made = []
+    process_pool = harness._process_pool
+
+    def spy(workers, *args):
+        made.append(workers)
+        return process_pool(workers, *args)
+
+    monkeypatch.setattr(harness, "_process_pool", spy)
+    return made
 
 
 class TestTrainCommand:
@@ -512,6 +528,19 @@ class TestGridCommand:
         for name in ("parallel", "default"):
             assert_same_sweep(tmp_path / "serial", tmp_path / name)
 
+    def test_default_pools_leave_no_child(self, tmp_path, monkeypatch,
+                                          pools_made):
+        monkeypatch.setattr(harness.os, "sched_getaffinity",
+                            lambda pid: {0, 1}, raising=False)
+        payload = small_config(str(tmp_path / "ablate"), max_epochs=1)
+        run_ablation(ExperimentConfig.from_dict(payload))
+        assert multiprocessing.active_children() == []
+        payload.update(out_dir=str(tmp_path / "grid"),
+                       grid={"alpha": [0.1, 0.3]})
+        run_grid(ExperimentConfig.from_dict(payload))
+        assert multiprocessing.active_children() == []
+        assert pools_made == [2, 2]
+
 
 class FakePool:
     """A ProcessPoolExecutor stand-in that runs each submitted call at
@@ -519,8 +548,10 @@ class FakePool:
 
     made: list["FakePool"] = []
 
-    def __init__(self, max_workers: int) -> None:
+    def __init__(self, max_workers: int, mp_context=None, initializer=None,
+                 initargs=()) -> None:
         self.max_workers = max_workers
+        self.mp_context = mp_context
         self.submitted: list[str] = []
         FakePool.made.append(self)
 
@@ -560,6 +591,7 @@ class TestCellScheduling:
         assert harness._run_cells(jobs) == [job[2] for job in jobs]
         (made,) = FakePool.made
         assert made.max_workers == 2
+        assert made.mp_context.get_start_method() == "fork"
         assert made.submitted == ["2:proposed", "4:proposed", "1:sa_only",
                                   "5:sa_only", "0:baseline", "3:baseline"]
 
@@ -1229,6 +1261,145 @@ class TestExportLanes:
             tmp_path / "run" / "checkpoint.bin", "test", "pooled_final",
             tmp_path / "out.csv") == 840
         assert threads_started == []
+
+
+class TestExportProcesses:
+    """An export's batches in runs over forked worker processes write the
+    bytes the one-process export writes, and a failure in a worker, in
+    either phase, reaches the caller and leaves no file and no child."""
+
+    @pytest.fixture(autouse=True)
+    def three_cpus(self, monkeypatch):
+        monkeypatch.setattr(harness.os, "sched_getaffinity",
+                            lambda pid: {0, 1, 2}, raising=False)
+
+    def _checkpoint(self, tmp_path, pooling: str = "cls") -> Path:
+        payload = small_config(str(tmp_path / "run"), max_epochs=1)
+        payload["dual"]["pooling"] = pooling
+        run_training(ExperimentConfig.from_dict(payload))
+        return tmp_path / "run" / "checkpoint.bin"
+
+    @pytest.mark.parametrize("layer, pooling", [
+        ("pooled_final", "cls"), ("tapped", "cls"), ("pooled_final", "mean")])
+    def test_workers_write_the_one_worker_bytes(self, tmp_path, monkeypatch,
+                                               threads_started, pools_made,
+                                               layer, pooling):
+        ckpt = self._checkpoint(tmp_path, pooling)
+        # the 15 test rows in batches of 4: three full and one of 3, so
+        # that two processes take runs of 2 and 2 batches, three of 1, 1
+        # and 2, and the last run ends in the partial batch
+        monkeypatch.setattr(harness, "EXPORT_BATCH_SIZE", 4)
+        # every process logs the ids of each batch it runs to one file
+        log = tmp_path / "batches"
+
+        def logged(*args, **kwargs):
+            for batch in batches(*args, **kwargs):
+                with log.open("a", encoding="utf-8") as fh:
+                    fh.write(" ".join(batch.ids) + "\n")
+                yield batch
+
+        monkeypatch.setattr(harness, "batches", logged)
+        written, runs = [], []
+        for workers in (1, 2, None):
+            out = tmp_path / f"{workers}.csv"
+            assert harness.export_embeddings(ckpt, "test", layer, out,
+                                             workers) == 15
+            assert multiprocessing.active_children() == []
+            written.append(out.read_bytes())
+            runs.append(sorted(log.read_text(encoding="utf-8").splitlines()))
+            log.unlink()
+        assert written[0] == written[1] == written[2]
+        assert runs[0] == runs[1] == runs[2]  # the same batches
+        assert pools_made == [1, 2]  # beside the calling process's run
+        assert threads_started == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["1.csv", "2.csv", "None.csv", "run"]
+
+    def test_one_batch_starts_no_child(self, tmp_path, pools_made):
+        ckpt = self._checkpoint(tmp_path)
+        assert harness.export_embeddings(ckpt, "test", "pooled_final",
+                                         tmp_path / "out.csv", 4) == 15
+        assert pools_made == []
+
+    def test_without_fork_the_export_runs_here(self, tmp_path, monkeypatch,
+                                               pools_made):
+        ckpt = self._checkpoint(tmp_path)
+        monkeypatch.setattr(harness, "EXPORT_BATCH_SIZE", 4)
+        monkeypatch.setattr(harness, "FORK", None)
+        harness.export_embeddings(ckpt, "test", "pooled_final",
+                                  tmp_path / "out.csv")
+        assert pools_made == []
+
+    def test_lanes_take_the_export_without_children(self, tmp_path,
+                                                    monkeypatch,
+                                                    threads_started,
+                                                    pools_made):
+        ckpt = self._checkpoint(tmp_path)
+        monkeypatch.setattr(harness, "EXPORT_BATCH_SIZE", 4)
+        monkeypatch.setattr(objective, "SIDE_BY_SIDE_MIN", 0)
+        harness.export_embeddings(ckpt, "test", "pooled_final",
+                                  tmp_path / "out.csv")
+        assert pools_made == []
+        assert len(threads_started) == 1
+
+    @staticmethod
+    def _fail_in(monkeypatch, phase: int, where: str,
+                 error: type[Exception]) -> None:
+        """Make phase 1 (the forward's pooling) or phase 2 (the text's
+        label fields) raise `error` in the worker (`where` "worker") or
+        in this process (`where` "caller")."""
+        caller, name = os.getpid(), "pool" if phase == 1 else "compress"
+        original = getattr(harness, name)
+
+        def fails(*args):
+            if (os.getpid() == caller) == (where == "caller"):
+                raise error(f"phase {phase} in the {where}")
+            return original(*args)
+
+        monkeypatch.setattr(harness, name, fails)
+
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    @pytest.mark.parametrize("phase", [1, 2])
+    def test_error_reaches_the_caller_and_leaves_no_file(
+            self, tmp_path, monkeypatch, pools_made, phase, where):
+        ckpt = self._checkpoint(tmp_path)
+        monkeypatch.setattr(harness, "EXPORT_BATCH_SIZE", 4)
+        self._fail_in(monkeypatch, phase, where, ShapeError)
+        with pytest.raises(ShapeError, match=f"phase {phase} in the {where}"):
+            harness.export_embeddings(ckpt, "test", "pooled_final",
+                                      tmp_path / "out.csv", 2)
+        assert pools_made == [1]
+        assert multiprocessing.active_children() == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
+
+    @pytest.mark.parametrize("error, code", [(ShapeError, 1), (DataError, 2)])
+    @pytest.mark.parametrize("phase", [1, 2])
+    def test_command_exits_without_traceback(self, tmp_path, monkeypatch,
+                                             phase, error, code):
+        ckpt = self._checkpoint(tmp_path)
+        monkeypatch.setattr(harness, "EXPORT_BATCH_SIZE", 4)
+        self._fail_in(monkeypatch, phase, "worker", error)
+        result = invoke("--workers", "2", "--out", str(tmp_path / "x"),
+                        "export-embeddings", "--checkpoint", str(ckpt))
+        assert result.exit_code == code
+        assert result.output == f"error: phase {phase} in the worker\n"
+        assert multiprocessing.active_children() == []
+        # phase 2 made the output directory, as the export always has
+        # once its rows are computed, and left nothing in it
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            (["run"] if phase == 1 else ["run", "x"])
+        assert phase == 1 or list((tmp_path / "x").iterdir()) == []
+
+    @pytest.mark.parametrize("flag, pools", [([], [2]),
+                                             (["--workers", "1"], [])])
+    def test_command_takes_the_workers_flag(self, tmp_path, monkeypatch,
+                                            pools_made, flag, pools):
+        ckpt = self._checkpoint(tmp_path)
+        monkeypatch.setattr(harness, "EXPORT_BATCH_SIZE", 4)
+        result = invoke(*flag, "--out", str(tmp_path), "export-embeddings",
+                        "--checkpoint", str(ckpt))
+        assert result.exit_code == 0, result.output
+        assert pools_made == pools
 
 
 class TestGenSynthCommand:
