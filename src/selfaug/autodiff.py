@@ -23,19 +23,17 @@ still under way.
 A node also records which stream built it.  Inside a ``stream(k)``
 block a thread tags its nodes k (1 or 2); elsewhere they are 0, the
 head.  The dual objective records its two encoders as streams 1 and 2 on
-two threads (``beside``) and its losses as the head.  ``backward``
-sweeps such a graph's head first and then the two streams side by side,
-each in its own order, when no stream reads the head or the other
-stream, no leaf is read by both, and in the one sweep's order the head
-reads each target before any stream does: then every gradient sums the
-same terms in the same order as the one sweep, and the results are
-bitwise equal.  Otherwise
-(a copy whose loss reaches stream one through the injection, say) it
-sweeps as one.  ``two_lanes`` runs a loop's independent items
-(evaluation batches, an optimizer's blocks) on the calling thread and
-one ``beside`` thread.  Recording, its stream tag and ``no_grad`` are
-each thread's own, so a lane that leaves ``no_grad`` does not switch
-recording back on under the other.
+two threads and its losses as the head.  ``backward`` sweeps such a
+graph's head first and then the two streams side by side, stream one on
+a ``parallel.beside`` thread, each in its own order, when no stream
+reads the head or the other stream, no leaf is read by both, and in the
+one sweep's order the head reads each target before any stream does:
+then every gradient sums the same terms in the same order as the one
+sweep, and the results are bitwise equal.  Otherwise (a copy whose loss
+reaches stream one through the injection, say) it sweeps as one.
+Recording, its stream tag and ``no_grad`` are each thread's own, so a
+thread that leaves ``no_grad`` does not switch recording back on under
+another.
 
 Where an intermediate is cheap to compute again from what a node keeps
 anyway, backward recomputes it instead of holding it.  The attention core
@@ -59,16 +57,7 @@ padded call would.  ``gather_rows`` takes each sequence's [CLS] row, and
 The feed-forward block (linear, gelu, linear) is one node,
 ``feed_forward``, that keeps its input and the pre-activation and
 rebuilds the activation from the one tanh its derivative needs; ``gelu``
-on its own keeps only its input and takes the tanh again.  On the
-benchmark's ``wide`` workload the attention node cut peak RSS by about a
-sixth, to about 360 MB, and the two rebuilt arrays, with the optimizer's
-block-sized scratch, took it to about 300 MB.  The CLS-only top layer
-took it to about 265 MB, the training loop's dropping each step's graph
-before the next forward (with glibc told to keep freed memory) to about
-185 MB, and carrying the real rows alone to about 173 MB.  Running the
-two streams side by side, whose sweeps each hold a layer's gradients and
-scratch at once, read about 188 MB with a sweep that keeps the graph and
-about 175-179 MB with the freeing sweep.
+on its own keeps only its input and takes the tanh again.
 
 Everything is float64.  This library exists for verification work and the
 finite-difference checks in the test-suite need the headroom.
@@ -79,20 +68,17 @@ from __future__ import annotations
 import math
 import threading
 from contextlib import contextmanager
-from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, Sequence,
-                    TypeVar)
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
+from . import parallel
 from .errors import ConfigError, DomainError, ShapeError
 
 if TYPE_CHECKING:
     from .data import RowLayout
 
 Array = np.ndarray
-T = TypeVar("T")
-
-_DONE = object()  # what an exhausted iterator gives `two_lanes`
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_K = 0.044715
@@ -202,55 +188,6 @@ def stream(tag: int) -> Iterator[None]:
         yield
     finally:
         _recording.stream = prev
-
-
-@contextmanager
-def beside(fn: Callable[[], T]) -> Iterator[Callable[[], T]]:
-    """Run fn() on a thread of its own while the block runs.  The block
-    gets a function that waits for fn and returns its value or raises its
-    exception; the thread is joined when the block exits, also on error."""
-    # imported here: processes that never start a thread skip its import
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        yield pool.submit(fn).result
-
-
-def two_lanes(items: Iterable[T], fn: Callable[[T, int], object]) -> None:
-    """Call fn(item, lane) for every item in two lanes: lane 0 on this
-    thread and lane 1 on a `beside` thread, each taking the next item
-    from the one iterator, under a lock, as it finishes the last.  Which
-    lane gets an item varies from run to run, so fn must give an item
-    the same result in either.  The thread is joined before this
-    returns.  An exception from either lane reaches the caller with its
-    own type, and neither lane takes another item after it."""
-    pending = iter(items)
-    lock = threading.Lock()
-
-    def run(lane: int) -> None:
-        nonlocal pending
-        while True:
-            with lock:
-                item = next(pending, _DONE)
-            if item is _DONE:
-                return
-            try:
-                fn(item, lane)
-            except BaseException:
-                with lock:
-                    pending = iter(())
-                raise
-
-    with beside(lambda: run(1)) as lane_1:
-        run(0)
-        lane_1()
-
-
-def one_lane(items: Iterable[T], fn: Callable[[T, int], object]) -> None:
-    """`two_lanes` on this thread alone: fn(item, 0) for every item, in
-    order."""
-    for item in items:
-        fn(item, 0)
 
 
 def _target(t: Tensor) -> Target | None:
@@ -1031,6 +968,6 @@ def backward(loss: Tensor, free: bool = False) -> None:
         return
     head, first, second = parts
     _sweep(head, free)
-    with beside(lambda: _sweep(first, free)) as first_done:
+    with parallel.beside(lambda: _sweep(first, free)) as first_done:
         _sweep(second, free)
         first_done()

@@ -3,16 +3,15 @@ ablations, and embedding export.
 
 Grid, k-fold and ablation are sweeps on one cell engine: each prepares
 its data once, builds one job (config, prepared data, run directory) per
-cell, and `_run_cells` runs the jobs in a process pool, one worker per
-CPU this process may use (or in this process, at one worker), returning
-each cell's metric columns or the exception it raised.
-Grid records a failure as a row; k-fold and ablation raise the first one
-after every cell has run, and then write no table.  The export shares
-its batches out the same way, in contiguous runs of whole batches, unless
-they are worth two threads; its workers inherit the model and the encoded
-split through the fork and hand their rows back through shared memory
-and their text through temporary files.  Both build their pools with
-`_process_pool`, which names the fork start method.
+cell, and `_run_cells` runs the jobs in a process pool (or in this
+process, at one worker), returning each cell's metric columns or the
+exception it raised.  Grid records a failure as a row; k-fold and
+ablation raise the first one after every cell has run, and then write no
+table.  The export shares its batches out to processes too, in
+contiguous runs of whole batches; its workers inherit the model and the
+encoded split through the fork and hand their rows back through shared
+memory and their text through temporary files.  How many processes, and
+whether batches run in two lanes instead, is `parallel`'s to say.
 
 Every run directory holds the same four artifacts (config.json as the
 resolved snapshot, checkpoint.bin, epochs.jsonl, metrics.json), and every
@@ -26,13 +25,9 @@ from __future__ import annotations
 
 import csv
 import json
-import math
-import mmap
-import multiprocessing
 import os
 import shutil
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from itertools import compress
@@ -43,6 +38,7 @@ from typing import IO, Callable
 import numpy as np
 
 from . import autodiff as ad
+from . import parallel
 from .config import GRID_AXES, ExperimentConfig
 from .data import (Batch, Example, Folds, LabelSpace, Vocabulary, batches,
                    build_vocab, encode_split, gen_synthetic, k_folds,
@@ -54,8 +50,7 @@ from .model import (EncoderModel, load_checkpoint, pool, predict,
                     save_checkpoint)
 from .objective import ProjectionNetwork
 from .schema import Schema
-from .training import (TRAIN_MODES, TrainResult, evaluate, forward_lanes,
-                       one_blas_thread, train)
+from .training import TRAIN_MODES, TrainResult, evaluate, train
 
 EXPORT_LAYERS = ("pooled_final", "tapped")
 # the export forward's time per row stops falling at about 128 rows
@@ -307,51 +302,22 @@ def _cell(job: Job) -> dict | Exception:
         test["recall"], test["f1"])))
 
 
-def _available_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where the
-    platform has one, else the machine's count.  A cgroup's CPU quota is
-    not read."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-# every pool's start method.  A forked worker starts with its parent's
-# state, which an export's workers read instead of having it pickled to
-# them; Python 3.14 makes forkserver the default on Linux.  None where
-# the platform cannot fork: a sweep's pool then takes the platform's
-# default, and an export runs in the calling process
-FORK = multiprocessing.get_context("fork") \
-    if "fork" in multiprocessing.get_all_start_methods() else None
-
-
-def _process_pool(workers: int, initializer: Callable | None = None,
-                  initargs: tuple = ()) -> ProcessPoolExecutor:
-    """A pool of `workers` processes, forked where the platform can
-    fork, that each call `initializer(*initargs)` first; a forked worker
-    inherits the arguments instead of unpickling them."""
-    return ProcessPoolExecutor(workers, mp_context=FORK,
-                               initializer=initializer, initargs=initargs)
-
-
 def _run_cells(jobs: list[Job],
                workers: int | None = None) -> list[dict | Exception]:
-    """Every cell's result, in job order.  `workers` (default: the
-    available CPUs, and never more than there are cells) are processes of
-    a pool that is joined before return; at one, the cells run in this
-    process.  The pool starts the costliest cells first, ranked by
-    training mode (proposed, sa_only, baseline), and equal modes in job
-    order: Graham's longest-processing-time rule.  A desk ablation's
-    modes take about 0.35, 0.60 and 0.79 s, so in job order one of two
-    workers would run baseline and then proposed."""
-    workers = min(_available_cpus() if workers is None else workers,
-                  len(jobs))
-    if workers <= 1:
+    """Every cell's result, in job order, from a pool of
+    `parallel.processes(workers, cells)` processes that is joined before
+    return; at one, the cells run in this process.  The pool starts the
+    costliest cells first, ranked by training mode (proposed, sa_only,
+    baseline), and equal modes in job order: Graham's
+    longest-processing-time rule.  A desk ablation's modes take about
+    0.35, 0.60 and 0.79 s, so in job order one of two workers would run
+    baseline and then proposed."""
+    workers = parallel.processes(workers, len(jobs))
+    if workers == 1:
         return [_cell(job) for job in jobs]
     order = sorted(range(len(jobs)),
                    key=lambda i: -TRAIN_MODES.index(jobs[i][0].train.mode))
-    with _process_pool(workers) as pool_:
+    with parallel.process_pool(workers) as pool_:
         futures = {i: pool_.submit(_cell, jobs[i]) for i in order}
         return [futures[i].result() for i in range(len(jobs))]
 
@@ -513,16 +479,6 @@ def _principal_components(embeddings: np.ndarray) -> np.ndarray | None:
     return centered @ (top * signs * (values > 1e-12))
 
 
-def _shared(*shape: int, dtype=np.float64) -> np.ndarray:
-    """A zeroed array in anonymous shared memory: what a process forked
-    after this call writes to it, its parent reads, and the other way
-    round."""
-    dtype = np.dtype(dtype)
-    count = math.prod(shape)
-    buffer = mmap.mmap(-1, max(count * dtype.itemsize, 1))
-    return np.frombuffer(buffer, dtype, count).reshape(shape)
-
-
 # a forked export worker's phases by name, which the pool's initializer,
 # `_inherited.update`, fills in each worker from what it inherited
 _inherited: dict[str, Callable] = {}
@@ -542,12 +498,10 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
     `tapped` exports the pooled tap-layer state that feeds the projection
     network during training.
 
-    Batches worth two threads (see `training.forward_lanes`) run in two
-    lanes in this process.  Otherwise `workers` processes (default: the
-    available CPUs, and never more than there are batches; at one, or
-    where the platform cannot fork, this process alone) each take a
-    contiguous run of whole batches: this process the first, workers
-    forked from it the others.  Each runs its batches' forward, and,
+    Batches worth two threads (see `parallel.lanes`) run in two lanes in
+    this process.  Otherwise `workers` processes (see
+    `parallel.processes`) each take a contiguous run of whole batches:
+    this process the first, workers forked from it the others.  Each runs its batches' forward, and,
     once this process has computed the PCA over every row, formats its
     rows; this process writes its own rows and then the workers' text in
     run order.  The CSV is written to a temporary file beside `out_csv`
@@ -562,7 +516,7 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
                           f"got {layer!r}")
     out_csv = Path(out_csv)
     _check_out_file(out_csv)
-    one_blas_thread()
+    parallel.one_blas_thread()
     meta, arrays = load_checkpoint(checkpoint_path)
     for key, kind in CHECKPOINT_META.items():
         if not isinstance(meta.get(key), kind):
@@ -603,22 +557,19 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
     n, width = len(examples), config.model.d_model
     encoded = encode_split(examples, prepared.vocab, prepared.label_space,
                            config.model.max_seq_len)
-    # one level of parallelism: batches worth two threads keep their
-    # lanes, since a worker forked from a process with a large heap (a
-    # training's, say) pays a page fault for every page it rewrites
-    lanes = forward_lanes(encoded, EXPORT_BATCH_SIZE, width)
-    if lanes is not ad.one_lane or FORK is None:
-        workers = 1
+    # batches worth two threads keep their lanes, since a worker forked
+    # from a process with a large heap (a training's, say) pays a page
+    # fault for every page it rewrites
+    lanes = parallel.lanes(encoded.lengths, EXPORT_BATCH_SIZE, width)
     n_batches = -(-n // EXPORT_BATCH_SIZE)
-    n_runs = max(1, min(_available_cpus() if workers is None else workers,
-                        n_batches))
+    n_runs = parallel.processes(workers, n_batches, lanes)
     starts = [n_batches * r // n_runs * EXPORT_BATCH_SIZE
               for r in range(n_runs)]
     runs = [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
     # what the workers write, their parent reads: the rows, and each
     # worker run's text (run r's in texts[r - 1])
-    predicted = _shared(n, len(labels), dtype=bool)
-    embeddings, pcs = _shared(n, width), _shared(n, 2)
+    predicted = parallel.shared(n, len(labels), dtype=bool)
+    embeddings, pcs = parallel.shared(n, width), parallel.shared(n, 2)
     texts = [tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
              for _ in runs[1:]]
 
@@ -628,7 +579,7 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
     # multiplies as a single row: every other product and sum sees one
     # row at a time.  Runs hold whole batches of the split's own, so
     # every batch is the one a single run would make
-    def embed(run: int, lanes: Callable = ad.one_lane) -> None:
+    def embed(run: int, lanes: Callable = parallel.one_lane) -> None:
         rows = runs[run]
 
         def forward(item: tuple[int, Batch], lane: int) -> None:
@@ -675,8 +626,8 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
 
     tmp_csv = out_csv.with_name(f".{out_csv.name}.{os.getpid()}.tmp")
     try:
-        with _process_pool(n_runs - 1, _inherited.update,
-                           ({"embed": embed, "write": write},)) \
+        with parallel.process_pool(n_runs - 1, _inherited.update,
+                                   ({"embed": embed, "write": write},)) \
                 if n_runs > 1 else nullcontext() as pool_:
             embedding = [pool_.submit(_run_inherited, "embed", run)
                          for run in range(1, n_runs)]

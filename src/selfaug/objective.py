@@ -21,13 +21,12 @@ pooled states either way.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
 from . import autodiff as ad
+from . import parallel
 from .autodiff import Tensor
 from .data import Batch
 from .errors import ConfigError, ShapeError
@@ -40,26 +39,6 @@ from .schema import Schema
 # every diagonal entry.  The projection's batch norm keeps the usual 1e-5.
 CONTRASTIVE_EPS = 1e-15
 PROJECTION_BN_EPS = 1e-5
-
-T = TypeVar("T")
-
-# packed rows x d_model^2 from which a batch's encoder work runs on two
-# threads: a dual step's two streams side by side (see dual_forward), and
-# evaluation and export batches in two lanes (training.forward_lanes).  A
-# row's GEMMs grow as d_model^2 while its per-op Python work does not, so
-# a narrow model needs more rows to pay for the second thread.  Time on
-# two threads over time on one, on a 2-core host at one BLAS thread,
-# medians of 15 interleaved repeats, each range over separate runs (the
-# ratio moves with the host's load): a dual step at d_model 128 (wide's
-# width) read 0.70-1.13 at 128 rows, 0.58-0.99 at 256 and 0.55-0.67 at
-# 512 and 1,024; at d_model 32 (desk's) 1.11-1.16 at 128 and 256 rows,
-# 0.56-1.10 at 1,024, 0.75-1.11 at 2,048, 0.55-1.01 at 4,096 and
-# 0.51-0.66 at 8,192.  Eight evaluation batches read 0.62-0.64 at
-# d_model 128 and 256 rows; at d_model 32 0.95 at 1,024 rows, 0.70-0.99
-# at 2,048, 0.54-0.62 at 4,096 and 0.58-0.65 at 8,192.  The cut-off keeps
-# 256 rows at d_model 128 and takes 4,096 at d_model 32, which leaves
-# desk's batches and screen's 1,152-row export batches on one thread.
-SIDE_BY_SIDE_MIN = 32_768 * 128
 
 GRADIENT_POLICIES = ("stop", "flow")
 POOLING_KINDS = ("cls", "mean")
@@ -197,19 +176,6 @@ def composite_loss(ce_f: Tensor, ce_c: Tensor, contrastive: Tensor,
                       total=total)
 
 
-def worth_two_threads(rows: float, d_model: int) -> bool:
-    """Whether an encoder forward over `rows` packed rows at `d_model`
-    pays for a second thread: from SIDE_BY_SIDE_MIN rows x d_model^2."""
-    return rows * d_model * d_model >= SIDE_BY_SIDE_MIN
-
-
-@contextmanager
-def _at_once(fn: Callable[[], T]) -> Iterator[Callable[[], T]]:
-    """`ad.beside` with fn run at once, on this thread."""
-    value = fn()
-    yield lambda: value
-
-
 def dual_forward(model_f: EncoderModel, model_c: EncoderModel, batch: Batch,
                  config: DualStreamConfig, train: bool = False,
                  rng_f: np.random.Generator | None = None,
@@ -217,8 +183,8 @@ def dual_forward(model_f: EncoderModel, model_c: EncoderModel, batch: Batch,
                  ) -> tuple[Tensor, Tensor, Tensor, Tensor]:
     """Run both streams with injection.
 
-    When the batch is worth two threads (`worth_two_threads`), stream
-    one runs on a thread of its own, recording its nodes as stream 1 and
+    When the batch is worth two threads (`parallel.pair`), stream one
+    runs on a thread of its own, recording its nodes as stream 1 and
     the copy's as stream 2, so that `backward` can sweep them side by
     side too; every value and rng draw is that of running them one after
     the other.
@@ -235,8 +201,8 @@ def dual_forward(model_f: EncoderModel, model_c: EncoderModel, batch: Batch,
     n_layers = model_f.config.n_layers
     config.validate_for(n_layers)
 
-    side_by_side = worth_two_threads(len(batch.layout.slots),
-                                     model_f.config.d_model)
+    start = parallel.pair(len(batch.layout.slots), model_f.config.d_model)
+    side_by_side = start is not parallel.at_once
 
     # a stream's last layer runs for the CLS row alone unless the rest of
     # its top state is read: stream one's as the tap (injected whole),
@@ -253,7 +219,6 @@ def dual_forward(model_f: EncoderModel, model_c: EncoderModel, batch: Batch,
     # side by side, the copy runs its layers below inject_layer while
     # stream one runs on another thread, and waits for stream one's
     # forward when it reaches inject_layer
-    start = ad.beside if side_by_side else _at_once
     with start(forward_f) as outputs_f, ad.stream(2 if side_by_side else 0):
         logits_c, hidden_c = model_c.forward(
             batch, train=train, injection=(config.inject_layer, injected),

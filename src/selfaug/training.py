@@ -14,17 +14,13 @@ field of every EpochRecord except wall-clock seconds reproduces bitwise.
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import platform
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
 from . import autodiff as ad
+from . import parallel
 from .autodiff import Tensor
 from .data import Batch, EncodedSplit, LabelSpace, batches
 from .errors import ConfigError, DataError, DomainError
@@ -32,7 +28,7 @@ from .metrics import MetricsBundle, evaluate_predictions
 from .model import EncoderModel, predict
 from .objective import (DualStreamConfig, ProjectionNetwork, StepLosses,
                         composite_loss, contrastive_loss, dual_forward,
-                        project, worth_two_threads)
+                        project)
 from .schema import Schema
 from .seeding import rng_for
 
@@ -44,27 +40,6 @@ ADAM_EPS = 1e-8
 # elements per block of an Adam step: six 256 KiB operands stay in a
 # 2 MiB L2 cache
 ADAM_BLOCK = 32_768
-# blocks from which an Adam step updates its blocks in two lanes (see
-# Adam.step).  Two lanes' time over one lane's, medians of 30 interleaved
-# steps on a 2-core host at one BLAS thread: 1.23-1.35 at 2 blocks (the
-# desk and screen arenas), 1.03-1.06 at 4, 0.88-0.89 at 8 and 0.69-0.73
-# at 35 (wide's) while the second core was free; 1.13-1.16 at 8 and
-# 1.05-1.07 at 35 in runs where the host kept it busy
-ADAM_LANES_MIN = 8
-
-# glibc's mallopt parameters (malloc.h) and the values `train` gives them
-M_TRIM_THRESHOLD = -1
-M_MMAP_THRESHOLD = -3
-M_ARENA_MAX = -8
-# glibc's ceiling for the mmap threshold on 64-bit: activations up to
-# this size come from the heap, whose freed blocks the next step reuses
-MMAP_THRESHOLD_BYTES = 32 * 2**20
-# far above one step's graph (about 80 MB on the benchmark's wide model),
-# so the heap a step frees stays in the process for the next forward
-TRIM_THRESHOLD_BYTES = 2**30
-# one heap for every thread: a dual step's second stream then frees into,
-# and allocates from, the heap the rest of the step uses
-ARENA_MAX = 1
 
 
 @dataclass(frozen=True)
@@ -121,12 +96,8 @@ class Adam:
         total = sum(sizes)
         self.data, self.grad, self.m, self.v = \
             (np.zeros(total) for _ in range(4))
-        # from ADAM_LANES_MIN blocks a step updates them in two lanes,
-        # each with its own num and den scratch (see step)
-        lanes = 2 if -(-total // ADAM_BLOCK) >= ADAM_LANES_MIN else 1
-        self._lanes = ad.two_lanes if lanes == 2 else ad.one_lane
-        self._scratch = [[np.empty(min(total, ADAM_BLOCK)) for _ in range(2)]
-                         for _ in range(lanes)]
+        # num and den scratch for one block (see step)
+        self._scratch = [np.empty(min(total, ADAM_BLOCK)) for _ in range(2)]
         self._views = []
         for (_, t), start in zip(params, self.offsets):
             span = slice(start, start + t.size)
@@ -164,14 +135,13 @@ class Adam:
         #   p = p - lr*(m/bias1) / (sqrt(v/bias2) + eps)
         # so results are bitwise those of a loop over tensors.  The arena
         # goes through in blocks, so each block's operands stay in cache
-        # across the 13 passes; num and den are block-sized scratch, one
-        # pair per lane, so the update allocates nothing.  Blocks share no
-        # element, so two lanes update them with the same bits
-        def update(start: int, lane: int) -> None:
+        # across the 13 passes; num and den are block-sized scratch, so
+        # the update allocates nothing
+        for start in range(0, g.size, ADAM_BLOCK):
             span = slice(start, start + ADAM_BLOCK)
             gb, m, v, w = g[span], self.m[span], self.v[span], \
                 self.data[span]
-            num, den = (a[:gb.size] for a in self._scratch[lane])
+            num, den = (a[:gb.size] for a in self._scratch)
             m *= ADAM_BETA1
             np.multiply(gb, 1.0 - ADAM_BETA1, out=num)
             m += num
@@ -186,8 +156,6 @@ class Adam:
             den += ADAM_EPS
             num /= den
             w -= num
-
-        self._lanes(range(0, g.size, ADAM_BLOCK), update)
 
 
 class EarlyStopper:
@@ -259,61 +227,6 @@ def classification_loss(logits: Tensor, batch: Batch,
     return ad.cross_entropy(logits, batch.targets)
 
 
-@functools.cache  # the settings hold for the whole process
-def _keep_freed_memory() -> None:
-    """Have glibc keep the memory a training step frees, in one heap, once
-    per process.
-
-    By default glibc serves large arrays from fresh mmaps and returns the
-    top of the heap to the kernel once enough of it is free, so every
-    step's forward faults in again the pages the last step's graph gave
-    back.  Setting either value turns off glibc's dynamic thresholds, and
-    on the benchmark's wide workload either one alone faulted in more
-    pages than neither, so the trim threshold is set only once the mmap
-    threshold is accepted.  So is the cap of one malloc arena: without it
-    the thread that runs a dual step's second stream (see dual_forward)
-    gets an arena of its own, whose freed blocks only a thread on that
-    arena reuses.  Each stream allocates and frees on one thread, so on
-    the wide workload the cap saved only 1-2 MB of peak RSS (three runs
-    each); it keeps one heap should that ever change.  Off glibc, or
-    when libc or `mallopt` cannot be loaded, nothing changes.
-    """
-    if platform.libc_ver()[0] != "glibc":
-        return
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    if mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES) == 1:
-        mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
-        mallopt(M_ARENA_MAX, ARENA_MAX)
-
-
-@functools.cache  # the setting holds for the whole process
-def one_blas_thread() -> None:
-    """Run numpy's bundled OpenBLAS on one thread, once per process.
-
-    A GEMM's last bits depend on how many threads OpenBLAS splits it
-    over, which it takes from the host's core count unless
-    OPENBLAS_NUM_THREADS says otherwise, so without this a checkpoint
-    would depend on the host.  One thread also leaves the second core to
-    a dual step's second stream, or to a second sweep worker.  The
-    library is numpy's `numpy.libs/libscipy_openblas64_*.so`, set through
-    the function threadpoolctl uses for it; where no such library loads
-    (another BLAS, or none), nothing changes.
-    """
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
-        try:
-            set_threads = ctypes.CDLL(str(path)).\
-                scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        set_threads(1)
-        return
-
-
 def _step_losses(mode: str, model_f: EncoderModel,
                  model_c: EncoderModel | None,
                  projection: ProjectionNetwork | None, batch: Batch,
@@ -342,17 +255,6 @@ def _step_losses(mode: str, model_f: EncoderModel,
     return composite_loss(ce_f, ce_c, lc, dual_cfg.alpha)
 
 
-def forward_lanes(split: EncodedSplit, batch_size: int,
-                  d_model: int) -> Callable:
-    """`ad.two_lanes` when the split's evaluation batches, at the mean
-    packed rows of a full one, are worth a second thread (see
-    worth_two_threads), else `ad.one_lane`.  A batch_size below 1 is
-    left for `batches` to reject."""
-    rows = split.lengths.mean() * min(batch_size, len(split))
-    return ad.two_lanes if worth_two_threads(rows, d_model) \
-        else ad.one_lane
-
-
 def evaluate(model: EncoderModel, split: EncodedSplit,
              label_space: LabelSpace, batch_size: int = 32,
              threshold: float = 0.5) -> MetricsBundle:
@@ -371,7 +273,7 @@ def evaluate(model: EncoderModel, split: EncodedSplit,
         predicted[i * batch_size:i * batch_size + batch.size] = \
             predict(logits.data, not label_space.single_label, threshold)
 
-    forward_lanes(split, batch_size, model.config.d_model)(
+    parallel.lanes(split.lengths, batch_size, model.config.d_model)(
         enumerate(batches(split, batch_size, train=False)), run)
     gold = np.eye(k, dtype=bool)[split.targets] \
         if label_space.single_label else split.targets > 0.5
@@ -421,8 +323,8 @@ def train(model_f: EncoderModel, model_c: EncoderModel | None,
     if mode == "proposed":
         named += [(f"proj.{n}", t) for n, t in projection.parameters()]
     optimizer = Adam(named, train_cfg.learning_rate)
-    _keep_freed_memory()
-    one_blas_thread()
+    parallel.keep_freed_memory()
+    parallel.one_blas_thread()
     stopper = EarlyStopper(train_cfg.patience)
 
     records: list[EpochRecord] = []
@@ -451,7 +353,7 @@ def train(model_f: EncoderModel, model_c: EncoderModel | None,
             optimizer.step()
             sums += np.array(losses.as_floats())
             # the graph goes before the next forward builds another, so
-            # only one is ever alive; `_keep_freed_memory` keeps the pages
+            # only one is ever alive; `keep_freed_memory` keeps the pages
             # it frees in the heap, where that forward reuses them
             del losses
             n_batches += 1

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from selfaug import autodiff as ad
+from selfaug import parallel
 
 settings.register_profile(
     "default",
@@ -23,23 +23,24 @@ settings.load_profile("default")
 
 @pytest.fixture
 def threads_started(monkeypatch) -> list:
-    """The functions `ad.beside` has run on a thread of their own, in
-    order, while the test runs."""
+    """The functions `parallel.beside` has run on a thread of their own,
+    in order, while the test runs."""
     started = []
-    beside = ad.beside
+    beside = parallel.beside
 
     def spy(fn):
         started.append(fn)
         return beside(fn)
 
-    monkeypatch.setattr(ad, "beside", spy)
+    monkeypatch.setattr(parallel, "beside", spy)
     return started
 
 
 def lanes_meet():
     """A call that blocks each thread's first call until a second thread
-    has made its first (for up to 10 s), so that each of `ad.two_lanes`'s
-    two lanes takes an item before either goes on."""
+    has made its first (for up to 10 s), so that each of
+    `parallel.two_lanes`'s two lanes takes an item before either goes
+    on."""
     barrier = threading.Barrier(2, timeout=10)
     seen = set()
 

@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from selfaug import autodiff as ad
+from selfaug import parallel
 from selfaug.data import RowLayout
 from selfaug.errors import ConfigError, DomainError, ShapeError
 
@@ -881,10 +882,10 @@ class TestStreams:
     def test_error_in_a_stream_reaches_the_caller(self):
         before = threading.active_count()
         with pytest.raises(ZeroDivisionError):
-            with ad.beside(lambda: 1 / 0) as done:
+            with parallel.beside(lambda: 1 / 0) as done:
                 done()
         with pytest.raises(KeyError):
-            with ad.beside(lambda: None):
+            with parallel.beside(lambda: None):
                 raise KeyError("main")
         assert threading.active_count() == before
 
@@ -902,7 +903,7 @@ class TestLanes:
             done.append((item, lane, on_lane_zero()))
 
         before = threading.active_count()
-        ad.two_lanes(range(25), fn)
+        parallel.two_lanes(range(25), fn)
         assert threading.active_count() == before
         assert len(threads_started) == 1
         assert sorted(item for item, _, _ in done) == list(range(25))
@@ -912,20 +913,21 @@ class TestLanes:
 
     def test_one_lane_runs_in_order_on_this_thread(self, threads_started):
         done = []
-        ad.one_lane(range(5), lambda item, lane: done.append((item, lane)))
+        parallel.one_lane(range(5),
+                          lambda item, lane: done.append((item, lane)))
         assert done == [(i, 0) for i in range(5)]
         assert threads_started == []
 
     def test_no_items_and_a_failing_iterator(self):
         before = threading.active_count()
-        ad.two_lanes([], lambda item, lane: 1 / 0)
+        parallel.two_lanes([], lambda item, lane: 1 / 0)
 
         def items():
             yield 1
             raise KeyError("iterator")
 
         with pytest.raises(KeyError, match="iterator"):
-            ad.two_lanes(items(), lambda item, lane: None)
+            parallel.two_lanes(items(), lambda item, lane: None)
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("failing", [0, 1])
@@ -941,7 +943,7 @@ class TestLanes:
 
         before = threading.active_count()
         with pytest.raises(KeyError, match=f"lane {failing}"):
-            ad.two_lanes(range(1000), fn)
+            parallel.two_lanes(range(1000), fn)
         assert threading.active_count() == before
         # neither lane takes an item once one has raised
         assert len(done) < 500

@@ -8,9 +8,11 @@ import json
 import multiprocessing
 import os
 import re
+import signal
 import struct
 import threading
 from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from selfaug import harness, objective
+from selfaug import harness, parallel
 from selfaug.cli import main
 from selfaug.config import ExperimentConfig
 from selfaug.data import (batches, encode_split, gen_synthetic, k_folds,
@@ -189,16 +191,16 @@ def invoke(*args) -> "Result":
 
 @pytest.fixture
 def pools_made(monkeypatch) -> list:
-    """The worker count of every pool `harness._process_pool` builds
+    """The worker count of every pool `parallel.process_pool` builds
     while the test runs, in order."""
     made = []
-    process_pool = harness._process_pool
+    process_pool = parallel.process_pool
 
     def spy(workers, *args):
         made.append(workers)
         return process_pool(workers, *args)
 
-    monkeypatch.setattr(harness, "_process_pool", spy)
+    monkeypatch.setattr(parallel, "process_pool", spy)
     return made
 
 
@@ -516,21 +518,21 @@ class TestGridCommand:
             payload["grid"] = {"batch_size": [8, 512],
                                "alpha": [0.1, 0.3]}
         serial = run("serial", 1)
-        parallel = run("parallel", 2)
+        pooled = run("parallel", 2)
         # the default is one worker per CPU this process may use, so a
         # 1-CPU host runs the same pool
-        monkeypatch.setattr(harness.os, "sched_getaffinity",
+        monkeypatch.setattr(parallel.os, "sched_getaffinity",
                             lambda pid: {0, 1}, raising=False)
         default = run("default", None)
-        assert serial["rows"] == parallel["rows"] == default["rows"]
+        assert serial["rows"] == pooled["rows"] == default["rows"]
         if sweep == "grid":
-            assert parallel["n_failed"] == 2
+            assert pooled["n_failed"] == 2
         for name in ("parallel", "default"):
             assert_same_sweep(tmp_path / "serial", tmp_path / name)
 
     def test_default_pools_leave_no_child(self, tmp_path, monkeypatch,
                                           pools_made):
-        monkeypatch.setattr(harness.os, "sched_getaffinity",
+        monkeypatch.setattr(parallel.os, "sched_getaffinity",
                             lambda pid: {0, 1}, raising=False)
         payload = small_config(str(tmp_path / "ablate"), max_epochs=1)
         run_ablation(ExperimentConfig.from_dict(payload))
@@ -575,9 +577,9 @@ class TestCellScheduling:
     @pytest.fixture(autouse=True)
     def fake_pool(self, monkeypatch):
         FakePool.made = []
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(harness, "_cell", lambda job: job[2])
-        monkeypatch.setattr(harness.os, "sched_getaffinity",
+        monkeypatch.setattr(parallel.os, "sched_getaffinity",
                             lambda pid: {0, 1}, raising=False)
 
     @staticmethod
@@ -610,15 +612,15 @@ class TestCellScheduling:
         assert FakePool.made == []
 
     def test_one_cpu_runs_the_cells_here(self, monkeypatch):
-        monkeypatch.setattr(harness.os, "sched_getaffinity",
+        monkeypatch.setattr(parallel.os, "sched_getaffinity",
                             lambda pid: {0}, raising=False)
         harness._run_cells(self.jobs("baseline", "proposed"))
         assert FakePool.made == []
 
     def test_without_affinity_the_cpu_count_sizes_the_pool(
             self, monkeypatch):
-        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+        monkeypatch.delattr(parallel.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 3)
         harness._run_cells(self.jobs(*["baseline"] * 5))
         assert [pool_.max_workers for pool_ in FakePool.made] == [3]
 
@@ -1214,7 +1216,7 @@ class TestExportLanes:
         before = threading.active_count()
         written = []
         for value in (10**18, 0):
-            monkeypatch.setattr(objective, "SIDE_BY_SIDE_MIN", value)
+            monkeypatch.setattr(parallel, "SIDE_BY_SIDE_MIN", value)
             out = tmp_path / f"{value}.csv"
             assert harness.export_embeddings(ckpt, "test", layer, out) == 15
             written.append(out.read_bytes())
@@ -1228,7 +1230,7 @@ class TestExportLanes:
                                                         failing):
         ckpt = self._checkpoint(tmp_path, "cls")
         monkeypatch.setattr(harness, "EXPORT_BATCH_SIZE", 4)
-        monkeypatch.setattr(objective, "SIDE_BY_SIDE_MIN", 0)
+        monkeypatch.setattr(parallel, "SIDE_BY_SIDE_MIN", 0)
         meet, pooled = lanes_meet(), harness.pool
 
         def fails(*args):
@@ -1270,7 +1272,7 @@ class TestExportProcesses:
 
     @pytest.fixture(autouse=True)
     def three_cpus(self, monkeypatch):
-        monkeypatch.setattr(harness.os, "sched_getaffinity",
+        monkeypatch.setattr(parallel.os, "sched_getaffinity",
                             lambda pid: {0, 1, 2}, raising=False)
 
     def _checkpoint(self, tmp_path, pooling: str = "cls") -> Path:
@@ -1325,7 +1327,7 @@ class TestExportProcesses:
                                                pools_made):
         ckpt = self._checkpoint(tmp_path)
         monkeypatch.setattr(harness, "EXPORT_BATCH_SIZE", 4)
-        monkeypatch.setattr(harness, "FORK", None)
+        monkeypatch.setattr(parallel, "FORK", None)
         harness.export_embeddings(ckpt, "test", "pooled_final",
                                   tmp_path / "out.csv")
         assert pools_made == []
@@ -1336,7 +1338,7 @@ class TestExportProcesses:
                                                     pools_made):
         ckpt = self._checkpoint(tmp_path)
         monkeypatch.setattr(harness, "EXPORT_BATCH_SIZE", 4)
-        monkeypatch.setattr(objective, "SIDE_BY_SIDE_MIN", 0)
+        monkeypatch.setattr(parallel, "SIDE_BY_SIDE_MIN", 0)
         harness.export_embeddings(ckpt, "test", "pooled_final",
                                   tmp_path / "out.csv")
         assert pools_made == []
@@ -1400,6 +1402,76 @@ class TestExportProcesses:
                         "--checkpoint", str(ckpt))
         assert result.exit_code == 0, result.output
         assert pools_made == pools
+
+
+class TestKilledWorker:
+    """A worker that dies by SIGKILL, in a sweep's pool or in an export's
+    first phase, breaks the call: it raises, the command exits 1 with one
+    error line, and no table, CSV or temporary CSV and no child is left."""
+
+    @staticmethod
+    def _killed_in_worker(monkeypatch, name: str, dies) -> None:
+        """Make harness.`name` kill the worker process that calls it with
+        arguments for which dies(*args) holds."""
+        caller, original = os.getpid(), getattr(harness, name)
+
+        def kills(*args):
+            if os.getpid() != caller and dies(*args):
+                os.kill(os.getpid(), signal.SIGKILL)
+            return original(*args)
+
+        monkeypatch.setattr(harness, name, kills)
+
+    @staticmethod
+    def _assert_one_error_line(result) -> None:
+        assert result.exit_code == 1
+        assert result.output.startswith("error: ")
+        assert result.output.count("\n") == 1
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("command, tables", [
+        ("grid", ("grid.csv", "grid.json")),
+        ("ablate", ("ablation.csv", "ablation.json"))])
+    def test_killed_cell_worker_breaks_the_sweep(self, tmp_path, monkeypatch,
+                                                 command, tables):
+        payload = small_config(str(tmp_path / "out"), max_epochs=1)
+        if command == "grid":
+            payload["grid"] = {"alpha": [0.1, 0.3]}
+        # the proposed cells' workers die: in the ablation the others'
+        # cells run on
+        self._killed_in_worker(monkeypatch, "train",
+                               lambda *args: args[7].mode == "proposed")
+        config = ExperimentConfig.from_dict(payload)
+        with pytest.raises(BrokenProcessPool):
+            if command == "grid":
+                run_grid(config, workers=2)
+            else:
+                run_ablation(config, workers=2)
+        assert multiprocessing.active_children() == []
+        result = invoke("--workers", "2", "--config",
+                        str(write_config(tmp_path, payload)), command)
+        self._assert_one_error_line(result)
+        assert multiprocessing.active_children() == []
+        for table in tables:
+            assert not (tmp_path / "out" / table).exists()
+
+    def test_killed_export_worker_breaks_the_export(self, tmp_path,
+                                                    monkeypatch):
+        payload = small_config(str(tmp_path / "run"), max_epochs=1)
+        run_training(ExperimentConfig.from_dict(payload))
+        ckpt = tmp_path / "run" / "checkpoint.bin"
+        monkeypatch.setattr(harness, "EXPORT_BATCH_SIZE", 4)
+        self._killed_in_worker(monkeypatch, "pool", lambda *args: True)
+        with pytest.raises(BrokenProcessPool):
+            harness.export_embeddings(ckpt, "test", "pooled_final",
+                                      tmp_path / "x" / "embeddings.csv", 2)
+        assert multiprocessing.active_children() == []
+        result = invoke("--workers", "2", "--out", str(tmp_path / "x"),
+                        "export-embeddings", "--checkpoint", str(ckpt))
+        self._assert_one_error_line(result)
+        assert multiprocessing.active_children() == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
+        assert list(tmp_path.rglob("*embeddings.csv*")) == []
 
 
 class TestGenSynthCommand:

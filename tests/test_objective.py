@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from selfaug import autodiff as ad
-from selfaug import objective
+from selfaug import parallel
 from selfaug.data import Batch
 from selfaug.errors import ConfigError, ShapeError
 from selfaug.model import EncoderModel, ModelConfig, pool
@@ -457,7 +457,7 @@ class TestSideBySide:
                                    mode, policy, pooling, tap, inject):
         serial = self.step(mode, policy, pooling, tap, inject)
         assert threads_started == []
-        monkeypatch.setattr(objective, "SIDE_BY_SIDE_MIN", 0)
+        monkeypatch.setattr(parallel, "SIDE_BY_SIDE_MIN", 0)
         side_by_side = self.step(mode, policy, pooling, tap, inject)
         assert side_by_side[0] == serial[0]
         assert side_by_side[1:] == serial[1:]
@@ -470,7 +470,7 @@ class TestSideBySide:
         # a switch every microsecond interleaves the two streams' ops as
         # finely as the interpreter can; every step must still match
         serial = self.step("proposed", "stop", "mean", 1, 2)
-        monkeypatch.setattr(objective, "SIDE_BY_SIDE_MIN", 0)
+        monkeypatch.setattr(parallel, "SIDE_BY_SIDE_MIN", 0)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -483,7 +483,7 @@ class TestSideBySide:
     @pytest.mark.parametrize("failing", ["f", "c"])
     def test_error_in_a_stream_reaches_the_caller(self, monkeypatch,
                                                   failing):
-        monkeypatch.setattr(objective, "SIDE_BY_SIDE_MIN", 0)
+        monkeypatch.setattr(parallel, "SIDE_BY_SIDE_MIN", 0)
         models = {"f": tiny_model(0), "c": tiny_model(1)}
 
         def boom(*args, **kwargs):
@@ -498,7 +498,7 @@ class TestSideBySide:
         assert threading.active_count() == before
 
     def test_bad_injection_shape_reaches_the_caller(self, monkeypatch):
-        monkeypatch.setattr(objective, "SIDE_BY_SIDE_MIN", 0)
+        monkeypatch.setattr(parallel, "SIDE_BY_SIDE_MIN", 0)
         wider = EncoderModel(ModelConfig(d_model=16, n_heads=2, n_layers=2,
                                          d_ff=16, max_seq_len=8), 12, 2,
                              seed=1)

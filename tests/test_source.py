@@ -1,4 +1,5 @@
-"""Source checks: every name a selfaug module imports is used in it."""
+"""Source checks: every name a selfaug module imports is used in it, and
+only `parallel` starts processes or reads the CPU count."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,10 @@ import pytest
 import selfaug
 
 MODULES = sorted(Path(selfaug.__file__).parent.glob("*.py"))
+
+# what only parallel.py may import (a module or anything in it) or read
+PARALLEL_MODULES = ("concurrent.futures", "multiprocessing", "mmap", "ctypes")
+PARALLEL_NAMES = ("os.sched_getaffinity", "os.cpu_count")
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -52,3 +57,47 @@ def test_the_check_sees_an_unused_import():
                      "import json\nfrom typing import Any, Sequence\n"
                      "def f(x: Sequence) -> None:\n    return None\n")
     assert sorted(set(_imported(tree)) - _used(tree)) == ["Any", "json"]
+
+
+def _parallel_uses(tree: ast.Module) -> list[str]:
+    """Each PARALLEL_MODULES import and PARALLEL_NAMES read in the
+    module, with its line."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module] + [f"{node.module}.{alias.name}"
+                                     for alias in node.names]
+        elif isinstance(node, ast.Attribute) and \
+                isinstance(node.value, ast.Name):
+            names = [f"{node.value.id}.{node.attr}"]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names
+                  if name in PARALLEL_NAMES or
+                  any(name == module or name.startswith(module + ".")
+                      for module in PARALLEL_MODULES)][:1]
+    return found
+
+
+@pytest.mark.parametrize("path", [path for path in MODULES
+                                  if path.name != "parallel.py"],
+                         ids=lambda path: path.name)
+def test_only_parallel_starts_processes_or_counts_cpus(path):
+    used = _parallel_uses(ast.parse(path.read_text(encoding="utf-8")))
+    assert not used, f"{path.name} uses {', '.join(used)}; " \
+        "threads, processes and per-process settings belong in parallel.py"
+
+
+def test_the_check_sees_a_second_home():
+    tree = ast.parse("import os, threading\nimport mmap as m\n"
+                     "from concurrent import futures\n"
+                     "from ctypes import CDLL\n"
+                     "import multiprocessing.pool\n"
+                     "from os import sched_getaffinity, getpid\n"
+                     "n = os.cpu_count() or os.getpid()\n")
+    assert sorted(_parallel_uses(tree)) == [
+        "concurrent.futures (line 3)", "ctypes (line 4)", "mmap (line 2)",
+        "multiprocessing.pool (line 5)", "os.cpu_count (line 7)",
+        "os.sched_getaffinity (line 6)"]

@@ -23,7 +23,7 @@ import pytest
 
 import selfaug
 from selfaug import autodiff as ad
-from selfaug import harness, objective, training
+from selfaug import harness, parallel, training
 from selfaug.config import ExperimentConfig
 from selfaug.data import (EncodedSplit, LabelSpace, SynthSpec, Vocabulary,
                           batches, build_vocab, encode_split, gen_synthetic)
@@ -32,12 +32,11 @@ from selfaug.harness import _build_components, prepare_data
 from selfaug.model import EncoderModel, ModelConfig
 from selfaug.objective import DualStreamConfig, ProjectionNetwork
 from selfaug.seeding import rng_for
-from selfaug.training import (ADAM_BLOCK, ARENA_MAX, M_ARENA_MAX,
-                              M_MMAP_THRESHOLD, M_TRIM_THRESHOLD,
-                              MMAP_THRESHOLD_BYTES,
-                              TRIM_THRESHOLD_BYTES, Adam, EarlyStopper,
-                              TrainConfig, _keep_freed_memory, _step_losses,
-                              evaluate, train)
+from selfaug.parallel import (ARENA_MAX, M_ARENA_MAX, M_MMAP_THRESHOLD,
+                              M_TRIM_THRESHOLD, MMAP_THRESHOLD_BYTES,
+                              TRIM_THRESHOLD_BYTES, keep_freed_memory)
+from selfaug.training import (ADAM_BLOCK, Adam, EarlyStopper, TrainConfig,
+                              _step_losses, evaluate, train)
 
 from conftest import lanes_meet, on_lane_zero
 
@@ -408,7 +407,7 @@ class TestStreamThreads:
 
     @pytest.fixture(autouse=True)
     def side_by_side(self, monkeypatch):
-        monkeypatch.setattr(objective, "SIDE_BY_SIDE_MIN", 0)
+        monkeypatch.setattr(parallel, "SIDE_BY_SIDE_MIN", 0)
 
     def test_no_thread_outlives_a_run(self, threads_started):
         before = threading.active_count()
@@ -439,18 +438,17 @@ class TestStreamThreads:
         assert threading.active_count() == before
 
 
-# a run with its streams side by side and its evaluations and Adam steps
-# in two lanes, then a 2-worker sweep that forks: a thread alive at the
-# fork would leave the workers' locks held.  No thread may outlive an
-# evaluate or an Adam step either
+# a run with its streams side by side and its evaluations in two lanes,
+# then a 2-worker sweep that forks: a thread alive at the fork would
+# leave the workers' locks held.  No thread may outlive an evaluate or an
+# Adam step either
 FORK_RUN = """
 import sys
 import threading
 from dataclasses import replace
-from selfaug import harness, objective, training
+from selfaug import harness, parallel, training
 from selfaug.config import ExperimentConfig
-objective.SIDE_BY_SIDE_MIN = 0
-training.ADAM_LANES_MIN = 0
+parallel.SIDE_BY_SIDE_MIN = 0
 checked = set()
 def alone(fn):
     def wrapper(*args, **kwargs):
@@ -505,30 +503,30 @@ class TestKeepFreedMemory:
     def unset_on_glibc(self, monkeypatch):
         """The helper not yet applied, in what reads as a glibc process."""
         monkeypatch.setattr(platform, "libc_ver", lambda: ("glibc", "2.36"))
-        _keep_freed_memory.cache_clear()
+        keep_freed_memory.cache_clear()
         yield
-        _keep_freed_memory.cache_clear()
+        keep_freed_memory.cache_clear()
 
     def test_unloadable_libc_is_a_no_op(self, monkeypatch):
         monkeypatch.setattr(ctypes, "CDLL", _unloadable)
-        _keep_freed_memory()
+        keep_freed_memory()
 
     def test_libc_without_mallopt_is_a_no_op(self, monkeypatch):
         monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace())
-        _keep_freed_memory()
+        keep_freed_memory()
 
     def test_off_glibc_sets_nothing(self, monkeypatch):
         libc = FakeLibc(1)
         monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
         monkeypatch.setattr(platform, "libc_ver", lambda: ("", ""))
-        _keep_freed_memory()
+        keep_freed_memory()
         assert libc.calls == []
 
     def test_refused_mmap_threshold_leaves_the_trim_threshold(
             self, monkeypatch):
         libc = FakeLibc(0)
         monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
-        _keep_freed_memory()
+        keep_freed_memory()
         assert libc.calls == [(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)]
 
     def test_two_trainings_set_it_once(self, monkeypatch):
@@ -560,10 +558,10 @@ class TestKeepFreedMemory:
 # as shipped or, given a second argument, with the helper a no-op
 ALLOCATOR_RUN = """
 import sys
-from selfaug import harness, training
+from selfaug import harness, parallel
 from selfaug.config import ExperimentConfig
 if len(sys.argv) > 2:
-    training._keep_freed_memory = lambda: None
+    parallel.keep_freed_memory = lambda: None
 words = " ".join(f"w{i}" for i in range(36))
 harness.run_training(ExperimentConfig.from_dict({
     "data": {"synth_spec": {
@@ -756,9 +754,9 @@ MIXED = [2] * 8 + [16] * 8 + [5] * 8 + [9] * 3
 
 
 class TestLanes:
-    """Evaluation batches and Adam's blocks in two lanes (the cut-offs
-    patched to 0) give every bit the one-lane path gives, with the
-    threads switching as finely as the interpreter can."""
+    """Evaluation batches in two lanes (the cut-off patched to 0) give
+    every bit the one-lane path gives, with the threads switching as
+    finely as the interpreter can."""
 
     @pytest.fixture(autouse=True)
     def fast_switching(self):
@@ -772,8 +770,7 @@ class TestLanes:
     @pytest.fixture
     def cut_off(self, monkeypatch):
         def set_to(value: int) -> None:
-            monkeypatch.setattr(objective, "SIDE_BY_SIDE_MIN", value)
-            monkeypatch.setattr(training, "ADAM_LANES_MIN", value)
+            monkeypatch.setattr(parallel, "SIDE_BY_SIDE_MIN", value)
         return set_to
 
     @pytest.mark.parametrize("lengths, batch_size", [
@@ -829,45 +826,6 @@ class TestLanes:
             evaluate(model, lane_split(MIXED, 2), LabelSpace(
                 "binary", ("a", "b")), 4)
         assert threading.active_count() == before
-
-    def test_adam_in_two_lanes_matches_one(self, monkeypatch, cut_off,
-                                          threads_started):
-        # 61 values in blocks of 7: nine blocks, the last one partial,
-        # and block boundaries inside parameters
-        monkeypatch.setattr(training, "ADAM_BLOCK", 7)
-        shapes = [(3, 4), (9,), (2, 2, 5), (1,), (19,)]
-
-        def run(value: int) -> Adam:
-            cut_off(value)
-            rng = np.random.default_rng(2)
-            opt = Adam([(f"p{i}", ad.parameter(rng.normal(size=shape)))
-                        for i, shape in enumerate(shapes)], 0.01)
-            for _ in range(4):
-                opt.zero_grad()
-                opt.grad[:] = rng.normal(size=opt.grad.size) * \
-                    10.0 ** rng.integers(-4, 3, size=opt.grad.size)
-                opt.step()
-            return opt
-
-        one = run(10**18)
-        assert threads_started == []
-        two = run(0)
-        assert len(threads_started) == 4  # one per step
-        for name in ("data", "m", "v"):
-            assert getattr(one, name).tobytes() == \
-                getattr(two, name).tobytes(), name
-
-        # a non-finite gradient in the last block stops the step before
-        # either lane has moved a parameter or a moment
-        kept = [a.copy() for a in (two.data, two.m, two.v)]
-        two.grad[-1] = np.inf
-        before = threading.active_count()
-        with pytest.raises(DomainError, match="for p4 at step 5"):
-            two.step()
-        assert threading.active_count() == before
-        assert len(threads_started) == 4
-        for old, new in zip(kept, (two.data, two.m, two.v)):
-            assert old.tobytes() == new.tobytes()
 
 
 class TestLaneCutOff:
