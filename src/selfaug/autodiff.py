@@ -13,9 +13,8 @@ their gradient with ``+=``.  A node's gradient lives only until the sweep
 has applied it, so after ``backward`` only leaves hold a `.grad`.  Leaf
 gradients are cleared explicitly by the caller, never by the engine, which
 is what lets a parameter collect contributions from several losses in one
-step.  The graph survives the sweep unless the caller asks for a freeing
-sweep (``backward(loss, free=True)``, or any sweep inside
-``single_use_graphs``, as in the training loop): then each node drops
+step.  The graph survives the sweep unless the sweep runs inside
+``single_use_graphs``, as the training loop's do: then each node drops
 its closure, and the arrays it keeps, as soon as it has run, so the
 memory of the graph's lower layers is given back while the sweep is
 still under way.
@@ -57,7 +56,10 @@ padded call would.  ``gather_rows`` takes each sequence's [CLS] row, and
 The feed-forward block (linear, gelu, linear) is one node,
 ``feed_forward``, that keeps its input and the pre-activation and
 rebuilds the activation from the one tanh its derivative needs; ``gelu``
-on its own keeps only its input and takes the tanh again.
+on its own keeps only its input and takes the tanh again.  The contrastive
+term, the chain swap_axes, matmul, scale, sub, four mul, two sum_all,
+scale and add, is one node, ``cross_correlation_loss``, that keeps the two
+views and their cross-correlation.
 
 Everything is float64.  This library exists for verification work and the
 finite-difference checks in the test-suite need the headroom.
@@ -799,6 +801,33 @@ def batch_norm_features(a: Tensor, eps: float = 1e-5) -> Tensor:
     return _attach(out, "batch_norm_features", (a,), apply)
 
 
+def cross_correlation_loss(a: Tensor, b: Tensor,
+                           lambda_offdiag: float) -> tuple[Tensor, Tensor]:
+    """(loss, M) of two [batch, width] views, M = a^T b / batch untracked:
+    sum_m (1 - M_mm)^2 + lambda * sum_{m != n} M_mn^2 over whole masks.
+    Backward replays the chain's doubled squares, its sweep order and a's
+    transposed layout, so loss and gradients are the chain's bit for bit.
+    """
+    if a.ndim != 2 or a.shape != b.shape:
+        raise ShapeError(f"cross_correlation_loss: views {a.shape} and "
+                         f"{b.shape} are not one [batch, width] shape")
+    (batch, width), lam, x, y = a.shape, float(lambda_offdiag), a.data, b.data
+    m, eye = np.matmul(x.T, y) * (1.0 / batch), np.eye(width)
+    out = Tensor((((eye - m) * (eye - m)) * eye).sum()
+                 + ((m * m) * (1.0 - eye)).sum() * lam)
+
+    def apply(g: Array, ta: Target | None, tb: Target | None) -> None:
+        off = (np.full(m.shape, float(g * lam)) * (1.0 - eye)) * m
+        on = (np.full(m.shape, float(g)) * eye) * (eye - m)
+        gm = ((off + off) + -(on + on)) * (1.0 / batch)
+        if tb is not None:
+            _accum(tb, np.matmul(x, gm))
+        if ta is not None:
+            _accum(ta, np.matmul(gm, y.T).T)
+
+    return _attach(out, "cross_correlation_loss", (a, b), apply), Tensor(m)
+
+
 def cross_entropy(logits: Tensor, targets: Array) -> Tensor:
     """Mean negative log-softmax probability of the integer targets."""
     if logits.ndim != 2:
@@ -920,9 +949,8 @@ _free_sweeps = False
 
 @contextmanager
 def single_use_graphs() -> Iterator[None]:
-    """Inside the block every `backward` frees its graph as it goes, as
-    `backward(loss, free=True)` does (a training loop's one sweep per
-    graph)."""
+    """Inside the block every `backward` frees its graph as it goes (a
+    training loop's one sweep per graph)."""
     global _free_sweeps
     prev = _free_sweeps
     _free_sweeps = True
@@ -932,7 +960,7 @@ def single_use_graphs() -> Iterator[None]:
         _free_sweeps = prev
 
 
-def backward(loss: Tensor, free: bool = False) -> None:
+def backward(loss: Tensor) -> None:
     """Reverse-mode sweep from a scalar loss.
 
     Seeds d(loss)/d(loss) = 1 and visits every recorded node exactly once in
@@ -941,9 +969,9 @@ def backward(loss: Tensor, free: bool = False) -> None:
     itself accumulates the seed in its `.grad`; intermediate tensors never
     get one.  Each node's gradient is dropped as soon as the node has
     routed it onward, so the graph survives the sweep (a second loss may
-    share it) but none of its intermediate gradients do.  With `free`, or
-    inside `single_use_graphs`, each node also drops its backward routine,
-    and the arrays it keeps, once it has run; the graph cannot be swept
+    share it) but none of its intermediate gradients do.  Inside
+    `single_use_graphs`, each node also drops its backward routine, and
+    the arrays it keeps, once it has run; the graph cannot be swept
     again.
 
     A graph recorded by two `stream`s sweeps its head first, then the two
@@ -958,7 +986,7 @@ def backward(loss: Tensor, free: bool = False) -> None:
     loss.grad = seed if loss.grad is None else loss.grad + seed
     if loss.node is None:
         return
-    free = free or _free_sweeps
+    free = _free_sweeps
     loss.node.grad = np.ones_like(loss.data)
     order = _postorder(loss)
     order.reverse()

@@ -18,21 +18,21 @@ from .harness import (export_embeddings, generate_corpus, run_ablation,
                       run_grid, run_kfold, run_training)
 
 
-def _fail(err: Exception, code: int) -> None:
-    click.echo(f"error: {err}", err=True)
-    sys.exit(code)
+class _Commands(click.Group):
+    """The one error boundary: exit 2 or 1 (above) with one `error:` line;
+    click's own exceptions (usage errors, --help, aborts) pass through."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except Exception as err:  # noqa: BLE001 - CLI boundary
+            click.echo(f"error: {err}", err=True)
+            sys.exit(2 if isinstance(err, (ConfigError, DataError)) else 1)
 
 
-def _guarded(body):
-    try:
-        body()
-    except (ConfigError, DataError) as err:
-        _fail(err, 2)
-    except Exception as err:  # noqa: BLE001 - CLI boundary
-        _fail(err, 1)
-
-
-@click.group()
+@click.group(cls=_Commands)
 @click.option("--config", "config_path", type=str, default=None,
               help="Path to an experiment config JSON file.")
 @click.option("--seed", type=int, default=None,
@@ -64,32 +64,27 @@ def _load_config(ctx: click.Context) -> ExperimentConfig:
 @click.pass_context
 def train(ctx: click.Context) -> None:
     """Run one training job and write its run directory."""
-    def body():
-        summary = run_training(_load_config(ctx))
-        click.echo(f"run written to {summary['run_dir']}: "
-                   f"best epoch {summary['best_epoch']}, "
-                   f"val F1 {summary['best_val_f1']:.4f}, "
-                   f"test F1 {summary['test']['macro']['f1']:.4f}")
-    _guarded(body)
+    summary = run_training(_load_config(ctx))
+    click.echo(f"run written to {summary['run_dir']}: "
+               f"best epoch {summary['best_epoch']}, "
+               f"val F1 {summary['best_val_f1']:.4f}, "
+               f"test F1 {summary['test']['macro']['f1']:.4f}")
 
 
 @main.command()
 @click.pass_context
 def grid(ctx: click.Context) -> None:
     """Sweep the configured hyperparameter grid."""
-    def body():
-        config = _load_config(ctx)
-        summary = run_grid(config, workers=ctx.obj["workers"])
-        click.echo(f"{summary['n_cells']} cells "
-                   f"({summary['n_failed']} failed) "
-                   f"written to {config.out_dir}")
-        if summary["winner"] is not None:
-            w = summary["winner"]
-            # a grid without a dual section has only batch_size
-            axes = " ".join(f"{axis}={w[axis]}" for axis in GRID_AXES
-                            if axis in w)
-            click.echo(f"winner: {axes} val F1 {w['best_val_f1']:.4f}")
-    _guarded(body)
+    config = _load_config(ctx)
+    summary = run_grid(config, workers=ctx.obj["workers"])
+    click.echo(f"{summary['n_cells']} cells ({summary['n_failed']} failed) "
+               f"written to {config.out_dir}")
+    if summary["winner"] is not None:
+        w = summary["winner"]
+        # a grid without a dual section has only batch_size
+        axes = " ".join(f"{axis}={w[axis]}" for axis in GRID_AXES
+                        if axis in w)
+        click.echo(f"winner: {axes} val F1 {w['best_val_f1']:.4f}")
 
 
 @main.command()
@@ -102,28 +97,23 @@ def grid(ctx: click.Context) -> None:
 @click.pass_context
 def kfold(ctx: click.Context, folds: int, val_fraction: float) -> None:
     """Cross-validate: train once per held-out fold and aggregate."""
-    def body():
-        config = _load_config(ctx)
-        summary = run_kfold(config, folds, val_fraction,
-                            workers=ctx.obj["workers"])
-        f1 = summary["summary"]["test_f1"]
-        click.echo(f"{folds} folds written to {config.out_dir}: "
-                   f"test F1 {f1['mean']:.4f} +/- {f1['std']:.4f}")
-    _guarded(body)
+    config = _load_config(ctx)
+    summary = run_kfold(config, folds, val_fraction,
+                        workers=ctx.obj["workers"])
+    f1 = summary["summary"]["test_f1"]
+    click.echo(f"{folds} folds written to {config.out_dir}: "
+               f"test F1 {f1['mean']:.4f} +/- {f1['std']:.4f}")
 
 
 @main.command()
 @click.pass_context
 def ablate(ctx: click.Context) -> None:
     """Run baseline, sa_only, and proposed under shared seeds."""
-    def body():
-        config = _load_config(ctx)
-        summary = run_ablation(config, workers=ctx.obj["workers"])
-        click.echo(f"ablation written to {config.out_dir}")
-        for row in summary["rows"]:
-            click.echo(f"  {row['row']:<10} test F1 "
-                       f"{row['test_f1']:.4f}")
-    _guarded(body)
+    config = _load_config(ctx)
+    summary = run_ablation(config, workers=ctx.obj["workers"])
+    click.echo(f"ablation written to {config.out_dir}")
+    for row in summary["rows"]:
+        click.echo(f"  {row['row']:<10} test F1 {row['test_f1']:.4f}")
 
 
 @main.command("export-embeddings")
@@ -140,12 +130,10 @@ def ablate(ctx: click.Context) -> None:
 def export_embeddings_cmd(ctx: click.Context, checkpoint: str,
                           split: str, layer: str) -> None:
     """Export per-example embeddings with PCA coordinates to CSV."""
-    def body():
-        out_csv = Path(ctx.obj["out_dir"] or ".") / "embeddings.csv"
-        n = export_embeddings(checkpoint, split, layer, out_csv,
-                              workers=ctx.obj["workers"])
-        click.echo(f"{n} rows written to {out_csv}")
-    _guarded(body)
+    out_csv = Path(ctx.obj["out_dir"] or ".") / "embeddings.csv"
+    n = export_embeddings(checkpoint, split, layer, out_csv,
+                          workers=ctx.obj["workers"])
+    click.echo(f"{n} rows written to {out_csv}")
 
 
 @main.command("gen-synth")
@@ -154,12 +142,10 @@ def export_embeddings_cmd(ctx: click.Context, checkpoint: str,
 @click.pass_context
 def gen_synth(ctx: click.Context, spec_path: str) -> None:
     """Generate a synthetic corpus (JSONL plus label-space file)."""
-    def body():
-        seed = ctx.obj["seed"] if ctx.obj["seed"] is not None else 0
-        out_path = Path(ctx.obj["out_dir"] or ".") / "corpus.jsonl"
-        corpus, space = generate_corpus(spec_path, seed, out_path)
-        click.echo(f"corpus written to {corpus}, labels to {space}")
-    _guarded(body)
+    seed = ctx.obj["seed"] if ctx.obj["seed"] is not None else 0
+    out_path = Path(ctx.obj["out_dir"] or ".") / "corpus.jsonl"
+    corpus, space = generate_corpus(spec_path, seed, out_path)
+    click.echo(f"corpus written to {corpus}, labels to {space}")
 
 
 if __name__ == "__main__":

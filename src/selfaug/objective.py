@@ -125,25 +125,9 @@ def contrastive_loss(z_a: Tensor, z_b: Tensor,
     Loss = sum_m (1 - M_mm)^2 + lambda * sum_{m != n} M_mn^2.  Returns
     (loss, M); gradients flow into both inputs through the normalization.
     """
-    if z_a.shape != z_b.shape:
-        raise ShapeError(f"contrastive_loss: shapes {z_a.shape} and "
-                         f"{z_b.shape} differ")
-    if z_a.ndim != 2:
-        raise ShapeError(f"contrastive_loss: expected [batch, features], "
-                         f"got {z_a.shape}")
-    batch, width = z_a.shape
-    if batch < 2:
-        raise ConfigError("contrastive_loss: batch must be >= 2, the "
-                          "feature statistics are undefined for one sample")
-    za = ad.batch_norm_features(z_a, eps=CONTRASTIVE_EPS)
-    zb = ad.batch_norm_features(z_b, eps=CONTRASTIVE_EPS)
-    corr = ad.scale(ad.matmul(ad.swap_axes(za, 0, 1), zb), 1.0 / batch)
-    eye = np.eye(width)
-    diff = ad.sub(ad.tensor(eye), corr)
-    invariance = ad.sum_all(ad.mul(ad.mul(diff, diff), ad.tensor(eye)))
-    off = ad.sum_all(ad.mul(ad.mul(corr, corr), ad.tensor(1.0 - eye)))
-    loss = ad.add(invariance, ad.scale(off, lambda_offdiag))
-    return loss, corr
+    return ad.cross_correlation_loss(
+        ad.batch_norm_features(z_a, eps=CONTRASTIVE_EPS),
+        ad.batch_norm_features(z_b, eps=CONTRASTIVE_EPS), lambda_offdiag)
 
 
 @dataclass

@@ -508,6 +508,20 @@ class TestLosses:
         t = RNG.integers(0, 2, (4, 8)).astype(float)
         check_grad(lambda l: ad.binary_cross_entropy_with_logits(l, t), x)
 
+    @pytest.mark.parametrize("lambda_offdiag", [0.0, 0.3])
+    def test_cross_correlation_gradient(self, lambda_offdiag):
+        check_grad(lambda a, b: ad.cross_correlation_loss(
+                       a, b, lambda_offdiag)[0],
+                   RNG.uniform(-1, 1, (5, 3)), RNG.uniform(-1, 1, (5, 3)))
+
+    def test_cross_correlation_rejects_views_of_two_shapes(self):
+        with pytest.raises(ShapeError, match=r"\(4, 4\) and \(4, 5\)"):
+            ad.cross_correlation_loss(ad.tensor(np.zeros((4, 4))),
+                                      ad.tensor(np.zeros((4, 5))), 0.005)
+        with pytest.raises(ShapeError, match="batch, width"):
+            ad.cross_correlation_loss(ad.tensor(np.zeros(4)),
+                                      ad.tensor(np.zeros(4)), 0.005)
+
     def test_bce_rejects_non_binary_targets(self):
         with pytest.raises(DomainError):
             ad.binary_cross_entropy_with_logits(
@@ -811,7 +825,8 @@ class TestGraphRetention:
         loss = ad.sum_all(ad.mul(w, ad.tensor(x)))
         del x
         assert saved() is not None  # mul keeps x for w's gradient
-        ad.backward(loss, free=True)
+        with ad.single_use_graphs():
+            ad.backward(loss)
         assert saved() is None
         np.testing.assert_array_equal(w.grad, [1.0, 2.0])
         with pytest.raises(ValueError, match="freed"):

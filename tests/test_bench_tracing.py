@@ -7,6 +7,7 @@ These tests run one small proposed-mode training job under it, so a
 change to those hooks fails here rather than in a traced benchmark run.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from selfaug.harness import run_training
 from test_cli import small_config
 
 TRACING_PY = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+SRC = Path(ad.__file__).parent
 
 
 def load_tracing():
@@ -72,8 +74,8 @@ def test_every_recorded_op_has_its_backward_timed(traced_run):
     _, _, tracing, metrics, totals = traced_run
     called = {op for op in tracing.OPS if metrics[f"autodiff.{op}.calls"]}
     timed = {op for op in tracing.OPS if f"autodiff.{op}.bwd" in totals}
-    assert {"dropout", "linear", "matmul", "layer_norm",
-            "batch_norm_features", "cross_entropy"} <= called
+    assert {"dropout", "linear", "layer_norm", "batch_norm_features",
+            "cross_entropy"} <= called
     assert timed == called
 
 
@@ -85,3 +87,70 @@ def test_every_traced_op_is_an_autodiff_function():
     missing = [op for op in tracing.OPS
                if not callable(getattr(ad, op, None))]
     assert missing == []
+
+
+def _ops(autodiff: ast.Module) -> set[str]:
+    """The public functions of an autodiff source that record a node."""
+    return {f.name for f in autodiff.body
+            if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")
+            and any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                    and n.func.id == "_attach" for n in ast.walk(f))}
+
+
+def _autodiff_calls(tree: ast.Module, own: bool = False) -> set[str]:
+    """Every autodiff function a module calls: through the module
+    (`ad.add(...)`), by a name imported from it, or, in autodiff itself
+    (`own`), by its bare name."""
+    modules, names = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                bound = alias.asname or alias.name
+                if node.module is None and alias.name == "autodiff":
+                    modules.add(bound)
+                elif node.module == "autodiff":
+                    names[bound] = alias.name
+    called = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) \
+                and f.value.id in modules:
+            called.add(f.attr)
+        elif isinstance(f, ast.Name) and (own or f.id in names):
+            called.add(f.id if own else names[f.id])
+    return called
+
+
+def _uncalled_ops(autodiff: ast.Module, others: list[ast.Module]) -> set[str]:
+    called = _autodiff_calls(autodiff, own=True).union(
+        *(_autodiff_calls(tree) for tree in others))
+    return _ops(autodiff) - called
+
+
+def test_every_op_without_a_src_caller_is_one_the_tracer_names():
+    # such ops stay only while the tracer's hand-kept OPS wraps them;
+    # an op that loses its last caller, or is added without one, fails
+    # here, and trimming OPS makes their deletion due
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    autodiff = trees.pop("autodiff.py")
+    uncalled = _uncalled_ops(autodiff, list(trees.values()))
+    assert uncalled - set(load_tracing().OPS) == set()
+
+
+def test_the_check_sees_an_op_without_a_caller():
+    autodiff = ast.parse(
+        "def _attach(out, op, inputs, apply):\n    return out\n"
+        "def neg(a):\n    return _attach(a, 'neg', (a,), None)\n"
+        "def twice(a):\n    return _attach(a, 'twice', (a,), None)\n"
+        "def thrice(a):\n    return _attach(a, 'thrice', (a,), None)\n"
+        "def spare(a):\n    return _attach(a, 'spare', (a,), None)\n"
+        "def tensor(a):\n    return twice(a)\n")
+    caller = ast.parse("import numpy as np\n"
+                       "from . import autodiff as ad\n"
+                       "from .autodiff import thrice as third\n"
+                       "y = third(ad.neg(np.spare(x)))\n")
+    assert _ops(autodiff) == {"neg", "twice", "thrice", "spare"}
+    assert _uncalled_ops(autodiff, [caller]) == {"spare"}

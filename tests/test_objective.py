@@ -17,9 +17,9 @@ from selfaug import parallel
 from selfaug.data import Batch
 from selfaug.errors import ConfigError, ShapeError
 from selfaug.model import EncoderModel, ModelConfig, pool
-from selfaug.objective import (DualStreamConfig, ProjectionNetwork,
-                               composite_loss, contrastive_loss,
-                               dual_forward, project)
+from selfaug.objective import (CONTRASTIVE_EPS, DualStreamConfig,
+                               ProjectionNetwork, composite_loss,
+                               contrastive_loss, dual_forward, project)
 
 from selfaug.training import _step_losses
 
@@ -164,7 +164,52 @@ def _swap_and_eval(param: ad.Tensor, value: np.ndarray, f) -> float:
         param.data = saved
 
 
+def _contrastive_chain(za, zb, lambda_offdiag):
+    """The cross-correlation loss as twelve generic ops over whole masks:
+    the reference that cross_correlation_loss must reproduce bit for
+    bit."""
+    batch, width = za.shape
+    corr = ad.scale(ad.matmul(ad.swap_axes(za, 0, 1), zb), 1.0 / batch)
+    eye = np.eye(width)
+    diff = ad.sub(ad.tensor(eye), corr)
+    invariance = ad.sum_all(ad.mul(ad.mul(diff, diff), ad.tensor(eye)))
+    off = ad.sum_all(ad.mul(ad.mul(corr, corr), ad.tensor(1.0 - eye)))
+    return ad.add(invariance, ad.scale(off, lambda_offdiag)), corr
+
+
 class TestContrastiveLoss:
+    @pytest.mark.parametrize("lambda_offdiag", [0, 0.005, 1])
+    @pytest.mark.parametrize("batch,width", [(16, 64), (7, 3), (2, 1)])
+    def test_node_is_bitwise_the_chain(self, batch, width, lambda_offdiag):
+        # through the batch norms and composite_loss, as a training step
+        # runs it: a non-unit upstream gradient, and a's gradient read by
+        # a batch norm whose column sums round by its memory layout
+        rng = np.random.default_rng(batch * width)
+        a = rng.normal(size=(batch, width))
+        b = 0.5 * a + rng.normal(size=(batch, width))
+        results = []
+        for node in (_contrastive_chain, ad.cross_correlation_loss):
+            z_a, z_b = ad.parameter(a.copy()), ad.parameter(b.copy())
+            ce = ad.parameter(np.array(0.7))
+            loss, corr = node(
+                ad.batch_norm_features(z_a, eps=CONTRASTIVE_EPS),
+                ad.batch_norm_features(z_b, eps=CONTRASTIVE_EPS),
+                lambda_offdiag)
+            ad.backward(composite_loss(ce, ce, loss, 0.2).total)
+            results.append([loss.data, corr.data, z_a.grad, z_b.grad,
+                            ce.grad])
+        for chain, node in zip(*results):
+            assert chain.tobytes() == node.tobytes()
+
+    def test_loss_graph_is_the_two_norms_and_one_node(self):
+        rng = np.random.default_rng(5)
+        loss, corr = contrastive_loss(ad.parameter(rng.normal(size=(16, 64))),
+                                      ad.parameter(rng.normal(size=(16, 64))))
+        assert [node.op for node in ad._postorder(loss)] == [
+            "batch_norm_features", "batch_norm_features",
+            "cross_correlation_loss"]
+        assert corr.node is None and not corr.requires_grad
+
     def test_two_by_two_oracle(self):
         # columns normalize to [+1,-1] / [-1,+1]; cross-correlation is
         # [[1,-1],[-1,1]], so the loss is 0 + 0.005 * (1 + 1) = 0.01
