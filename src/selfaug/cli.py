@@ -41,8 +41,9 @@ class _Commands(click.Group):
               help="Override the config's output directory.")
 @click.option("--workers", type=click.IntRange(min=1), default=None,
               help="Worker processes for grid, k-fold and ablation cells, "
-                   "and for export-embeddings batches [default: one per "
-                   "CPU this process may use; 1 runs everything in this "
+                   "for the batches of a train run's test evaluation, and "
+                   "for export-embeddings batches [default: one per CPU "
+                   "this process may use; 1 runs everything in this "
                    "process].")
 @click.pass_context
 def main(ctx: click.Context, config_path: str | None, seed: int | None,
@@ -64,7 +65,7 @@ def _load_config(ctx: click.Context) -> ExperimentConfig:
 @click.pass_context
 def train(ctx: click.Context) -> None:
     """Run one training job and write its run directory."""
-    summary = run_training(_load_config(ctx))
+    summary = run_training(_load_config(ctx), workers=ctx.obj["workers"])
     click.echo(f"run written to {summary['run_dir']}: "
                f"best epoch {summary['best_epoch']}, "
                f"val F1 {summary['best_val_f1']:.4f}, "

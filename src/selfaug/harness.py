@@ -7,11 +7,14 @@ cell, and `_run_cells` runs the jobs in a process pool (or in this
 process, at one worker), returning each cell's metric columns or the
 exception it raised.  Grid records a failure as a row; k-fold and
 ablation raise the first one after every cell has run, and then write no
-table.  The export shares its batches out to processes too, in
-contiguous runs of whole batches; its workers inherit the model and the
-encoded split through the fork and hand their rows back through shared
-memory and their text through temporary files.  How many processes, and
-whether batches run in two lanes instead, is `parallel`'s to say.
+table.  A run's test evaluation and the export share a split's batches
+out to processes too, on `parallel`'s batch engine: forked workers take
+contiguous runs of whole batches, inherit the model and the encoded
+split, and hand their rows back through shared memory (the export's
+text through temporary files).  Sweep cells and training's per-epoch
+validation evaluate in their own process, so there is one level of
+parallelism.  How many processes, and whether batches run in two lanes
+instead, is `parallel`'s to say.
 
 Every run directory holds the same four artifacts (config.json as the
 resolved snapshot, checkpoint.bin, epochs.jsonl, metrics.json), and every
@@ -23,27 +26,28 @@ no partial run behind.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import os
 import shutil
 import tempfile
-from contextlib import nullcontext
+import weakref
 from dataclasses import dataclass, replace
 from itertools import compress
 from pathlib import Path
 from types import SimpleNamespace
-from typing import IO, Callable
+from typing import IO
 
 import numpy as np
 
 from . import autodiff as ad
 from . import parallel
 from .config import GRID_AXES, ExperimentConfig
-from .data import (Batch, Example, Folds, LabelSpace, Vocabulary, batches,
-                   build_vocab, encode_split, gen_synthetic, k_folds,
-                   load_jsonl, load_label_space, load_synth_spec,
-                   make_splits, write_jsonl)
+from .data import (Batch, Example, Folds, LabelSpace, SynthSpec,
+                   Vocabulary, batches, build_vocab, encode_split,
+                   gen_synthetic, k_folds, load_jsonl, load_label_space,
+                   load_synth_spec, make_splits, write_jsonl)
 from .errors import ConfigError, DataError, ShapeError
 from .metrics import MetricsBundle
 from .model import (EncoderModel, load_checkpoint, pool, predict,
@@ -100,6 +104,34 @@ class PreparedData:
     fold: FoldCell | None = None  # the k-fold cell it was made for
 
 
+# the last synthetic corpus generated, with a weak reference to the spec
+# object it was made for, a copy of that spec as it was, and the seed.
+# Preparing one config's data and then running that config (a caller
+# that inspects the data it trains on does both) generates the corpus
+# once.  The match is on the object, not its value: a config built or
+# loaded anew, as every run of the CLI and every export builds one,
+# generates its corpus as a run on its own does, and the corpus is let
+# go with the spec, so a process keeps no corpus its caller has dropped
+_last_synthetic: tuple[weakref.ref, SynthSpec, int, list[Example]] | None \
+    = None
+
+
+def _forget_synthetic(spec_ref: weakref.ref) -> None:
+    global _last_synthetic
+    if _last_synthetic is not None and _last_synthetic[0] is spec_ref:
+        _last_synthetic = None
+
+
+def _synthetic(spec: SynthSpec, seed: int) -> list[Example]:
+    global _last_synthetic
+    last = _last_synthetic
+    if last is None or last[0]() is not spec or last[1:3] != (spec, seed):
+        last = _last_synthetic = (weakref.ref(spec, _forget_synthetic),
+                                  copy.deepcopy(spec), seed,
+                                  gen_synthetic(spec, seed=seed))
+    return list(last[3])
+
+
 def _corpus(config: ExperimentConfig) -> tuple[list[Example], LabelSpace]:
     data = config.data
     if data.presplit:
@@ -108,8 +140,7 @@ def _corpus(config: ExperimentConfig) -> tuple[list[Example], LabelSpace]:
     if data.synth_spec is not None or data.synth_spec_path is not None:
         spec = data.synth_spec if data.synth_spec is not None \
             else load_synth_spec(data.synth_spec_path)
-        return gen_synthetic(spec, seed=config.train.seed), \
-            spec.label_space()
+        return _synthetic(spec, config.train.seed), spec.label_space()
     label_space = load_label_space(data.label_space_path)
     return load_jsonl(data.dataset_path, label_space), label_space
 
@@ -257,8 +288,9 @@ def _check_splits(prepared: PreparedData, where: str = "") -> None:
 
 
 def _execute(config: ExperimentConfig, prepared: PreparedData,
-             run_dir: Path) -> dict:
-    """Train on already-prepared data and write the four artifacts."""
+             run_dir: Path, workers: int | None = 1) -> dict:
+    """Train on already-prepared data and write the four artifacts; only
+    the test evaluation takes `workers` processes (see `evaluate`)."""
     _check_splits(prepared)
     train_split, val_split, test_split = (
         encode_split(examples, prepared.vocab, prepared.label_space,
@@ -272,17 +304,20 @@ def _execute(config: ExperimentConfig, prepared: PreparedData,
     # which saw the same parameters; only the test split is new to them
     model_f.load_state(result.state)
     test = evaluate(model_f, test_split, prepared.label_space,
-                    config.train.batch_size, config.threshold)
+                    config.train.batch_size, config.threshold, workers)
     metrics = _write_run_artifacts(run_dir, config, prepared, result, test)
     metrics["run_dir"] = str(run_dir)
     return metrics
 
 
-def run_training(config: ExperimentConfig) -> dict:
-    """One training run into config.out_dir; returns the metrics payload."""
+def run_training(config: ExperimentConfig,
+                 workers: int | None = None) -> dict:
+    """One training run into config.out_dir; returns the metrics payload.
+    Its test evaluation takes up to `workers` processes (default: one
+    per CPU this process may use; see `parallel.runs`)."""
     _check_out_dir(Path(config.out_dir))
     prepared = prepare_data(config)  # before mkdir: bad data, no debris
-    return _execute(config, prepared, Path(config.out_dir))
+    return _execute(config, prepared, Path(config.out_dir), workers)
 
 
 # one sweep cell: its config, the prepared data, and its run directory
@@ -479,15 +514,6 @@ def _principal_components(embeddings: np.ndarray) -> np.ndarray | None:
     return centered @ (top * signs * (values > 1e-12))
 
 
-# a forked export worker's phases by name, which the pool's initializer,
-# `_inherited.update`, fills in each worker from what it inherited
-_inherited: dict[str, Callable] = {}
-
-
-def _run_inherited(phase: str, *args) -> None:
-    _inherited[phase](*args)
-
-
 def export_embeddings(checkpoint_path: str | Path, split: str,
                       layer: str, out_csv: str | Path,
                       workers: int | None = None) -> int:
@@ -499,14 +525,14 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
     network during training.
 
     Batches worth two threads (see `parallel.lanes`) run in two lanes in
-    this process.  Otherwise `workers` processes (see
-    `parallel.processes`) each take a contiguous run of whole batches:
-    this process the first, workers forked from it the others.  Each runs its batches' forward, and,
-    once this process has computed the PCA over every row, formats its
-    rows; this process writes its own rows and then the workers' text in
-    run order.  The CSV is written to a temporary file beside `out_csv`
-    and put in place once every worker has joined, so a failure leaves
-    neither.
+    this process.  Otherwise up to `workers` processes each take a run
+    of whole batches (see `parallel.runs`): this process the first,
+    workers forked from it the others.  Each runs its batches' forward,
+    and, once this process has computed the PCA over every row, formats
+    its rows; this process writes its own rows and then the workers'
+    text in run order.  The CSV is written to a temporary file beside
+    `out_csv` and put in place once every worker has joined, so a
+    failure leaves neither.
     """
     if split not in SPLIT_NAMES:
         raise ConfigError(f"split must be one of {SPLIT_NAMES}, "
@@ -561,11 +587,7 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
     # from a process with a large heap (a training's, say) pays a page
     # fault for every page it rewrites
     lanes = parallel.lanes(encoded.lengths, EXPORT_BATCH_SIZE, width)
-    n_batches = -(-n // EXPORT_BATCH_SIZE)
-    n_runs = parallel.processes(workers, n_batches, lanes)
-    starts = [n_batches * r // n_runs * EXPORT_BATCH_SIZE
-              for r in range(n_runs)]
-    runs = [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+    runs = parallel.runs(n, EXPORT_BATCH_SIZE, workers, lanes)
     # what the workers write, their parent reads: the rows, and each
     # worker run's text (run r's in texts[r - 1])
     predicted = parallel.shared(n, len(labels), dtype=bool)
@@ -578,25 +600,27 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
     # through a batch of one example, whose CLS-only top layer numpy
     # multiplies as a single row: every other product and sum sees one
     # row at a time.  Runs hold whole batches of the split's own, so
-    # every batch is the one a single run would make
-    def embed(run: int, lanes: Callable = parallel.one_lane) -> None:
+    # every batch is the one a single run would make, and batch i holds
+    # rows i * EXPORT_BATCH_SIZE onward
+    def forward(item: tuple[int, Batch], lane: int) -> None:
+        i, batch = item
+        with ad.no_grad():
+            logits, hidden = model.forward(batch, train=False,
+                                           cls_only=cls_only)
+            pooled = pool(hidden[source_layer], batch.layout, pooling)
+        batch_rows = slice(i * EXPORT_BATCH_SIZE,
+                           i * EXPORT_BATCH_SIZE + batch.size)
+        predicted[batch_rows] = predict(
+            logits.data, not prepared.label_space.single_label,
+            config.threshold)
+        embeddings[batch_rows] = pooled.data
+
+    # there are runs for workers only where the batches take one lane
+    def embed(run: int) -> None:
         rows = runs[run]
-
-        def forward(item: tuple[int, Batch], lane: int) -> None:
-            i, batch = item
-            with ad.no_grad():
-                logits, hidden = model.forward(batch, train=False,
-                                               cls_only=cls_only)
-                pooled = pool(hidden[source_layer], batch.layout, pooling)
-            start = rows.start + i * EXPORT_BATCH_SIZE
-            batch_rows = slice(start, start + batch.size)
-            predicted[batch_rows] = predict(
-                logits.data, not prepared.label_space.single_label,
-                config.threshold)
-            embeddings[batch_rows] = pooled.data
-
         lanes(enumerate(batches(encoded[rows], EXPORT_BATCH_SIZE,
-                                train=False)), forward)
+                                train=False),
+                        rows.start // EXPORT_BATCH_SIZE), forward)
 
     # each row takes two writes.  The text fields go through csv into
     # `heads` with a "\r\n" terminator that is cut off again: csv's
@@ -626,12 +650,10 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
 
     tmp_csv = out_csv.with_name(f".{out_csv.name}.{os.getpid()}.tmp")
     try:
-        with parallel.process_pool(n_runs - 1, _inherited.update,
-                                   ({"embed": embed, "write": write},)) \
-                if n_runs > 1 else nullcontext() as pool_:
-            embedding = [pool_.submit(_run_inherited, "embed", run)
-                         for run in range(1, n_runs)]
-            embed(0, lanes)
+        with parallel.inheriting_pool(len(runs), embed=embed,
+                                      write=write) as start:
+            embedding = start("embed")
+            embed(0)
             for future in embedding:
                 future.result()
             del encoded  # freed before the PCA
@@ -639,8 +661,7 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
             with_pcs = found is not None
             if with_pcs:
                 pcs[:] = found
-            writing = [pool_.submit(_run_inherited, "write", run, with_pcs)
-                       for run in range(1, n_runs)]
+            writing = start("write", with_pcs)
             out_csv.parent.mkdir(parents=True, exist_ok=True)
             header = ["id", "gold", "predicted"] + \
                 [f"e{i}" for i in range(width)] + \

@@ -1,12 +1,17 @@
 """Every thread, process and per-process setting selfaug uses.
 
-`SIDE_BY_SIDE_MIN` is the one cut-off for a second thread.  Callers ask
-by the size of their work and get back a runner: `pair` gives `beside`
-or `at_once` for a dual step's two streams, `lanes` gives `two_lanes` or
-`one_lane` for a loop over batches, and `processes` says how many
-processes share a sweep's cells or an export's batches, one where the
-batches run in two lanes.  A thread lives only inside the call that
-starts it, so none is alive when a pool forks its workers.
+`SIDE_BY_SIDE_MIN` is the one cut-off for a second thread, and
+`PROCESS_MIN_ROWS` the fewest rows of a split a forked process takes.
+Callers ask by the size of their work and get back a runner: `pair`
+gives `beside` or `at_once` for a dual step's two streams, `lanes` gives
+`two_lanes` or `one_lane` for a loop over batches, and `processes` says
+how many processes share a sweep's cells.  A split's batches are shared
+out on one engine, which evaluation and the export both use: `runs` cuts
+the split into contiguous runs of whole batches, one per process (one
+run where the batches take two lanes), and `inheriting_pool` starts the
+forked workers that take every run but the first and inherit what they
+run.  A thread lives only inside the call that starts it, so none is
+alive when a pool forks its workers.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import multiprocessing
 import os
 import platform
 import threading
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
@@ -45,6 +50,17 @@ T = TypeVar("T")
 # d_model 32, which leaves desk's batches and screen's 1,152-row export
 # batches on one thread.
 SIDE_BY_SIDE_MIN = 32_768 * 128
+
+# the fewest rows of a split a forked process takes, so the small splits
+# of desk and of the tests stay in the calling process.  A pool's start
+# and join, and its worker's first touches of an inherited heap, cost a
+# fixed 10-40 ms.  Evaluation at desk's width in batches of 16, after
+# training screen's model, on a 2-core host, two processes' time over
+# one process's, medians of 15 alternating calls: 1.15 at 500 rows (two
+# faster in 2 of 15), 0.89 at 1,000 (11 of 15), 0.80 at 2,000 and 0.85
+# at 4,000 (15 of 15); an export in batches of 128 read 0.94 at 600 rows
+# (5 of 11), 0.91 at 1,200 (9 of 11) and 0.83 at 2,400 (11 of 11)
+PROCESS_MIN_ROWS = 512
 
 # glibc's mallopt parameters (malloc.h) and the values
 # `keep_freed_memory` gives them
@@ -149,17 +165,11 @@ def lanes(lengths: np.ndarray, batch_size: int, d_model: int) -> Callable:
     return two_lanes if _worth_two_threads(rows, d_model) else one_lane
 
 
-def processes(workers: int | None, tasks: int,
-              batch_lanes: Callable | None = None) -> int:
+def processes(workers: int | None, tasks: int) -> int:
     """How many processes share `tasks` independent tasks: `workers`
     (default: the CPUs in this process's affinity mask, else the
     machine's count; a cgroup's CPU quota is not read), never more than
-    the tasks and never fewer than one.  Runs of batches that forked
-    workers take pass the lanes their batches run in: batches in two
-    lanes, or any where the platform cannot fork, get this process
-    alone."""
-    if batch_lanes is two_lanes or (batch_lanes and FORK is None):
-        return 1
+    the tasks and never fewer than one."""
     if workers is None:
         try:
             workers = len(os.sched_getaffinity(0))
@@ -185,6 +195,52 @@ def shared(*shape: int, dtype=np.float64) -> np.ndarray:
     count = math.prod(shape)
     buffer = mmap.mmap(-1, max(count * dtype.itemsize, 1))
     return np.frombuffer(buffer, dtype, count).reshape(shape)
+
+
+def runs(n: int, batch_size: int, workers: int | None,
+         batch_lanes: Callable) -> list[slice]:
+    """Contiguous runs over a split of `n` rows, one per process, that
+    share its batches of `batch_size` as evenly as whole batches can, so
+    that a run's batch i is the batch one pass over all `n` rows makes of
+    those rows.  There are `processes(workers, ...)` runs, no more than
+    the batches and no more than one per PROCESS_MIN_ROWS rows, so none
+    is empty; batches in two lanes (`batch_lanes`), or any where the
+    platform cannot fork, get one run."""
+    n_batches = -(-n // batch_size)
+    count = 1 if batch_lanes is two_lanes or FORK is None else processes(
+        workers, min(n_batches, n // PROCESS_MIN_ROWS))
+    starts = [n_batches * r // count * batch_size for r in range(count)]
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+# an `inheriting_pool` worker's phases by name, which the pool's
+# initializer, `_inherited.update`, fills in from what it inherited
+_inherited: dict[str, Callable] = {}
+
+
+def _run_inherited(phase: str, *args) -> None:
+    _inherited[phase](*args)
+
+
+@contextmanager
+def inheriting_pool(count: int, **phases: Callable[..., None]) \
+        -> Iterator[Callable[..., list[Future]]]:
+    """Workers forked from this process for runs 1 to `count` - 1 of a
+    split's `count` runs; run 0 is the caller's.  The workers inherit
+    `phases` instead of unpickling them, so a phase may be a closure.
+    The block gets start(phase, *args), which has the workers call
+    phases[phase](run, *args) for each of those runs and returns the
+    futures in run order; at a count of one it starts nothing.  The pool
+    is joined when the block exits, also on error.  `count` is the
+    length of `runs`, which gives one run where the platform cannot
+    fork."""
+    if count == 1:
+        yield lambda phase, *args: []
+        return
+    with process_pool(count - 1, _inherited.update, (phases,)) as pool_:
+        yield lambda phase, *args: [
+            pool_.submit(_run_inherited, phase, run, *args)
+            for run in range(1, count)]
 
 
 @functools.cache  # the settings hold for the whole process

@@ -257,24 +257,47 @@ def _step_losses(mode: str, model_f: EncoderModel,
 
 def evaluate(model: EncoderModel, split: EncodedSplit,
              label_space: LabelSpace, batch_size: int = 32,
-             threshold: float = 0.5) -> MetricsBundle:
-    """Deterministic eval-mode pass over a split."""
+             threshold: float = 0.5, workers: int | None = 1) \
+        -> MetricsBundle:
+    """Deterministic eval-mode pass over a split.
+
+    Batches worth two threads (see `parallel.lanes`) run in two lanes in
+    this process.  Otherwise up to `workers` processes each take a run
+    of whole batches (see `parallel.runs`): this process the first,
+    workers forked from it the others, each writing its predictions into
+    one matrix in shared memory.  Every batch, and so every bit, is that
+    of a single pass.
+    """
     if not split:
         raise DataError("cannot evaluate an empty split")
+    if batch_size < 1:  # before the runs divide by it
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     k = len(label_space.labels)
-    predicted = np.empty((len(split), k), dtype=bool)
+    lanes = parallel.lanes(split.lengths, batch_size, model.config.d_model)
+    runs = parallel.runs(len(split), batch_size, workers, lanes)
+    predicted = parallel.shared(len(split), k, dtype=bool)
 
     # evaluation batches keep the split's order, so batch i holds
-    # examples i * batch_size onward, and either lane writes its rows
-    def run(item: tuple[int, Batch], lane: int) -> None:
+    # examples i * batch_size onward, and any lane or process writes its
+    # rows; a run starts on a batch boundary
+    def forward(item: tuple[int, Batch], lane: int) -> None:
         i, batch = item
         with ad.no_grad():
             logits, _ = model.forward(batch, train=False, cls_only=True)
         predicted[i * batch_size:i * batch_size + batch.size] = \
             predict(logits.data, not label_space.single_label, threshold)
 
-    parallel.lanes(split.lengths, batch_size, model.config.d_model)(
-        enumerate(batches(split, batch_size, train=False)), run)
+    # there are runs for workers only where the batches take one lane
+    def score(run: int) -> None:
+        rows = runs[run]
+        lanes(enumerate(batches(split[rows], batch_size, train=False),
+                        rows.start // batch_size), forward)
+
+    with parallel.inheriting_pool(len(runs), score=score) as start:
+        scoring = start("score")
+        score(0)
+        for future in scoring:
+            future.result()
     gold = np.eye(k, dtype=bool)[split.targets] \
         if label_space.single_label else split.targets > 0.5
     return evaluate_predictions(predicted, gold, list(label_space.labels))
@@ -358,6 +381,7 @@ def train(model_f: EncoderModel, model_c: EncoderModel | None,
             del losses
             n_batches += 1
         means = sums / n_batches
+        # in this process: a training process forks no pool per epoch
         bundle = evaluate(model_f, val_split, label_space,
                           train_cfg.batch_size, threshold)
         records.append(EpochRecord(

@@ -1,6 +1,6 @@
 """Shared test helpers: the central finite-difference oracle used to verify
-every analytic gradient in the package, and what the two-lane tests use
-to see and steer threads."""
+every analytic gradient in the package, what the two-lane tests use to
+see and steer threads, and what the process tests use to see pools."""
 
 from __future__ import annotations
 
@@ -34,6 +34,21 @@ def threads_started(monkeypatch) -> list:
 
     monkeypatch.setattr(parallel, "beside", spy)
     return started
+
+
+@pytest.fixture
+def pools_made(monkeypatch) -> list:
+    """The worker count of every pool `parallel.process_pool` builds
+    while the test runs, in order."""
+    made = []
+    process_pool = parallel.process_pool
+
+    def spy(workers, *args):
+        made.append(workers)
+        return process_pool(workers, *args)
+
+    monkeypatch.setattr(parallel, "process_pool", spy)
+    return made
 
 
 def lanes_meet():

@@ -13,6 +13,7 @@ import struct
 import threading
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
@@ -21,7 +22,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from selfaug import harness, parallel
+from selfaug import harness, parallel, training
 from selfaug.cli import main
 from selfaug.config import ExperimentConfig
 from selfaug.data import (batches, encode_split, gen_synthetic, k_folds,
@@ -187,21 +188,6 @@ def write_config(tmp_path: Path, payload: dict) -> Path:
 
 def invoke(*args) -> "Result":
     return CliRunner().invoke(main, list(args))
-
-
-@pytest.fixture
-def pools_made(monkeypatch) -> list:
-    """The worker count of every pool `parallel.process_pool` builds
-    while the test runs, in order."""
-    made = []
-    process_pool = parallel.process_pool
-
-    def spy(workers, *args):
-        made.append(workers)
-        return process_pool(workers, *args)
-
-    monkeypatch.setattr(parallel, "process_pool", spy)
-    return made
 
 
 class TestTrainCommand:
@@ -1275,10 +1261,17 @@ class TestExportProcesses:
         monkeypatch.setattr(parallel.os, "sched_getaffinity",
                             lambda pid: {0, 1, 2}, raising=False)
 
+    @pytest.fixture(autouse=True)
+    def a_process_per_row(self, monkeypatch):
+        # so that the batch count alone caps the processes
+        monkeypatch.setattr(parallel, "PROCESS_MIN_ROWS", 1)
+
     def _checkpoint(self, tmp_path, pooling: str = "cls") -> Path:
         payload = small_config(str(tmp_path / "run"), max_epochs=1)
         payload["dual"]["pooling"] = pooling
-        run_training(ExperimentConfig.from_dict(payload))
+        # its test evaluation in this process: the pools seen are the
+        # export's
+        run_training(ExperimentConfig.from_dict(payload), workers=1)
         return tmp_path / "run" / "checkpoint.bin"
 
     @pytest.mark.parametrize("layer, pooling", [
@@ -1404,23 +1397,109 @@ class TestExportProcesses:
         assert pools_made == pools
 
 
+@pytest.fixture
+def pools_anywhere(tmp_path, monkeypatch):
+    """A function that returns the worker count of every pool
+    `parallel.process_pool` has built while the test runs, in this
+    process or in any process forked from it, in the order built."""
+    log = tmp_path / "pools.log"
+    process_pool = parallel.process_pool
+
+    def spy(workers, *args):
+        with log.open("a", encoding="utf-8") as fh:
+            fh.write(f"{workers}\n")
+        return process_pool(workers, *args)
+
+    monkeypatch.setattr(parallel, "process_pool", spy)
+    return lambda: [int(line) for line in
+                    log.read_text(encoding="utf-8").split()] \
+        if log.exists() else []
+
+
+class TestOneLevelOfParallelism:
+    """Only a train run's test evaluation takes --workers processes:
+    sweep cells and per-epoch validation evaluate in their own process,
+    so a sweep starts its own pool alone, and a train run at any worker
+    count writes the same bytes."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(parallel.os, "sched_getaffinity",
+                            lambda pid: {0, 1}, raising=False)
+
+    @pytest.fixture
+    def floor(self, monkeypatch):
+        """Set the fewest rows a process takes; at 4, every test split
+        here is above it."""
+        def set_to(rows: int) -> None:
+            monkeypatch.setattr(parallel, "PROCESS_MIN_ROWS", rows)
+        return set_to
+
+    @pytest.mark.parametrize("flag", [["--workers", "2"], []],
+                             ids=["two", "default"])
+    @pytest.mark.parametrize("command", ["ablate", "grid", "kfold"])
+    def test_a_sweep_starts_its_pool_alone(self, tmp_path, floor,
+                                           pools_anywhere, command, flag):
+        floor(4)
+        payload = small_config(str(tmp_path / "out"), max_epochs=1)
+        if command == "grid":
+            payload["grid"] = {"alpha": [0.1, 0.3]}
+        result = invoke(*flag, "--config",
+                        str(write_config(tmp_path, payload)), command,
+                        *(["-k", "3"] if command == "kfold" else []))
+        assert result.exit_code == 0, result.output
+        assert pools_anywhere() == [2]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("flag, rows, pools", [
+        (["--workers", "1"], 4, []),
+        ([], parallel.PROCESS_MIN_ROWS, []),  # 15 test rows, below it
+        ([], 4, [1]),
+        (["--workers", "2"], 4, [1])],
+        ids=["one", "below-floor", "default", "two"])
+    def test_train_takes_the_workers_flag(self, tmp_path, floor,
+                                          pools_anywhere, flag, rows,
+                                          pools):
+        floor(rows)
+        payload = small_config(str(tmp_path / "run"), max_epochs=1)
+        result = invoke(*flag, "--config",
+                        str(write_config(tmp_path, payload)), "train")
+        assert result.exit_code == 0, result.output
+        assert pools_anywhere() == pools
+        assert multiprocessing.active_children() == []
+
+    def test_train_writes_the_same_bytes_at_any_workers(self, tmp_path,
+                                                        floor):
+        floor(4)
+        for name, flag in (("one", ["--workers", "1"]), ("default", []),
+                           ("three", ["--workers", "3"])):
+            payload = small_config(str(tmp_path / name), max_epochs=2)
+            result = invoke(*flag, "--config",
+                            str(write_config(tmp_path, payload)), "train")
+            assert result.exit_code == 0, result.output
+        for name in ("default", "three"):
+            assert_same_sweep(tmp_path / "one", tmp_path / name)
+
+
 class TestKilledWorker:
-    """A worker that dies by SIGKILL, in a sweep's pool or in an export's
-    first phase, breaks the call: it raises, the command exits 1 with one
-    error line, and no table, CSV or temporary CSV and no child is left."""
+    """A worker that dies by SIGKILL, in a sweep's pool, in a train run's
+    test evaluation or in an export's first phase, breaks the call: it
+    raises, the command exits 1 with one error line, and no table, run
+    directory, CSV or temporary CSV and no child is left."""
 
     @staticmethod
-    def _killed_in_worker(monkeypatch, name: str, dies) -> None:
-        """Make harness.`name` kill the worker process that calls it with
+    def _killed_in_worker(monkeypatch, name: str, dies,
+                          owner=harness) -> None:
+        """Make owner.`name` kill the worker process that calls it with
         arguments for which dies(*args) holds."""
-        caller, original = os.getpid(), getattr(harness, name)
+        caller, original = os.getpid(), getattr(owner, name)
 
         def kills(*args):
             if os.getpid() != caller and dies(*args):
                 os.kill(os.getpid(), signal.SIGKILL)
             return original(*args)
 
-        monkeypatch.setattr(harness, name, kills)
+        monkeypatch.setattr(owner, name, kills)
 
     @staticmethod
     def _assert_one_error_line(result) -> None:
@@ -1455,12 +1534,29 @@ class TestKilledWorker:
         for table in tables:
             assert not (tmp_path / "out" / table).exists()
 
+    def test_killed_evaluation_worker_breaks_the_run(self, tmp_path,
+                                                     monkeypatch):
+        # a process per 4 rows: the 15-row test split takes two
+        monkeypatch.setattr(parallel, "PROCESS_MIN_ROWS", 4)
+        self._killed_in_worker(monkeypatch, "predict", lambda *args: True,
+                               training)
+        payload = small_config(str(tmp_path / "run"), max_epochs=1)
+        with pytest.raises(BrokenProcessPool):
+            run_training(ExperimentConfig.from_dict(payload), workers=2)
+        assert multiprocessing.active_children() == []
+        result = invoke("--workers", "2", "--config",
+                        str(write_config(tmp_path, payload)), "train")
+        self._assert_one_error_line(result)
+        assert multiprocessing.active_children() == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.json"]
+
     def test_killed_export_worker_breaks_the_export(self, tmp_path,
                                                     monkeypatch):
         payload = small_config(str(tmp_path / "run"), max_epochs=1)
         run_training(ExperimentConfig.from_dict(payload))
         ckpt = tmp_path / "run" / "checkpoint.bin"
         monkeypatch.setattr(harness, "EXPORT_BATCH_SIZE", 4)
+        monkeypatch.setattr(parallel, "PROCESS_MIN_ROWS", 1)
         self._killed_in_worker(monkeypatch, "pool", lambda *args: True)
         with pytest.raises(BrokenProcessPool):
             harness.export_embeddings(ckpt, "test", "pooled_final",
@@ -1472,6 +1568,53 @@ class TestKilledWorker:
         assert multiprocessing.active_children() == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
         assert list(tmp_path.rglob("*embeddings.csv*")) == []
+
+
+class TestSyntheticCorpusOnce:
+    """Preparing a config's data and then training on that config
+    generates its synthetic corpus once; a config built anew, a changed
+    spec or another seed generates it again, and the corpus is let go
+    with its config."""
+
+    @pytest.fixture
+    def generated(self, monkeypatch) -> list:
+        made, generate = [], harness.gen_synthetic
+        monkeypatch.setattr(harness, "_last_synthetic", None)
+
+        def spy(spec, seed):
+            made.append(seed)
+            return generate(spec, seed=seed)
+
+        monkeypatch.setattr(harness, "gen_synthetic", spy)
+        return made
+
+    def test_prepare_then_train_generates_once(self, tmp_path, generated):
+        config = ExperimentConfig.from_dict(
+            small_config(str(tmp_path / "run"), max_epochs=1))
+        prepared = prepare_data(config)
+        run_training(config, workers=1)
+        assert generated == [0]
+        again = prepare_data(config)
+        assert (again.train, again.val, again.test) == \
+            (prepared.train, prepared.val, prepared.test)
+        assert generated == [0]
+
+    def test_a_new_config_spec_or_seed_generates_again(self, tmp_path,
+                                                       generated):
+        payload = small_config(str(tmp_path / "run"))
+        config = ExperimentConfig.from_dict(payload)
+        harness._corpus(config)[0].clear()  # the caller's list alone
+        assert len(harness._corpus(config)[0]) == 100
+        config.data.synth_spec.count = 60  # the kept spec is a copy
+        assert len(harness._corpus(config)[0]) == 60
+        config.data.synth_spec.count = 100
+        # the same spec object at another seed, then at its own again
+        prepare_data(replace(config, train=replace(config.train, seed=4)))
+        prepare_data(config)
+        prepare_data(ExperimentConfig.from_dict(payload))  # equal, anew
+        assert generated == [0, 0, 4, 0, 0]
+        # the corpus went with the config that was dropped
+        assert harness._last_synthetic is None
 
 
 class TestGenSynthCommand:

@@ -5,7 +5,9 @@ run determinism across all three modes.
 
 import ctypes
 import gc
+import itertools
 import json
+import multiprocessing
 import os
 import platform
 import shutil
@@ -850,3 +852,152 @@ class TestLaneCutOff:
         for calls in (1, 2):
             evaluate(model, split, space, 16)
             assert len(threads_started) == calls
+
+
+class TestRuns:
+    """`parallel.runs` cuts a split into contiguous, non-empty runs of
+    whole batches: one per process, at most one per batch and one per
+    PROCESS_MIN_ROWS rows, and one alone for batches in two lanes or
+    where the platform cannot fork."""
+
+    def test_runs_cover_the_split_in_whole_batches(self):
+        for n, batch_size, workers in itertools.product(
+                [1, 15, 27, 600, 1023, 1024, 5000], [1, 4, 16, 128, 1000],
+                [1, 2, 3, 8]):
+            runs = parallel.runs(n, batch_size, workers, parallel.one_lane)
+            count = min(workers, -(-n // batch_size),
+                        n // parallel.PROCESS_MIN_ROWS)
+            assert len(runs) == (max(1, count) if parallel.FORK else 1)
+            assert runs[0].start == 0 and runs[-1].stop == n
+            for run, after in zip(runs, runs[1:]):
+                assert run.stop == after.start
+            for run in runs:
+                assert run.stop > run.start
+                assert run.start % batch_size == 0
+
+    def test_one_run_for_two_lanes_or_without_fork(self, monkeypatch):
+        assert parallel.runs(5000, 16, 2, parallel.two_lanes) == \
+            [slice(0, 5000)]
+        monkeypatch.setattr(parallel, "FORK", None)
+        assert parallel.runs(5000, 16, 2, parallel.one_lane) == \
+            [slice(0, 5000)]
+
+
+@pytest.fixture
+def batches_logged(tmp_path, monkeypatch):
+    """A function that returns, sorted, the ids of each batch evaluate's
+    batcher has yielded in this process or in any process forked from it
+    since the last call."""
+    log = tmp_path / "batches"
+
+    def logged(*args, **kwargs):
+        for batch in batches(*args, **kwargs):
+            with log.open("a", encoding="utf-8") as fh:
+                fh.write(" ".join(batch.ids) + "\n")
+            yield batch
+
+    def read() -> list[str]:
+        lines = sorted(log.read_text(encoding="utf-8").splitlines())
+        log.unlink()
+        return lines
+
+    monkeypatch.setattr(training, "batches", logged)
+    return read
+
+
+class TestEvaluateProcesses:
+    """An evaluation's batches in runs over forked worker processes give
+    every bit, and every batch, of the one-process pass; a failure in
+    any process reaches the caller, and no child or thread is left."""
+
+    @pytest.fixture(autouse=True)
+    def three_cpus(self, monkeypatch):
+        monkeypatch.setattr(parallel.os, "sched_getaffinity",
+                            lambda pid: {0, 1, 2}, raising=False)
+
+    @pytest.mark.parametrize("labels", [2, 3], ids=["binary", "multilabel"])
+    def test_workers_give_the_one_process_bits(self, monkeypatch, pools_made,
+                                               threads_started,
+                                               batches_logged, labels):
+        # MIXED's 27 rows in batches of 4: six full and one of 3.  With a
+        # process per 4 rows, two processes take runs of 3 and 4 batches
+        # and three of 2, 2 and 3, and the last run ends in the partial
+        # batch
+        monkeypatch.setattr(parallel, "PROCESS_MIN_ROWS", 4)
+        scored, predicted = training.evaluate_predictions, []
+
+        def spy(pred, gold, names):
+            predicted.append(pred.tobytes())
+            return scored(pred, gold, names)
+
+        monkeypatch.setattr(training, "evaluate_predictions", spy)
+        split = lane_split(MIXED, labels)
+        space = LabelSpace("binary" if labels == 2 else "multilabel",
+                           tuple("abc"[:labels]))
+        model = lane_model(labels)
+        runs = []
+        for workers in (1, 2, 3, None):
+            bundle = evaluate(model, split, space, 4, workers=workers)
+            assert multiprocessing.active_children() == []
+            runs.append((json.dumps(bundle.to_dict()), batches_logged()))
+        assert runs[1:] == runs[:1] * 3
+        assert predicted[1:] == predicted[:1] * 3
+        assert len(runs[0][1]) == 7
+        assert pools_made == [1, 2, 2]  # beside the calling process's run
+        assert threads_started == []
+
+    @pytest.mark.parametrize("rows, made", [(1023, []), (1024, [1])])
+    def test_a_process_takes_at_least_512_rows(self, pools_made, rows, made):
+        evaluate(lane_model(2), lane_split([3] * rows, 2),
+                 LabelSpace("binary", ("a", "b")), 16, workers=2)
+        assert pools_made == made
+
+    @pytest.mark.parametrize("batch_size, made", [(100, []), (16, [1])])
+    def test_no_more_processes_than_batches(self, monkeypatch, pools_made,
+                                            batches_logged, batch_size,
+                                            made):
+        # 27 rows at a process per 4 rows and three CPUs: one batch of
+        # 100 stays here, and two of 16 take a process each
+        monkeypatch.setattr(parallel, "PROCESS_MIN_ROWS", 4)
+        evaluate(lane_model(2), lane_split(MIXED, 2),
+                 LabelSpace("binary", ("a", "b")), batch_size, workers=3)
+        assert pools_made == made
+        assert len(batches_logged()) == len(made) + 1
+
+    def test_without_fork_the_evaluation_runs_here(self, monkeypatch,
+                                                   pools_made):
+        monkeypatch.setattr(parallel, "FORK", None)
+        evaluate(lane_model(2), lane_split([3] * 1024, 2),
+                 LabelSpace("binary", ("a", "b")), 16, workers=2)
+        assert pools_made == []
+
+    def test_lanes_take_the_evaluation_without_children(self, monkeypatch,
+                                                        pools_made,
+                                                        threads_started):
+        monkeypatch.setattr(parallel, "SIDE_BY_SIDE_MIN", 0)
+        evaluate(lane_model(2), lane_split([3] * 1024, 2),
+                 LabelSpace("binary", ("a", "b")), 16, workers=2)
+        assert pools_made == []
+        assert len(threads_started) == 1
+
+    def test_batch_size_below_one_rejected_before_the_runs(self, pools_made):
+        with pytest.raises(ConfigError, match="batch_size must be >= 1"):
+            evaluate(lane_model(2), lane_split([3] * 1024, 2),
+                     LabelSpace("binary", ("a", "b")), 0, workers=2)
+        assert pools_made == []
+
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    def test_error_reaches_the_caller(self, monkeypatch, pools_made, where):
+        caller, predict = os.getpid(), training.predict
+
+        def fails(*args):
+            if (os.getpid() == caller) == (where == "caller"):
+                raise DomainError(f"in the {where}")
+            return predict(*args)
+
+        monkeypatch.setattr(training, "predict", fails)
+        with pytest.raises(DomainError, match=f"in the {where}"):
+            evaluate(lane_model(2), lane_split([3] * 1024, 2),
+                     LabelSpace("binary", ("a", "b")), 16, workers=2)
+        assert pools_made == [1]
+        assert multiprocessing.active_children() == []
