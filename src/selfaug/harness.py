@@ -44,10 +44,11 @@ import numpy as np
 from . import autodiff as ad
 from . import parallel
 from .config import GRID_AXES, ExperimentConfig
-from .data import (Batch, Example, Folds, LabelSpace, SynthSpec,
-                   Vocabulary, batches, build_vocab, encode_split,
-                   gen_synthetic, k_folds, load_jsonl, load_label_space,
-                   load_synth_spec, make_splits, write_jsonl)
+from .data import (EXPORT_BATCH_SIZE, Batch, Example, Folds, LabelSpace,
+                   SynthSpec, Vocabulary, batches, build_vocab,
+                   encode_split, gen_synthetic, k_folds, load_jsonl,
+                   load_label_space, load_synth_spec, make_splits,
+                   write_jsonl)
 from .errors import ConfigError, DataError, ShapeError
 from .metrics import MetricsBundle
 from .model import (EncoderModel, load_checkpoint, pool, predict,
@@ -57,8 +58,6 @@ from .schema import Schema
 from .training import TRAIN_MODES, TrainResult, evaluate, train
 
 EXPORT_LAYERS = ("pooled_final", "tapped")
-# the export forward's time per row stops falling at about 128 rows
-EXPORT_BATCH_SIZE = 128
 SPLIT_NAMES = ("train", "val", "test")
 ABLATION_ROWS = (("Baseline", "baseline"), ("+SA", "sa_only"),
                  ("+Proposed", "proposed"))
@@ -595,13 +594,10 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
     texts = [tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
              for _ in runs[1:]]
 
-    # a row's values depend on its batch only through the batch's padded
-    # width, which the attention's sums over the key axis see, and
-    # through a batch of one example, whose CLS-only top layer numpy
-    # multiplies as a single row: every other product and sum sees one
-    # row at a time.  Runs hold whole batches of the split's own, so
-    # every batch is the one a single run would make, and batch i holds
-    # rows i * EXPORT_BATCH_SIZE onward
+    # a row's values depend on its batch only as `data.merged` states.
+    # Runs hold whole batches of the split's own, so every batch is the
+    # one a single run would make, and batch i holds rows
+    # i * EXPORT_BATCH_SIZE onward
     def forward(item: tuple[int, Batch], lane: int) -> None:
         i, batch = item
         with ad.no_grad():

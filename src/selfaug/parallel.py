@@ -10,8 +10,13 @@ out on one engine, which evaluation and the export both use: `runs` cuts
 the split into contiguous runs of whole batches, one per process (one
 run where the batches take two lanes), and `inheriting_pool` starts the
 forked workers that take every run but the first and inherit what they
-run.  A thread lives only inside the call that starts it, so none is
-alive when a pool forks its workers.
+run.  Within a run, evaluation merges consecutive batches of one padded
+width into forwards of up to `data.EXPORT_BATCH_SIZE` sequences (see
+`data.merged`); the runs themselves are cut on the batches of the
+caller's batch size.  A thread lives only inside the call that starts
+it, so none is alive when a pool forks its workers.  `multiprocessing`
+and `concurrent.futures` are imported where a pool or a thread starts,
+so a process that starts neither does not import them.
 """
 
 from __future__ import annotations
@@ -20,16 +25,17 @@ import ctypes
 import functools
 import math
 import mmap
-import multiprocessing
 import os
 import platform
 import threading
-from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future, ProcessPoolExecutor
 
 T = TypeVar("T")
 
@@ -54,13 +60,16 @@ SIDE_BY_SIDE_MIN = 32_768 * 128
 # the fewest rows of a split a forked process takes, so the small splits
 # of desk and of the tests stay in the calling process.  A pool's start
 # and join, and its worker's first touches of an inherited heap, cost a
-# fixed 10-40 ms.  Evaluation at desk's width in batches of 16, after
-# training screen's model, on a 2-core host, two processes' time over
-# one process's, medians of 15 alternating calls: 1.15 at 500 rows (two
-# faster in 2 of 15), 0.89 at 1,000 (11 of 15), 0.80 at 2,000 and 0.85
-# at 4,000 (15 of 15); an export in batches of 128 read 0.94 at 600 rows
-# (5 of 11), 0.91 at 1,200 (9 of 11) and 0.83 at 2,400 (11 of 11)
-PROCESS_MIN_ROWS = 512
+# fixed 10-40 ms.  Two processes' time over one process's, after
+# training screen's model in the same process, on a 2-core host,
+# medians of 15-21 alternating calls, each range over seeds (the ratio
+# moves with the host's load): evaluation at desk's width, in merged
+# forwards, read 0.94-1.19 at 1,000-1,024 rows (two faster in 5 to 18
+# of 15 to 21 pairs), 0.82-0.99 at 1,500, 0.77-1.00 at 2,000-2,048 and
+# 0.64-0.75 at 3,000-4,000; an export in batches of 128 read 0.91-1.13
+# at 1,000-1,024 rows, 0.95-1.01 at 1,500, 0.73-0.91 at 2,000-2,048 and
+# 0.76-0.86 at 3,000-8,000.  So two processes start from 2,000 rows
+PROCESS_MIN_ROWS = 1_000
 
 # glibc's mallopt parameters (malloc.h) and the values
 # `keep_freed_memory` gives them
@@ -77,13 +86,13 @@ TRIM_THRESHOLD_BYTES = 2**30
 # and allocates from, the heap the rest of the step uses
 ARENA_MAX = 1
 
-# every pool's start method.  A forked worker starts with its parent's
-# state, which an export's workers read instead of having it pickled to
-# them; Python 3.14 makes forkserver the default on Linux.  None where
-# the platform cannot fork: a sweep's pool then takes the platform's
+# every pool's start method, by name.  A forked worker starts with its
+# parent's state, which an export's workers read instead of having it
+# pickled to them; Python 3.14 makes forkserver the default on Linux.
+# multiprocessing offers "fork" wherever os.fork exists.  None where the
+# platform cannot fork: a sweep's pool then takes the platform's
 # default, and an export runs in the calling process
-FORK = multiprocessing.get_context("fork") \
-    if "fork" in multiprocessing.get_all_start_methods() else None
+FORK = "fork" if hasattr(os, "fork") else None
 
 _DONE = object()  # what an exhausted iterator gives `two_lanes`
 
@@ -183,7 +192,12 @@ def process_pool(workers: int, initializer: Callable | None = None,
     """A pool of `workers` processes, forked where the platform can
     fork, that each call `initializer(*initargs)` first; a forked worker
     inherits the arguments instead of unpickling them."""
-    return ProcessPoolExecutor(workers, mp_context=FORK,
+    # imported here: processes that never start a pool skip their import
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context(FORK) if FORK else None
+    return ProcessPoolExecutor(workers, mp_context=context,
                                initializer=initializer, initargs=initargs)
 
 

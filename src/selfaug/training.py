@@ -22,7 +22,8 @@ import numpy as np
 from . import autodiff as ad
 from . import parallel
 from .autodiff import Tensor
-from .data import Batch, EncodedSplit, LabelSpace, batches
+from .data import (EXPORT_BATCH_SIZE, Batch, EncodedSplit, LabelSpace,
+                   batches, merged)
 from .errors import ConfigError, DataError, DomainError
 from .metrics import MetricsBundle, evaluate_predictions
 from .model import EncoderModel, predict
@@ -262,11 +263,13 @@ def evaluate(model: EncoderModel, split: EncodedSplit,
     """Deterministic eval-mode pass over a split.
 
     Batches worth two threads (see `parallel.lanes`) run in two lanes in
-    this process.  Otherwise up to `workers` processes each take a run
-    of whole batches (see `parallel.runs`): this process the first,
-    workers forked from it the others, each writing its predictions into
-    one matrix in shared memory.  Every batch, and so every bit, is that
-    of a single pass.
+    this process, at `batch_size`.  Otherwise up to `workers` processes
+    each take a run of whole batches (see `parallel.runs`): this process
+    the first, workers forked from it the others, each writing its
+    predictions into one matrix in shared memory.  Within a run,
+    consecutive batches of one padded width go through the forward
+    together, up to `EXPORT_BATCH_SIZE` sequences (see `merged`), which
+    keeps every bit of a single pass in batches of `batch_size`.
     """
     if not split:
         raise DataError("cannot evaluate an empty split")
@@ -275,23 +278,27 @@ def evaluate(model: EncoderModel, split: EncodedSplit,
     k = len(label_space.labels)
     lanes = parallel.lanes(split.lengths, batch_size, model.config.d_model)
     runs = parallel.runs(len(split), batch_size, workers, lanes)
+    # batches in two lanes keep their size: on wide, evaluation in
+    # export-sized batches measured slower
+    most = EXPORT_BATCH_SIZE if lanes is parallel.one_lane else batch_size
     predicted = parallel.shared(len(split), k, dtype=bool)
 
-    # evaluation batches keep the split's order, so batch i holds
-    # examples i * batch_size onward, and any lane or process writes its
-    # rows; a run starts on a batch boundary
-    def forward(item: tuple[int, Batch], lane: int) -> None:
-        i, batch = item
-        with ad.no_grad():
-            logits, _ = model.forward(batch, train=False, cls_only=True)
-        predicted[i * batch_size:i * batch_size + batch.size] = \
-            predict(logits.data, not label_space.single_label, threshold)
-
-    # there are runs for workers only where the batches take one lane
+    # there are runs for workers only where the batches take one lane;
+    # a run starts on a batch boundary, and any lane or process writes
+    # its batches' rows at their offset in the split
     def score(run: int) -> None:
         rows = runs[run]
-        lanes(enumerate(batches(split[rows], batch_size, train=False),
-                        rows.start // batch_size), forward)
+        part, out = split[rows], predicted[rows]
+
+        def forward(item: tuple[int, Batch], lane: int) -> None:
+            row, batch = item
+            with ad.no_grad():
+                logits, _ = model.forward(batch, train=False, cls_only=True)
+            out[row:row + batch.size] = \
+                predict(logits.data, not label_space.single_label, threshold)
+
+        lanes(merged(part, batches(part, batch_size, train=False), most),
+              forward)
 
     with parallel.inheriting_pool(len(runs), score=score) as start:
         scoring = start("score")

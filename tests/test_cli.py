@@ -11,6 +11,7 @@ import re
 import signal
 import struct
 import threading
+from concurrent import futures
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
@@ -563,7 +564,8 @@ class TestCellScheduling:
     @pytest.fixture(autouse=True)
     def fake_pool(self, monkeypatch):
         FakePool.made = []
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", FakePool)
+        # `parallel.process_pool` imports the pool class when called
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(harness, "_cell", lambda job: job[2])
         monkeypatch.setattr(parallel.os, "sched_getaffinity",
                             lambda pid: {0, 1}, raising=False)

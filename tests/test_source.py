@@ -1,7 +1,11 @@
-"""Source checks: every name a selfaug module imports is used in it, and
-only `parallel` starts processes or reads the CPU count."""
+"""Source checks: every name a selfaug module imports is used in it,
+only `parallel` starts processes or reads the CPU count, and importing
+the CLI imports no pool machinery."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -101,3 +105,15 @@ def test_the_check_sees_a_second_home():
         "concurrent.futures (line 3)", "ctypes (line 4)", "mmap (line 2)",
         "multiprocessing.pool (line 5)", "os.cpu_count (line 7)",
         "os.sched_getaffinity (line 6)"]
+
+
+def test_the_cli_imports_no_pool_machinery():
+    # a fresh interpreter: this one has imported them for other tests
+    code = ("import sys, selfaug.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('multiprocessing', 'concurrent')))\n")
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(selfaug.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout == "[]\n"

@@ -27,11 +27,13 @@ import selfaug
 from selfaug import autodiff as ad
 from selfaug import harness, parallel, training
 from selfaug.config import ExperimentConfig
-from selfaug.data import (EncodedSplit, LabelSpace, SynthSpec, Vocabulary,
-                          batches, build_vocab, encode_split, gen_synthetic)
+from selfaug.data import (EXPORT_BATCH_SIZE, EncodedSplit, LabelSpace,
+                          SynthSpec, Vocabulary, batches, build_vocab,
+                          encode_split, gen_synthetic)
 from selfaug.errors import ConfigError, DataError, DomainError
 from selfaug.harness import _build_components, prepare_data
-from selfaug.model import EncoderModel, ModelConfig
+from selfaug.metrics import evaluate_predictions
+from selfaug.model import EncoderModel, ModelConfig, predict
 from selfaug.objective import DualStreamConfig, ProjectionNetwork
 from selfaug.seeding import rng_for
 from selfaug.parallel import (ARENA_MAX, M_ARENA_MAX, M_MMAP_THRESHOLD,
@@ -915,6 +917,11 @@ class TestEvaluateProcesses:
         monkeypatch.setattr(parallel.os, "sched_getaffinity",
                             lambda pid: {0, 1, 2}, raising=False)
 
+    @staticmethod
+    def two_processes() -> EncodedSplit:
+        """A split of rows enough for two processes at the floor."""
+        return lane_split([3] * 2 * parallel.PROCESS_MIN_ROWS, 2)
+
     @pytest.mark.parametrize("labels", [2, 3], ids=["binary", "multilabel"])
     def test_workers_give_the_one_process_bits(self, monkeypatch, pools_made,
                                                threads_started,
@@ -946,8 +953,9 @@ class TestEvaluateProcesses:
         assert pools_made == [1, 2, 2]  # beside the calling process's run
         assert threads_started == []
 
-    @pytest.mark.parametrize("rows, made", [(1023, []), (1024, [1])])
-    def test_a_process_takes_at_least_512_rows(self, pools_made, rows, made):
+    @pytest.mark.parametrize("rows, made", [(1999, []), (2000, [1])])
+    def test_a_process_takes_at_least_1000_rows(self, pools_made, rows,
+                                                made):
         evaluate(lane_model(2), lane_split([3] * rows, 2),
                  LabelSpace("binary", ("a", "b")), 16, workers=2)
         assert pools_made == made
@@ -967,7 +975,7 @@ class TestEvaluateProcesses:
     def test_without_fork_the_evaluation_runs_here(self, monkeypatch,
                                                    pools_made):
         monkeypatch.setattr(parallel, "FORK", None)
-        evaluate(lane_model(2), lane_split([3] * 1024, 2),
+        evaluate(lane_model(2), self.two_processes(),
                  LabelSpace("binary", ("a", "b")), 16, workers=2)
         assert pools_made == []
 
@@ -975,14 +983,14 @@ class TestEvaluateProcesses:
                                                         pools_made,
                                                         threads_started):
         monkeypatch.setattr(parallel, "SIDE_BY_SIDE_MIN", 0)
-        evaluate(lane_model(2), lane_split([3] * 1024, 2),
+        evaluate(lane_model(2), self.two_processes(),
                  LabelSpace("binary", ("a", "b")), 16, workers=2)
         assert pools_made == []
         assert len(threads_started) == 1
 
     def test_batch_size_below_one_rejected_before_the_runs(self, pools_made):
         with pytest.raises(ConfigError, match="batch_size must be >= 1"):
-            evaluate(lane_model(2), lane_split([3] * 1024, 2),
+            evaluate(lane_model(2), self.two_processes(),
                      LabelSpace("binary", ("a", "b")), 0, workers=2)
         assert pools_made == []
 
@@ -997,7 +1005,138 @@ class TestEvaluateProcesses:
 
         monkeypatch.setattr(training, "predict", fails)
         with pytest.raises(DomainError, match=f"in the {where}"):
-            evaluate(lane_model(2), lane_split([3] * 1024, 2),
+            evaluate(lane_model(2), self.two_processes(),
                      LabelSpace("binary", ("a", "b")), 16, workers=2)
         assert pools_made == [1]
+        assert multiprocessing.active_children() == []
+
+
+@pytest.fixture
+def forwards_logged(tmp_path):
+    """A function that spies on a model's forward, in this process and in
+    any process forked from it, and one that returns each forward since
+    the last call: its batch's rows in the split (from ids "r<row>"), its
+    padded width, and its logits' rows."""
+    log = tmp_path / "forwards"
+
+    def spy_on(model: EncoderModel) -> None:
+        forward = model.forward
+
+        def spy(batch, **kwargs):
+            logits, hidden = forward(batch, **kwargs)
+            with log.open("a", encoding="utf-8") as fh:
+                fh.write(f"{' '.join(batch.ids)}\t{batch.token_ids.shape[1]}"
+                         f"\t{logits.data.tobytes().hex()}\n")
+            return logits, hidden
+
+        model.forward = spy
+
+    def read() -> list[tuple[list[int], int, list[bytes]]]:
+        forwards = []
+        for line in log.read_text(encoding="utf-8").splitlines():
+            ids, width, logits = line.split("\t")
+            rows = [int(i[1:]) for i in ids.split()]
+            logits = np.frombuffer(bytes.fromhex(logits)).reshape(
+                len(rows), -1)
+            forwards.append((rows, int(width),
+                             [row.tobytes() for row in logits]))
+        log.unlink()
+        return sorted(forwards)
+
+    return spy_on, read
+
+
+def one_batch_at_a_time(model: EncoderModel, split: EncodedSplit,
+                        space: LabelSpace, batch_size: int):
+    """The reference pass: each batch of `batch_size` through the forward
+    alone.  Each row's logits by row, the prediction matrix's bytes and
+    the metrics' JSON."""
+    logits_of, predicted = {}, []
+    for batch in batches(split, batch_size, train=False):
+        with ad.no_grad():
+            logits, _ = model.forward(batch, train=False, cls_only=True)
+        logits_of.update((int(i[1:]), row.tobytes())
+                         for i, row in zip(batch.ids, logits.data))
+        predicted.append(predict(logits.data, not space.single_label))
+    predicted = np.concatenate(predicted)
+    gold = np.eye(2, dtype=bool)[split.targets] if space.single_label \
+        else split.targets > 0.5
+    bundle = evaluate_predictions(predicted, gold, list(space.labels))
+    return logits_of, predicted.tobytes(), json.dumps(bundle.to_dict())
+
+
+# batches of 4: three at width 5, two at 9, one at 5, two at 16, two at
+# 5, and a batch of one at 5
+BLOCKS = [5, 3, 2, 4] * 3 + [9, 1] * 4 + [5] * 4 + [16, 2] * 4 + \
+    [4, 5] * 4 + [5]
+
+
+class TestMergedForwards:
+    """Evaluation in one lane runs consecutive batches of one padded
+    width as one forward of up to EXPORT_BATCH_SIZE sequences, never
+    with a batch of one, and keeps every bit of the pass that runs each
+    batch alone, in one process or several."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("labels", [2, 3], ids=["binary", "multilabel"])
+    @pytest.mark.parametrize("lengths, batch_size, spans", [
+        (BLOCKS, 4, {1: [(0, 12), (12, 20), (20, 24), (24, 32), (32, 40),
+                         (40, 41)]}),
+        # 18 batches of 16 and one of 12, all at width 6: the cap, and
+        # at two processes, runs of 9 and 10 batches
+        ([6, 3] * 150, 16, {1: [(0, 128), (128, 256), (256, 300)],
+                            2: [(0, 128), (128, 144), (144, 272),
+                                (272, 300)]}),
+        (BLOCKS, 1, {1: [(row, row + 1) for row in range(41)]}),
+    ], ids=["blocks", "cap", "batches-of-one"])
+    def test_merged_forwards_give_the_bits_of_single_batches(
+            self, monkeypatch, pools_made, forwards_logged, labels, workers,
+            lengths, batch_size, spans):
+        monkeypatch.setattr(parallel, "PROCESS_MIN_ROWS", 4)
+        scored, predicted = training.evaluate_predictions, []
+
+        def spy(pred, gold, names):
+            predicted.append(pred.tobytes())
+            return scored(pred, gold, names)
+
+        monkeypatch.setattr(training, "evaluate_predictions", spy)
+        spy_on, read = forwards_logged
+        split = lane_split(lengths, labels)
+        space = LabelSpace("binary" if labels == 2 else "multilabel",
+                           tuple("abc"[:labels]))
+        model = lane_model(labels)
+        logits_of, want_predicted, want_json = one_batch_at_a_time(
+            model, split, space, batch_size)
+        spy_on(model)
+        bundle = evaluate(model, split, space, batch_size, workers=workers)
+        assert multiprocessing.active_children() == []
+        assert pools_made == [1] * (workers - 1)
+        forwards = read()
+
+        assert json.dumps(bundle.to_dict()) == want_json
+        assert predicted == [want_predicted]
+        assert {row: logits for rows, _, rows_logits in forwards
+                for row, logits in zip(rows, rows_logits)} == logits_of
+        for rows, width, _ in forwards:
+            assert rows == list(range(rows[0], rows[-1] + 1))
+            if len(rows) > batch_size:
+                assert len(rows) <= EXPORT_BATCH_SIZE
+                for start in range(rows[0], rows[-1] + 1, batch_size):
+                    alone = split.lengths[start:start + batch_size]
+                    assert len(alone) > 1
+                    assert max(2, alone.max()) == width
+        assert [(rows[0], rows[-1] + 1) for rows, _, _ in forwards] \
+            == spans.get(workers, spans[1])
+
+    def test_two_lanes_forward_training_size_batches(self, forwards_logged,
+                                                     threads_started):
+        # six batches of 16 posts of 64 tokens at d_model 128, the
+        # benchmark's wide model: one width, yet never merged
+        spy_on, read = forwards_logged
+        model = lane_model(2, d_model=128, max_seq_len=64)
+        spy_on(model)
+        evaluate(model, lane_split([64] * 96, 2),
+                 LabelSpace("binary", ("a", "b")), 16, workers=2)
+        assert len(threads_started) == 1
+        assert [len(rows) for rows, _, _ in read()] == [16] * 6
         assert multiprocessing.active_children() == []
