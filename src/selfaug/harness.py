@@ -7,14 +7,11 @@ cell, and `_run_cells` runs the jobs in a process pool (or in this
 process, at one worker), returning each cell's metric columns or the
 exception it raised.  Grid records a failure as a row; k-fold and
 ablation raise the first one after every cell has run, and then write no
-table.  A run's test evaluation and the export share a split's batches
-out to processes too, on `parallel`'s batch engine: forked workers take
-contiguous runs of whole batches, inherit the model and the encoded
-split, and hand their rows back through shared memory (the export's
-text through temporary files).  Sweep cells and training's per-epoch
-validation evaluate in their own process, so there is one level of
-parallelism.  How many processes, and whether batches run in two lanes
-instead, is `parallel`'s to say.
+table.  A run's test evaluation and the export run on one eval-mode
+pass, `training.EvalPass`, which shares a split's batches out to forked
+processes; the export's workers then write their rows' text to
+temporary files.  Sweep cells and training's per-epoch validation
+evaluate in their own process, so there is one level of parallelism.
 
 Every run directory holds the same four artifacts (config.json as the
 resolved snapshot, checkpoint.bin, epochs.jsonl, metrics.json), and every
@@ -55,7 +52,7 @@ from .model import (EncoderModel, load_checkpoint, pool, predict,
                     save_checkpoint)
 from .objective import ProjectionNetwork
 from .schema import Schema
-from .training import TRAIN_MODES, TrainResult, evaluate, train
+from .training import TRAIN_MODES, EvalPass, TrainResult, evaluate, train
 
 EXPORT_LAYERS = ("pooled_final", "tapped")
 SPLIT_NAMES = ("train", "val", "test")
@@ -523,15 +520,12 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
     `tapped` exports the pooled tap-layer state that feeds the projection
     network during training.
 
-    Batches worth two threads (see `parallel.lanes`) run in two lanes in
-    this process.  Otherwise up to `workers` processes each take a run
-    of whole batches (see `parallel.runs`): this process the first,
-    workers forked from it the others.  Each runs its batches' forward,
-    and, once this process has computed the PCA over every row, formats
-    its rows; this process writes its own rows and then the workers'
-    text in run order.  The CSV is written to a temporary file beside
-    `out_csv` and put in place once every worker has joined, so a
-    failure leaves neither.
+    The forwards run on an `EvalPass` in batches of `EXPORT_BATCH_SIZE`,
+    in up to `workers` processes.  Once this process has computed the
+    PCA over every row, each process formats its run's rows, and this
+    one writes its own and then the workers' text in run order.  The CSV
+    is written to a temporary file beside `out_csv` and put in place
+    once every worker has joined, so a failure leaves neither.
     """
     if split not in SPLIT_NAMES:
         raise ConfigError(f"split must be one of {SPLIT_NAMES}, "
@@ -580,43 +574,23 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
     cls_only = pooling == "cls" or source_layer != config.model.n_layers
     labels = prepared.label_space.labels
     n, width = len(examples), config.model.d_model
-    encoded = encode_split(examples, prepared.vocab, prepared.label_space,
-                           config.model.max_seq_len)
-    # batches worth two threads keep their lanes, since a worker forked
-    # from a process with a large heap (a training's, say) pays a page
-    # fault for every page it rewrites
-    lanes = parallel.lanes(encoded.lengths, EXPORT_BATCH_SIZE, width)
-    runs = parallel.runs(n, EXPORT_BATCH_SIZE, workers, lanes)
+    passing = EvalPass(model, encode_split(
+        examples, prepared.vocab, prepared.label_space,
+        config.model.max_seq_len), EXPORT_BATCH_SIZE, workers)
     # what the workers write, their parent reads: the rows, and each
     # worker run's text (run r's in texts[r - 1])
     predicted = parallel.shared(n, len(labels), dtype=bool)
     embeddings, pcs = parallel.shared(n, width), parallel.shared(n, 2)
     texts = [tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
-             for _ in runs[1:]]
+             for _ in passing.runs[1:]]
 
-    # a row's values depend on its batch only as `data.merged` states.
-    # Runs hold whole batches of the split's own, so every batch is the
-    # one a single run would make, and batch i holds rows
-    # i * EXPORT_BATCH_SIZE onward
-    def forward(item: tuple[int, Batch], lane: int) -> None:
-        i, batch = item
-        with ad.no_grad():
-            logits, hidden = model.forward(batch, train=False,
-                                           cls_only=cls_only)
-            pooled = pool(hidden[source_layer], batch.layout, pooling)
-        batch_rows = slice(i * EXPORT_BATCH_SIZE,
-                           i * EXPORT_BATCH_SIZE + batch.size)
-        predicted[batch_rows] = predict(
-            logits.data, not prepared.label_space.single_label,
-            config.threshold)
-        embeddings[batch_rows] = pooled.data
-
-    # there are runs for workers only where the batches take one lane
-    def embed(run: int) -> None:
-        rows = runs[run]
-        lanes(enumerate(batches(encoded[rows], EXPORT_BATCH_SIZE,
-                                train=False),
-                        rows.start // EXPORT_BATCH_SIZE), forward)
+    def keep(rows: slice, batch: Batch, logits: ad.Tensor,
+             hidden: list[ad.Tensor]) -> None:
+        predicted[rows] = predict(logits.data,
+                                  not prepared.label_space.single_label,
+                                  config.threshold)
+        embeddings[rows] = pool(hidden[source_layer], batch.layout,
+                                pooling).data
 
     # each row takes two writes.  The text fields go through csv into
     # `heads` with a "\r\n" terminator that is cut off again: csv's
@@ -628,7 +602,7 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
     # should survive the round trip through text
     def write(run: int, with_pcs: bool, fh: IO[str] | None = None) -> None:
         fh = texts[run - 1] if fh is None else fh
-        rows = runs[run]
+        rows = passing.runs[run]
         numbers = ",%.6f" * width + (",%.12g" * 2 if with_pcs else "") \
             + "\n"
         heads: list[str] = []
@@ -646,13 +620,8 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
 
     tmp_csv = out_csv.with_name(f".{out_csv.name}.{os.getpid()}.tmp")
     try:
-        with parallel.inheriting_pool(len(runs), embed=embed,
-                                      write=write) as start:
-            embedding = start("embed")
-            embed(0)
-            for future in embedding:
-                future.result()
-            del encoded  # freed before the PCA
+        with passing.forwards(batches, keep, cls_only,
+                              write=write) as start:
             found = _principal_components(embeddings)
             with_pcs = found is not None
             if with_pcs:

@@ -5,18 +5,14 @@
 Callers ask by the size of their work and get back a runner: `pair`
 gives `beside` or `at_once` for a dual step's two streams, `lanes` gives
 `two_lanes` or `one_lane` for a loop over batches, and `processes` says
-how many processes share a sweep's cells.  A split's batches are shared
-out on one engine, which evaluation and the export both use: `runs` cuts
-the split into contiguous runs of whole batches, one per process (one
-run where the batches take two lanes), and `inheriting_pool` starts the
-forked workers that take every run but the first and inherit what they
-run.  Within a run, evaluation merges consecutive batches of one padded
-width into forwards of up to `data.EXPORT_BATCH_SIZE` sequences (see
-`data.merged`); the runs themselves are cut on the batches of the
-caller's batch size.  A thread lives only inside the call that starts
-it, so none is alive when a pool forks its workers.  `multiprocessing`
-and `concurrent.futures` are imported where a pool or a thread starts,
-so a process that starts neither does not import them.
+how many processes share a sweep's cells.  For the one eval-mode pass,
+`training.EvalPass`, `runs` cuts a split into contiguous runs of whole
+batches, one per process (one where the batches take two lanes), and
+`inheriting_pool` forks the workers that take every run but the first.
+A thread lives only inside the call that starts it, so none is alive
+when a pool forks its workers.  `multiprocessing` and
+`concurrent.futures` are imported where a pool or a thread starts, so a
+process that starts neither does not import them.
 """
 
 from __future__ import annotations

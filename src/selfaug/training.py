@@ -15,7 +15,9 @@ field of every EpochRecord except wall-clock seconds reproduces bitwise.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -256,55 +258,86 @@ def _step_losses(mode: str, model_f: EncoderModel,
     return composite_loss(ce_f, ce_c, lc, dual_cfg.alpha)
 
 
+class EvalPass:
+    """One eval-mode pass over a split, behind `evaluate` and the export.
+
+    Batches worth two threads (see `parallel.lanes`) run in two lanes in
+    this process, at `batch_size`, since a worker forked from a large
+    heap (a training's) pays a fault for every page it rewrites.
+    Otherwise each of up to `workers` processes takes one of `runs` (see
+    `parallel.runs`), this process the first.  Within a run, consecutive
+    batches of one padded width run as one forward of up to
+    `EXPORT_BATCH_SIZE` sequences (see `merged`), which keeps every bit
+    of single batches of `batch_size`.
+    """
+
+    def __init__(self, model: EncoderModel, split: EncodedSplit,
+                 batch_size: int, workers: int | None = 1) -> None:
+        if batch_size < 1:  # before the runs divide by it
+            raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+        self.model, self.split, self.batch_size = model, split, batch_size
+        self.lanes = parallel.lanes(split.lengths, batch_size,
+                                    model.config.d_model)
+        self.runs = parallel.runs(len(split), batch_size, workers,
+                                  self.lanes)
+
+    @contextmanager
+    def forwards(self, stream: Callable, keep: Callable,
+                 cls_only: bool = True, **later: Callable) -> Iterator:
+        """Hand keep(rows, batch, logits, hidden) each forward of the
+        batches `stream` (a `data.batches`) makes of the split, in the
+        process and on the thread that ran it, so it may write only
+        those rows.  The block runs once all are done and the split let
+        go; its start(phase, *args) has the workers run
+        later[phase](run, *args) on what existed when they forked (see
+        `parallel.inheriting_pool`)."""
+        # batches in two lanes keep their size: on wide, evaluation in
+        # export-sized batches measured slower
+        most = EXPORT_BATCH_SIZE if self.lanes is parallel.one_lane \
+            else self.batch_size
+
+        def forward(run: int) -> None:
+            rows = self.runs[run]
+            part = self.split[rows]
+
+            def one(item: tuple[int, Batch], lane: int) -> None:
+                row, batch = item
+                with ad.no_grad():
+                    logits, hidden = self.model.forward(
+                        batch, train=False, cls_only=cls_only)
+                row += rows.start
+                keep(slice(row, row + batch.size), batch, logits, hidden)
+
+            self.lanes(merged(part, stream(part, self.batch_size,
+                                           train=False), most), one)
+
+        with parallel.inheriting_pool(len(self.runs), forward=forward,
+                                      **later) as start:
+            forwarding = start("forward")
+            forward(0)
+            for future in forwarding:
+                future.result()
+            self.split = None
+            yield start
+
+
 def evaluate(model: EncoderModel, split: EncodedSplit,
              label_space: LabelSpace, batch_size: int = 32,
              threshold: float = 0.5, workers: int | None = 1) \
         -> MetricsBundle:
-    """Deterministic eval-mode pass over a split.
-
-    Batches worth two threads (see `parallel.lanes`) run in two lanes in
-    this process, at `batch_size`.  Otherwise up to `workers` processes
-    each take a run of whole batches (see `parallel.runs`): this process
-    the first, workers forked from it the others, each writing its
-    predictions into one matrix in shared memory.  Within a run,
-    consecutive batches of one padded width go through the forward
-    together, up to `EXPORT_BATCH_SIZE` sequences (see `merged`), which
-    keeps every bit of a single pass in batches of `batch_size`.
-    """
+    """Metrics of the predictions of an `EvalPass` over a split, in up to
+    `workers` processes."""
     if not split:
         raise DataError("cannot evaluate an empty split")
-    if batch_size < 1:  # before the runs divide by it
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     k = len(label_space.labels)
-    lanes = parallel.lanes(split.lengths, batch_size, model.config.d_model)
-    runs = parallel.runs(len(split), batch_size, workers, lanes)
-    # batches in two lanes keep their size: on wide, evaluation in
-    # export-sized batches measured slower
-    most = EXPORT_BATCH_SIZE if lanes is parallel.one_lane else batch_size
     predicted = parallel.shared(len(split), k, dtype=bool)
 
-    # there are runs for workers only where the batches take one lane;
-    # a run starts on a batch boundary, and any lane or process writes
-    # its batches' rows at their offset in the split
-    def score(run: int) -> None:
-        rows = runs[run]
-        part, out = split[rows], predicted[rows]
+    def keep(rows: slice, batch: Batch, logits: Tensor, _) -> None:
+        predicted[rows] = predict(logits.data, not label_space.single_label,
+                                  threshold)
 
-        def forward(item: tuple[int, Batch], lane: int) -> None:
-            row, batch = item
-            with ad.no_grad():
-                logits, _ = model.forward(batch, train=False, cls_only=True)
-            out[row:row + batch.size] = \
-                predict(logits.data, not label_space.single_label, threshold)
-
-        lanes(merged(part, batches(part, batch_size, train=False), most),
-              forward)
-
-    with parallel.inheriting_pool(len(runs), score=score) as start:
-        scoring = start("score")
-        score(0)
-        for future in scoring:
-            future.result()
+    with EvalPass(model, split, batch_size, workers).forwards(batches, keep):
+        pass  # every row's predictions are in
     gold = np.eye(k, dtype=bool)[split.targets] \
         if label_space.single_label else split.targets > 0.5
     return evaluate_predictions(predicted, gold, list(label_space.labels))

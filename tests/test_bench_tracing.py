@@ -3,8 +3,10 @@
 bench/tracing.py reaches into selfaug from outside: it wraps every op,
 swaps each recorded node's `apply` for a timed one, and after each
 `backward` sums the `.grad` of everything `_postorder(loss)` returns.
-These tests run one small proposed-mode training job under it, so a
-change to those hooks fails here rather than in a traced benchmark run.
+These tests run one small proposed-mode training job, and one export of
+its kind, under it, so a change to those hooks, or to the names the
+tracer patches on `harness`, fails here rather than in a traced
+benchmark run.
 """
 
 import ast
@@ -14,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from selfaug import autodiff as ad
+from selfaug import harness
 from selfaug.config import ExperimentConfig
 from selfaug.harness import run_training
 
@@ -77,6 +80,37 @@ def test_every_recorded_op_has_its_backward_timed(traced_run):
     assert {"dropout", "linear", "layer_norm", "batch_norm_features",
             "cross_entropy"} <= called
     assert timed == called
+
+
+@pytest.fixture(scope="module")
+def traced_export(tmp_path_factory):
+    """(untraced embeddings.csv bytes, traced bytes, the tracer's span
+    totals) of a one-process export of a small run."""
+    root = tmp_path_factory.mktemp("export")
+    run_training(proposed_config(root / "run"))
+    checkpoint = root / "run" / "checkpoint.bin"
+    harness.export_embeddings(checkpoint, "test", "pooled_final",
+                              root / "untraced.csv", 1)
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        harness.export_embeddings(checkpoint, "test", "pooled_final",
+                                  root / "traced.csv", 1)
+    finally:
+        tracer.uninstall()
+    return ((root / "untraced.csv").read_bytes(),
+            (root / "traced.csv").read_bytes(), tracer.totals())
+
+
+def test_tracing_leaves_the_export_byte_identical(traced_export):
+    untraced, traced, _ = traced_export
+    assert traced == untraced
+
+
+def test_the_export_records_its_spans(traced_export):
+    *_, totals = traced_export
+    assert {"harness.export_embeddings", "model.forward_eval",
+            "model.pool", "model.predict"} <= totals.keys()
 
 
 def test_every_traced_op_is_an_autodiff_function():
