@@ -5,8 +5,10 @@ The runs cover each path whose bytes a refactor could move: a desk
 ablation, a two-cell grid, a three-fold k-fold, a multilabel run whose
 2,040-row test split is evaluated in merged forwards over two processes
 and exported at its tap layer at one and two workers, a mean-pooled
-`flow` run with dropout, and a run wide enough that a dual step's streams
-run side by side and its evaluation batches in two lanes.
+`flow` run with dropout, a run wide enough that a dual step's streams
+run side by side and its evaluation batches in two lanes, and a run of
+that width whose 512-row test split is exported in two lanes, at both
+layers and, at `pooled_final`, at one, two and the default workers.
 
 `epochs.jsonl` is hashed without its wall-clock `seconds` and
 `config.json` without `out_dir`, the two fields that may differ between
@@ -92,6 +94,16 @@ def wide(out: Path) -> dict:
     return payload
 
 
+def wide_export(out: Path) -> dict:
+    """`wide` with 640 posts, 512 of them in the test split: four export
+    batches of 128 that are worth two threads."""
+    payload = wide(out)
+    payload["data"]["synth_spec"]["count"] = 640
+    payload["data"]["ratios"] = [0.1, 0.1, 0.8]
+    payload["train"].update(max_epochs=1, patience=1)
+    return payload
+
+
 def make_runs(root: Path) -> None:
     """Every run of the manifest, each into its own directory of `root`."""
     def config(payload: dict) -> ExperimentConfig:
@@ -112,6 +124,13 @@ def make_runs(root: Path) -> None:
         root / "flow", epochs=3, model={"dropout_rate": 0.1},
         dual={"pooling": "mean", "augment_gradient": "flow"})), workers=1)
     harness.run_training(config(wide(root / "wide")), workers=1)
+    harness.run_training(config(wide_export(root / "wide-export")))
+    for layer, workers in (("pooled_final", 1), ("pooled_final", 2),
+                           ("pooled_final", None), ("tapped", None)):
+        harness.export_embeddings(
+            root / "wide-export" / "checkpoint.bin", "test", layer,
+            root / f"export-{layer}-workers{workers}" / "embeddings.csv",
+            workers)
 
 
 def _hashed_bytes(path: Path) -> bytes:
