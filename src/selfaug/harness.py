@@ -8,10 +8,11 @@ process, at one worker), returning each cell's metric columns or the
 exception it raised.  Grid records a failure as a row; k-fold and
 ablation raise the first one after every cell has run, and then write no
 table.  A run's test evaluation and the export run on one eval-mode
-pass, `training.EvalPass`, which shares a split's batches out to forked
-processes; the export's workers then write their rows' text to
-temporary files.  Sweep cells and training's per-epoch validation
-evaluate in their own process, so there is one level of parallelism.
+pass, `training.EvalPass`, which shares a split's batches out to a
+second thread or to forked processes; the export's thread or workers
+then write their rows' text to temporary files.  Sweep cells and
+training's per-epoch validation evaluate in their own process, so there
+is one level of parallelism.
 
 Every run directory holds the same four artifacts (config.json as the
 resolved snapshot, checkpoint.bin, epochs.jsonl, metrics.json), and every
@@ -521,11 +522,12 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
     network during training.
 
     The forwards run on an `EvalPass` in batches of `EXPORT_BATCH_SIZE`,
-    in up to `workers` processes.  Once this process has computed the
-    PCA over every row, each process formats its run's rows, and this
-    one writes its own and then the workers' text in run order.  The CSV
-    is written to a temporary file beside `out_csv` and put in place
-    once every worker has joined, so a failure leaves neither.
+    on two threads or in up to `workers` processes.  Once this process
+    has computed the PCA over every row, each thread or process formats
+    its run's rows, and this one writes its own and then the others'
+    text in run order.  The CSV is written to a temporary file beside
+    `out_csv` and put in place once the thread or every worker has
+    joined, so a failure leaves neither.
     """
     if split not in SPLIT_NAMES:
         raise ConfigError(f"split must be one of {SPLIT_NAMES}, "
@@ -577,8 +579,8 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
     passing = EvalPass(model, encode_split(
         examples, prepared.vocab, prepared.label_space,
         config.model.max_seq_len), EXPORT_BATCH_SIZE, workers)
-    # what the workers write, their parent reads: the rows, and each
-    # worker run's text (run r's in texts[r - 1])
+    # what the thread or the workers write, this process reads: the rows,
+    # and the text of each run but the first (run r's in texts[r - 1])
     predicted = parallel.shared(n, len(labels), dtype=bool)
     embeddings, pcs = parallel.shared(n, width), parallel.shared(n, 2)
     texts = [tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
@@ -651,6 +653,8 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
 def generate_corpus(spec_path: str | Path, seed: int,
                     out_path: str | Path) -> tuple[Path, Path]:
     """Generate a synthetic corpus file plus its label-space file."""
+    if seed < 0:  # `rng_for` would read it modulo 2**32
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     out_path = Path(out_path)
     space_path = out_path.with_name(out_path.stem + ".labels.json")
     for path in (out_path, space_path):

@@ -167,11 +167,11 @@ def dual_forward(model_f: EncoderModel, model_c: EncoderModel, batch: Batch,
                  ) -> tuple[Tensor, Tensor, Tensor, Tensor]:
     """Run both streams with injection.
 
-    When the batch is worth two threads (`parallel.pair`), stream one
-    runs on a thread of its own, recording its nodes as stream 1 and
-    the copy's as stream 2, so that `backward` can sweep them side by
-    side too; every value and rng draw is that of running them one after
-    the other.
+    When the batch is worth two threads (`parallel.worth_two_threads`),
+    stream one runs on a thread of its own, recording its nodes as
+    stream 1 and the copy's as stream 2, so that `backward` can sweep
+    them side by side too; every value and rng draw is that of running
+    them one after the other.
 
     Returns (logits_f, logits_c, pooled_tap, pooled_injected): stream one's
     logits and tapped pooled state, the copy's logits, and the copy's pooled
@@ -185,8 +185,9 @@ def dual_forward(model_f: EncoderModel, model_c: EncoderModel, batch: Batch,
     n_layers = model_f.config.n_layers
     config.validate_for(n_layers)
 
-    start = parallel.pair(len(batch.layout.slots), model_f.config.d_model)
-    side_by_side = start is not parallel.at_once
+    side_by_side = parallel.worth_two_threads(len(batch.layout.slots),
+                                              model_f.config.d_model)
+    start = parallel.beside if side_by_side else parallel.at_once
 
     # a stream's last layer runs for the CLS row alone unless the rest of
     # its top state is read: stream one's as the tap (injected whole),

@@ -1,18 +1,17 @@
 """Every thread, process and per-process setting selfaug uses.
 
-`SIDE_BY_SIDE_MIN` is the one cut-off for a second thread, and
-`PROCESS_MIN_ROWS` the fewest rows of a split a forked process takes.
-Callers ask by the size of their work and get back a runner: `pair`
-gives `beside` or `at_once` for a dual step's two streams, `lanes` gives
-`two_lanes` or `one_lane` for a loop over batches, and `processes` says
-how many processes share a sweep's cells.  For the one eval-mode pass,
-`training.EvalPass`, `runs` cuts a split into contiguous runs of whole
-batches, one per process (one where the batches take two lanes), and
-`inheriting_pool` forks the workers that take every run but the first.
-A thread lives only inside the call that starts it, so none is alive
-when a pool forks its workers.  `multiprocessing` and
-`concurrent.futures` are imported where a pool or a thread starts, so a
-process that starts neither does not import them.
+`SIDE_BY_SIDE_MIN` is the one cut-off for a second thread, which
+`worth_two_threads` tests, and `PROCESS_MIN_ROWS` the fewest rows of a
+split a forked process takes.  By that test a dual step runs its two
+streams `beside` or `at_once`, and the one eval-mode pass,
+`training.EvalPass`, has `runs` cut a split into contiguous runs of whole
+batches: two, one per thread, or one per process.  `inheriting_pool`
+then has a thread or forked workers take every run but the first.
+`processes` says how many processes share a sweep's cells.  A thread
+lives only inside the call that starts it, so none is alive when a pool
+forks its workers.  `multiprocessing` and `concurrent.futures` are
+imported where a pool or a thread starts, so a process that starts
+neither does not import them.
 """
 
 from __future__ import annotations
@@ -23,29 +22,29 @@ import math
 import mmap
 import os
 import platform
-import threading
 from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterator, TypeVar
 
 import numpy as np
 
 if TYPE_CHECKING:
-    from concurrent.futures import Future, ProcessPoolExecutor
+    from concurrent.futures import (Future, ProcessPoolExecutor,
+                                    ThreadPoolExecutor)
 
 T = TypeVar("T")
 
 # packed rows x d_model^2 from which a batch's encoder work runs on two
 # threads: a dual step's two streams side by side, and evaluation and
-# export batches in two lanes.  A row's GEMMs grow as d_model^2 while its
-# per-op Python work does not, so a narrow model needs more rows to pay
-# for the second thread.  Time on two threads over time on one, on a
-# 2-core host at one BLAS thread, medians of 15 interleaved repeats, each
-# range over separate runs (the ratio moves with the host's load): a dual
-# step at d_model 128 (wide's width) read 0.70-1.13 at 128 rows,
-# 0.58-0.99 at 256 and 0.55-0.67 at 512 and 1,024; at d_model 32
-# (desk's) 1.11-1.16 at 128 and 256 rows, 0.56-1.10 at 1,024, 0.75-1.11
-# at 2,048, 0.55-1.01 at 4,096 and 0.51-0.66 at 8,192.  Eight evaluation
+# export batches in two runs, one per thread.  A row's GEMMs grow as
+# d_model^2 while its per-op Python work does not, so a narrow model needs
+# more rows to pay for the second thread.  Time on two threads over time
+# on one, on a 2-core host at one BLAS thread, medians of 15 interleaved
+# repeats, each range over separate runs (the ratio moves with the host's
+# load): a dual step at d_model 128 (wide's width) read 0.70-1.13 at 128
+# rows, 0.58-0.99 at 256 and 0.55-0.67 at 512 and 1,024; at d_model 32
+# (desk's) 1.11-1.16 at 128 and 256 rows, 0.56-1.10 at 1,024, 0.75-1.11 at
+# 2,048, 0.55-1.01 at 4,096 and 0.51-0.66 at 8,192.  Eight evaluation
 # batches read 0.62-0.64 at d_model 128 and 256 rows; at d_model 32 0.95
 # at 1,024 rows, 0.70-0.99 at 2,048, 0.54-0.62 at 4,096 and 0.58-0.65 at
 # 8,192.  The cut-off keeps 256 rows at d_model 128 and takes 4,096 at
@@ -90,13 +89,20 @@ ARENA_MAX = 1
 # default, and an export runs in the calling process
 FORK = "fork" if hasattr(os, "fork") else None
 
-_DONE = object()  # what an exhausted iterator gives `two_lanes`
 
-
-def _worth_two_threads(rows: float, d_model: int) -> bool:
+def worth_two_threads(rows: float, d_model: int) -> bool:
     """Whether an encoder forward over `rows` packed rows at `d_model`
     pays for a second thread: from SIDE_BY_SIDE_MIN rows x d_model^2."""
     return rows * d_model * d_model >= SIDE_BY_SIDE_MIN
+
+
+def thread_pool() -> ThreadPoolExecutor:
+    """A pool of one thread of this process, which runs what it is given
+    in order: every thread selfaug starts is one of these."""
+    # imported here: processes that never start a thread skip its import
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=1)
 
 
 @contextmanager
@@ -104,10 +110,7 @@ def beside(fn: Callable[[], T]) -> Iterator[Callable[[], T]]:
     """Run fn() on a thread of its own while the block runs.  The block
     gets a function that waits for fn and returns its value or raises its
     exception; the thread is joined when the block exits, also on error."""
-    # imported here: processes that never start a thread skip its import
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=1) as pool:
+    with thread_pool() as pool:
         yield pool.submit(fn).result
 
 
@@ -116,58 +119,6 @@ def at_once(fn: Callable[[], T]) -> Iterator[Callable[[], T]]:
     """`beside` with fn run at once, on this thread."""
     value = fn()
     yield lambda: value
-
-
-def pair(rows: int, d_model: int) -> Callable:
-    """`beside` when an encoder forward over `rows` packed rows at
-    `d_model` is worth a second thread, else `at_once`."""
-    return beside if _worth_two_threads(rows, d_model) else at_once
-
-
-def two_lanes(items: Iterable[T], fn: Callable[[T, int], object]) -> None:
-    """Call fn(item, lane) for every item in two lanes: lane 0 on this
-    thread and lane 1 on a `beside` thread, each taking the next item
-    from the one iterator, under a lock, as it finishes the last.  Which
-    lane gets an item varies from run to run, so fn must give an item
-    the same result in either.  The thread is joined before this
-    returns.  An exception from either lane reaches the caller with its
-    own type, and neither lane takes another item after it."""
-    pending = iter(items)
-    lock = threading.Lock()
-
-    def run(lane: int) -> None:
-        nonlocal pending
-        while True:
-            with lock:
-                item = next(pending, _DONE)
-            if item is _DONE:
-                return
-            try:
-                fn(item, lane)
-            except BaseException:
-                with lock:
-                    pending = iter(())
-                raise
-
-    with beside(lambda: run(1)) as lane_1:
-        run(0)
-        lane_1()
-
-
-def one_lane(items: Iterable[T], fn: Callable[[T, int], object]) -> None:
-    """`two_lanes` on this thread alone: fn(item, 0) for every item, in
-    order."""
-    for item in items:
-        fn(item, 0)
-
-
-def lanes(lengths: np.ndarray, batch_size: int, d_model: int) -> Callable:
-    """`two_lanes` when a full batch of `batch_size` of the sequences of
-    these `lengths`, at their mean length, is worth a second thread, else
-    `one_lane`.  A batch_size below 1 is left for the batcher to
-    reject."""
-    rows = lengths.mean() * min(batch_size, len(lengths))
-    return two_lanes if _worth_two_threads(rows, d_model) else one_lane
 
 
 def processes(workers: int | None, tasks: int) -> int:
@@ -208,17 +159,22 @@ def shared(*shape: int, dtype=np.float64) -> np.ndarray:
 
 
 def runs(n: int, batch_size: int, workers: int | None,
-         batch_lanes: Callable) -> list[slice]:
-    """Contiguous runs over a split of `n` rows, one per process, that
-    share its batches of `batch_size` as evenly as whole batches can, so
-    that a run's batch i is the batch one pass over all `n` rows makes of
-    those rows.  There are `processes(workers, ...)` runs, no more than
-    the batches and no more than one per PROCESS_MIN_ROWS rows, so none
-    is empty; batches in two lanes (`batch_lanes`), or any where the
-    platform cannot fork, get one run."""
+         on_threads: bool) -> list[slice]:
+    """Contiguous runs over a split of `n` rows that share its batches of
+    `batch_size` as evenly as whole batches can, so that a run's batch i
+    is the batch one pass over all `n` rows makes of those rows.  Batches
+    worth two threads (`on_threads`) get up to two runs, one per thread.
+    Otherwise there are `processes(workers, ...)` runs, one per process,
+    no more than one per PROCESS_MIN_ROWS rows, and one where the platform
+    cannot fork.  There are never more runs than batches, so none is
+    empty."""
     n_batches = -(-n // batch_size)
-    count = 1 if batch_lanes is two_lanes or FORK is None else processes(
-        workers, min(n_batches, n // PROCESS_MIN_ROWS))
+    if on_threads:
+        count = min(2, n_batches)
+    elif FORK is None:
+        count = 1
+    else:
+        count = processes(workers, min(n_batches, n // PROCESS_MIN_ROWS))
     starts = [n_batches * r // count * batch_size for r in range(count)]
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
@@ -233,24 +189,29 @@ def _run_inherited(phase: str, *args) -> None:
 
 
 @contextmanager
-def inheriting_pool(count: int, **phases: Callable[..., None]) \
+def inheriting_pool(count: int, on_threads: bool,
+                    **phases: Callable[..., None]) \
         -> Iterator[Callable[..., list[Future]]]:
-    """Workers forked from this process for runs 1 to `count` - 1 of a
-    split's `count` runs; run 0 is the caller's.  The workers inherit
-    `phases` instead of unpickling them, so a phase may be a closure.
-    The block gets start(phase, *args), which has the workers call
-    phases[phase](run, *args) for each of those runs and returns the
-    futures in run order; at a count of one it starts nothing.  The pool
-    is joined when the block exits, also on error.  `count` is the
-    length of `runs`, which gives one run where the platform cannot
-    fork."""
+    """What takes runs 1 to `count` - 1 of a split's `count` runs (see
+    `runs`); run 0 is the caller's.  The block gets start(phase, *args),
+    which has phases[phase](run, *args) called for each of those runs and
+    returns the futures in run order; at a count of one it starts
+    nothing.  `on_threads`, a `thread_pool` takes run 1.  Otherwise
+    workers forked from this process take the runs, and inherit `phases`
+    instead of unpickling them, so a phase may be a closure.  The thread
+    or the pool is joined when the block exits, also on error."""
     if count == 1:
         yield lambda phase, *args: []
-        return
-    with process_pool(count - 1, _inherited.update, (phases,)) as pool_:
-        yield lambda phase, *args: [
-            pool_.submit(_run_inherited, phase, run, *args)
-            for run in range(1, count)]
+    elif on_threads:
+        with thread_pool() as pool_:
+            yield lambda phase, *args: [
+                pool_.submit(phases[phase], 1, *args)]
+    else:
+        with process_pool(count - 1, _inherited.update,
+                          (phases,)) as pool_:
+            yield lambda phase, *args: [
+                pool_.submit(_run_inherited, phase, run, *args)
+                for run in range(1, count)]
 
 
 @functools.cache  # the settings hold for the whole process
@@ -265,7 +226,7 @@ def keep_freed_memory() -> None:
     on the benchmark's wide workload either one alone faulted in more
     pages than neither, so the trim threshold is set only once the mmap
     threshold is accepted.  So is the cap of one malloc arena: without it
-    the thread that runs a dual step's second stream (see `pair`) gets
+    the thread that runs a dual step's second stream (see `beside`) gets
     an arena of its own, whose freed blocks only a thread on that arena
     reuses.  Each stream allocates and frees on one thread, so on the
     wide workload the cap saved only 1-2 MB of peak RSS (three runs

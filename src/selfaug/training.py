@@ -261,13 +261,16 @@ def _step_losses(mode: str, model_f: EncoderModel,
 class EvalPass:
     """One eval-mode pass over a split, behind `evaluate` and the export.
 
-    Batches worth two threads (see `parallel.lanes`) run in two lanes in
-    this process, at `batch_size`, since a worker forked from a large
-    heap (a training's) pays a fault for every page it rewrites.
-    Otherwise each of up to `workers` processes takes one of `runs` (see
-    `parallel.runs`), this process the first.  Within a run, consecutive
-    batches of one padded width run as one forward of up to
-    `EXPORT_BATCH_SIZE` sequences (see `merged`), which keeps every bit
+    The split goes in contiguous runs of whole batches (see
+    `parallel.runs`); this process takes the first, and a thread or
+    forked processes the rest (see `parallel.inheriting_pool`).  When a
+    full batch is worth two threads (see `parallel.worth_two_threads`),
+    a thread of this process takes the second of two runs, since a
+    worker forked from a large heap (a training's) pays a fault for
+    every page it rewrites.  Otherwise each of up to `workers` processes
+    takes one.  Within a run, consecutive batches of one padded width
+    run as one forward of up to `EXPORT_BATCH_SIZE` sequences (see
+    `merged`), or of `batch_size` on two threads, which keeps every bit
     of single batches of `batch_size`.
     """
 
@@ -276,10 +279,11 @@ class EvalPass:
         if batch_size < 1:  # before the runs divide by it
             raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
         self.model, self.split, self.batch_size = model, split, batch_size
-        self.lanes = parallel.lanes(split.lengths, batch_size,
-                                    model.config.d_model)
+        self.on_threads = parallel.worth_two_threads(
+            split.lengths.mean() * min(batch_size, len(split)),
+            model.config.d_model)
         self.runs = parallel.runs(len(split), batch_size, workers,
-                                  self.lanes)
+                                  self.on_threads)
 
     @contextmanager
     def forwards(self, stream: Callable, keep: Callable,
@@ -288,31 +292,27 @@ class EvalPass:
         batches `stream` (a `data.batches`) makes of the split, in the
         process and on the thread that ran it, so it may write only
         those rows.  The block runs once all are done and the split let
-        go; its start(phase, *args) has the workers run
-        later[phase](run, *args) on what existed when they forked (see
+        go; its start(phase, *args) has the thread or the workers run
+        later[phase](run, *args) on what existed when they started (see
         `parallel.inheriting_pool`)."""
-        # batches in two lanes keep their size: on wide, evaluation in
+        # on two threads batches keep their size: on wide, evaluation in
         # export-sized batches measured slower
-        most = EXPORT_BATCH_SIZE if self.lanes is parallel.one_lane \
-            else self.batch_size
+        most = self.batch_size if self.on_threads else EXPORT_BATCH_SIZE
 
         def forward(run: int) -> None:
             rows = self.runs[run]
             part = self.split[rows]
-
-            def one(item: tuple[int, Batch], lane: int) -> None:
-                row, batch = item
-                with ad.no_grad():
+            with ad.no_grad():  # grad mode is each thread's own
+                for row, batch in merged(part, stream(
+                        part, self.batch_size, train=False), most):
                     logits, hidden = self.model.forward(
                         batch, train=False, cls_only=cls_only)
-                row += rows.start
-                keep(slice(row, row + batch.size), batch, logits, hidden)
+                    row += rows.start
+                    keep(slice(row, row + batch.size), batch, logits,
+                         hidden)
 
-            self.lanes(merged(part, stream(part, self.batch_size,
-                                           train=False), most), one)
-
-        with parallel.inheriting_pool(len(self.runs), forward=forward,
-                                      **later) as start:
+        with parallel.inheriting_pool(len(self.runs), self.on_threads,
+                                      forward=forward, **later) as start:
             forwarding = start("forward")
             forward(0)
             for future in forwarding:

@@ -6,9 +6,9 @@ ablation, a two-cell grid, a three-fold k-fold, a multilabel run whose
 2,040-row test split is evaluated in merged forwards over two processes
 and exported at its tap layer at one and two workers, a mean-pooled
 `flow` run with dropout, a run wide enough that a dual step's streams
-run side by side and its evaluation batches in two lanes, and a run of
-that width whose 512-row test split is exported in two lanes, at both
-layers and, at `pooled_final`, at one, two and the default workers.
+run side by side and its evaluation batches on two threads, and a run
+of that width whose 512-row test split is exported on two threads, at
+both layers and, at `pooled_final`, at one, two and the default workers.
 
 `epochs.jsonl` is hashed without its wall-clock `seconds` and
 `config.json` without `out_dir`, the two fields that may differ between

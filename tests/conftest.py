@@ -1,5 +1,5 @@
 """Shared test helpers: the central finite-difference oracle used to verify
-every analytic gradient in the package, what the two-lane tests use to
+every analytic gradient in the package, what the thread tests use to
 see and steer threads, and what the process tests use to see pools."""
 
 from __future__ import annotations
@@ -23,16 +23,17 @@ settings.load_profile("default")
 
 @pytest.fixture
 def threads_started(monkeypatch) -> list:
-    """The functions `parallel.beside` has run on a thread of their own,
-    in order, while the test runs."""
+    """Every one-thread pool `parallel.thread_pool` has made while the
+    test runs, in order: `beside` and the second thread of an eval-mode
+    pass each make one."""
     started = []
-    beside = parallel.beside
+    thread_pool = parallel.thread_pool
 
-    def spy(fn):
-        started.append(fn)
-        return beside(fn)
+    def spy():
+        started.append(thread_pool())
+        return started[-1]
 
-    monkeypatch.setattr(parallel, "beside", spy)
+    monkeypatch.setattr(parallel, "thread_pool", spy)
     return started
 
 
@@ -53,8 +54,8 @@ def pools_made(monkeypatch) -> list:
 
 def lanes_meet():
     """A call that blocks each thread's first call until a second thread
-    has made its first (for up to 10 s), so that each of
-    `parallel.two_lanes`'s two lanes takes an item before either goes
+    has made its first (for up to 10 s), so that each of an eval-mode
+    pass's two threads (its lanes) starts its run before either goes
     on."""
     barrier = threading.Barrier(2, timeout=10)
     seen = set()

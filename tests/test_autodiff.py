@@ -4,7 +4,6 @@ against the central finite-difference oracle in conftest."""
 import itertools
 import math
 import threading
-import time
 import weakref
 
 import numpy as np
@@ -17,7 +16,7 @@ from selfaug import parallel
 from selfaug.data import RowLayout
 from selfaug.errors import ConfigError, DomainError, ShapeError
 
-from conftest import fd_grad, lanes_meet, on_lane_zero, rel_err
+from conftest import fd_grad, rel_err
 
 RNG = np.random.default_rng(20240817)
 
@@ -903,65 +902,6 @@ class TestStreams:
             with parallel.beside(lambda: None):
                 raise KeyError("main")
         assert threading.active_count() == before
-
-
-class TestLanes:
-    """`two_lanes` runs every item once, on two threads, and leaves no
-    thread behind."""
-
-    def test_every_item_runs_once_in_one_of_two_lanes(self,
-                                                      threads_started):
-        meet, done = lanes_meet(), []
-
-        def fn(item: int, lane: int) -> None:
-            meet()
-            done.append((item, lane, on_lane_zero()))
-
-        before = threading.active_count()
-        parallel.two_lanes(range(25), fn)
-        assert threading.active_count() == before
-        assert len(threads_started) == 1
-        assert sorted(item for item, _, _ in done) == list(range(25))
-        # lane 0 is the caller's thread, lane 1 the other one
-        assert {(lane, main) for _, lane, main in done} == \
-            {(0, True), (1, False)}
-
-    def test_one_lane_runs_in_order_on_this_thread(self, threads_started):
-        done = []
-        parallel.one_lane(range(5),
-                          lambda item, lane: done.append((item, lane)))
-        assert done == [(i, 0) for i in range(5)]
-        assert threads_started == []
-
-    def test_no_items_and_a_failing_iterator(self):
-        before = threading.active_count()
-        parallel.two_lanes([], lambda item, lane: 1 / 0)
-
-        def items():
-            yield 1
-            raise KeyError("iterator")
-
-        with pytest.raises(KeyError, match="iterator"):
-            parallel.two_lanes(items(), lambda item, lane: None)
-        assert threading.active_count() == before
-
-    @pytest.mark.parametrize("failing", [0, 1])
-    def test_error_in_either_lane_reaches_the_caller(self, failing):
-        meet, done = lanes_meet(), []
-
-        def fn(item: int, lane: int) -> None:
-            meet()
-            if lane == failing:
-                raise KeyError(f"lane {lane}")
-            time.sleep(0.001)  # lets the failing lane in
-            done.append(item)
-
-        before = threading.active_count()
-        with pytest.raises(KeyError, match=f"lane {failing}"):
-            parallel.two_lanes(range(1000), fn)
-        assert threading.active_count() == before
-        # neither lane takes an item once one has raised
-        assert len(done) < 500
 
 
 class TestNumericGuards:

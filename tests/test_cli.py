@@ -1184,8 +1184,9 @@ class TestExportCommand:
 
 
 class TestExportLanes:
-    """An export's batches in two lanes (the cut-off patched to 0) write
-    the bytes the one-lane export writes."""
+    """An export's batches in two lanes, two runs with the second on a
+    thread (the cut-off patched to 0), write the bytes the one-lane
+    export writes."""
 
     def _checkpoint(self, tmp_path, pooling: str) -> Path:
         payload = small_config(str(tmp_path / "run"), max_epochs=1)
@@ -1641,3 +1642,14 @@ class TestGenSynthCommand:
                           str(spec_path)).exit_code == 0
         assert (tmp_path / "one" / "corpus.jsonl").read_bytes() == \
             (tmp_path / "two" / "corpus.jsonl").read_bytes()
+
+    def test_negative_seed_rejected_before_any_file(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(
+            small_config("unused")["data"]["synth_spec"]))
+        result = invoke("--out", str(tmp_path / "out"), "--seed", "-3",
+                        "gen-synth", "--spec", str(spec_path))
+        assert result.exit_code == 2
+        assert result.output == \
+            "error: seed must be non-negative, got -3\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]

@@ -758,9 +758,10 @@ MIXED = [2] * 8 + [16] * 8 + [5] * 8 + [9] * 3
 
 
 class TestLanes:
-    """Evaluation batches in two lanes (the cut-off patched to 0) give
-    every bit the one-lane path gives, with the threads switching as
-    finely as the interpreter can."""
+    """Evaluation batches in two lanes, two runs with the second on a
+    thread (the cut-off patched to 0), give every bit the one-lane path
+    gives, with the threads switching as finely as the interpreter
+    can."""
 
     @pytest.fixture(autouse=True)
     def fast_switching(self):
@@ -807,7 +808,8 @@ class TestLanes:
             bundle = evaluate(model, split, space, batch_size)
             runs.append((logits, bundle.to_dict()))
         assert threading.active_count() == before
-        assert len(threads_started) == 1  # the two-lane call's alone
+        # the two-lane call's alone, and only for two batches or more
+        assert len(threads_started) == (1 if len(lengths) > batch_size else 0)
         assert runs[0] == runs[1]
         assert predicted[0] == predicted[1]
         assert len(runs[0][0]) == -(-len(lengths) // batch_size)
@@ -858,18 +860,26 @@ class TestLaneCutOff:
 
 class TestRuns:
     """`parallel.runs` cuts a split into contiguous, non-empty runs of
-    whole batches: one per process, at most one per batch and one per
-    PROCESS_MIN_ROWS rows, and one alone for batches in two lanes or
-    where the platform cannot fork."""
+    whole batches: for batches worth two threads, up to two whatever the
+    workers; otherwise one per process, at most one per batch and one
+    per PROCESS_MIN_ROWS rows, and one alone where the platform cannot
+    fork."""
+
+    GRID = list(itertools.product([1, 15, 27, 600, 1023, 1024, 5000],
+                                  [1, 4, 16, 128, 1000], [1, 2, 3, 8]))
 
     def test_runs_cover_the_split_in_whole_batches(self):
-        for n, batch_size, workers in itertools.product(
-                [1, 15, 27, 600, 1023, 1024, 5000], [1, 4, 16, 128, 1000],
-                [1, 2, 3, 8]):
-            runs = parallel.runs(n, batch_size, workers, parallel.one_lane)
-            count = min(workers, -(-n // batch_size),
-                        n // parallel.PROCESS_MIN_ROWS)
-            assert len(runs) == (max(1, count) if parallel.FORK else 1)
+        for (n, batch_size, workers), on_threads in itertools.product(
+                self.GRID, [False, True]):
+            runs = parallel.runs(n, batch_size, workers, on_threads)
+            n_batches = -(-n // batch_size)
+            if on_threads:
+                count = min(2, n_batches)
+            else:
+                count = max(1, min(workers, n_batches,
+                                   n // parallel.PROCESS_MIN_ROWS)) \
+                    if parallel.FORK else 1
+            assert len(runs) == count
             assert runs[0].start == 0 and runs[-1].stop == n
             for run, after in zip(runs, runs[1:]):
                 assert run.stop == after.start
@@ -877,12 +887,24 @@ class TestRuns:
                 assert run.stop > run.start
                 assert run.start % batch_size == 0
 
+    def test_thread_runs_ignore_workers_and_fork(self, monkeypatch):
+        want = {(n, batch_size): parallel.runs(n, batch_size, 1, True)
+                for n, batch_size, _ in self.GRID}
+        for fork, floor in itertools.product([parallel.FORK, None],
+                                             [1, 10**9]):
+            monkeypatch.setattr(parallel, "FORK", fork)
+            monkeypatch.setattr(parallel, "PROCESS_MIN_ROWS", floor)
+            for n, batch_size, workers in self.GRID + [(5000, 16, None)]:
+                assert parallel.runs(n, batch_size, workers, True) == \
+                    want[n, batch_size]
+
     def test_one_run_for_two_lanes_or_without_fork(self, monkeypatch):
-        assert parallel.runs(5000, 16, 2, parallel.two_lanes) == \
-            [slice(0, 5000)]
+        # two lanes take one run where the split is a single batch
+        assert parallel.runs(16, 16, 2, True) == [slice(0, 16)]
+        assert parallel.runs(5000, 16, 2, True) == \
+            [slice(0, 2496), slice(2496, 5000)]
         monkeypatch.setattr(parallel, "FORK", None)
-        assert parallel.runs(5000, 16, 2, parallel.one_lane) == \
-            [slice(0, 5000)]
+        assert parallel.runs(5000, 16, 2, False) == [slice(0, 5000)]
 
 
 @pytest.fixture
@@ -1072,7 +1094,7 @@ BLOCKS = [5, 3, 2, 4] * 3 + [9, 1] * 4 + [5] * 4 + [16, 2] * 4 + \
 
 
 class TestMergedForwards:
-    """Evaluation in one lane runs consecutive batches of one padded
+    """Evaluation on one thread runs consecutive batches of one padded
     width as one forward of up to EXPORT_BATCH_SIZE sequences, never
     with a batch of one, and keeps every bit of the pass that runs each
     batch alone, in one process or several."""
