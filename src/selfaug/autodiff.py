@@ -5,19 +5,19 @@ node to its output tensor.  The node holds the gradient targets of the
 op's operands (each tracked input's own node, or the tensor itself for a
 `requires_grad` leaf) and a closure over the arrays its backward reads,
 never an intermediate tensor, so an op output that no backward reads is
-freed as soon as the forward drops it.  ``backward`` linearizes the graph once (iterative
-post-order, so depth is not bounded by the interpreter recursion limit) and
-walks it in reverse; each node is therefore visited exactly once even when
-a tensor is shared between subexpressions, and shared inputs accumulate
-their gradient with ``+=``.  A node's gradient lives only until the sweep
-has applied it, so after ``backward`` only leaves hold a `.grad`.  Leaf
-gradients are cleared explicitly by the caller, never by the engine, which
-is what lets a parameter collect contributions from several losses in one
-step.  The graph survives the sweep unless the sweep runs inside
-``single_use_graphs``, as the training loop's do: then each node drops
-its closure, and the arrays it keeps, as soon as it has run, so the
-memory of the graph's lower layers is given back while the sweep is
-still under way.
+freed as soon as the forward drops it.  ``backward`` linearizes the
+graph once (iterative post-order, so depth is not bounded by the
+interpreter recursion limit) and walks it in reverse; each node is
+therefore visited exactly once even when a tensor is shared between
+subexpressions, and shared inputs accumulate their gradient with ``+=``.
+A node's gradient lives only until the sweep has applied it, so after
+``backward`` only leaves hold a `.grad`.  Leaf gradients are cleared
+explicitly by the caller, never by the engine, which is what lets a
+parameter collect contributions from several losses in one step.  A graph
+is swept once: each node drops its closure, and the arrays it keeps, as
+soon as it has run, so the memory of the graph's lower layers is given
+back while the sweep is still under way.  A sweep that reaches a node an
+earlier sweep ran raises before it moves any gradient.
 
 A node also records which stream built it.  Inside a ``stream(k)``
 block a thread tags its nodes k (1 or 2); elsewhere they are 0, the
@@ -111,7 +111,8 @@ class Node:
                  apply: Callable[..., None]) -> None:
         self.op = op
         self.inputs = inputs
-        self.apply = apply
+        # None once a sweep has run the node
+        self.apply: Callable[..., None] | None = apply
         self.grad: Array | None = None
         self.stream = _recording.stream
 
@@ -227,7 +228,8 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
 
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
     if a.shape != b.shape:
-        raise ShapeError(f"{op}: operand shapes {a.shape} and {b.shape} differ")
+        raise ShapeError(f"{op}: operand shapes {a.shape} and {b.shape} "
+                         "differ")
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +666,8 @@ def self_attention(q: Tensor, k: Tensor, v: Tensor, wo: Tensor, bo: Tensor,
     queries, else the longest length).  d is split into `n_heads` heads,
     softmax(q k^T * scale + key bias) is taken row-wise, the bias being
     -MASK_OFFSET at every pad key, inverted dropout at `rate` is applied
-    to those probabilities, and the heads of probs @ v are merged back.  The context rows of the queries are gathered before
+    to those probabilities, and the heads of probs @ v are merged back.
+    The context rows of the queries are gathered before
     context @ wo + bo.  So the scores, the key mask, the softmax and the
     dropout see the padded grid, and every product of a row with a weight
     sees that row alone.  The keep-mask is drawn for the whole
@@ -904,17 +907,12 @@ def _postorder(root: Tensor) -> list[Node]:
     return order
 
 
-def _spent(*_) -> None:
-    raise ValueError("backward: this graph was freed by an earlier sweep")
-
-
-def _sweep(order: list[Node], free: bool) -> None:
+def _sweep(order: list[Node]) -> None:
     for node in order:
         g, node.grad = node.grad, None
         if g is not None:
             node.apply(g, *node.inputs)
-        if free:
-            node.apply = _spent
+        node.apply = None
 
 
 def _stream_parts(order: list[Node]) -> list[list[Node]] | None:
@@ -944,22 +942,6 @@ def _stream_parts(order: list[Node]) -> list[list[Node]] | None:
     return parts if parts[1] and parts[2] else None
 
 
-_free_sweeps = False
-
-
-@contextmanager
-def single_use_graphs() -> Iterator[None]:
-    """Inside the block every `backward` frees its graph as it goes (a
-    training loop's one sweep per graph)."""
-    global _free_sweeps
-    prev = _free_sweeps
-    _free_sweeps = True
-    try:
-        yield
-    finally:
-        _free_sweeps = prev
-
-
 def backward(loss: Tensor) -> None:
     """Reverse-mode sweep from a scalar loss.
 
@@ -967,12 +949,10 @@ def backward(loss: Tensor) -> None:
     reverse topological order.  Gradients accumulate in `.grad` of every
     leaf tensor (`requires_grad`) that the loss depends on, and the loss
     itself accumulates the seed in its `.grad`; intermediate tensors never
-    get one.  Each node's gradient is dropped as soon as the node has
-    routed it onward, so the graph survives the sweep (a second loss may
-    share it) but none of its intermediate gradients do.  Inside
-    `single_use_graphs`, each node also drops its backward routine, and
-    the arrays it keeps, once it has run; the graph cannot be swept
-    again.
+    get one.  Each node drops its gradient, its backward routine and the
+    arrays that routine keeps as soon as it has run, so the graph cannot
+    be swept again: a sweep that reaches a node an earlier one ran raises
+    ValueError before it seeds or moves any gradient.
 
     A graph recorded by two `stream`s sweeps its head first, then the two
     streams side by side, each stream's nodes in their order, when that
@@ -982,20 +962,22 @@ def backward(loss: Tensor) -> None:
     if loss.size != 1:
         raise ShapeError(f"backward: loss must be a scalar, "
                          f"got shape {loss.shape}")
+    order = _postorder(loss)
+    if any(node.apply is None for node in order):
+        raise ValueError("backward: this graph was freed by an earlier "
+                         "sweep")
     seed = np.ones_like(loss.data)
     loss.grad = seed if loss.grad is None else loss.grad + seed
     if loss.node is None:
         return
-    free = _free_sweeps
     loss.node.grad = np.ones_like(loss.data)
-    order = _postorder(loss)
     order.reverse()
     parts = _stream_parts(order) if any(n.stream for n in order) else None
     if parts is None:
-        _sweep(order, free)
+        _sweep(order)
         return
     head, first, second = parts
-    _sweep(head, free)
-    with parallel.beside(lambda: _sweep(first, free)) as first_done:
-        _sweep(second, free)
+    _sweep(head)
+    with parallel.beside(lambda: _sweep(first)) as first_done:
+        _sweep(second)
         first_done()

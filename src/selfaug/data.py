@@ -49,13 +49,17 @@ class Example:
 
 
 @dataclass(frozen=True)
-class LabelSpace:
+class LabelSpace(Schema):
     task_kind: str
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
         if self.task_kind not in TASK_KINDS:
             raise ConfigError(f"unknown task kind {self.task_kind!r}")
+        for label in self.labels:
+            # the export joins a row's labels with "|"
+            if "|" in label:
+                raise ConfigError(f"label {label!r} contains '|'")
         if len(self.labels) != len(set(self.labels)):
             raise ConfigError("label space contains duplicate labels")
         if self.task_kind == "binary" and len(self.labels) != 2:
@@ -85,7 +89,7 @@ class Vocabulary:
     """Token/id mapping with three reserved ids: PAD=0, UNK=1, CLS=2."""
 
     def __init__(self, content_tokens: Sequence[str]) -> None:
-        self.id_to_token: list[str] = list(RESERVED_TOKENS) + list(content_tokens)
+        self.id_to_token: list[str] = [*RESERVED_TOKENS, *content_tokens]
         if len(set(self.id_to_token)) != len(self.id_to_token):
             raise DataError("vocabulary contains duplicate tokens")
         self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
@@ -153,14 +157,8 @@ def load_label_space(path: str | Path) -> LabelSpace:
     except json.JSONDecodeError as err:
         raise DataError(f"label space {path} is not valid JSON: "
                         f"{err}") from None
-    if not isinstance(raw, dict) or not isinstance(raw.get("task_kind"), str) \
-            or not isinstance(raw.get("labels"), list) \
-            or not all(isinstance(label, str) for label in raw["labels"]):
-        raise DataError(f"label space {path} needs a 'task_kind' string "
-                        f"and a 'labels' list of strings")
     try:
-        return LabelSpace(task_kind=raw["task_kind"],
-                          labels=tuple(raw["labels"]))
+        return LabelSpace.from_dict(raw)
     except ConfigError as err:
         raise DataError(f"label space {path}: {err}") from None
 

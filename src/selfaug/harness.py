@@ -16,8 +16,8 @@ is one level of parallelism.
 
 Every run directory holds the same four artifacts (config.json as the
 resolved snapshot, checkpoint.bin, epochs.jsonl, metrics.json), and every
-primary output except wall-clock fields in epochs.jsonl is byte-identical across
-reruns with the same config and seed.  Configuration and data problems
+primary output except wall-clock fields in epochs.jsonl is byte-identical
+across reruns with the same config and seed.  Configuration and data problems
 surface before the output directory is created, so a failed start leaves
 no partial run behind.
 """
@@ -53,6 +53,7 @@ from .model import (EncoderModel, load_checkpoint, pool, predict,
                     save_checkpoint)
 from .objective import ProjectionNetwork
 from .schema import Schema
+from .seeding import check_seed
 from .training import TRAIN_MODES, EvalPass, TrainResult, evaluate, train
 
 EXPORT_LAYERS = ("pooled_final", "tapped")
@@ -202,11 +203,6 @@ def _restored_model(config: ExperimentConfig, prepared: PreparedData,
     return model
 
 
-def _label_space_meta(label_space: LabelSpace) -> dict:
-    return {"task_kind": label_space.task_kind,
-            "labels": list(label_space.labels)}
-
-
 def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -236,7 +232,7 @@ def _write_run_artifacts(run_dir: Path, config: ExperimentConfig,
     experiment = {key: value for key, value in config.to_dict().items()
                   if key != "out_dir"}
     meta = {"experiment": experiment,
-            "label_space": _label_space_meta(prepared.label_space),
+            "label_space": prepared.label_space.to_dict(),
             "vocab": prepared.vocab.id_to_token}
     if prepared.fold is not None:
         meta["fold"] = prepared.fold.to_dict()
@@ -557,7 +553,7 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
     if prepared.vocab.id_to_token != meta["vocab"]:
         raise ConfigError("checkpoint vocabulary does not match the "
                           "re-prepared data; the data source changed")
-    if _label_space_meta(prepared.label_space) != meta["label_space"]:
+    if prepared.label_space.to_dict() != meta["label_space"]:
         raise ConfigError("checkpoint label space does not match the "
                           "re-prepared data; the label file changed")
     examples = getattr(prepared, split)
@@ -653,8 +649,7 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
 def generate_corpus(spec_path: str | Path, seed: int,
                     out_path: str | Path) -> tuple[Path, Path]:
     """Generate a synthetic corpus file plus its label-space file."""
-    if seed < 0:  # `rng_for` would read it modulo 2**32
-        raise ConfigError(f"seed must be non-negative, got {seed}")
+    check_seed(seed)
     out_path = Path(out_path)
     space_path = out_path.with_name(out_path.stem + ".labels.json")
     for path in (out_path, space_path):
@@ -663,6 +658,6 @@ def generate_corpus(spec_path: str | Path, seed: int,
     examples = gen_synthetic(spec, seed=seed)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     write_jsonl(out_path, examples)
-    space_path.write_text(_json_text(_label_space_meta(spec.label_space())),
+    space_path.write_text(_json_text(spec.label_space().to_dict()),
                           encoding="utf-8")
     return out_path, space_path

@@ -13,6 +13,20 @@ import zlib
 
 import numpy as np
 
+from .errors import ConfigError
+
+# streams are keyed on 32-bit words: a seed of 2**SEED_BITS or more
+# would read as another seed's streams
+SEED_BITS = 32
+
+
+def check_seed(seed: int) -> None:
+    """Raise ConfigError naming `seed` unless 0 <= seed < 2**SEED_BITS."""
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    if seed >= 1 << SEED_BITS:
+        raise ConfigError(f"seed must be below 2**{SEED_BITS}, got {seed}")
+
 
 def rng_for(seed: int, name: str, *extra: int) -> np.random.Generator:
     """Generator for stream `name` under `seed`.

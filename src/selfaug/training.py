@@ -33,7 +33,7 @@ from .objective import (DualStreamConfig, ProjectionNetwork, StepLosses,
                         composite_loss, contrastive_loss, dual_forward,
                         project)
 from .schema import Schema
-from .seeding import rng_for
+from .seeding import check_seed, rng_for
 
 TRAIN_MODES = ("baseline", "sa_only", "proposed")
 
@@ -65,8 +65,7 @@ class TrainConfig(Schema):
                               f"{self.max_epochs}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        check_seed(self.seed)
         if self.mode not in TRAIN_MODES:
             raise ConfigError(f"mode must be one of {TRAIN_MODES}, "
                               f"got {self.mode!r}")
@@ -408,11 +407,7 @@ def train(model_f: EncoderModel, model_c: EncoderModel | None,
             losses = _step_losses(mode, model_f, model_c, projection,
                                   batch, dual_cfg, rng_f, rng_c,
                                   not label_space.single_label)
-            # one sweep per graph, which frees the graph as it goes; the
-            # flag comes from a block because bench/tracing.py wraps
-            # backward as a function of the loss alone
-            with ad.single_use_graphs():
-                ad.backward(losses.total)
+            ad.backward(losses.total)
             optimizer.step()
             sums += np.array(losses.as_floats())
             # the graph goes before the next forward builds another, so

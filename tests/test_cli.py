@@ -108,6 +108,8 @@ MALFORMED_CONFIGS = {
                       "error: model: max_seq_len must be >= 2"),
     "negative seed": (lambda c: c["train"].update(seed=-1),
                       "error: train: seed must be non-negative"),
+    "seed 2**32": (lambda c: c["train"].update(seed=2**32),
+                   "error: train: seed must be below 2**32, got 4294967296"),
 }
 PYTHON_INTERNALS = re.compile(r"Error|Exception|NoneType|__\w+__|<class|"
                               r"argument|instances of|'(int|float|str)'")
@@ -241,9 +243,16 @@ class TestTrainCommand:
         ('{"id": "b", "text": null, "labels": ["ailment"]}', {},
          "corpus.jsonl:2: 'text' must be a string"),
         # a string of labels would otherwise split into one-letter labels
-        ("", {"labels": "ab"}, "labels.json needs a 'task_kind' string"),
-        ("", {"labels": ["ailment", 2]}, "labels.json needs a 'task_kind'"),
-        ("", {"task_kind": ["binary"]}, "labels.json needs a 'task_kind'"),
+        ("", {"labels": "ab"},
+         'labels.json: labels: expected an array, got "ab"'),
+        ("", {"labels": ["ailment", 2]},
+         "labels.json: labels[1]: expected a string, got 2"),
+        ("", {"task_kind": ["binary"]},
+         'labels.json: task_kind: expected a string, got ["binary"]'),
+        ("", {"lables": ["x"]}, "labels.json: lables: unknown key"),
+        # the export joins a row's labels with "|"
+        ("", {"labels": ["ailment", "flu|cold"]},
+         "labels.json: label 'flu|cold' contains '|'"),
         ('{"id": null, "text": "x", "labels": ["ailment"]}', {},
          "corpus.jsonl:2: 'id' must be a string or an integer"),
         ('{"id": [1], "text": "x", "labels": ["ailment"]}', {},
@@ -261,7 +270,7 @@ class TestTrainCommand:
          {"task_kind": "multilabel"},
          "corpus.jsonl:2: label 'ailment' is listed twice")],
         ids=["number line", "null text", "labels string", "numeric label",
-             "task_kind list", "null id", "list id", "bool id",
+             "task_kind list", "unknown key", "pipe in label", "null id", "list id", "bool id",
              "unknown task kind", "duplicate labels", "binary with 3",
              "label listed twice"])
     def test_malformed_data_file_exits_2(self, tmp_path, line, space,
@@ -328,9 +337,11 @@ class TestTrainCommand:
          "template '{{kw}}' must hold a {kw} placeholder"),
         ({"keywords": {"ailment": ["fever"], "banter": ["meme"],
                        "errand": ["laundry"]}},
-         "keywords name 'errand', which is not one of the classes")],
+         "keywords name 'errand', which is not one of the classes"),
+        ({"classes": ["ailment", "ban|ter"]},
+         "label 'ban|ter' contains '|'")],
         ids=["no classes", "unknown field", "lone brace", "escaped kw",
-             "unknown keyword class"])
+             "unknown keyword class", "pipe in class"])
     def test_malformed_synth_spec_exits_2(self, tmp_path, edit, message):
         out = tmp_path / "run"
         payload = small_config(str(out))
@@ -376,6 +387,16 @@ class TestTrainCommand:
         assert result.exit_code == 0, result.output
         snapshot = json.loads((out / "config.json").read_text())
         assert snapshot["train"]["seed"] == 5
+
+    def test_seed_override_of_2_32_exits_2(self, tmp_path):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, small_config(str(out)))
+        result = invoke("--config", str(cfg), "--seed", "4294967296",
+                        "train")
+        assert result.exit_code == 2
+        assert result.output == \
+            "error: seed must be below 2**32, got 4294967296\n"
+        assert not out.exists()
 
     def test_multilabel_end_to_end(self, tmp_path):
         out = tmp_path / "run"
@@ -1652,4 +1673,16 @@ class TestGenSynthCommand:
         assert result.exit_code == 2
         assert result.output == \
             "error: seed must be non-negative, got -3\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+    def test_seed_of_2_32_rejected_before_any_file(self, tmp_path):
+        # the streams would read it as seed 0's
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(
+            small_config("unused")["data"]["synth_spec"]))
+        result = invoke("--out", str(tmp_path / "out"), "--seed",
+                        "4294967296", "gen-synth", "--spec", str(spec_path))
+        assert result.exit_code == 2
+        assert result.output == \
+            "error: seed must be below 2**32, got 4294967296\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]

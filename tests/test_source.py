@@ -1,6 +1,6 @@
-"""Source checks: every name a selfaug module imports is used in it,
-only `parallel` starts processes or reads the CPU count, and importing
-the CLI imports no pool machinery."""
+"""Source checks: every name a selfaug module imports is used in it, no
+line is wider than 79 characters, only `parallel` starts processes or
+reads the CPU count, and importing the CLI imports no pool machinery."""
 
 import ast
 import os
@@ -54,6 +54,14 @@ def test_every_imported_name_is_used(path):
               for name, line in sorted(_imported(tree).items())
               if name not in used]
     assert not unused, f"{path.name} never uses {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_line_is_wider_than_79(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    wide = [f"line {n} ({len(line)})" for n, line in enumerate(lines, 1)
+            if len(line) > 79]
+    assert not wide, f"{path.name} is too wide at {', '.join(wide)}"
 
 
 def test_the_check_sees_an_unused_import():
