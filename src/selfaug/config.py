@@ -9,11 +9,10 @@ typos fail loudly instead of silently running defaults.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .data import SynthSpec, read_text
+from .data import SynthSpec, parse_json, read_text
 from .errors import ConfigError
 from .model import ModelConfig
 from .objective import DualStreamConfig
@@ -171,9 +170,6 @@ class ExperimentConfig(Schema):
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        try:
-            raw = json.loads(read_text(path, "config file", ConfigError))
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"config file {path} is not valid JSON: "
-                              f"{err}") from err
-        return cls.from_dict(raw)
+        return cls.from_dict(parse_json(
+            read_text(path, "config file", ConfigError),
+            f"config file {path}", ConfigError))

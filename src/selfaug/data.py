@@ -2,8 +2,9 @@
 deterministic splits, and a seeded synthetic corpus generator.
 
 Three task kinds flow through the same types: binary and multiclass examples
-carry exactly one label, multilabel examples carry one or more.  A batch is
-padded to its longest row, and its rows' lengths alone say where the padding
+carry exactly one label, multilabel examples carry one or more.  A split is
+tokenized once into a `Batch` of all its rows, and every batch is rows of
+it, padded to its longest row; its rows' lengths alone say where the padding
 starts.  Everything that shuffles or samples takes an explicit seed and is
 reproducible bit for bit.
 """
@@ -16,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -151,12 +152,23 @@ def read_text(path: str | Path, what: str,
                     f"does not decode") from None
 
 
-def load_label_space(path: str | Path) -> LabelSpace:
+def parse_json(text: str | bytes, where: str,
+               error: type[ValueError]) -> Any:
+    """The value of the JSON `text`, UTF-8 if it is bytes.  Text that is
+    not JSON, or that nests too deeply to parse, raises `error` naming
+    `where`."""
     try:
-        raw = json.loads(read_text(path, "label space", DataError))
-    except json.JSONDecodeError as err:
-        raise DataError(f"label space {path} is not valid JSON: "
-                        f"{err}") from None
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes)
+                          else text)
+    except RecursionError:
+        raise error(f"{where} nests too deeply to parse") from None
+    except ValueError as err:
+        raise error(f"{where} is not valid JSON: {err}") from None
+
+
+def load_label_space(path: str | Path) -> LabelSpace:
+    raw = parse_json(read_text(path, "label space", DataError),
+                     f"label space {path}", DataError)
     try:
         return LabelSpace.from_dict(raw)
     except ConfigError as err:
@@ -177,11 +189,7 @@ def load_jsonl(path: str | Path, label_space: LabelSpace) -> list[Example]:
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
-        try:
-            raw = json.loads(line)
-        except json.JSONDecodeError as err:
-            raise DataError(f"{path}:{lineno}: invalid JSON: "
-                            f"{err.msg}") from err
+        raw = parse_json(line, f"{path}:{lineno}: the line", DataError)
         if not isinstance(raw, dict):
             raise DataError(f"{path}:{lineno}: expected a JSON object")
         for key in ("id", "text", "labels"):
@@ -383,14 +391,30 @@ class RowLayout:
 
 @dataclass
 class Batch:
+    """Rows of a tokenized split, the whole split included: `encode`
+    ids, PAD after each row's length (CLS included) up to the longest
+    row (at least 2 columns), those lengths, the targets and the example
+    ids.  `encode_split` makes a split in corpus order, and `rows` cuts
+    a batch from it."""
+
     token_ids: np.ndarray  # int64 [batch, width], PAD after each length
     lengths: np.ndarray    # int64 [batch], real tokens per row
     targets: np.ndarray    # int64 [batch] or float64 [batch, k]
     ids: list[str]
 
-    @property
-    def size(self) -> int:
-        return self.token_ids.shape[0]
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def rows(self, index: slice | np.ndarray,
+             width: int | None = None) -> Batch:
+        """The rows at `index`, in its order, cut to `width` columns
+        (every column by default).  A slice's rows are views of these,
+        an index array's a copy."""
+        ids = self.ids[index] if isinstance(index, slice) \
+            else [self.ids[i] for i in index]
+        return Batch(token_ids=self.token_ids[index, :width],
+                     lengths=self.lengths[index],
+                     targets=self.targets[index], ids=ids)
 
     @cached_property
     def layout(self) -> RowLayout:
@@ -412,31 +436,8 @@ def _targets_for(examples: Sequence[Example],
     return out
 
 
-@dataclass
-class EncodedSplit:
-    """A split tokenized once: `encode` ids, PAD after each row's length
-    (CLS included) up to the longest row (at least 2 columns), those
-    lengths, the targets and the example ids, all in corpus order."""
-
-    token_ids: np.ndarray  # int64 [n, width]
-    lengths: np.ndarray    # int64 [n]
-    targets: np.ndarray    # int64 [n] or float64 [n, k]
-    ids: list[str]
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __getitem__(self, rows: slice) -> EncodedSplit:
-        """The examples at `rows`, still at the whole split's width
-        (`batches` trims each batch to its longest row)."""
-        return EncodedSplit(token_ids=self.token_ids[rows],
-                            lengths=self.lengths[rows],
-                            targets=self.targets[rows], ids=self.ids[rows])
-
-
 def encode_split(examples: Sequence[Example], vocab: Vocabulary,
-                 label_space: LabelSpace,
-                 max_seq_len: int) -> EncodedSplit:
+                 label_space: LabelSpace, max_seq_len: int) -> Batch:
     # the id matrix widens as longer rows turn up, so a split is never
     # held at max_seq_len columns (PAD is 0, the padding np.pad adds)
     token_ids = np.zeros((len(examples), 2), dtype=np.int64)
@@ -449,12 +450,12 @@ def encode_split(examples: Sequence[Example], vocab: Vocabulary,
             token_ids = np.pad(token_ids,
                                ((0, 0), (0, n - token_ids.shape[1])))
         token_ids[i, :n] = ids
-    return EncodedSplit(token_ids=token_ids, lengths=lengths,
-                        targets=_targets_for(examples, label_space),
-                        ids=[ex.id for ex in examples])
+    return Batch(token_ids=token_ids, lengths=lengths,
+                 targets=_targets_for(examples, label_space),
+                 ids=[ex.id for ex in examples])
 
 
-def batches(split: EncodedSplit, batch_size: int, train: bool,
+def batches(split: Batch, batch_size: int, train: bool,
             seed: int = 0) -> Iterator[Batch]:
     """Deterministic batch stream.
 
@@ -472,32 +473,16 @@ def batches(split: EncodedSplit, batch_size: int, train: bool,
     stop = n - n % batch_size if train else n
     for start in range(0, stop, batch_size):
         rows = order[start:start + batch_size]
-        lengths = split.lengths[rows]
-        width = max(2, int(lengths.max()))
-        yield Batch(token_ids=split.token_ids[rows, :width],
-                    lengths=lengths, targets=split.targets[rows],
-                    ids=[split.ids[i] for i in rows])
+        yield split.rows(rows, max(2, int(split.lengths[rows].max())))
 
 
-def _rows(split: EncodedSplit, start: int, stop: int, first: Batch) -> Batch:
-    """Rows start to stop of `split` as one batch at `first`'s width:
-    `first` itself when it holds them all."""
-    if first.size == stop - start:
-        return first
-    width = first.token_ids.shape[1]
-    return Batch(token_ids=split.token_ids[start:stop, :width],
-                 lengths=split.lengths[start:stop],
-                 targets=split.targets[start:stop],
-                 ids=split.ids[start:stop])
-
-
-def merged(split: EncodedSplit, stream: Iterable[Batch],
+def merged(split: Batch, stream: Iterable[Batch],
            most: int) -> Iterator[tuple[int, Batch]]:
     """The eval-mode `stream` that `batches` makes of `split`, with each
     run of consecutive batches of one padded width, up to `most`
     sequences, as one batch, and the row of `split` each batch starts
-    at.  A merged batch is the split's rows at that width, neither
-    copied nor padded again.
+    at.  Every batch is the split's rows at that width, neither copied
+    nor padded again.
 
     This is the rule every evaluation and export forward keeps: a row's
     values depend on its batch only through the batch's padded width,
@@ -507,19 +492,19 @@ def merged(split: EncodedSplit, stream: Iterable[Batch],
     sees one row at a time.  So a batch of one is never merged, and
     every row's bits are those of its own batch's forward.
     """
-    start = stop = 0
-    first: Batch | None = None
+    start = stop = width = 0
     for batch in stream:
-        if first is not None and not (
-                first.size > 1 and batch.size > 1
-                and batch.token_ids.shape[1] == first.token_ids.shape[1]
-                and stop - start + batch.size <= most):
-            yield start, _rows(split, start, stop, first)
-            start, first = stop, None
-        first = batch if first is None else first
-        stop += batch.size
-    if first is not None:
-        yield start, _rows(split, start, stop, first)
+        if stop > start and not (
+                stop - start > 1 and len(batch) > 1
+                and batch.token_ids.shape[1] == width
+                and stop - start + len(batch) <= most):
+            yield start, split.rows(slice(start, stop), width)
+            start = stop
+        if stop == start:  # the batch opens a run
+            width = batch.token_ids.shape[1]
+        stop += len(batch)
+    if stop > start:
+        yield start, split.rows(slice(start, stop), width)
 
 
 # ---------------------------------------------------------------------------
@@ -581,12 +566,9 @@ class SynthSpec(Schema):
 
 
 def load_synth_spec(path: str | Path) -> SynthSpec:
-    try:
-        raw = json.loads(read_text(path, "synthetic spec", DataError))
-    except json.JSONDecodeError as err:
-        raise DataError(f"synthetic spec {path} is not valid JSON: "
-                        f"{err}") from None
-    return SynthSpec.from_dict(raw)
+    return SynthSpec.from_dict(parse_json(
+        read_text(path, "synthetic spec", DataError),
+        f"synthetic spec {path}", DataError))
 
 
 def _sentence(spec: SynthSpec, label: str, rng: np.random.Generator) -> str:

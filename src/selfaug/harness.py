@@ -513,9 +513,10 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
     """Write one CSV row per example: id, gold and predicted labels,
     embedding components, and two PCA coordinates.
 
-    `pooled_final` exports the representation the classifier head sees;
-    `tapped` exports the pooled tap-layer state that feeds the projection
-    network during training.
+    `pooled_final` exports the representation the classifier head sees,
+    the top layer's [CLS] row under either pooling; `tapped` exports the
+    tap-layer state that feeds the projection network during training,
+    pooled as the run's `dual.pooling` says.
 
     The forwards run on an `EvalPass` in batches of `EXPORT_BATCH_SIZE`,
     on two threads or in up to `workers` processes.  Once this process
@@ -565,9 +566,10 @@ def export_embeddings(checkpoint_path: str | Path, split: str,
         raise ConfigError(f"{checkpoint_path}: checkpoint arrays do not fit "
                           f"its experiment's model: {err}") from None
 
-    pooling = config.dual.pooling if config.dual is not None else "cls"
-    source_layer = config.model.n_layers if layer == "pooled_final" \
-        else config.dual.tap_layer
+    if layer == "pooled_final":  # what the head reads, whatever the pooling
+        source_layer, pooling = config.model.n_layers, "cls"
+    else:
+        source_layer, pooling = config.dual.tap_layer, config.dual.pooling
     # the top layer runs for the CLS row alone unless it is mean-pooled
     cls_only = pooling == "cls" or source_layer != config.model.n_layers
     labels = prepared.label_space.labels

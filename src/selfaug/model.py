@@ -17,7 +17,8 @@ just before pooling.  That additive hook is the entire coupling surface the
 dual-stream objective needs.  A forward with `cls_only` runs the last layer
 for each sequence's [CLS] row alone, so its H_L is [batch, d]: the
 baseline step, evaluation, each stream of a dual step whose tap or pooled
-view does not need the rest of H_L, and export unless it mean-pools H_L.
+view does not need the rest of H_L, and export unless it mean-pools a
+tapped H_L.
 
 Layout is post-layer-norm: attention -> add & norm -> feed-forward ->
 add & norm.  Padding positions are masked out of every attention row and
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import Batch, RowLayout
+from .data import Batch, RowLayout, parse_json
 from .errors import ConfigError, ShapeError
 from .schema import Schema
 
@@ -341,11 +342,8 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     if base > len(raw):
         raise ConfigError(f"{path} is truncated: its header needs "
                           f"{header_len} bytes, {len(raw) - 16} remain")
-    try:
-        header = json.loads(raw[16:base].decode("utf-8"))
-    except ValueError:
-        raise ConfigError(f"{path}: checkpoint header is not valid "
-                          f"JSON") from None
+    header = parse_json(raw[16:base], f"{path}: checkpoint header",
+                        ConfigError)
     if not isinstance(header, dict) or \
             not isinstance(header.get("meta"), dict) or \
             not isinstance(header.get("arrays"), list):

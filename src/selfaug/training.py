@@ -24,8 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from . import parallel
 from .autodiff import Tensor
-from .data import (EXPORT_BATCH_SIZE, Batch, EncodedSplit, LabelSpace,
-                   batches, merged)
+from .data import EXPORT_BATCH_SIZE, Batch, LabelSpace, batches, merged
 from .errors import ConfigError, DataError, DomainError
 from .metrics import MetricsBundle, evaluate_predictions
 from .model import EncoderModel, predict
@@ -260,9 +259,10 @@ def _step_losses(mode: str, model_f: EncoderModel,
 class EvalPass:
     """One eval-mode pass over a split, behind `evaluate` and the export.
 
-    The split goes in contiguous runs of whole batches (see
-    `parallel.runs`); this process takes the first, and a thread or
-    forked processes the rest (see `parallel.inheriting_pool`).  When a
+    The split is a `Batch` of all its rows, as `encode_split` makes it.
+    It goes in contiguous runs of whole batches (see `parallel.runs`),
+    each a view of its rows; this process takes the first, and a thread
+    or forked processes the rest (see `parallel.inheriting_pool`).  When a
     full batch is worth two threads (see `parallel.worth_two_threads`),
     a thread of this process takes the second of two runs, since a
     worker forked from a large heap (a training's) pays a fault for
@@ -273,7 +273,7 @@ class EvalPass:
     of single batches of `batch_size`.
     """
 
-    def __init__(self, model: EncoderModel, split: EncodedSplit,
+    def __init__(self, model: EncoderModel, split: Batch,
                  batch_size: int, workers: int | None = 1) -> None:
         if batch_size < 1:  # before the runs divide by it
             raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
@@ -300,14 +300,14 @@ class EvalPass:
 
         def forward(run: int) -> None:
             rows = self.runs[run]
-            part = self.split[rows]
+            part = self.split.rows(rows)
             with ad.no_grad():  # grad mode is each thread's own
                 for row, batch in merged(part, stream(
                         part, self.batch_size, train=False), most):
                     logits, hidden = self.model.forward(
                         batch, train=False, cls_only=cls_only)
                     row += rows.start
-                    keep(slice(row, row + batch.size), batch, logits,
+                    keep(slice(row, row + len(batch)), batch, logits,
                          hidden)
 
         with parallel.inheriting_pool(len(self.runs), self.on_threads,
@@ -320,7 +320,7 @@ class EvalPass:
             yield start
 
 
-def evaluate(model: EncoderModel, split: EncodedSplit,
+def evaluate(model: EncoderModel, split: Batch,
              label_space: LabelSpace, batch_size: int = 32,
              threshold: float = 0.5, workers: int | None = 1) \
         -> MetricsBundle:
@@ -344,7 +344,7 @@ def evaluate(model: EncoderModel, split: EncodedSplit,
 
 def train(model_f: EncoderModel, model_c: EncoderModel | None,
           projection: ProjectionNetwork | None,
-          train_split: EncodedSplit, val_split: EncodedSplit,
+          train_split: Batch, val_split: Batch,
           label_space: LabelSpace,
           dual_cfg: DualStreamConfig | None, train_cfg: TrainConfig,
           threshold: float = 0.5) -> TrainResult:

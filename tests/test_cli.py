@@ -33,7 +33,8 @@ from selfaug.harness import (EXPORT_BATCH_SIZE, EXPORT_LAYERS,
                              _principal_components, _restored_model,
                              prepare_data, run_ablation, run_grid, run_kfold,
                              run_training)
-from selfaug.model import load_checkpoint, pool, save_checkpoint
+from selfaug.model import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                           load_checkpoint, pool, predict, save_checkpoint)
 
 from conftest import lanes_meet, on_lane_zero
 from test_metrics import oracle_bundle
@@ -413,6 +414,52 @@ class TestTrainCommand:
         metrics = json.loads((out / "metrics.json").read_text())
         assert set(metrics["test"]["per_class"]) == \
             {"ailment", "banter", "errand"}
+
+    @pytest.mark.parametrize("target", ["config", "label space",
+                                        "dataset line", "synth spec",
+                                        "checkpoint header"])
+    def test_too_deeply_nested_json_exits_2(self, tmp_path, target):
+        # deeper than the JSON parser's recursion allows
+        deep = "[" * 100_000 + "]" * 100_000
+        files = {"config": tmp_path / "exp.json",
+                 "label space": tmp_path / "labels.json",
+                 "dataset line": tmp_path / "corpus.jsonl",
+                 "synth spec": tmp_path / "spec.json",
+                 "checkpoint header": tmp_path / "checkpoint.bin"}
+        out = tmp_path / "run"
+        payload = small_config(str(out))
+        files["synth spec"].write_text(json.dumps(
+            payload["data"].pop("synth_spec")))
+        payload["data"] = {"synth_spec_path": str(files["synth spec"])} \
+            if target == "synth spec" else \
+            {"dataset_path": str(files["dataset line"]),
+             "label_space_path": str(files["label space"])}
+        files["dataset line"].write_text(
+            '{"id": "a", "text": "fever", "labels": ["ailment"]}\n'
+            + (deep if target == "dataset line" else "") + "\n")
+        files["label space"].write_text(
+            deep if target == "label space" else
+            json.dumps({"task_kind": "binary",
+                        "labels": ["ailment", "banter"]}))
+        write_config(tmp_path, payload)
+        if target in ("config", "synth spec"):
+            files[target].write_text(deep)
+        header = deep.encode()
+        files["checkpoint header"].write_bytes(
+            CHECKPOINT_MAGIC + struct.pack("<IQ", CHECKPOINT_VERSION,
+                                           len(header)) + header)
+        result = invoke("--out", str(out), "export-embeddings",
+                        "--checkpoint", str(files[target])) \
+            if target == "checkpoint header" else \
+            invoke("--config", str(files["config"]), "train")
+        assert result.exit_code == 2, result.output
+        named = f"{files[target]}:2:" if target == "dataset line" \
+            else str(files[target])
+        assert named in result.output
+        assert "nests too deeply" in result.output
+        assert "Traceback" not in result.output
+        assert not PYTHON_INTERNALS.search(result.output), result.output
+        assert not out.exists()
 
 
 class TestGridCommand:
@@ -1019,12 +1066,14 @@ class TestExportCommand:
             assert result.exit_code == 0, result.output
             with (tmp_path / layer / "embeddings.csv").open() as fh:
                 rows = {r["id"]: r for r in csv.DictReader(fh)}
-            source = 2 if layer == "pooled_final" else tap_layer
+            # pooled_final is what the head reads, under either pooling
+            source, pooled = (2, "cls") if layer == "pooled_final" \
+                else (tap_layer, pooling)
             for batch in batches(encode_split(
                     prepared.test, prepared.vocab, prepared.label_space,
                     config.model.max_seq_len), 32, train=False):
                 _, hidden = model.forward(batch)
-                want = pool(hidden[source], batch.layout, pooling).data
+                want = pool(hidden[source], batch.layout, pooled).data
                 for row_id, vec in zip(batch.ids, want):
                     got = [float(rows[row_id][f"e{i}"])
                            for i in range(len(vec))]
@@ -1333,6 +1382,49 @@ class TestExportProcesses:
         assert threads_started == []
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             ["1.csv", "2.csv", "None.csv", "run"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("task", ["binary", "multilabel"])
+    @pytest.mark.parametrize("pooling", ["cls", "mean"])
+    def test_pooled_final_is_what_the_head_reads(self, tmp_path, monkeypatch,
+                                                 pools_made, pooling, task,
+                                                 workers):
+        # the head applied to the exported vectors gives the predicted
+        # column, whatever pools the contrastive view
+        preset = resources.files("selfaug") / "presets" / "desk_binary.json"
+        payload = json.loads(preset.read_text(encoding="utf-8"))
+        payload["out_dir"] = str(tmp_path / "run")
+        payload["dual"]["pooling"] = pooling
+        payload["train"].update(learning_rate=0.005, max_epochs=3,
+                                patience=3)
+        payload["data"]["synth_spec"]["count"] = 300
+        labels = ["ailment", "banter"]
+        if task == "multilabel":
+            labels.append("errand")
+            payload["data"]["synth_spec"].update(
+                task_kind="multilabel", classes=labels,
+                keywords={"ailment": ["fever", "nausea"],
+                          "banter": ["meme", "prank"],
+                          "errand": ["laundry", "grocery"]})
+        run_training(ExperimentConfig.from_dict(payload), workers=1)
+        monkeypatch.setattr(harness, "EXPORT_BATCH_SIZE", 4)
+        ckpt = tmp_path / "run" / "checkpoint.bin"
+        result = invoke("--workers", str(workers), "--out",
+                        str(tmp_path / "exp"), "export-embeddings",
+                        "--checkpoint", str(ckpt))
+        assert result.exit_code == 0, result.output
+        assert pools_made == [1] * (workers - 1)  # beside this process
+        with (tmp_path / "exp" / "embeddings.csv").open(
+                encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        _, arrays = load_checkpoint(ckpt)
+        head_w, head_b = arrays["f.head_w"], arrays["f.head_b"]
+        vectors = np.array([[float(row[f"e{i}"])
+                             for i in range(len(head_w))] for row in rows])
+        chosen = predict(vectors @ head_w + head_b, task == "multilabel")
+        assert [row["predicted"] for row in rows] == \
+            ["|".join(np.array(labels)[mask]) for mask in chosen]
+        assert len({row["predicted"] for row in rows}) > 1
 
     def test_one_batch_starts_no_child(self, tmp_path, pools_made):
         ckpt = self._checkpoint(tmp_path)

@@ -245,11 +245,11 @@ class TestBatches:
 
     def test_train_drops_partial_batch(self):
         out = list(batches(self.split, batch_size=3, train=True, seed=1))
-        assert [b.size for b in out] == [3, 3, 3]
+        assert [len(b) for b in out] == [3, 3, 3]
 
     def test_eval_keeps_partial_batch_in_order(self):
         out = list(batches(self.split, batch_size=3, train=False))
-        assert [b.size for b in out] == [3, 3, 3, 1]
+        assert [len(b) for b in out] == [3, 3, 3, 1]
         assert out[0].ids == ["e0", "e1", "e2"]
 
     def test_shuffle_deterministic_under_seed(self):
@@ -327,6 +327,27 @@ class TestBatches:
         if not train:
             assert widths[0] == 2
         assert split.token_ids.shape == (23, max_seq_len)
+
+
+@pytest.mark.parametrize("index", [slice(0, 3), np.array([2, 0, 1])],
+                         ids=["slice", "index array"])
+def test_batch_rows_cut_to_width_in_index_order(index):
+    # row i holds CLS and i words: the split is 5 wide, rows 0-2 fit in 3
+    space = LabelSpace("multilabel", ("a", "b", "c"))
+    examples = [Example(f"r{i}", " ".join(["word"] * i),
+                        (space.labels[i % 3],)) for i in range(5)]
+    split = encode_split(examples, build_vocab(examples), space, 8)
+    order = [0, 1, 2] if isinstance(index, slice) else [2, 0, 1]
+    rows = split.rows(index, 3)
+    assert isinstance(rows, Batch) and len(rows) == 3
+    assert rows.ids == [f"r{i}" for i in order]
+    np.testing.assert_array_equal(rows.token_ids, split.token_ids[order, :3])
+    np.testing.assert_array_equal(rows.lengths, [i + 1 for i in order])
+    np.testing.assert_array_equal(rows.targets, split.targets[order])
+    for name in ("token_ids", "lengths", "targets"):
+        assert np.shares_memory(getattr(rows, name), getattr(split, name)) \
+            == isinstance(index, slice)
+    assert split.rows(index).token_ids.shape == (3, 5)  # every column
 
 
 def keyword_class(text, spec):

@@ -436,7 +436,7 @@ class TestDualForward:
 
         monkeypatch.setattr(EncoderModel, "forward", spy)
         got = dual_forward(model_f, model_c, batch, cfg)
-        n, b = int(batch.lengths.sum()), batch.size  # packed, [CLS] rows
+        n, b = int(batch.lengths.sum()), len(batch)  # packed, [CLS] rows
         assert rows == [n if full_f else b, n if full_c else b]
         monkeypatch.undo()
         logits_f, hidden_f = model_f.forward(batch)

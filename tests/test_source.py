@@ -1,6 +1,7 @@
 """Source checks: every name a selfaug module imports is used in it, no
 line is wider than 79 characters, only `parallel` starts processes or
-reads the CPU count, and importing the CLI imports no pool machinery."""
+reads the CPU count, only `data.parse_json` parses JSON, and importing
+the CLI imports no pool machinery."""
 
 import ast
 import os
@@ -113,6 +114,48 @@ def test_the_check_sees_a_second_home():
         "concurrent.futures (line 3)", "ctypes (line 4)", "mmap (line 2)",
         "multiprocessing.pool (line 5)", "os.cpu_count (line 7)",
         "os.sched_getaffinity (line 6)"]
+
+
+def _json_parses(tree: ast.Module, parser: str | None = None) -> list[str]:
+    """Each read of `json.load` or `json.loads` in the module, with its
+    line, outside its top-level function `parser`."""
+    exempt = {id(node) for function in tree.body
+              if isinstance(function, ast.FunctionDef)
+              and function.name == parser for node in ast.walk(function)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            names = [f"json.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute) and \
+                isinstance(node.value, ast.Name) and node.value.id == "json":
+            names = [f"json.{node.attr}"]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names
+                  if name in ("json.load", "json.loads")]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_only_parse_json_parses_json(path):
+    parser = "parse_json" if path.name == "data.py" else None
+    used = _json_parses(ast.parse(path.read_text(encoding="utf-8")), parser)
+    assert not used, f"{path.name} uses {', '.join(used)}; JSON input " \
+        "goes through data.parse_json, which turns every failure into " \
+        "an error naming its file"
+
+
+def test_the_check_sees_a_second_json_parser():
+    tree = ast.parse("import json\nfrom json import dumps, loads\n"
+                     "def parse_json(text):\n    return json.loads(text)\n"
+                     "def other(fh):\n"
+                     "    return json.load(fh), json.dumps(fh)\n")
+    assert sorted(_json_parses(tree, "parse_json")) == [
+        "json.load (line 6)", "json.loads (line 2)"]
+    assert sorted(_json_parses(tree)) == [
+        "json.load (line 6)", "json.loads (line 2)", "json.loads (line 4)"]
 
 
 def test_the_cli_imports_no_pool_machinery():

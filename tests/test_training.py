@@ -27,9 +27,9 @@ import selfaug
 from selfaug import autodiff as ad
 from selfaug import harness, parallel, training
 from selfaug.config import ExperimentConfig
-from selfaug.data import (EXPORT_BATCH_SIZE, EncodedSplit, LabelSpace,
+from selfaug.data import (EXPORT_BATCH_SIZE, Batch, LabelSpace,
                           SynthSpec, Vocabulary, batches, build_vocab,
-                          encode_split, gen_synthetic)
+                          encode_split, gen_synthetic, merged)
 from selfaug.errors import ConfigError, DataError, DomainError
 from selfaug.harness import _build_components, prepare_data
 from selfaug.metrics import evaluate_predictions
@@ -715,7 +715,7 @@ class TestEvaluate:
                      encode_split([], vocab, label_space, 16), label_space)
 
 
-def lane_split(lengths: list[int], labels: int) -> EncodedSplit:
+def lane_split(lengths: list[int], labels: int) -> Batch:
     """An encoded split of random ids with the given row lengths: PAD
     after each length, targets for a binary or a `labels`-wide
     multilabel space."""
@@ -726,8 +726,8 @@ def lane_split(lengths: list[int], labels: int) -> EncodedSplit:
     ids[np.arange(width) >= lengths[:, None]] = 0
     targets = rng.integers(0, 2, len(lengths)) if labels == 2 else \
         rng.integers(0, 2, (len(lengths), labels)).astype(float)
-    return EncodedSplit(token_ids=ids, lengths=lengths, targets=targets,
-                        ids=[f"r{i}" for i in range(len(lengths))])
+    return Batch(token_ids=ids, lengths=lengths, targets=targets,
+                 ids=[f"r{i}" for i in range(len(lengths))])
 
 
 def lane_model(labels: int, d_model: int = 8,
@@ -940,7 +940,7 @@ class TestEvaluateProcesses:
                             lambda pid: {0, 1, 2}, raising=False)
 
     @staticmethod
-    def two_processes() -> EncodedSplit:
+    def two_processes() -> Batch:
         """A split of rows enough for two processes at the floor."""
         return lane_split([3] * 2 * parallel.PROCESS_MIN_ROWS, 2)
 
@@ -1068,7 +1068,7 @@ def forwards_logged(tmp_path):
     return spy_on, read
 
 
-def one_batch_at_a_time(model: EncoderModel, split: EncodedSplit,
+def one_batch_at_a_time(model: EncoderModel, split: Batch,
                         space: LabelSpace, batch_size: int):
     """The reference pass: each batch of `batch_size` through the forward
     alone.  Each row's logits by row, the prediction matrix's bytes and
@@ -1149,6 +1149,24 @@ class TestMergedForwards:
                     assert max(2, alone.max()) == width
         assert [(rows[0], rows[-1] + 1) for rows, _, _ in forwards] \
             == spans.get(workers, spans[1])
+
+    def test_merged_batches_are_views_of_the_split(self):
+        # README: a merged batch is neither copied nor padded again; nor
+        # is a batch that merges with none (rows 20-24) or a batch of one
+        split = lane_split(BLOCKS, 2)
+        out = list(merged(split, batches(split, 4, train=False),
+                          EXPORT_BATCH_SIZE))
+        assert [(start, start + len(batch)) for start, batch in out] == \
+            [(0, 12), (12, 20), (20, 24), (24, 32), (32, 40), (40, 41)]
+        for start, batch in out:
+            rows = slice(start, start + len(batch))
+            width = batch.token_ids.shape[1]
+            assert batch.ids == split.ids[rows]
+            np.testing.assert_array_equal(batch.token_ids,
+                                          split.token_ids[rows, :width])
+            for name in ("token_ids", "lengths", "targets"):
+                assert np.shares_memory(getattr(batch, name),
+                                        getattr(split, name))
 
     def test_two_lanes_forward_training_size_batches(self, forwards_logged,
                                                      threads_started):
